@@ -156,10 +156,19 @@ transport-smoke:
 # size — ANN graph build under the recall floor, heavy-edge coarsening,
 # and the multigrid-preconditioned hard solve raced against flat CG.
 # `repro scale` exits non-zero if any scaling contract (recall floor,
-# iteration reduction, solver agreement) is violated.
+# iteration reduction, solver agreement) is violated.  It runs on one
+# and on two domains, and the two `graph digest` lines (a hash of the
+# built CSR) must match: the ANN search's cross-domain bit-identity at
+# 12 000 points, beyond the few hundred the qcheck properties reach.
 scale-smoke:
 	dune build bin/repro.exe
-	./_build/default/bin/repro.exe scale --count 12000 --seed 11 > /dev/null
+	GSSL_DOMAINS=1 ./_build/default/bin/repro.exe scale --count 12000 --seed 11 > /tmp/gssl_scale_d1.txt
+	GSSL_DOMAINS=2 ./_build/default/bin/repro.exe scale --count 12000 --seed 11 > /tmp/gssl_scale_d2.txt
+	@d1=$$(grep '^graph    digest' /tmp/gssl_scale_d1.txt); \
+	d2=$$(grep '^graph    digest' /tmp/gssl_scale_d2.txt); \
+	test -n "$$d1" && test "$$d1" = "$$d2" || \
+		{ echo "scale-smoke: graph digest differs across domain counts: '$$d1' vs '$$d2'"; exit 1; }; \
+	echo "scale-smoke: $$d1 on 1 and 2 domains"
 
 ci: build test test-domains1 test-tune-off test-random tune-smoke \
 	fault-smoke soak-smoke bench-smoke bench-par bench-check trace-smoke \

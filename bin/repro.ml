@@ -1619,6 +1619,17 @@ let scale_cmd =
           "graph    ANN kNN  %10.1f ms  %d edges  recall %.3f  (%d trees, \
            %d-leaf probes, %d escalation(s))\n%!"
           ann_ms edges recall trees probes escalations);
+    (* SplitMix64 over the CSR's row pointers, columns and value bits:
+       equal digests across domain counts witness a bit-identical graph *)
+    let digest =
+      let mix h v = Prng.Splitmix64.mix (Int64.logxor h v) in
+      let ints h a = Array.fold_left (fun h x -> mix h (Int64.of_int x)) h a in
+      Array.fold_left
+        (fun h v -> mix h (Int64.bits_of_float v))
+        (ints (ints 0L w.Sparse.Csr.row_ptr) w.Sparse.Csr.col_idx)
+        w.Sparse.Csr.values
+    in
+    Printf.printf "graph    digest %016Lx\n%!" digest;
     (match exact with
     | false -> ()
     | true ->

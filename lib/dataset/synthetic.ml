@@ -9,7 +9,10 @@ let mean = Vec.create dimension 0.5
 let covariance =
   Mat.init dimension dimension (fun i j -> if i = j then 0.1 else 0.05)
 
-let mvn = lazy (Prng.Distributions.mvn_make ~mean ~cov:covariance)
+(* a plain value, not a [lazy]: forcing one lazy from two domains at
+   once raises [CamlinternalLazy.Undefined], and the factorization is
+   a 5×5 Cholesky *)
+let mvn = Prng.Distributions.mvn_make ~mean ~cov:covariance
 
 let check_dim x =
   if Array.length x <> dimension then
@@ -27,7 +30,7 @@ let logit model x =
 let sigmoid t = 1. /. (1. +. exp (-.t))
 let true_q model x = sigmoid (logit model x)
 
-let sample_input rng = Prng.Distributions.truncated_mvn_sample rng (Lazy.force mvn)
+let sample_input rng = Prng.Distributions.truncated_mvn_sample rng mvn
 
 type sample = { x : Vec.t; y : float; q : float }
 

@@ -11,7 +11,12 @@ module Rng = Prng.Rng
    kernel.  The recall knob is enforced by measurement: the search
    budget is escalated (doubled) until a sampled recall probe meets the
    target; once the budget covers every leaf the search degenerates to
-   exhaustive, so the target is always reachable. *)
+   exhaustive, so the target is always reachable.
+
+   Both orders the index relies on — (projection, index) for the median
+   split and (distance², index) for the neighbour ranking — are strict
+   total orders under [key_lt], so every selection below returns the
+   same result a full sort would, whatever order the keys arrive in. *)
 
 let c_builds = Telemetry.Counter.make "graph.ann.builds"
 let c_queries = Telemetry.Counter.make "graph.ann.queries"
@@ -20,15 +25,16 @@ let c_escalations = Telemetry.Counter.make "graph.ann.escalations"
 let c_exact_fallbacks = Telemetry.Counter.make "graph.ann.exact_fallbacks"
 
 type node =
-  | Leaf of int * int  (* offset, length into the tree's [idx] *)
+  | Leaf of int array * int * int
+      (* the tree's point permutation, and this leaf's offset and length
+         in it *)
   | Split of { dir : Vec.t; thr : float; left : node; right : node }
-
-type tree = { idx : int array; root : node }
 
 type t = {
   points : Vec.t array;
+  coords : float array;  (* [points] flattened row-major, n × dim *)
   dim : int;
-  forest : tree array;
+  forest : node array;  (* tree roots *)
   leaf_size : int;
   total_leaves : int;
 }
@@ -50,6 +56,17 @@ let validate points =
     points;
   (n, d)
 
+let flatten points d =
+  let coords = Array.make (Array.length points * d) 0. in
+  Array.iteri (fun j p -> Array.blit p 0 coords (j * d) d) points;
+  coords
+
+(* (value, index) strictly before (value', index'); [Float.compare]
+   keeps the order total even for NaN values *)
+let[@inline] key_lt (v : float) (i : int) v' i' =
+  let c = Float.compare v v' in
+  c < 0 || (c = 0 && i < i')
+
 (* random unit direction: gaussian components (Box–Muller), normalized;
    a degenerate all-zero draw falls back to the first axis *)
 let gaussian_direction rng d =
@@ -62,32 +79,100 @@ let gaussian_direction rng d =
   if norm > 0. then Array.map (fun x -> x /. norm) dir
   else Array.init d (fun i -> if i = 0 then 1. else 0.)
 
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+
+(* Sort [lo, hi] of the parallel arrays [proj]/[idx] by [key_lt]. *)
+let sort_range proj (idx : int array) lo hi =
+  let len = hi - lo + 1 in
+  let perm = Array.init len (fun t -> lo + t) in
+  Array.sort
+    (fun a b ->
+      let c = Float.compare proj.(a) proj.(b) in
+      if c <> 0 then c else compare idx.(a) idx.(b))
+    perm;
+  let p = Array.map (fun t -> proj.(t)) perm in
+  let x = Array.map (fun t -> idx.(t)) perm in
+  Array.blit p 0 proj lo len;
+  Array.blit x 0 idx lo len
+
+(* Rearrange [lo, hi] of [proj]/[idx] in place so position [k] holds the
+   key of its rank, smaller keys before it and larger ones after
+   (Hoare's FIND with a median-of-three pivot): O(len) expected.  Past
+   log₂ len partition rounds it sorts what is left instead, so no input
+   can make it quadratic.  On random projections the limit is reached
+   only once a handful of keys remain (about five on average at
+   n = 10⁵), so the fallback is cheap and runs on every build. *)
+let select proj idx lo hi k =
+  let swap a b =
+    let p = proj.(a) and x = idx.(a) in
+    proj.(a) <- proj.(b);
+    idx.(a) <- idx.(b);
+    proj.(b) <- p;
+    idx.(b) <- x
+  in
+  let lt a b = key_lt proj.(a) idx.(a) proj.(b) idx.(b) in
+  let lo = ref lo and hi = ref hi in
+  let rounds = ref (log2 (!hi - !lo + 1)) in
+  while !lo < !hi do
+    if !rounds = 0 then begin
+      sort_range proj idx !lo !hi;
+      lo := !hi
+    end
+    else begin
+      decr rounds;
+      let m = !lo + ((!hi - !lo) / 2) in
+      if lt m !lo then swap m !lo;
+      if lt !hi !lo then swap !hi !lo;
+      if lt !hi m then swap !hi m;
+      let pv = proj.(m) and pi = idx.(m) in
+      let i = ref !lo and j = ref !hi in
+      while !i <= !j do
+        while key_lt proj.(!i) idx.(!i) pv pi do incr i done;
+        while key_lt pv pi proj.(!j) idx.(!j) do decr j done;
+        if !i <= !j then begin
+          swap !i !j;
+          incr i;
+          decr j
+        end
+      done;
+      if !j < k then lo := !i;
+      if k < !i then hi := !j
+    end
+  done
+
 (* Split the segment [off, off+len) of [idx] at its positional median
-   along a random direction.  The permutation is ordered by
-   (projection, point index) so exact projection ties cannot make the
-   layout depend on the sort's internals. *)
-let rec build_node rng points idx off len leaf_size leaves =
+   along a random direction, under the (projection, point index) order
+   so exact projection ties cannot make the layout depend on the
+   selection's internals.  [proj] is one buffer shared by the whole
+   build; each node overwrites its own segment of it. *)
+let rec build_node rng coords dim idx proj off len leaf_size leaves =
   if len <= leaf_size then begin
     incr leaves;
-    Leaf (off, len)
+    Leaf (idx, off, len)
   end
   else begin
-    let d = Array.length points.(0) in
-    let dir = gaussian_direction rng d in
-    let proj = Array.init len (fun t -> Vec.dot points.(idx.(off + t)) dir) in
-    let perm = Array.init len Fun.id in
-    Array.sort
-      (fun a b ->
-        let c = Float.compare proj.(a) proj.(b) in
-        if c <> 0 then c else compare idx.(off + a) idx.(off + b))
-      perm;
-    let tmp = Array.init len (fun t -> idx.(off + perm.(t))) in
-    Array.blit tmp 0 idx off len;
-    let mid = len / 2 in
-    let thr = 0.5 *. (proj.(perm.(mid - 1)) +. proj.(perm.(mid))) in
-    let left = build_node rng points idx off mid leaf_size leaves in
+    let dir = gaussian_direction rng dim in
+    (* Vec.dot's operation order, written out so no float is boxed *)
+    for t = off to off + len - 1 do
+      let base = idx.(t) * dim in
+      let acc = ref 0. in
+      for c = 0 to dim - 1 do
+        acc := !acc +. (coords.(base + c) *. dir.(c))
+      done;
+      proj.(t) <- !acc
+    done;
+    let half = len / 2 in
+    let mid = off + half in
+    select proj idx off (off + len - 1) mid;
+    (* rank mid-1 is the largest key of the lower half *)
+    let below = ref off in
+    for t = off + 1 to mid - 1 do
+      if key_lt proj.(!below) idx.(!below) proj.(t) idx.(t) then below := t
+    done;
+    let thr = 0.5 *. (proj.(!below) +. proj.(mid)) in
+    let left = build_node rng coords dim idx proj off half leaf_size leaves in
     let right =
-      build_node rng points idx (off + mid) (len - mid) leaf_size leaves
+      build_node rng coords dim idx proj mid (len - half) leaf_size leaves
     in
     Split { dir; thr; left; right }
   end
@@ -100,218 +185,277 @@ let build ?(seed = 0x5eed) ?(trees = 3) ?(leaf_size = 24) points =
       Telemetry.Counter.incr c_builds;
       let rng = Rng.create seed in
       let leaves = ref 0 in
+      let coords = flatten points dim in
+      let proj = Array.make n 0. in
       let forest =
         Array.init trees (fun t ->
             let tree_rng = Rng.substream rng t in
             let idx = Array.init n Fun.id in
-            let root = build_node tree_rng points idx 0 n leaf_size leaves in
-            { idx; root })
+            build_node tree_rng coords dim idx proj 0 n leaf_size leaves)
       in
-      { points; dim; forest; leaf_size; total_leaves = !leaves })
+      { points; coords; dim; forest; leaf_size; total_leaves = !leaves })
+
+(* ---- the k best (distance², index) keys ------------------------- *)
+
+(* A bounded binary max-heap under [key_lt]: the root is the worst key
+   kept, so a candidate is admitted only when it beats the root (or the
+   heap is not yet full).  A point offered twice (it sat in leaves of
+   two trees) has the same key both times, so it is either still in the
+   heap — the membership scan turns it away — or already beaten by the
+   root.  [d2]/[id] hold the heap in [0, size) plus one staging slot at
+   index k: a key moves between functions through the arrays, never as
+   a boxed float argument, so offering allocates nothing. *)
+module Best = struct
+  type t = { d2 : float array; id : int array; mutable size : int }
+
+  let create k =
+    { d2 = Array.make (k + 1) 0.; id = Array.make (k + 1) 0; size = 0 }
+
+  let clear b = b.size <- 0
+  let capacity b = Array.length b.id - 1
+  let full b = b.size = capacity b
+
+  let mem b j =
+    let t = ref 0 in
+    while !t < b.size && b.id.(!t) <> j do incr t done;
+    !t < b.size
+
+  (* fill the hole at the root with the entry at slot [src], outside
+     the heap, sifting it down *)
+  let sift_down b src =
+    let d = b.d2.(src) and j = b.id.(src) in
+    let i = ref 0 and moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= b.size then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < b.size && key_lt b.d2.(l) b.id.(l) b.d2.(r) b.id.(r) then r
+          else l
+        in
+        if key_lt d j b.d2.(c) b.id.(c) then begin
+          b.d2.(!i) <- b.d2.(c);
+          b.id.(!i) <- b.id.(c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    b.d2.(!i) <- d;
+    b.id.(!i) <- j
+
+  (* Offer point [j] of the flat [coords] at its squared distance from
+     [q], computed in [Vec.dist2_sq]'s operation order so the keys are
+     bit-identical to it. *)
+  let offer b coords dim q j =
+    let base = j * dim in
+    let acc = ref 0. in
+    for c = 0 to dim - 1 do
+      let x = coords.(base + c) -. q.(c) in
+      acc := !acc +. (x *. x)
+    done;
+    let d = !acc in
+    if not (full b) then begin
+      if not (mem b j) then begin
+        let i = ref b.size in
+        b.size <- b.size + 1;
+        while
+          !i > 0
+          &&
+          let p = (!i - 1) / 2 in
+          key_lt b.d2.(p) b.id.(p) d j
+        do
+          let p = (!i - 1) / 2 in
+          b.d2.(!i) <- b.d2.(p);
+          b.id.(!i) <- b.id.(p);
+          i := p
+        done;
+        b.d2.(!i) <- d;
+        b.id.(!i) <- j
+      end
+    end
+    else if key_lt d j b.d2.(0) b.id.(0) && not (mem b j) then begin
+      let k = capacity b in
+      b.d2.(k) <- d;
+      b.id.(k) <- j;
+      sift_down b k
+    end
+
+  (* the kept indices in ascending (distance², index) order; empties
+     the heap *)
+  let drain b =
+    let out = Array.make b.size 0 in
+    for t = b.size - 1 downto 0 do
+      out.(t) <- b.id.(0);
+      b.size <- t;
+      if t > 0 then sift_down b t
+    done;
+    out
+end
+
+(* exact k-nearest of [q] over every point but [exclude], under the
+   same (distance², index) order the approximate path uses, so recall
+   comparisons are unambiguous even with tied distances *)
+let exact_k_nearest best coords dim n q ~exclude =
+  Best.clear best;
+  for j = 0 to n - 1 do
+    if j <> exclude then Best.offer best coords dim q j
+  done;
+  Best.drain best
 
 (* ---- multi-probe search ---------------------------------------- *)
 
-(* tiny binary min-heap keyed by split margin; payloads are
-   (tree index, node) pairs awaiting descent *)
-module Pq = struct
-  type 'a t = {
-    mutable keys : float array;
-    mutable data : 'a array;
+(* Binary min-heap keyed by split margin over parallel arrays of
+   (margin, node) entries awaiting descent. *)
+module Probe_queue = struct
+  type t = {
+    mutable key : float array;
+    mutable node : node array;
     mutable size : int;
-    dummy : 'a;
   }
 
-  let create dummy =
-    { keys = Array.make 16 0.; data = Array.make 16 dummy; size = 0; dummy }
+  let dummy = Leaf ([||], 0, 0)
+  let create () = { key = Array.make 16 0.; node = Array.make 16 dummy; size = 0 }
 
-  let push q k v =
-    if q.size = Array.length q.keys then begin
-      q.keys <- Array.append q.keys (Array.make q.size 0.);
-      q.data <- Array.append q.data (Array.make q.size q.dummy)
+  (* the free slot, grown if needed: the caller stores the new entry's
+     key there and then calls [push], so no key is boxed *)
+  let slot q =
+    if q.size = Array.length q.key then begin
+      q.key <- Array.append q.key (Array.make q.size 0.);
+      q.node <- Array.append q.node (Array.make q.size dummy)
     end;
+    q.size
+
+  let push q v =
+    let k = q.key.(q.size) in
     let i = ref q.size in
     q.size <- q.size + 1;
-    q.keys.(!i) <- k;
-    q.data.(!i) <- v;
     while
       !i > 0
       &&
       let p = (!i - 1) / 2 in
-      q.keys.(p) > q.keys.(!i)
+      q.key.(p) > k
     do
       let p = (!i - 1) / 2 in
-      let tk = q.keys.(p) and tv = q.data.(p) in
-      q.keys.(p) <- q.keys.(!i);
-      q.data.(p) <- q.data.(!i);
-      q.keys.(!i) <- tk;
-      q.data.(!i) <- tv;
+      q.key.(!i) <- q.key.(p);
+      q.node.(!i) <- q.node.(p);
       i := p
-    done
+    done;
+    q.key.(!i) <- k;
+    q.node.(!i) <- v
 
-  let pop_min q =
-    if q.size = 0 then None
-    else begin
-      let v = q.data.(0) in
-      q.size <- q.size - 1;
-      q.keys.(0) <- q.keys.(q.size);
-      q.data.(0) <- q.data.(q.size);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let m = ref !i in
-        if l < q.size && q.keys.(l) < q.keys.(!m) then m := l;
-        if r < q.size && q.keys.(r) < q.keys.(!m) then m := r;
-        if !m = !i then continue := false
-        else begin
-          let tk = q.keys.(!m) and tv = q.data.(!m) in
-          q.keys.(!m) <- q.keys.(!i);
-          q.data.(!m) <- q.data.(!i);
-          q.keys.(!i) <- tk;
-          q.data.(!i) <- tv;
-          i := !m
-        end
-      done;
-      Some v
-    end
+  (* remove the root; the caller has read it *)
+  let drop_min q =
+    q.size <- q.size - 1;
+    let k = q.key.(q.size) and v = q.node.(q.size) in
+    let i = ref 0 and moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let m =
+        let m = if l < q.size && q.key.(l) < k then l else !i in
+        if r < q.size && q.key.(r) < (if m = !i then k else q.key.(m)) then r
+        else m
+      in
+      if m = !i then moving := false
+      else begin
+        q.key.(!i) <- q.key.(m);
+        q.node.(!i) <- q.node.(m);
+        i := m
+      end
+    done;
+    q.key.(!i) <- k;
+    q.node.(!i) <- v
 end
 
-(* Collect candidate indices: seed the queue with every tree root at
-   margin 0, descend each popped node to a leaf — pushing the far child
-   of every split, keyed by the query's distance to the splitting
-   hyperplane — and stop after [budget] leaf visits.  When [budget]
-   covers [total_leaves] every point becomes a candidate, which is the
-   exhaustive limit the escalation loop relies on. *)
-let collect_candidates index q ~budget buf =
-  let nbuf = ref 0 in
-  let ensure need =
-    if Array.length !buf < need then begin
-      let grown = Array.make (max need (2 * Array.length !buf)) 0 in
-      Array.blit !buf 0 grown 0 !nbuf;
-      buf := grown
-    end
-  in
-  let pq = Pq.create (-1, index.forest.(0).root) in
-  Array.iteri (fun t tree -> Pq.push pq 0. (t, tree.root)) index.forest;
-  let visited = ref 0 in
-  let continue = ref true in
-  while !continue && !visited < budget do
-    match Pq.pop_min pq with
-    | None -> continue := false
-    | Some (t, node) ->
-        let idx = index.forest.(t).idx in
-        let rec descend node =
-          match node with
-          | Leaf (off, len) ->
-              incr visited;
-              ensure (!nbuf + len);
-              Array.blit idx off !buf !nbuf len;
-              nbuf := !nbuf + len
-          | Split { dir; thr; left; right } ->
-              let s = Vec.dot q dir -. thr in
-              let near, far = if s < 0. then (left, right) else (right, left) in
-              Pq.push pq (abs_float s) (t, far);
-              descend near
-        in
-        descend node
-  done;
-  !nbuf
+(* per-chunk search state, reused query after query *)
+type scratch = { pq : Probe_queue.t; best : Best.t }
 
-(* Select the [k] nearest of the (sorted, deduplicated) candidates by
-   the total order (distance², index).  Returns [None] when fewer than
-   [k] distinct candidates survive — the caller falls back to exact. *)
-let select_k points q ~exclude ~k buf ncand =
-  let cand = Array.sub buf 0 ncand in
-  Array.sort compare cand;
-  let uniq = ref 0 in
-  Array.iter (fun j ->
-      if j <> exclude && (!uniq = 0 || cand.(!uniq - 1) <> j) then begin
-        cand.(!uniq) <- j;
-        incr uniq
-      end)
-    cand;
-  let m = !uniq in
-  if m < k then None
+let scratch k = { pq = Probe_queue.create (); best = Best.create k }
+
+(* Offer the points of every visited leaf straight into [s.best]: seed
+   the queue with every tree root at margin 0, descend each popped node
+   to a leaf — pushing the far child of every split, keyed by the
+   query's distance to the splitting hyperplane — and stop after
+   [budget] leaf visits.  When [budget] covers [total_leaves] every
+   point is offered, which is the exhaustive limit the escalation loop
+   relies on.  Returns the number of candidates offered, duplicates
+   across trees included. *)
+let search index s q ~exclude ~budget =
+  let pq = s.pq and best = s.best in
+  pq.size <- 0;
+  Best.clear best;
+  for t = 0 to Array.length index.forest - 1 do
+    pq.key.(Probe_queue.slot pq) <- 0.;
+    Probe_queue.push pq index.forest.(t)
+  done;
+  let visited = ref 0 and ncand = ref 0 in
+  while !visited < budget && pq.size > 0 do
+    let node = ref pq.node.(0) in
+    Probe_queue.drop_min pq;
+    let descending = ref true in
+    while !descending do
+      match !node with
+      | Leaf (idx, off, len) ->
+          incr visited;
+          ncand := !ncand + len;
+          for p = off to off + len - 1 do
+            let j = idx.(p) in
+            if j <> exclude then Best.offer best index.coords index.dim q j
+          done;
+          descending := false
+      | Split { dir; thr; left; right } ->
+          let acc = ref 0. in
+          for c = 0 to index.dim - 1 do
+            acc := !acc +. (q.(c) *. dir.(c))
+          done;
+          let margin = !acc -. thr in
+          pq.key.(Probe_queue.slot pq) <- abs_float margin;
+          if margin < 0. then begin
+            Probe_queue.push pq right;
+            node := left
+          end
+          else begin
+            Probe_queue.push pq left;
+            node := right
+          end
+    done
+  done;
+  !ncand
+
+(* The [k] nearest of [q] (k = the heap's capacity) under (distance²,
+   index), from the probed leaves — or exactly, when they hold fewer
+   than [k] distinct candidates (tiny budget / heavy duplicate overlap
+   between trees). *)
+let knn_search index s q ~exclude ~budget =
+  Telemetry.Counter.incr c_queries;
+  Telemetry.Counter.add c_candidates (search index s q ~exclude ~budget);
+  if Best.full s.best then Best.drain s.best
   else begin
-    let d2 = Array.init m (fun t -> Vec.dist2_sq points.(cand.(t)) q) in
-    let perm = Array.init m Fun.id in
-    Array.sort
-      (fun a b ->
-        let c = Float.compare d2.(a) d2.(b) in
-        if c <> 0 then c else compare cand.(a) cand.(b))
-      perm;
-    Some (Array.init k (fun t -> cand.(perm.(t))))
+    Telemetry.Counter.incr c_exact_fallbacks;
+    exact_k_nearest s.best index.coords index.dim
+      (Array.length index.points) q ~exclude
   end
 
-(* exact k-nearest of point [i] under the same (distance², index) total
-   order the approximate path uses, so recall comparisons are
-   unambiguous even with tied distances *)
-let exact_k_nearest points n k i =
-  let d2 = Array.init n (fun j -> Vec.dist2_sq points.(j) points.(i)) in
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = Float.compare d2.(a) d2.(b) in
-      if c <> 0 then c else compare a b)
-    order;
-  let out = Array.make k 0 in
-  let filled = ref 0 and pos = ref 0 in
-  while !filled < k do
-    let j = order.(!pos) in
-    if j <> i then begin
-      out.(!filled) <- j;
-      incr filled
-    end;
-    incr pos
-  done;
-  out
-
-let query_point index i ~budget ~k buf =
-  Telemetry.Counter.incr c_queries;
-  let q = index.points.(i) in
-  let ncand = collect_candidates index q ~budget buf in
-  Telemetry.Counter.add c_candidates ncand;
-  match select_k index.points q ~exclude:i ~k !buf ncand with
-  | Some out -> out
-  | None ->
-      (* not enough distinct candidates (tiny budget / heavy duplicate
-         overlap between trees): answer exactly for this point *)
-      Telemetry.Counter.incr c_exact_fallbacks;
-      exact_k_nearest index.points (Array.length index.points) k i
+let query_point index s i ~budget =
+  knn_search index s index.points.(i) ~exclude:i ~budget
 
 let query index ?(probes = 12) q k =
   let n = Array.length index.points in
   if k < 0 || k > n then invalid_arg "Ann.query: k out of range";
   if Array.length q <> index.dim then invalid_arg "Ann.query: dimension mismatch";
   if k = 0 then [||]
-  else begin
-    Telemetry.Counter.incr c_queries;
-    let buf = ref (Array.make (max 16 (probes * index.leaf_size)) 0) in
-    let ncand = collect_candidates index q ~budget:(max 1 probes) buf in
-    Telemetry.Counter.add c_candidates ncand;
-    match select_k index.points q ~exclude:(-1) ~k !buf ncand with
-    | Some out -> out
-    | None ->
-        Telemetry.Counter.incr c_exact_fallbacks;
-        let d2 = Array.init n (fun j -> Vec.dist2_sq index.points.(j) q) in
-        let order = Array.init n Fun.id in
-        Array.sort
-          (fun a b ->
-            let c = Float.compare d2.(a) d2.(b) in
-            if c <> 0 then c else compare a b)
-          order;
-        Array.sub order 0 k
-  end
+  else knn_search index (scratch k) q ~exclude:(-1) ~budget:(max 1 probes)
 
 (* measured recall of the current budget on a fixed sample of queries:
    |approx ∩ exact| / (k · #sample), with the exact sets computed once *)
 let sample_recall index ~budget ~k sample exact_sets =
   let hits = ref 0 in
-  let buf = ref (Array.make (max 16 (budget * index.leaf_size)) 0) in
+  let s = scratch k in
   Array.iteri
-    (fun s i ->
-      let approx = query_point index i ~budget ~k buf in
-      let exact = exact_sets.(s) in
+    (fun t i ->
+      let approx = query_point index s i ~budget in
+      let exact = exact_sets.(t) in
       Array.iter
         (fun j -> if Array.exists (fun e -> e = j) exact then incr hits)
         approx)
@@ -325,7 +469,7 @@ let plan_queries n ~budget ~leaf_size =
 let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
     ?(recall_target = 0.9) ?(recall_sample = 64) ?(exact_cutoff = 2048)
     points k =
-  let n, _d = validate points in
+  let n, d = validate points in
   if k < 0 || k >= n then invalid_arg "Ann.all_k_nearest: k must be < n";
   if recall_target < 0. || recall_target > 1. then
     invalid_arg "Ann.all_k_nearest: recall_target must be in [0, 1]";
@@ -337,10 +481,12 @@ let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
     (* small n: the exact Pairwise-style path, fanned out like the
        pairwise kernel itself *)
     Telemetry.Counter.incr c_exact_fallbacks;
+    let coords = flatten points d in
     let out = Array.make n [||] in
     let rows lo hi =
+      let best = Best.create k in
       for i = lo to hi - 1 do
-        out.(i) <- exact_k_nearest points n k i
+        out.(i) <- exact_k_nearest best coords d n points.(i) ~exclude:i
       done
     in
     (let { Parallel.Autotune.parallel = go_par; grain } =
@@ -365,8 +511,11 @@ let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
         in
         let exact_sets = Array.make sample_size [||] in
         (let rows lo hi =
+           let best = Best.create k in
            for s = lo to hi - 1 do
-             exact_sets.(s) <- exact_k_nearest points n k sample.(s)
+             exact_sets.(s) <-
+               exact_k_nearest best index.coords d n points.(sample.(s))
+                 ~exclude:sample.(s)
            done
          in
          let { Parallel.Autotune.parallel = go_par; grain } =
@@ -390,9 +539,9 @@ let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
         (* commit: run every query at the final budget, in parallel *)
         let out = Array.make n [||] in
         let rows lo hi =
-          let buf = ref (Array.make (max 16 (!budget * index.leaf_size)) 0) in
+          let s = scratch k in
           for i = lo to hi - 1 do
-            out.(i) <- query_point index i ~budget:!budget ~k buf
+            out.(i) <- query_point index s i ~budget:!budget
           done
         in
         (let { Parallel.Autotune.parallel = go_par; grain } =

@@ -28,7 +28,9 @@ let of_coo coo =
       values.(k) <- v;
       fill.(i) <- k + 1)
     coo;
-  (* sort each row by column and merge duplicates *)
+  (* sort each row by column and merge duplicates; a row whose columns
+     already strictly increase (what the kNN symmetrisation and the
+     system assembly emit) is copied as it stands *)
   let out_col = Array.make n 0 and out_val = Array.make n 0. in
   let out_ptr = Array.make (rows + 1) 0 in
   let pos = ref 0 in
@@ -36,7 +38,14 @@ let of_coo coo =
     out_ptr.(i) <- !pos;
     let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
     let len = hi - lo in
-    if len > 0 then begin
+    let p = ref (lo + 1) in
+    while !p < hi && col_idx.(!p - 1) < col_idx.(!p) do incr p done;
+    if !p >= hi then begin
+      Array.blit col_idx lo out_col !pos len;
+      Array.blit values lo out_val !pos len;
+      pos := !pos + len
+    end
+    else begin
       let order = Array.init len (fun k -> lo + k) in
       Array.sort (fun a b -> compare col_idx.(a) col_idx.(b)) order;
       let prev = ref (-1) in

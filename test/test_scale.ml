@@ -163,6 +163,150 @@ let test_ann_query_external () =
   Alcotest.(check (array int)) "exhaustive query is exact"
     (Array.sub order 0 5) got
 
+(* exhaustive search on point sets with deliberate duplicates: ties in
+   distance (and in every split projection) must fall back to the point
+   index, exactly as the full (distance², index) sort orders them *)
+let ann_exhaustive_query_with_duplicates =
+  qprop ~count:60 "ann: exhaustive query = full sort, with duplicates"
+    (fun seed ->
+      let rng = Rng.create seed in
+      let distinct = 1 + Rng.int rng 40 in
+      let n = distinct + Rng.int rng 120 in
+      let d = 1 + Rng.int rng 4 in
+      (* coordinates on a coarse lattice, so distinct points tie too *)
+      let base =
+        Array.init distinct (fun _ ->
+            Array.init d (fun _ -> float_of_int (Rng.int rng 4)))
+      in
+      let points = Array.init n (fun i ->
+          Array.copy base.(if i < distinct then i else Rng.int rng distinct))
+      in
+      let trees = 1 + Rng.int rng 3 in
+      let index = Ann.build ~seed ~trees ~leaf_size:(1 + Rng.int rng 8) points in
+      let q =
+        if Rng.bool rng then Array.copy points.(Rng.int rng n)
+        else Array.init d (fun _ -> float_of_int (Rng.int rng 4) +. 0.5)
+      in
+      let k = Rng.int rng (n + 1) in
+      (* every tree has at most [n] leaves *)
+      let got = Ann.query index ~probes:(trees * n) q k in
+      let d2 = Array.map (fun p -> Vec.dist2_sq p q) points in
+      let order = Array.init n Fun.id in
+      Array.sort
+        (fun a b ->
+          let c = Float.compare d2.(a) d2.(b) in
+          if c <> 0 then c else compare a b)
+        order;
+      let want = Array.sub order 0 k in
+      if got <> want then
+        QCheck.Test.fail_reportf "n=%d k=%d: got [%s], want [%s]" n k
+          (String.concat ";" (Array.to_list (Array.map string_of_int got)))
+          (String.concat ";" (Array.to_list (Array.map string_of_int want)));
+      true)
+
+(* Golden outputs of [Ann.all_k_nearest], recorded before the search's
+   selection and median-split routines were last rewritten: a digest of
+   the neighbour lists, the info record, and the candidate and
+   exact-fallback counter deltas.  A change to leaf sets, probe order or
+   tie-breaking moves them. *)
+let digest_rows rows =
+  let mix h v = Prng.Splitmix64.mix (Int64.logxor h (Int64.of_int v)) in
+  Array.fold_left
+    (fun h row -> Array.fold_left mix (mix h (Array.length row)) row)
+    0L rows
+
+let ann_golden ?queries run points =
+  Telemetry.Registry.reset ();
+  Telemetry.Registry.with_enabled (fun () ->
+      let nb, (info : Ann.info) = run points in
+      let extra =
+        match queries with
+        | None -> ""
+        | Some (index, qs, k) ->
+            Printf.sprintf " queries=%016Lx"
+              (digest_rows (Array.map (fun q -> Ann.query index q k) qs))
+      in
+      let got =
+        Printf.sprintf
+          "%016Lx exact=%b trees=%d probes=%d esc=%d recall=%h cand=%d fb=%d%s"
+          (digest_rows nb) info.exact info.trees info.probes info.escalations
+          info.recall
+          (Telemetry.Counter.get "graph.ann.candidates")
+          (Telemetry.Counter.get "graph.ann.exact_fallbacks")
+          extra
+      in
+      Telemetry.Registry.reset ();
+      (got, info))
+
+let check_golden name want (got, _) =
+  Alcotest.(check string) name want got
+
+let test_ann_golden_tree_path () =
+  let rng = Rng.create 1 in
+  let points =
+    Array.map
+      (fun s -> s.Dataset.Synthetic.x)
+      (Dataset.Synthetic.sample_many rng Dataset.Synthetic.Model1 3000)
+  in
+  let index = Ann.build ~seed:9 ~trees:4 points in
+  let qs = Array.init 50 (fun _ -> Array.init 5 (fun _ -> Rng.float rng)) in
+  check_golden "n=3000 d=5 k=8 trees=4" "0a1b4b5a3302aadb exact=false trees=4 probes=16 esc=0 recall=0x1.fbp-1 cand=1163190 fb=0 queries=b05c668bbdfb73b4"
+    (ann_golden ~queries:(index, qs, 8)
+       (fun p -> Ann.all_k_nearest ~seed:5 ~trees:4 p 8)
+       points)
+
+let test_ann_golden_duplicates () =
+  let rng = Rng.create 2 in
+  let lattice = 1500 in
+  let points =
+    Array.init 2400 (fun i ->
+        if i < lattice then
+          Array.init 3 (fun _ -> 0.5 *. float_of_int (Rng.int rng 11))
+        else [||])
+  in
+  for i = lattice to Array.length points - 1 do
+    points.(i) <- Array.copy points.(i * 7 mod lattice)
+  done;
+  check_golden "duplicated lattice points" "276e6c155ed261a6 exact=false trees=3 probes=12 esc=0 recall=0x1.fcp-1 cand=554398 fb=0"
+    (ann_golden (fun p -> Ann.all_k_nearest ~seed:3 ~trees:3 ~exact_cutoff:0 p 8)
+       points)
+
+let test_ann_golden_exact_fallback () =
+  let points = random_points (Rng.create 3) 2500 4 in
+  let ((_, info) as r) =
+    ann_golden
+      (fun p ->
+        Ann.all_k_nearest ~seed:4 ~trees:2 ~leaf_size:3 ~probes:1
+          ~recall_target:0. ~exact_cutoff:0 p 4)
+      points
+  in
+  check_golden "tiny budget, exact fallback" "491591d8c35c64ea exact=false trees=2 probes=2 esc=0 recall=0x1.bep-1 cand=13032 fb=1940" r;
+  Alcotest.(check int) "budget stays at two leaves" 2 info.Ann.probes
+
+let test_ann_golden_escalation () =
+  let points = random_points (Rng.create 4) 2500 6 in
+  let ((_, info) as r) =
+    ann_golden
+      (fun p ->
+        Ann.all_k_nearest ~seed:6 ~trees:1 ~probes:1 ~recall_target:0.99
+          ~recall_sample:100 ~exact_cutoff:0 p 10)
+      points
+  in
+  check_golden "recall target forces escalation" "52009b2949239716 exact=false trees=1 probes=32 esc=5 recall=0x1.fdf3b645a1cacp-1 cand=1687298 fb=0" r;
+  Alcotest.(check bool) "escalated" true (info.Ann.escalations >= 1)
+
+let test_ann_golden_exact_cutoff () =
+  let rng = Rng.create 5 in
+  let points = random_points rng 1500 5 in
+  for i = 1200 to 1499 do
+    points.(i) <- Array.copy points.(Rng.int rng 1200)
+  done;
+  let ((_, info) as r) =
+    ann_golden (fun p -> Ann.all_k_nearest p 7) points
+  in
+  check_golden "exact-cutoff path" "d5713040bf890184 exact=true trees=0 probes=0 esc=0 recall=0x1p+0 cand=0 fb=1" r;
+  Alcotest.(check bool) "exact" true info.Ann.exact
+
 let test_ann_validation () =
   let points = random_points (Rng.create 1) 20 2 in
   check_raises_invalid "k >= n" (fun () ->
@@ -571,6 +715,12 @@ let suite =
       case "ann: small n takes the exact pairwise path"
         test_ann_exact_cutoff_matches_pairwise;
       case "ann: exhaustive external query is exact" test_ann_query_external;
+      ann_exhaustive_query_with_duplicates;
+      case "ann golden: tree path" test_ann_golden_tree_path;
+      case "ann golden: duplicated points" test_ann_golden_duplicates;
+      case "ann golden: exact fallback" test_ann_golden_exact_fallback;
+      case "ann golden: escalation" test_ann_golden_escalation;
+      case "ann golden: exact cutoff" test_ann_golden_exact_cutoff;
       case "ann: input validation" test_ann_validation;
       case "knn_approx: exact path matches knn"
         test_knn_approx_exact_path_matches_knn;

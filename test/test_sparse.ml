@@ -110,6 +110,50 @@ let prop_csr_get_matches_dense seed =
   done;
   !ok
 
+(* [Csr.of_coo] copies a row whose columns already strictly increase
+   and sorts-and-merges any other; both must give the dense sum.  The
+   presorted matrix is emitted column-major (each row still increasing)
+   and the shuffled one is the raw triplets, duplicates included, in
+   random order.  Integer values keep every duplicate sum exact, so the
+   two CSRs must also agree bit for bit. *)
+let prop_csr_of_coo_presorted_and_shuffled seed =
+  let rng = Prng.Rng.create seed in
+  let r = 1 + Prng.Rng.int rng 12 and c = 1 + Prng.Rng.int rng 12 in
+  let triplets =
+    Array.init (Prng.Rng.int rng 80) (fun _ ->
+        ( Prng.Rng.int rng r,
+          Prng.Rng.int rng c,
+          float_of_int (1 + Prng.Rng.int rng 9) ))
+  in
+  let dense = Mat.zeros r c in
+  Array.iter (fun (i, j, v) -> Mat.set dense i j (Mat.get dense i j +. v)) triplets;
+  let presorted = Coo.create r c in
+  for j = 0 to c - 1 do
+    for i = 0 to r - 1 do
+      Coo.add presorted i j (Mat.get dense i j)
+    done
+  done;
+  let shuffled = Coo.create r c in
+  Array.iter
+    (fun t ->
+      let i, j, v = triplets.(t) in
+      Coo.add shuffled i j v)
+    (Prng.Rng.permutation rng (Array.length triplets));
+  let increasing (csr : Csr.t) =
+    let ok = ref true in
+    for i = 0 to r - 1 do
+      for k = csr.row_ptr.(i) + 1 to csr.row_ptr.(i + 1) - 1 do
+        if csr.col_idx.(k - 1) >= csr.col_idx.(k) then ok := false
+      done
+    done;
+    !ok
+  in
+  let a = Csr.of_coo presorted and b = Csr.of_coo shuffled in
+  increasing a && increasing b
+  && Mat.approx_equal ~tol:0. dense (Csr.to_dense a)
+  && Mat.approx_equal ~tol:0. dense (Csr.to_dense b)
+  && a.row_ptr = b.row_ptr && a.col_idx = b.col_idx && a.values = b.values
+
 (* ---------- CG ---------- *)
 
 let test_cg_identity () =
@@ -238,6 +282,8 @@ let suite =
       case "csr scale/add" test_csr_scale_add;
       case "csr symmetry predicate" test_csr_symmetric;
       qprop "coo->csr->dense roundtrip" prop_csr_roundtrip;
+      qprop "csr of_coo: presorted and shuffled = dense sum"
+        prop_csr_of_coo_presorted_and_shuffled;
       qprop "csr mv = dense mv" prop_csr_mv_matches_dense;
       qprop "csr tmv = dense tmv" prop_csr_tmv_matches_dense;
       qprop "csr transpose" prop_csr_transpose;
