@@ -8,6 +8,20 @@
     Candidates from the visited leaves are ranked exactly, so the only
     approximation is which points become candidates.
 
+    {2 Cost}
+
+    Each split places its positional median by in-place selection
+    (O(len) expected, falling back to a sort past log₂ len partition
+    rounds so it never goes quadratic) into one projection buffer
+    shared by the whole build.  The index keeps a row-major copy of the
+    points, n·d floats (4 MB at n = 10⁵, d = 5), that the distance loop
+    reads.  A query offers every point of every visited leaf straight
+    into one bounded max-heap of the [k] best (distance², index) keys,
+    so it costs O(budget · leaf_size · (d + log k)) with [budget] the
+    leaf visits, and allocates only its answer.  The same heap serves
+    the exact scans (the recall probe, the small-[n] path and the
+    fallback), at O(n · (d + log k)) per query.
+
     {2 Determinism}
 
     The forest build is serial and seeded; each query depends only on
