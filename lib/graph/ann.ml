@@ -306,72 +306,73 @@ let exact_k_nearest best coords dim n q ~exclude =
 
 (* ---- multi-probe search ---------------------------------------- *)
 
-(* Binary min-heap keyed by split margin over parallel arrays of
-   (margin, node) entries awaiting descent. *)
-module Probe_queue = struct
+(* tiny binary min-heap keyed by split margin, over parallel arrays;
+   payloads are nodes awaiting descent *)
+module Pq = struct
   type t = {
-    mutable key : float array;
-    mutable node : node array;
+    mutable keys : float array;
+    mutable data : node array;
     mutable size : int;
   }
 
   let dummy = Leaf ([||], 0, 0)
-  let create () = { key = Array.make 16 0.; node = Array.make 16 dummy; size = 0 }
+  let create () =
+    { keys = Array.make 16 0.; data = Array.make 16 dummy; size = 0 }
 
   (* the free slot, grown if needed: the caller stores the new entry's
      key there and then calls [push], so no key is boxed *)
   let slot q =
-    if q.size = Array.length q.key then begin
-      q.key <- Array.append q.key (Array.make q.size 0.);
-      q.node <- Array.append q.node (Array.make q.size dummy)
+    if q.size = Array.length q.keys then begin
+      q.keys <- Array.append q.keys (Array.make q.size 0.);
+      q.data <- Array.append q.data (Array.make q.size dummy)
     end;
     q.size
 
   let push q v =
-    let k = q.key.(q.size) in
+    let k = q.keys.(q.size) in
     let i = ref q.size in
     q.size <- q.size + 1;
     while
       !i > 0
       &&
       let p = (!i - 1) / 2 in
-      q.key.(p) > k
+      q.keys.(p) > k
     do
       let p = (!i - 1) / 2 in
-      q.key.(!i) <- q.key.(p);
-      q.node.(!i) <- q.node.(p);
+      q.keys.(!i) <- q.keys.(p);
+      q.data.(!i) <- q.data.(p);
       i := p
     done;
-    q.key.(!i) <- k;
-    q.node.(!i) <- v
+    q.keys.(!i) <- k;
+    q.data.(!i) <- v
 
   (* remove the root; the caller has read it *)
   let drop_min q =
     q.size <- q.size - 1;
-    let k = q.key.(q.size) and v = q.node.(q.size) in
+    let k = q.keys.(q.size) and v = q.data.(q.size) in
     let i = ref 0 and moving = ref true in
     while !moving do
       let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
       let m =
-        let m = if l < q.size && q.key.(l) < k then l else !i in
-        if r < q.size && q.key.(r) < (if m = !i then k else q.key.(m)) then r
+        let m = if l < q.size && q.keys.(l) < k then l else !i in
+        if r < q.size && q.keys.(r) < (if m = !i then k else q.keys.(m)) then r
         else m
       in
       if m = !i then moving := false
       else begin
-        q.key.(!i) <- q.key.(m);
-        q.node.(!i) <- q.node.(m);
+        q.keys.(!i) <- q.keys.(m);
+        q.data.(!i) <- q.data.(m);
         i := m
       end
     done;
-    q.key.(!i) <- k;
-    q.node.(!i) <- v
+    q.keys.(!i) <- k;
+    q.data.(!i) <- v
 end
 
 (* per-chunk search state, reused query after query *)
-type scratch = { pq : Probe_queue.t; best : Best.t }
+type scratch = { pq : Pq.t; best : Best.t }
 
-let scratch k = { pq = Probe_queue.create (); best = Best.create k }
+let scratch k = { pq = Pq.create (); best = Best.create k }
 
 (* Offer the points of every visited leaf straight into [s.best]: seed
    the queue with every tree root at margin 0, descend each popped node
@@ -386,13 +387,13 @@ let search index s q ~exclude ~budget =
   pq.size <- 0;
   Best.clear best;
   for t = 0 to Array.length index.forest - 1 do
-    pq.key.(Probe_queue.slot pq) <- 0.;
-    Probe_queue.push pq index.forest.(t)
+    pq.keys.(Pq.slot pq) <- 0.;
+    Pq.push pq index.forest.(t)
   done;
   let visited = ref 0 and ncand = ref 0 in
   while !visited < budget && pq.size > 0 do
-    let node = ref pq.node.(0) in
-    Probe_queue.drop_min pq;
+    let node = ref pq.data.(0) in
+    Pq.drop_min pq;
     let descending = ref true in
     while !descending do
       match !node with
@@ -410,13 +411,13 @@ let search index s q ~exclude ~budget =
             acc := !acc +. (q.(c) *. dir.(c))
           done;
           let margin = !acc -. thr in
-          pq.key.(Probe_queue.slot pq) <- abs_float margin;
+          pq.keys.(Pq.slot pq) <- abs_float margin;
           if margin < 0. then begin
-            Probe_queue.push pq right;
+            Pq.push pq right;
             node := left
           end
           else begin
-            Probe_queue.push pq left;
+            Pq.push pq left;
             node := right
           end
     done

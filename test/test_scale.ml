@@ -178,11 +178,13 @@ let ann_exhaustive_query_with_duplicates =
         Array.init distinct (fun _ ->
             Array.init d (fun _ -> float_of_int (Rng.int rng 4)))
       in
-      let points = Array.init n (fun i ->
-          Array.copy base.(if i < distinct then i else Rng.int rng distinct))
+      let points =
+        Array.init n (fun i ->
+            Array.copy base.(if i < distinct then i else Rng.int rng distinct))
       in
       let trees = 1 + Rng.int rng 3 in
-      let index = Ann.build ~seed ~trees ~leaf_size:(1 + Rng.int rng 8) points in
+      let leaf_size = 1 + Rng.int rng 8 in
+      let index = Ann.build ~seed ~trees ~leaf_size points in
       let q =
         if Rng.bool rng then Array.copy points.(Rng.int rng n)
         else Array.init d (fun _ -> float_of_int (Rng.int rng 4) +. 0.5)
@@ -250,25 +252,30 @@ let test_ann_golden_tree_path () =
   in
   let index = Ann.build ~seed:9 ~trees:4 points in
   let qs = Array.init 50 (fun _ -> Array.init 5 (fun _ -> Rng.float rng)) in
-  check_golden "n=3000 d=5 k=8 trees=4" "0a1b4b5a3302aadb exact=false trees=4 probes=16 esc=0 recall=0x1.fbp-1 cand=1163190 fb=0 queries=b05c668bbdfb73b4"
+  check_golden "n=3000 d=5 k=8 trees=4"
+    "0a1b4b5a3302aadb exact=false trees=4 probes=16 esc=0 recall=0x1.fbp-1 \
+     cand=1163190 fb=0 queries=b05c668bbdfb73b4"
     (ann_golden ~queries:(index, qs, 8)
        (fun p -> Ann.all_k_nearest ~seed:5 ~trees:4 p 8)
        points)
 
 let test_ann_golden_duplicates () =
   let rng = Rng.create 2 in
-  let lattice = 1500 in
+  (* 1500 points on an 11³ lattice (so distinct points tie in distance),
+     then 900 exact copies of them *)
+  let lattice =
+    Array.init 1500 (fun _ ->
+        Array.init 3 (fun _ -> 0.5 *. float_of_int (Rng.int rng 11)))
+  in
   let points =
     Array.init 2400 (fun i ->
-        if i < lattice then
-          Array.init 3 (fun _ -> 0.5 *. float_of_int (Rng.int rng 11))
-        else [||])
+        Array.copy lattice.(if i < 1500 then i else i * 7 mod 1500))
   in
-  for i = lattice to Array.length points - 1 do
-    points.(i) <- Array.copy points.(i * 7 mod lattice)
-  done;
-  check_golden "duplicated lattice points" "276e6c155ed261a6 exact=false trees=3 probes=12 esc=0 recall=0x1.fcp-1 cand=554398 fb=0"
-    (ann_golden (fun p -> Ann.all_k_nearest ~seed:3 ~trees:3 ~exact_cutoff:0 p 8)
+  check_golden "duplicated lattice points"
+    "276e6c155ed261a6 exact=false trees=3 probes=12 esc=0 recall=0x1.fcp-1 \
+     cand=554398 fb=0"
+    (ann_golden
+       (fun p -> Ann.all_k_nearest ~seed:3 ~trees:3 ~exact_cutoff:0 p 8)
        points)
 
 let test_ann_golden_exact_fallback () =
@@ -280,7 +287,10 @@ let test_ann_golden_exact_fallback () =
           ~recall_target:0. ~exact_cutoff:0 p 4)
       points
   in
-  check_golden "tiny budget, exact fallback" "491591d8c35c64ea exact=false trees=2 probes=2 esc=0 recall=0x1.bep-1 cand=13032 fb=1940" r;
+  check_golden "tiny budget, exact fallback"
+    "491591d8c35c64ea exact=false trees=2 probes=2 esc=0 recall=0x1.bep-1 \
+     cand=13032 fb=1940"
+    r;
   Alcotest.(check int) "budget stays at two leaves" 2 info.Ann.probes
 
 let test_ann_golden_escalation () =
@@ -292,7 +302,10 @@ let test_ann_golden_escalation () =
           ~recall_sample:100 ~exact_cutoff:0 p 10)
       points
   in
-  check_golden "recall target forces escalation" "52009b2949239716 exact=false trees=1 probes=32 esc=5 recall=0x1.fdf3b645a1cacp-1 cand=1687298 fb=0" r;
+  check_golden "recall target forces escalation"
+    "52009b2949239716 exact=false trees=1 probes=32 esc=5 \
+     recall=0x1.fdf3b645a1cacp-1 cand=1687298 fb=0"
+    r;
   Alcotest.(check bool) "escalated" true (info.Ann.escalations >= 1)
 
 let test_ann_golden_exact_cutoff () =
@@ -301,10 +314,11 @@ let test_ann_golden_exact_cutoff () =
   for i = 1200 to 1499 do
     points.(i) <- Array.copy points.(Rng.int rng 1200)
   done;
-  let ((_, info) as r) =
-    ann_golden (fun p -> Ann.all_k_nearest p 7) points
-  in
-  check_golden "exact-cutoff path" "d5713040bf890184 exact=true trees=0 probes=0 esc=0 recall=0x1p+0 cand=0 fb=1" r;
+  let ((_, info) as r) = ann_golden (fun p -> Ann.all_k_nearest p 7) points in
+  check_golden "exact-cutoff path"
+    "d5713040bf890184 exact=true trees=0 probes=0 esc=0 recall=0x1p+0 cand=0 \
+     fb=1"
+    r;
   Alcotest.(check bool) "exact" true info.Ann.exact
 
 let test_ann_validation () =

@@ -126,7 +126,9 @@ let prop_csr_of_coo_presorted_and_shuffled seed =
           float_of_int (1 + Prng.Rng.int rng 9) ))
   in
   let dense = Mat.zeros r c in
-  Array.iter (fun (i, j, v) -> Mat.set dense i j (Mat.get dense i j +. v)) triplets;
+  Array.iter
+    (fun (i, j, v) -> Mat.set dense i j (Mat.get dense i j +. v))
+    triplets;
   let presorted = Coo.create r c in
   for j = 0 to c - 1 do
     for i = 0 to r - 1 do
