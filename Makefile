@@ -1,6 +1,6 @@
 # Convenience targets; everything funnels through dune.
 
-.PHONY: build test test-random test-domains1 test-tune-off tune-smoke \
+.PHONY: build test test-random test-domains1 \
 	fault-smoke soak-smoke bench-smoke bench-par bench bench-check \
 	bench-snapshot trace-smoke obs-smoke transport-smoke scale-smoke \
 	ci clean
@@ -30,25 +30,6 @@ test-random:
 test-domains1:
 	QCHECK_SEED=42 GSSL_DOMAINS=1 dune exec test/test_main.exe
 
-# Full deterministic suite with kernel autotuning explicitly disabled
-# (GSSL_TUNE=off): guards that the "off" spelling resolves to the static
-# thresholds and that nothing in the suite depends on a tuned model.
-test-tune-off:
-	QCHECK_SEED=42 GSSL_TUNE=off dune exec test/test_main.exe
-
-# Autotune smoke: calibrate a cost-model cache on this machine (via the
-# repro driver's --tune flag, exercising the calibrate-and-save path),
-# then run the full deterministic suite with GSSL_TUNE pointing at the
-# cache (exercising the load path — every undecided kernel dispatch in
-# the suite consults the calibrated model).
-TUNE_CACHE ?= /tmp/gssl_tune_cache.json
-tune-smoke:
-	dune build bin/repro.exe test/test_main.exe
-	rm -f $(TUNE_CACHE)
-	./_build/default/bin/repro.exe fig1 --reps 1 --no-plot --tune $(TUNE_CACHE) > /dev/null
-	@test -s $(TUNE_CACHE) || { echo "tune-smoke: no cache written"; exit 1; }
-	QCHECK_SEED=42 GSSL_TUNE=$(TUNE_CACHE) dune exec test/test_main.exe
-
 # Fault-injection smoke: only the robustness suite (Check / Solve /
 # Fault / Resilient), under a fresh QCheck seed each run.
 fault-smoke:
@@ -73,10 +54,10 @@ bench-smoke:
 	dune build @bench-smoke
 
 # Serial-vs-parallel kernel phases (gemm / pairwise / spmv / lambda
-# path) on a >= 2-domain pool: asserts the parallel legs are
-# bit-identical to serial, validates the profile JSON, and prints the
-# per-kernel speedup (expect >= 1.5x on multicore hardware; around or
-# below 1x on a single hardware thread).
+# path) on a >= 2-domain pool: asserts the parallel legs took the
+# parallel branch and are bit-identical to serial, validates the profile
+# JSON, and prints the serial/parallel ratios (above 1x only where the
+# pool pays; 0.2-0.6x on a 2-vCPU VM) and the speedup contract entries.
 bench-par:
 	dune build bench/main.exe
 	./_build/default/bench/main.exe --par-smoke > /dev/null
@@ -87,9 +68,9 @@ bench:
 # Regression gate: run the smoke-size bench, then compare its per-phase
 # wall times against the committed baseline (threshold 3x — the gate is
 # for order-of-magnitude slips, not scheduler noise) AND enforce the
-# speedup contract: every recorded kernel speedup must stay at or above
-# the 0.95x floor (the tuned >= 1.0x promise with noise allowance) and
-# must not collapse versus the baseline.  Override the baseline with
+# speedup contract: every recorded speedup (lambda path, ANN build,
+# multigrid iterations) must stay at or above the 0.95x floor and must
+# not collapse versus the baseline.  Override the baseline with
 # BASELINE=path.
 bench-check:
 	dune build bench/main.exe bench/compare.exe
@@ -170,7 +151,7 @@ scale-smoke:
 		{ echo "scale-smoke: graph digest differs across domain counts: '$$d1' vs '$$d2'"; exit 1; }; \
 	echo "scale-smoke: $$d1 on 1 and 2 domains"
 
-ci: build test test-domains1 test-tune-off test-random tune-smoke \
+ci: build test test-domains1 test-random \
 	fault-smoke soak-smoke bench-smoke bench-par bench-check trace-smoke \
 	obs-smoke transport-smoke scale-smoke
 

@@ -3,8 +3,8 @@
    Usage:
      compare.exe BASELINE.json CURRENT.json [--threshold R] [--speedup-floor F]
        exit 0 when no phase regressed beyond the wall-time threshold AND
-       the speedup contract holds (every recorded kernel speedup at or
-       above the floor and not collapsed versus baseline), 1 otherwise
+       the speedup contract holds (every recorded speedup at or above
+       the floor and not collapsed versus baseline), 1 otherwise
      compare.exe --check-trace TRACE.json
        exit 0 when the file is a structurally valid Chrome trace with at
        least one complete span event, 1 otherwise

@@ -144,38 +144,6 @@ let domains_arg =
     & info [ "domains"; "j" ] ~docv:"D" ~doc
         ~env:(Cmd.Env.info "GSSL_DOMAINS"))
 
-let tune_arg =
-  let doc =
-    "Kernel dispatch tuning: $(b,off) keeps the static work thresholds, \
-     $(b,serial) / $(b,parallel) force every pooled kernel one way, and any \
-     other value is a cost-model cache file — calibrated and written on \
-     first use, loaded (and therefore bit-deterministic) afterwards."
-  in
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "tune"; "tune-cache" ] ~docv:"MODE|FILE" ~doc
-        ~env:(Cmd.Env.info "GSSL_TUNE"))
-
-let resolve_tune = function
-  | None -> ()
-  | Some spec ->
-      let open Parallel.Autotune in
-      let mode =
-        match spec with
-        | "" | "off" -> Static
-        | "serial" -> Serial
-        | "parallel" -> Parallel
-        | path ->
-            if Sys.file_exists path then Calibrated (load path)
-            else begin
-              let m = calibrate () in
-              (try save path m with Sys_error _ -> ());
-              Calibrated m
-            end
-      in
-      set_mode mode
-
 (* One knob steers both layers: the sweep grid gets the count explicitly,
    and the default pool (used by gemm / spmv / pairwise / Jacobi) is
    resized to match. *)
@@ -184,11 +152,9 @@ let resolve_domains d =
   Parallel.Pool.set_default_domains d;
   d
 
-let run_synthetic make reps seed domains tune markdown no_plot svg profile profile_json trace_out =
+let run_synthetic make reps seed domains markdown no_plot svg profile profile_json trace_out =
   setup_logs ();
   let domains = resolve_domains domains in
-  (* after the pool: a fresh calibration should probe the chosen width *)
-  resolve_tune tune;
   with_profile profile profile_json trace_out (fun () ->
       print_figure ~markdown ~plot:(not no_plot) ~svg
         (make ~domains ~reps ~seed ()))
@@ -197,7 +163,7 @@ let synthetic_cmd name default_seed make ~doc =
   let term =
     Term.(
       const (run_synthetic (fun ~domains ~reps ~seed () -> make ~domains ~reps ~seed ()))
-      $ reps_arg 10 $ seed_arg default_seed $ domains_arg $ tune_arg
+      $ reps_arg 10 $ seed_arg default_seed $ domains_arg
       $ markdown_arg $ no_plot_arg $ svg_arg $ profile_arg $ profile_json_arg
       $ trace_out_arg)
   in
@@ -1569,10 +1535,9 @@ let scale_cmd =
     in
     Arg.(value & flag & info [ "no-flat" ] ~doc)
   in
-  let run count labeled k recall_target exact no_flat seed domains tune =
+  let run count labeled k recall_target exact no_flat seed domains =
     setup_logs ();
     let domains = resolve_domains domains in
-    resolve_tune tune;
     if count < 16 then failwith "scale: --count must be at least 16";
     let labeled =
       if labeled = 0 then Stdlib.max 4 (count / 200) else labeled
@@ -1721,7 +1686,7 @@ let scale_cmd =
   let term =
     Term.(
       const run $ count_arg $ labeled_arg $ k_arg $ recall_arg $ exact_arg
-      $ no_flat_arg $ seed_arg 11 $ domains_arg $ tune_arg)
+      $ no_flat_arg $ seed_arg 11 $ domains_arg)
   in
   Cmd.v
     (Cmd.info "scale"

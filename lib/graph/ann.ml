@@ -463,10 +463,6 @@ let sample_recall index ~budget ~k sample exact_sets =
     sample;
   float_of_int !hits /. float_of_int (k * Array.length sample)
 
-let plan_queries n ~budget ~leaf_size =
-  Parallel.Autotune.plan Parallel.Autotune.Pairwise
-    ~work:(n * budget * leaf_size) ~rows:n
-
 let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
     ?(recall_target = 0.9) ?(recall_sample = 64) ?(exact_cutoff = 2048)
     points k =
@@ -490,10 +486,7 @@ let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
         out.(i) <- exact_k_nearest best coords d n points.(i) ~exclude:i
       done
     in
-    (let { Parallel.Autotune.parallel = go_par; grain } =
-       Parallel.Autotune.plan Parallel.Autotune.Pairwise ~work:(n * n) ~rows:n
-     in
-     if go_par then Parallel.Pool.run ?grain n rows else rows 0 n);
+    Parallel.Dispatch.run Parallel.Dispatch.Pairwise ~work:(n * n) n rows;
     ( out,
       { exact = true; trees = 0; probes = 0; escalations = 0; recall = 1. } )
   end
@@ -519,12 +512,8 @@ let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
                  ~exclude:sample.(s)
            done
          in
-         let { Parallel.Autotune.parallel = go_par; grain } =
-           Parallel.Autotune.plan Parallel.Autotune.Pairwise
-             ~work:(sample_size * n) ~rows:sample_size
-         in
-         if go_par then Parallel.Pool.run ?grain sample_size rows
-         else rows 0 sample_size);
+         Parallel.Dispatch.run Parallel.Dispatch.Pairwise
+           ~work:(sample_size * n) sample_size rows);
         (* escalate the leaf-visit budget until the sampled recall meets
            the target; at total_leaves the search is exhaustive, so the
            loop always terminates with recall 1.0 in the worst case *)
@@ -545,10 +534,8 @@ let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
             out.(i) <- query_point index s i ~budget:!budget
           done
         in
-        (let { Parallel.Autotune.parallel = go_par; grain } =
-           plan_queries n ~budget:!budget ~leaf_size:index.leaf_size
-         in
-         if go_par then Parallel.Pool.run ?grain n rows else rows 0 n);
+        Parallel.Dispatch.run Parallel.Dispatch.Pairwise
+          ~work:(n * !budget * index.leaf_size) n rows;
         ( out,
           {
             exact = false;

@@ -28,9 +28,9 @@
 
     The forest build is serial and seeded; each query depends only on
     the forest and its own point, so the query fan-out over the domain
-    pool (routed through [Parallel.Autotune], work measure
-    [n · budget · leaf_size]) is bit-identical for any domain count —
-    the same contract as every other pooled kernel.
+    pool (routed through [Parallel.Dispatch]'s pairwise threshold,
+    work measure [n · budget · leaf_size]) is bit-identical for any
+    domain count — the same contract as every other pooled kernel.
 
     {2 Recall model}
 

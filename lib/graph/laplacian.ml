@@ -113,10 +113,7 @@ let operator ~lambda ~n_labeled g =
               y.(i) <- v_part +. (lambda *. ((d.(i) *. f.(i)) -. !acc))
             done
           in
-          let { Parallel.Autotune.parallel = go_par; grain } =
-            Parallel.Autotune.plan Parallel.Autotune.Gemv ~work:(n * n) ~rows:n
-          in
-          if go_par then Parallel.Pool.run ?grain n rows else rows 0 n;
+          Parallel.Dispatch.run Parallel.Dispatch.Gemv ~work:(n * n) n rows;
           y
   in
   let apply f =

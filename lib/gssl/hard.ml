@@ -15,21 +15,10 @@ let system_matrix problem =
       let w = Graph.Weighted_graph.weight g (n + a) (n + b) in
       if a = b then d.(n + a) -. w else -.w)
 
-(* An unlabeled vertex whose whole component contains no label makes the
-   system singular; find one such vertex (if any) for the error report. *)
-let find_unanchored problem =
-  let comps = Graph.Connectivity.components problem.Problem.graph in
-  let n = Problem.n_labeled problem in
-  let total = Problem.size problem in
-  let anchored = Hashtbl.create 8 in
-  for i = 0 to n - 1 do
-    Hashtbl.replace anchored comps.(i) ()
-  done;
-  let found = ref None in
-  for v = n to total - 1 do
-    if !found = None && not (Hashtbl.mem anchored comps.(v)) then found := Some v
-  done;
-  !found
+let check_anchored problem =
+  match Array.find_index not (Problem.anchored_mask problem) with
+  | Some a -> raise (Unanchored_unlabeled (Problem.n_labeled problem + a))
+  | None -> ()
 
 let rhs problem =
   let n = Problem.n_labeled problem and m = Problem.n_unlabeled problem in
@@ -53,9 +42,7 @@ let solve ?(solver = Cholesky) ?(observe = false) problem =
   let m = Problem.n_unlabeled problem in
   if m = 0 then [||]
   else begin
-    (match find_unanchored problem with
-    | Some v -> raise (Unanchored_unlabeled v)
-    | None -> ());
+    check_anchored problem;
     let a = system_matrix problem in
     let b = rhs problem in
     if not observe then

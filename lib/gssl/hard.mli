@@ -20,6 +20,10 @@ exception Unanchored_unlabeled of int
 (** An unlabeled component is disconnected from all labels, so the hard
     solution is not unique; the argument is a vertex in such a component. *)
 
+val check_anchored : Problem.t -> unit
+(** Raises [Unanchored_unlabeled v] with the smallest unlabeled vertex
+    [v] whose component carries no label ({!Problem.anchored_mask}). *)
+
 val solve : ?solver:solver -> ?observe:bool -> Problem.t -> Linalg.Vec.t
 (** Scores on the unlabeled vertices, in graph order [n … n+m−1].
     Returns the empty vector when [m = 0].

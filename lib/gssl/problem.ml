@@ -51,6 +51,15 @@ let degrees t = Graph.Weighted_graph.degrees t.graph
 
 let is_connected t = Graph.Connectivity.is_connected t.graph
 
+let anchored_mask t =
+  let comps = Graph.Connectivity.components t.graph in
+  let n = n_labeled t in
+  let anchored = Hashtbl.create 8 in
+  for i = 0 to n - 1 do
+    Hashtbl.replace anchored comps.(i) ()
+  done;
+  Array.init (n_unlabeled t) (fun a -> Hashtbl.mem anchored comps.(n + a))
+
 let unlabeled_coupling t =
   let n = n_labeled t and m = n_unlabeled t in
   Array.init m (fun a ->

@@ -49,6 +49,11 @@ val degrees : t -> Linalg.Vec.t
 
 val is_connected : t -> bool
 
+val anchored_mask : t -> bool array
+(** For each unlabeled vertex [a] (graph vertex [n + a]), whether its
+    connected component carries at least one label.  An unanchored
+    vertex makes the hard system singular. *)
+
 val unlabeled_coupling : t -> Linalg.Vec.t
 (** For each unlabeled vertex [a], the mass [Σ_{i ≤ n} w_{n+a,i}] linking
     it to the labeled set.  A zero entry means the hard criterion cannot

@@ -72,20 +72,8 @@ let simulate ~rng ~walks_per_vertex ?max_steps problem =
       end)
     counts
 
-let check_anchored problem =
-  let comps = Graph.Connectivity.components problem.Problem.graph in
-  let n = Problem.n_labeled problem in
-  let anchored = Hashtbl.create 8 in
-  for i = 0 to n - 1 do
-    Hashtbl.replace anchored comps.(i) ()
-  done;
-  for v = n to Problem.size problem - 1 do
-    if not (Hashtbl.mem anchored comps.(v)) then
-      raise (Hard.Unanchored_unlabeled v)
-  done
-
 let absorption_matrix problem =
-  check_anchored problem;
+  Hard.check_anchored problem;
   let _, _, w21, _ = Problem.blocks problem in
   Linalg.Cholesky.solve_many (Hard.system_matrix problem) w21
 

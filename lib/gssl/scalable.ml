@@ -5,19 +5,6 @@ let c_stationary_solves = Telemetry.Counter.make "gssl.scalable_stationary_solve
 let c_mg_solves = Telemetry.Counter.make "gssl.scalable_mg_solves"
 let c_imputed = Telemetry.Counter.make "gssl.scalable_imputed"
 
-let check_anchored problem =
-  let comps = Graph.Connectivity.components problem.Problem.graph in
-  let n = Problem.n_labeled problem in
-  let total = Problem.size problem in
-  let anchored = Hashtbl.create 8 in
-  for i = 0 to n - 1 do
-    Hashtbl.replace anchored comps.(i) ()
-  done;
-  for v = n to total - 1 do
-    if not (Hashtbl.mem anchored comps.(v)) then
-      raise (Hard.Unanchored_unlabeled v)
-  done
-
 (* Fused form of the same system: A = diag(deg') − W₂₂ where deg'_v =
    d_v − w_vv folds the self-loop into the degree and W₂₂ holds only
    the off-diagonal unlabeled-block weights.  The solvers stream W₂₂
@@ -67,18 +54,6 @@ let system_csr problem =
       else if j < n && i >= n then rhs.(i - n) <- rhs.(i - n) +. (w *. y.(j)));
   (Sparse.Csr.of_coo coo, rhs)
 
-(* Which unlabeled vertices live in a component that carries at least
-   one label.  [mask.(a)] indexes the unlabeled block. *)
-let anchored_mask problem =
-  let comps = Graph.Connectivity.components problem.Problem.graph in
-  let n = Problem.n_labeled problem in
-  let total = Problem.size problem in
-  let anchored = Hashtbl.create 8 in
-  for i = 0 to n - 1 do
-    Hashtbl.replace anchored comps.(i) ()
-  done;
-  Array.init (total - n) (fun a -> Hashtbl.mem anchored comps.(n + a))
-
 (* Restrict the fused system to the anchored unlabeled vertices.  Exact,
    not approximate: unanchored components share no edges with anchored
    ones, so dropping their rows/columns decouples nothing. *)
@@ -121,9 +96,9 @@ let solve_hard ?(tol = 1e-10) ?max_iter ?(observe = false)
     let mask =
       match unanchored with
       | `Raise ->
-          check_anchored problem;
+          Hard.check_anchored problem;
           Array.make m_all true
-      | `Impute -> anchored_mask problem
+      | `Impute -> Problem.anchored_mask problem
     in
     let w22, deg, b = system_lap problem in
     let w22, deg, b, sel =
@@ -218,7 +193,7 @@ let solve_stationary ?(tol = 1e-10) ?max_iter method_ problem =
   Telemetry.Counter.incr c_stationary_solves;
   if Problem.n_unlabeled problem = 0 then [||]
   else begin
-    check_anchored problem;
+    Hard.check_anchored problem;
     let w22, deg, b = system_lap problem in
     let out = Sparse.Stationary.solve_lap ~tol ?max_iter method_ ~w:w22 ~deg b in
     if not out.Sparse.Stationary.converged then

@@ -1,13 +1,12 @@
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
 
-(* The O(N²) passes below fan out over the domain pool when
-   Parallel.Autotune (work measure n²) says the dispatch pays; every
-   matrix cell / neighbour list is computed independently, so the
-   outputs are bit-identical to the serial loops for any domain count
-   and any tune mode. *)
-let plan_pairwise n =
-  Parallel.Autotune.plan Parallel.Autotune.Pairwise ~work:(n * n) ~rows:n
+(* The O(N²) passes below fan out over the domain pool when n² reaches
+   Parallel.Dispatch's pairwise threshold; every matrix cell / neighbour
+   list is computed independently, so the outputs are bit-identical to
+   the serial loops for any domain count. *)
+let run_pairwise ?grain n rows =
+  Parallel.Dispatch.run ?grain Parallel.Dispatch.Pairwise ~work:(n * n) n rows
 
 let validate points =
   let n = Array.length points in
@@ -37,15 +36,9 @@ let sq_distance_matrix points =
       done
     done
   in
-  (let { Parallel.Autotune.parallel = go_par; grain } = plan_pairwise n in
-   if go_par then
-     (* small grain: the triangular loop makes early rows much heavier
-        than late ones, and many small chunks let the pool absorb that *)
-     let grain =
-       match grain with Some g -> g | None -> Stdlib.max 1 ((n + 255) / 256)
-     in
-     Parallel.Pool.run ~grain n rows
-   else rows 0 n);
+  (* small grain: the triangular loop makes early rows much heavier than
+     late ones, and many small chunks let the pool absorb that *)
+  run_pairwise ~grain:(Stdlib.max 1 ((n + 255) / 256)) n rows;
   m
 
 let sq_distances_to points query =
@@ -86,6 +79,5 @@ let all_k_nearest points k =
       out.(i) <- k_nearest_unchecked points n k i
     done
   in
-  (let { Parallel.Autotune.parallel = go_par; grain } = plan_pairwise n in
-   if go_par then Parallel.Pool.run ?grain n rows else rows 0 n);
+  run_pairwise n rows;
   out

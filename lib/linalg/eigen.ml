@@ -130,12 +130,10 @@ let parallel_sweep a v rounds =
     rounds
 
 (* Whether a sweep uses the serial cyclic ordering or the parallel
-   tournament schedule is decided by Parallel.Autotune on the work of
-   one tournament round (n² rotated elements, two pool dispatches per
-   round).  The static default keeps the historical n >= 192 cutoff,
-   so the small matrices the test-suite and the solvers spin through
-   keep their rotation order — and their results — bit-for-bit
-   stable. *)
+   tournament schedule is decided by Parallel.Dispatch on the work of
+   one tournament round (n² rotated elements): n >= 192, so the small
+   matrices the test-suite and the solvers spin through keep their
+   rotation order — and their results — bit-for-bit stable. *)
 let jacobi ?(tol = 1e-12) ?(max_sweeps = 100) ?parallel m =
   if not (Mat.is_square m) then invalid_arg "Eigen.jacobi: matrix not square";
   let n = m.Mat.rows in
@@ -143,8 +141,7 @@ let jacobi ?(tol = 1e-12) ?(max_sweeps = 100) ?parallel m =
     match parallel with
     | Some b -> b
     | None ->
-        Parallel.Autotune.decide ~dispatches:2 Parallel.Autotune.Jacobi
-          ~work:(n * n)
+        Parallel.Dispatch.decide Parallel.Dispatch.Jacobi ~work:(n * n) ~rows:n
   in
   let a = Mat.copy m in
   let v = Mat.eye n in

@@ -131,12 +131,10 @@ let add_scaled_identity a mu =
   done;
   b
 
-(* Whether a kernel call fans out over the domain pool — and with what
-   grain — is decided by Parallel.Autotune: the historical static work
-   thresholds by default, or a startup-calibrated cost model under
-   GSSL_TUNE.  Either way the decision only gates *where* the row loop
-   runs; each row's accumulation order is unchanged, so the output is
-   bit-identical for any domain count and any tune mode. *)
+(* Whether a kernel call fans out over the domain pool is decided by
+   Parallel.Dispatch's fixed work thresholds.  The decision only gates
+   *where* the row loop runs; each row's accumulation order is
+   unchanged, so the output is bit-identical for any domain count. *)
 
 let mv a x =
   if Array.length x <> a.cols then
@@ -156,11 +154,8 @@ let mv a x =
       y.(i) <- !acc
     done
   in
-  let { Parallel.Autotune.parallel = go_par; grain } =
-    Parallel.Autotune.plan Parallel.Autotune.Gemv ~work:(a.rows * a.cols)
-      ~rows:a.rows
-  in
-  if go_par then Parallel.Pool.run ?grain a.rows rows else rows 0 a.rows;
+  Parallel.Dispatch.run Parallel.Dispatch.Gemv ~work:(a.rows * a.cols) a.rows
+    rows;
   y
 
 let tmv a x =
@@ -316,17 +311,9 @@ let mm a b =
         gemm_scalar_cells a.data (i * kdim) kdim b.data c.data (i * n) n 0 n
       done
     in
-    let { Parallel.Autotune.parallel = go_par; grain } =
-      Parallel.Autotune.plan Parallel.Autotune.Gemm ~work ~rows:a.rows
-    in
-    if go_par then
-      let grain =
-        match grain with
-        | Some g -> Stdlib.max g mr
-        | None -> Stdlib.max mr ((a.rows + 31) / 32)
-      in
-      Parallel.Pool.run ~grain a.rows panel
-    else panel 0 a.rows;
+    Parallel.Dispatch.run
+      ~grain:(Stdlib.max mr ((a.rows + 31) / 32))
+      Parallel.Dispatch.Gemm ~work a.rows panel;
     c
   end
 

@@ -93,13 +93,11 @@ let ok verdicts = not (List.exists (fun v -> v.regressed) verdicts)
 
 (* --- the speedup contract ------------------------------------------- *)
 
-(* The report's "speedup" object records tuned-vs-serial wall ratios
-   (and the lambda-path algorithmic ratio).  Those are a contract, not
-   a observation: the autotuner promises the tuned dispatch is never
-   slower than serial, so every recorded value must stay at or above
-   1.0x (modulo a small measurement-noise allowance, the [floor]) and
-   must not collapse relative to the committed baseline (the [slack]
-   guards kernels whose baseline sits well above 1, like the shared
+(* The report's "speedup" object records ratios that are a contract,
+   not an observation: every recorded value must stay at or above 1.0x
+   (modulo a small measurement-noise allowance, the [floor]) and must
+   not collapse relative to the committed baseline (the [slack] guards
+   entries whose baseline sits well above 1, like the shared
    lambda-path factorization). *)
 
 type speedup_verdict = {

@@ -44,10 +44,10 @@ val to_text : ?threshold:float -> verdict list -> string
 
 (** {2 The speedup contract}
 
-    The profile report's [speedup] object records the tuned-vs-serial
-    wall ratio per kernel (plus the lambda-path algorithmic ratio).
-    The autotuner's promise is that tuned dispatch is never slower
-    than serial, so these are gated much harder than wall times: every
+    The profile report's [speedup] object records ratios each promised
+    to stay at or above 1.0x: the factorized vs naive lambda path and
+    the ANN vs exact graph build (wall time), and flat vs multigrid CG
+    (iterations).  They are gated much harder than wall times: every
     entry must stay at or above the contract [floor] (default 0.95 —
     the 1.0x promise with a 5% measurement-noise allowance), and must
     not collapse below [slack] (default 0.5) times its committed

@@ -98,6 +98,7 @@ type internal_stats = {
 type t = {
   config : config;
   clock : Clock.t;
+  costs : costs;
   problem : Problem.t;
   cache : Incremental.t Cache.t;
   base_key : Cache.key;
@@ -133,6 +134,11 @@ let create ?(clock = Clock.monotonic ()) ?journal config problem =
    with Gssl.Hard.Unanchored_unlabeled _ -> ());
   { config;
     clock;
+    (* the costs stand in for work on a virtual clock; a real clock
+       already pays for the work itself *)
+    costs =
+      (if Clock.is_virtual clock then config.costs
+       else { solve_ms = 0.; cache_ms = 0.; relabel_ms = 0.; poll_ms = 0. });
     problem;
     cache;
     base_key;
@@ -377,11 +383,11 @@ let full_solve t (req : request) ~ctx ~queue_ms ~deadline
       (fun () ->
         let last_report = ref None in
         let attempt ~attempt:_ =
-          Clock.advance t.clock t.config.costs.solve_ms;
+          Clock.advance t.clock t.costs.solve_ms;
           if Deadline.expired deadline then Retry.Fatal "deadline expired"
           else begin
             let should_stop =
-              Deadline.should_stop ~cost_ms:t.config.costs.poll_ms deadline
+              Deadline.should_stop ~cost_ms:t.costs.poll_ms deadline
             in
             let problem =
               Problem.make_unchecked ~graph:inj.Fault.graph
@@ -468,7 +474,7 @@ let process t ~ctx ~queue_ms (req : request) =
               | Some inc -> begin
                   match Incremental.reveal inc ~vertex ~label with
                   | () ->
-                      Clock.advance t.clock t.config.costs.relabel_ms;
+                      Clock.advance t.clock t.costs.relabel_ms;
                       t.st.s_relabels <- t.st.s_relabels + 1;
                       let predictions = Incremental.predict inc in
                       let certificate = certify_incremental inc in
@@ -493,7 +499,7 @@ let process t ~ctx ~queue_ms (req : request) =
         match Cache.find t.cache t.base_key with
         | Some inc ->
             Trace_ctx.with_span ctx "cache_query" (fun () ->
-                Clock.advance t.clock t.config.costs.cache_ms;
+                Clock.advance t.clock t.costs.cache_ms;
                 let predictions = Incremental.predict inc in
                 let certificate = certify_incremental inc in
                 let healthy =

@@ -31,6 +31,9 @@
     certified healthy is explicitly [Degraded] or [Shed].  Nothing is
     dropped. *)
 
+(** Virtual stand-ins for work, charged to the clock only when it is
+    virtual: on the monotonic clock the work itself takes the time, so
+    these are ignored there. *)
 type costs = {
   solve_ms : float;    (** charged when a full-solve attempt starts *)
   cache_ms : float;    (** charged per cache-hit answer *)

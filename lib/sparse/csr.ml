@@ -102,16 +102,12 @@ let get t i j =
 let c_matvec = Telemetry.Counter.make "sparse.matvecs"
 let c_flops = Telemetry.Counter.make "sparse.flops"
 
-(* Rows are independent, so SpMV fans out over row panels when
-   Parallel.Autotune decides the work amortises the pool dispatch; each
-   row's accumulation order is unchanged, so the result is bit-identical
-   to the serial loop for any domain count and any tune mode. *)
+(* Rows are independent, so SpMV fans out over row panels when nnz
+   reaches Parallel.Dispatch's SpMV threshold; each row's accumulation
+   order is unchanged, so the result is bit-identical to the serial loop
+   for any domain count. *)
 let spmv_dispatch t rows_body =
-  let { Parallel.Autotune.parallel = go_par; grain } =
-    Parallel.Autotune.plan Parallel.Autotune.Spmv ~work:(nnz t) ~rows:t.rows
-  in
-  if go_par then Parallel.Pool.run ?grain t.rows rows_body
-  else rows_body 0 t.rows
+  Parallel.Dispatch.run Parallel.Dispatch.Spmv ~work:(nnz t) t.rows rows_body
 
 let mv t x =
   if Array.length x <> t.cols then invalid_arg "Csr.mv: length mismatch";

@@ -1,458 +1,27 @@
-(* The autotune contract, from three sides:
+(* The fused Laplacian solvers and the speedup-contract gate:
 
-   1. decision semantics — Static reproduces the legacy thresholds,
-      Serial/Parallel force every kernel, Calibrated follows the cost
-      model, and a fixed cache file yields identical decisions (with the
-      parallel.tune.* counters as the decision log);
-   2. bit-identity — the packed GEMM micro-kernel and the fused
-      Laplacian operators produce bit-for-bit the results of their naive
-      / unfused counterparts under every domain count and tune mode;
-   3. the speedup-contract gate — Obs.Bench_compare fails reports whose
-      recorded kernel speedups dip below the floor or collapse versus
-      the committed baseline, on the same file-pair path compare.exe
-      drives. *)
+   1. the fused stationary and CG solvers agree with solves on the
+      assembled matrix and with the dense Hard solve;
+   2. Obs.Bench_compare fails reports whose recorded speedups dip below
+      the floor or collapse versus the committed baseline, on the same
+      file-pair path compare.exe drives.
+
+   The bit-identity properties of the pooled kernels live in
+   test_parallel.ml. *)
 
 open Test_util
-module Pool = Parallel.Pool
-module At = Parallel.Autotune
 module Export = Telemetry.Export
 module Bc = Obs.Bench_compare
 module Csr = Sparse.Csr
 module Wg = Graph.Weighted_graph
 
-let kernels = [ At.Gemm; At.Gemv; At.Spmv; At.Pairwise; At.Jacobi ]
-let domain_counts = [ 1; 2; Stdlib.max 2 (Pool.default_domain_count ()) ]
-
-(* A hand-built model whose crossover sits at a few hundred work units,
-   so moderate test sizes exercise the calibrated-parallel path. *)
-let eager_model =
-  let km = { At.elem_ns = 10.; par_speedup = 3.0 } in
-  {
-    At.domains = 4;
-    dispatch_ns = 500.;
-    chunk_ns = 50.;
-    gemm = km;
-    gemv = km;
-    spmv = km;
-    pairwise = km;
-    jacobi = km;
-  }
-
-(* Measured speedup below 1: the pool never pays, every decision serial. *)
-let lame_model =
-  let km = { At.elem_ns = 10.; par_speedup = 0.9 } in
-  { eager_model with At.gemm = km; gemv = km; spmv = km; pairwise = km; jacobi = km }
-
-let modes =
-  [ At.Static; At.Serial; At.Parallel; At.Calibrated eager_model;
-    At.Calibrated lame_model ]
-
-let mode_label = function
-  | At.Calibrated m when m == lame_model -> "calibrated(no-payoff)"
-  | m -> At.mode_name m
-
-(* --- 1. decision semantics ------------------------------------------ *)
-
-let test_static_thresholds () =
-  At.with_mode At.Static (fun () ->
-      List.iter
-        (fun k ->
-          let t = At.static_threshold k in
-          let name = At.kernel_name k in
-          if not (At.decide k ~work:t) then
-            Alcotest.failf "%s: work = threshold (%d) must go parallel" name t;
-          if At.decide k ~work:(t - 1) then
-            Alcotest.failf "%s: work = threshold - 1 must stay serial" name;
-          let c = At.plan k ~work:(2 * t) ~rows:1000 in
-          if c.At.grain <> None then
-            Alcotest.failf "%s: static mode must not override the grain" name)
-        kernels)
-
-let test_forced_modes () =
-  List.iter
-    (fun k ->
-      let name = At.kernel_name k in
-      At.with_mode At.Serial (fun () ->
-          if At.decide k ~work:(1 lsl 30) then
-            Alcotest.failf "%s: Serial mode went parallel" name);
-      At.with_mode At.Parallel (fun () ->
-          if not (At.decide k ~work:1) then
-            Alcotest.failf "%s: Parallel mode stayed serial" name))
-    kernels
-
-let test_degenerate_inputs_stay_serial () =
-  List.iter
-    (fun m ->
-      At.with_mode m (fun () ->
-          List.iter
-            (fun k ->
-              let name = At.kernel_name k in
-              if (At.plan k ~work:(1 lsl 20) ~rows:1).At.parallel then
-                Alcotest.failf "%s/%s: rows < 2 must stay serial" (mode_label m)
-                  name;
-              if (At.plan k ~work:0 ~rows:100).At.parallel then
-                Alcotest.failf "%s/%s: zero work must stay serial"
-                  (mode_label m) name;
-              if (At.plan k ~work:(-5) ~rows:100).At.parallel then
-                Alcotest.failf "%s/%s: negative work must stay serial"
-                  (mode_label m) name)
-            kernels))
-    modes
-
-let test_calibrated_crossover () =
-  List.iter
-    (fun k ->
-      let name = At.kernel_name k in
-      let x = At.crossover_work eager_model k in
-      (* margin 2 * dispatch 500ns over elem 10ns * (1 - 1/3): ~150 *)
-      if x < 50 || x > 500 then
-        Alcotest.failf "%s: crossover %d outside the modelled ballpark" name x;
-      At.with_mode (At.Calibrated eager_model) (fun () ->
-          if not (At.decide k ~work:x) then
-            Alcotest.failf "%s: work = crossover must go parallel" name;
-          if At.decide k ~work:(x - 1) then
-            Alcotest.failf "%s: work = crossover - 1 must stay serial" name);
-      let x2 = At.crossover_work ~dispatches:2 eager_model k in
-      if x2 < (2 * x) - 2 || x2 > (2 * x) + 2 then
-        Alcotest.failf "%s: two dispatches should ~double the crossover" name;
-      Alcotest.(check int)
-        (name ^ ": speedup below 1.05 never pays")
-        max_int
-        (At.crossover_work lame_model k);
-      Alcotest.(check int)
-        (name ^ ": a single domain never pays")
-        max_int
-        (At.crossover_work { eager_model with At.domains = 1 } k);
-      let breakeven =
-        { eager_model with At.gemm = { At.elem_ns = 10.; par_speedup = 1.0 } }
-      in
-      Alcotest.(check int) "speedup exactly 1.0 never pays" max_int
-        (At.crossover_work breakeven At.Gemm))
-    kernels
-
-let test_calibrated_grain () =
-  At.with_mode (At.Calibrated eager_model) (fun () ->
-      let rows = 1000 in
-      let c = At.plan At.Gemv ~work:(rows * rows) ~rows in
-      if not c.At.parallel then Alcotest.fail "large gemv must go parallel";
-      match c.At.grain with
-      | None -> Alcotest.fail "calibrated parallel plan must size its grain"
-      | Some g ->
-          if g < 1 || g > rows then
-            Alcotest.failf "grain %d outside [1, rows]" g;
-          let chunks = (rows + g - 1) / g in
-          if chunks > 8 * eager_model.At.domains then
-            Alcotest.failf "%d chunks exceed 8 per domain" chunks);
-  (* few rows: the chunk count is capped by the row count *)
-  At.with_mode (At.Calibrated eager_model) (fun () ->
-      match At.plan At.Spmv ~work:100_000 ~rows:3 with
-      | { At.parallel = true; grain = Some g } ->
-          if g < 1 then Alcotest.fail "grain must be positive"
-      | _ -> Alcotest.fail "3-row spmv with huge work should still parallelise")
-
-let check_same_decisions msg m m' =
-  List.iter
-    (fun k ->
-      List.iter
-        (fun d ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s: %s crossover (dispatches %d)" msg
-               (At.kernel_name k) d)
-            (At.crossover_work ~dispatches:d m k)
-            (At.crossover_work ~dispatches:d m' k))
-        [ 1; 2 ])
-    kernels
-
-let test_cache_roundtrip () =
-  List.iter
-    (fun m ->
-      let m' = At.parse_model (At.render_model m) in
-      Alcotest.(check int) "domains survive" m.At.domains m'.At.domains;
-      check_same_decisions "render/parse" m m')
-    [ eager_model; lame_model ]
-
-let test_cache_rejects_malformed () =
-  let bad label s =
-    match At.parse_model s with
-    | exception Failure _ -> ()
-    | _ -> Alcotest.failf "parse_model accepted %s" label
-  in
-  bad "non-JSON" "autotune? never heard of it";
-  bad "empty object" "{}";
-  bad "wrong report kind" "{\"report\":\"flight-recorder\",\"version\":1}";
-  bad "unsupported version"
-    "{\"report\":\"gssl-tune-cache\",\"version\":2,\"domains\":2,\
-     \"dispatch_ns\":100,\"chunk_ns\":10,\"kernels\":{}}";
-  bad "missing kernels"
-    "{\"report\":\"gssl-tune-cache\",\"version\":1,\"domains\":2,\
-     \"dispatch_ns\":100,\"chunk_ns\":10,\"kernels\":{}}";
-  bad "non-numeric field"
-    "{\"report\":\"gssl-tune-cache\",\"version\":1,\"domains\":2,\
-     \"dispatch_ns\":\"fast\",\"chunk_ns\":10,\"kernels\":{\
-     \"gemm\":{\"elem_ns\":1,\"par_speedup\":1},\
-     \"gemv\":{\"elem_ns\":1,\"par_speedup\":1},\
-     \"spmv\":{\"elem_ns\":1,\"par_speedup\":1},\
-     \"pairwise\":{\"elem_ns\":1,\"par_speedup\":1},\
-     \"jacobi\":{\"elem_ns\":1,\"par_speedup\":1}}}"
-
 let with_temp_file f =
-  let path = Filename.temp_file "gssl_tune" ".json" in
+  let path = Filename.temp_file "gssl_gate" ".json" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-let test_cache_file_roundtrip () =
-  with_temp_file (fun path ->
-      At.save path eager_model;
-      let m = At.load path in
-      Alcotest.(check int) "domains survive the file" eager_model.At.domains
-        m.At.domains;
-      check_same_decisions "save/load" eager_model m);
-  match At.load "/nonexistent/gssl-tune-cache.json" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "load of a missing file must raise Failure"
-
-(* Satellite: a fixed GSSL_TUNE cache yields identical crossover
-   decisions run-to-run — load the same file twice and sweep a work
-   grid through plan under both copies. *)
-let test_fixed_cache_determinism () =
-  with_temp_file (fun path ->
-      At.save path eager_model;
-      let decisions m =
-        At.with_mode (At.Calibrated m) (fun () ->
-            List.concat_map
-              (fun k ->
-                List.map
-                  (fun w -> At.decide k ~work:w)
-                  [ 1; 64; 140; 151; 1024; 65536; 1 lsl 20 ])
-              kernels)
-      in
-      let first = decisions (At.load path) in
-      let second = decisions (At.load path) in
-      if first <> second then
-        Alcotest.fail "same cache file gave different decisions";
-      if first <> decisions eager_model then
-        Alcotest.fail "loaded cache diverged from the model that wrote it")
-
-(* Satellite: the decision log — every plan() bumps
-   parallel.tune.<kernel>.{serial,parallel}. *)
-let test_decision_log_counters () =
-  Telemetry.Registry.with_enabled (fun () ->
-      List.iter
-        (fun k ->
-          let name = At.kernel_name k in
-          let serial_c = "parallel.tune." ^ name ^ ".serial"
-          and par_c = "parallel.tune." ^ name ^ ".parallel" in
-          let s0 = Telemetry.Counter.get serial_c
-          and p0 = Telemetry.Counter.get par_c in
-          At.with_mode (At.Calibrated eager_model) (fun () ->
-              ignore (At.decide k ~work:1);
-              ignore (At.decide k ~work:(1 lsl 20));
-              ignore (At.decide k ~work:(1 lsl 20)));
-          Alcotest.(check int)
-            (name ^ ": serial decisions logged")
-            (s0 + 1)
-            (Telemetry.Counter.get serial_c);
-          Alcotest.(check int)
-            (name ^ ": parallel decisions logged")
-            (p0 + 2)
-            (Telemetry.Counter.get par_c))
-        kernels)
-
-let test_calibrate_smoke () =
-  let m = At.calibrate ~domains:2 ~probes:1 () in
-  Alcotest.(check int) "domains recorded" 2 m.At.domains;
-  if not (Float.is_finite m.At.dispatch_ns) || m.At.dispatch_ns <= 0. then
-    Alcotest.fail "dispatch_ns must be positive and finite";
-  if not (Float.is_finite m.At.chunk_ns) || m.At.chunk_ns <= 0. then
-    Alcotest.fail "chunk_ns must be positive and finite";
-  At.with_mode (At.Calibrated m) (fun () ->
-      List.iter
-        (fun k ->
-          let km = At.kernel_model m k in
-          let name = At.kernel_name k in
-          if not (Float.is_finite km.At.elem_ns) || km.At.elem_ns <= 0. then
-            Alcotest.failf "%s: elem_ns must be positive and finite" name;
-          if
-            (not (Float.is_finite km.At.par_speedup))
-            || km.At.par_speedup <= 0.
-          then Alcotest.failf "%s: par_speedup must be positive" name;
-          (* whatever the probes measured, trivial work must stay serial *)
-          if At.decide k ~work:1 then
-            Alcotest.failf "%s: work 1 went parallel under a measured model"
-              name)
-        kernels);
-  (* a calibrated model must survive its own cache format *)
-  check_same_decisions "calibrated render/parse" m
-    (At.parse_model (At.render_model m))
-
-(* --- 2. bit-identity across domain counts x tune modes -------------- *)
-
-(* Run [f] under every (domain count, tune mode) pair and compare its
-   result bit-for-bit (structural equality on float arrays) against
-   [reference]. *)
-let check_bits_everywhere name reference f =
-  List.iter
-    (fun d ->
-      List.iter
-        (fun m ->
-          let got = Pool.with_default_domains d (fun () -> At.with_mode m f) in
-          if got <> reference then
-            Alcotest.failf "%s: bits differ under %d domain(s), mode %s" name d
-              (mode_label m))
-        modes)
-    domain_counts
-
-let gemm_matches_naive =
-  qprop ~count:12 "Mat.mm bit-identical to the naive ikj loop in every mode"
-    (fun seed ->
-      let rng = Prng.Rng.create seed in
-      let r = 1 + Prng.Rng.int rng 40
-      and k = 1 + Prng.Rng.int rng 40
-      and c = 1 + Prng.Rng.int rng 40 in
-      let a = random_mat rng r k and b = random_mat rng k c in
-      let reference = Array.make (r * c) 0. in
-      for i = 0 to r - 1 do
-        for kk = 0 to k - 1 do
-          let aik = a.Mat.data.((i * k) + kk) in
-          for j = 0 to c - 1 do
-            reference.((i * c) + j) <-
-              reference.((i * c) + j) +. (aik *. b.Mat.data.((kk * c) + j))
-          done
-        done
-      done;
-      check_bits_everywhere
-        (Printf.sprintf "gemm %dx%dx%d" r k c)
-        reference
-        (fun () -> (Mat.mm a b).Mat.data);
-      true)
-
-let gemm_packed_path_matches_naive =
-  qprop ~count:4 "packed GEMM path (large, odd shapes) matches the naive loop"
-    (fun seed ->
-      let rng = Prng.Rng.create seed in
-      (* sizes chosen to exercise full 4x4 tiles, tail columns and tail
-         rows of the packed micro-kernel *)
-      let r = 29 + Prng.Rng.int rng 11
-      and k = 17 + Prng.Rng.int rng 9
-      and c = 30 + Prng.Rng.int rng 13 in
-      let a = random_mat rng r k and b = random_mat rng k c in
-      let reference = Array.make (r * c) 0. in
-      for i = 0 to r - 1 do
-        for kk = 0 to k - 1 do
-          let aik = a.Mat.data.((i * k) + kk) in
-          for j = 0 to c - 1 do
-            reference.((i * c) + j) <-
-              reference.((i * c) + j) +. (aik *. b.Mat.data.((kk * c) + j))
-          done
-        done
-      done;
-      check_bits_everywhere
-        (Printf.sprintf "packed gemm %dx%dx%d" r k c)
-        reference
-        (fun () -> (Mat.mm a b).Mat.data);
-      true)
-
-let gemv_matches_naive =
-  qprop ~count:10 "Mat.mv bit-identical to the naive dot loop in every mode"
-    (fun seed ->
-      let rng = Prng.Rng.create seed in
-      let r = 1 + Prng.Rng.int rng 96 and c = 1 + Prng.Rng.int rng 96 in
-      let a = random_mat rng r c in
-      let x = random_vec rng c in
-      let reference =
-        Array.init r (fun i ->
-            let acc = ref 0. in
-            for j = 0 to c - 1 do
-              acc := !acc +. (a.Mat.data.((i * c) + j) *. x.(j))
-            done;
-            !acc)
-      in
-      check_bits_everywhere
-        (Printf.sprintf "gemv %dx%d" r c)
-        reference
-        (fun () -> Mat.mv a x);
-      true)
-
-(* Random sparse nonneg matrix (optionally with zero diagonal). *)
-let random_sparse_nonneg rng ?(zero_diag = false) n =
-  Mat.init n n (fun i j ->
-      if zero_diag && i = j then 0.
-      else if Prng.Rng.float rng < 0.25 then Prng.Rng.uniform rng 0.1 3.
-      else 0.)
-
-let fused_spmv_matches_unfused =
-  qprop ~count:15 "Csr.lap_mv / fused_lap_mv bit-identical to unfused compose"
-    (fun seed ->
-      let rng = Prng.Rng.create seed in
-      let n = 2 + Prng.Rng.int rng 50 in
-      let w = Csr.of_dense (random_sparse_nonneg rng n) in
-      let deg = random_vec rng n
-      and vdiag = random_vec rng n
-      and x = random_vec rng n in
-      let lambda = Prng.Rng.uniform rng 0. 2. in
-      let wx = Csr.mv w x in
-      let lap_ref = Array.init n (fun i -> (deg.(i) *. x.(i)) -. wx.(i)) in
-      check_bits_everywhere "lap_mv" lap_ref (fun () -> Csr.lap_mv w ~deg x);
-      let fused_ref =
-        Array.init n (fun i ->
-            (vdiag.(i) *. x.(i))
-            +. (lambda *. ((deg.(i) *. x.(i)) -. wx.(i))))
-      in
-      check_bits_everywhere "fused_lap_mv" fused_ref (fun () ->
-          Csr.fused_lap_mv w ~deg ~vdiag ~lambda x);
-      true)
-
-(* Symmetric nonneg zero-diagonal weights: valid for Weighted_graph. *)
-let random_weights rng n =
-  let m = random_sparse_nonneg rng ~zero_diag:true n in
-  Mat.scale 0.5 (Mat.add m (Mat.transpose m))
-
-let operator_matches_unfused =
-  qprop ~count:10
-    "Laplacian.operator (sparse and dense) bit-identical to V f + lambda L f"
-    (fun seed ->
-      let rng = Prng.Rng.create seed in
-      let n = 2 + Prng.Rng.int rng 30 in
-      let w = random_weights rng n in
-      let lambda = Prng.Rng.uniform rng 0. 2. in
-      let n_labeled = Prng.Rng.int rng (n + 1) in
-      let x = random_vec rng n in
-      let csr = Csr.of_dense w in
-      List.iter
-        (fun (tag, g) ->
-          let d = Wg.degrees g in
-          let wx =
-            match Wg.storage g with
-            | Wg.Sparse c -> Csr.mv c x
-            | Wg.Dense m ->
-                Array.init n (fun i ->
-                    let acc = ref 0. in
-                    for j = 0 to n - 1 do
-                      acc := !acc +. (m.Mat.data.((i * m.Mat.cols) + j) *. x.(j))
-                    done;
-                    !acc)
-          in
-          let reference =
-            match Wg.storage g with
-            | Wg.Sparse _ ->
-                (* the sparse path multiplies by an explicit 0/1 vdiag *)
-                Array.init n (fun i ->
-                    let vd = if i < n_labeled then 1. else 0. in
-                    (vd *. x.(i))
-                    +. (lambda *. ((d.(i) *. x.(i)) -. wx.(i))))
-            | Wg.Dense _ ->
-                Array.init n (fun i ->
-                    let v_part = if i < n_labeled then x.(i) else 0. in
-                    v_part +. (lambda *. ((d.(i) *. x.(i)) -. wx.(i))))
-          in
-          let op = Graph.Laplacian.operator ~lambda ~n_labeled g in
-          check_bits_everywhere
-            (Printf.sprintf "operator(%s) n=%d" tag n)
-            reference
-            (fun () -> op.Sparse.Linop.apply x))
-        [ ("sparse", Wg.of_sparse csr); ("dense", Wg.of_dense w) ];
-      true)
+(* --- 1. fused solvers ----------------------------------------------- *)
 
 let solve_lap_matches_assembled =
   qprop ~count:12 "Stationary.solve_lap tracks solve on the assembled matrix"
@@ -534,19 +103,7 @@ let scalable_fused_matches_hard =
       check_vec ~tol:1e-6 "Gauss-Seidel via solve_lap = dense Hard" dense gs;
       true)
 
-let test_jacobi_modes_agree () =
-  let rng = Prng.Rng.create 7 in
-  let m = random_symmetric rng 24 in
-  let ev mode =
-    Pool.with_default_domains 2 (fun () ->
-        At.with_mode mode (fun () -> (Linalg.Eigen.jacobi m).Linalg.Eigen.values))
-  in
-  (* forced modes flip the rotation ordering (cyclic vs tournament);
-     the spectra must agree even though the bits legitimately differ *)
-  check_vec ~tol:1e-8 "eigenvalues independent of the dispatch decision"
-    (ev At.Serial) (ev At.Parallel)
-
-(* --- 3. the speedup-contract gate ----------------------------------- *)
+(* --- 2. the speedup-contract gate ----------------------------------- *)
 
 let report ?speedups phases =
   let p =
@@ -718,32 +275,8 @@ let test_gate_golden_text () =
 let suite =
   ( "autotune",
     [
-      case "static mode reproduces the legacy thresholds"
-        test_static_thresholds;
-      case "forced modes override every kernel" test_forced_modes;
-      case "degenerate inputs stay serial in every mode"
-        test_degenerate_inputs_stay_serial;
-      case "calibrated crossover follows the cost model"
-        test_calibrated_crossover;
-      case "calibrated grain respects chunk bounds" test_calibrated_grain;
-      case "cache render/parse preserves decisions" test_cache_roundtrip;
-      case "cache parser rejects malformed input" test_cache_rejects_malformed;
-      case "cache file save/load round-trips" test_cache_file_roundtrip;
-      case "fixed cache file yields identical decisions"
-        test_fixed_cache_determinism;
-      case "decisions are logged to parallel.tune counters"
-        test_decision_log_counters;
-      case "calibration produces a sane, serialisable model"
-        test_calibrate_smoke;
-      gemm_matches_naive;
-      gemm_packed_path_matches_naive;
-      gemv_matches_naive;
-      fused_spmv_matches_unfused;
-      operator_matches_unfused;
       solve_lap_matches_assembled;
       scalable_fused_matches_hard;
-      case "jacobi spectra agree across dispatch modes"
-        test_jacobi_modes_agree;
       case "gate: clean pair passes" test_gate_clean_pass;
       case "gate: wall-time regression fails" test_gate_wall_regression_fails;
       case "gate: speedup below the floor fails"

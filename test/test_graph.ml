@@ -1,10 +1,9 @@
-(* Weighted graphs, Laplacians, connectivity, spectral utilities. *)
+(* Weighted graphs, Laplacians, connectivity, Laplacian spectra. *)
 
 open Test_util
 module G = Graph.Weighted_graph
 module L = Graph.Laplacian
 module C = Graph.Connectivity
-module Sp = Graph.Spectral
 module Mat = Linalg.Mat
 module Vec = Linalg.Vec
 
@@ -156,21 +155,20 @@ let test_bfs () =
   Alcotest.(check (array int)) "distances" [| 0; 1; -1; -1 |] d;
   check_raises_invalid "bad source" (fun () -> ignore (C.bfs_distances g 9))
 
+(* Unnormalized Laplacian eigenvalues, ascending *)
+let spectrum g = Linalg.Eigen.eigenvalues (L.dense g)
+
 let test_spectral () =
-  let g = G.of_dense path3 in
-  let spec = Sp.spectrum g in
+  let spec = spectrum (G.of_dense path3) in
   check_float ~tol:1e-9 "lambda1 = 0" 0. spec.(0);
   (* path graph P3 unnormalized Laplacian eigenvalues: 0, 1, 3 *)
   check_float ~tol:1e-9 "lambda2 = 1" 1. spec.(1);
-  check_float ~tol:1e-9 "lambda3 = 3" 3. spec.(2);
-  let fiedler_value, _ = Sp.fiedler g in
-  check_float ~tol:1e-9 "fiedler" 1. fiedler_value;
-  check_float ~tol:1e-9 "gap" 1. (Sp.spectral_gap g)
+  check_float ~tol:1e-9 "lambda3 = 3" 3. spec.(2)
 
 let test_fiedler_disconnected () =
-  let g = G.of_dense two_components in
-  let fiedler_value, _ = Sp.fiedler g in
-  check_float ~tol:1e-9 "disconnected -> 0 fiedler" 0. fiedler_value
+  (* algebraic connectivity (second-smallest eigenvalue) vanishes *)
+  let spec = spectrum (G.of_dense two_components) in
+  check_float ~tol:1e-9 "disconnected -> 0 fiedler" 0. spec.(1)
 
 let prop_components_count_eq_kernel_dim seed =
   (* number of zero Laplacian eigenvalues = number of components *)
@@ -187,7 +185,7 @@ let prop_components_count_eq_kernel_dim seed =
         else 0.)
   in
   let g = G.of_dense w in
-  let spec = Sp.spectrum g in
+  let spec = spectrum g in
   let zeros = Array.fold_left (fun acc l -> if abs_float l < 1e-8 then acc + 1 else acc) 0 spec in
   zeros = C.count_components g
 

@@ -102,6 +102,36 @@ let test_hard_unanchored () =
   | exception Hard.Unanchored_unlabeled v -> Alcotest.failf "wrong vertex %d" v
   | _ -> Alcotest.fail "expected Unanchored_unlabeled"
 
+let test_anchored_mask_smallest_vertex () =
+  (* labels on 0 and 1; 2, 3 and 4 reach them; 5-7 form an unlabeled
+     component and 6 is isolated *)
+  let w = Mat.zeros 8 8 in
+  List.iter
+    (fun (i, j) ->
+      Mat.set w i j 1.;
+      Mat.set w j i 1.)
+    [ (0, 2); (1, 3); (3, 4); (5, 7) ];
+  let p = P.make ~graph:(Graph.Weighted_graph.of_dense w) ~labels:[| 1.; 0. |] in
+  Alcotest.(check (array bool))
+    "mask over vertices 2..7"
+    [| true; true; true; false; false; false |]
+    (P.anchored_mask p);
+  let expect_vertex_5 name f =
+    match f () with
+    | exception Hard.Unanchored_unlabeled 5 -> ()
+    | exception Hard.Unanchored_unlabeled v ->
+        Alcotest.failf "%s: reported vertex %d, expected 5" name v
+    | _ -> Alcotest.failf "%s: expected Unanchored_unlabeled" name
+  in
+  expect_vertex_5 "Hard.solve" (fun () -> ignore (Hard.solve p));
+  expect_vertex_5 "Scalable.solve_hard" (fun () ->
+      ignore (Gssl.Scalable.solve_hard ~unanchored:`Raise p));
+  expect_vertex_5 "Scalable.solve_stationary" (fun () ->
+      ignore
+        (Gssl.Scalable.solve_stationary Sparse.Stationary.Gauss_seidel p));
+  expect_vertex_5 "Random_walk.absorption_matrix" (fun () ->
+      ignore (Gssl.Random_walk.absorption_matrix p))
+
 let prop_hard_solvers_agree seed =
   let rng = Prng.Rng.create seed in
   let n = 2 + Prng.Rng.int rng 8 and m = 1 + Prng.Rng.int rng 8 in
@@ -485,6 +515,8 @@ let suite =
       case "hard: m=0" test_hard_m_zero;
       case "hard: two-point interpolation" test_hard_two_point_interpolation;
       case "hard: unanchored detection" test_hard_unanchored;
+      case "anchored mask: solvers report the smallest unanchored vertex"
+        test_anchored_mask_smallest_vertex;
       qprop "hard: solvers agree" prop_hard_solvers_agree;
       qprop "hard: maximum principle" prop_hard_maximum_principle;
       qprop "hard: solution harmonic" prop_hard_is_harmonic;

@@ -1,11 +1,16 @@
 (* The domain pool and everything routed through it: scheduling
    determinism, exception propagation, nesting, domain-safe telemetry
-   counters, and qcheck bit-identity of the parallel kernels (gemm, CSR
-   spmv, pairwise distances, tournament Jacobi, parallel sweeps) against
-   their serial reference under every domain count. *)
+   counters, the fixed serial/parallel dispatch rule, and qcheck
+   bit-identity of the parallel kernels (gemm, gemv, CSR spmv, the fused
+   Laplacian operators, pairwise distances, tournament Jacobi, parallel
+   sweeps) against their serial or naive reference under every domain
+   count. *)
 
 open Test_util
 module Pool = Parallel.Pool
+module Dispatch = Parallel.Dispatch
+module Csr = Sparse.Csr
+module Wg = Graph.Weighted_graph
 
 (* the domain counts every bit-identity property must agree across *)
 let domain_counts =
@@ -250,6 +255,213 @@ let qcheck_jacobi_domain_identity =
         (fun () -> Linalg.Eigen.jacobi ~parallel:true m))
 
 (* ------------------------------------------------------------------ *)
+(* the dispatch rule, and kernels against naive references            *)
+(* ------------------------------------------------------------------ *)
+
+let decisions kernel verdict =
+  Telemetry.Counter.get
+    (Printf.sprintf "parallel.tune.%s.%s" (Dispatch.kernel_name kernel)
+       verdict)
+
+(* Each kernel's threshold, its decision at threshold - 1 and threshold,
+   and the degenerate serial cases; every decision is logged once. *)
+let test_dispatch_rule () =
+  Telemetry.Registry.with_enabled (fun () ->
+      List.iter
+        (fun (k, t) ->
+          let name = Dispatch.kernel_name k in
+          Alcotest.(check int) (name ^ " threshold") t (Dispatch.threshold k);
+          List.iter
+            (fun (work, rows, expected) ->
+              let label = Printf.sprintf "%s work=%d rows=%d" name work rows in
+              let p0 = decisions k "parallel" and s0 = decisions k "serial" in
+              Alcotest.(check bool) label expected
+                (Dispatch.decide k ~work ~rows);
+              Alcotest.(check (pair int int))
+                (label ^ " logged (parallel, serial)")
+                (if expected then (1, 0) else (0, 1))
+                (decisions k "parallel" - p0, decisions k "serial" - s0))
+            [
+              (t - 1, 2, false); (t, 2, true); (t, 1, false);
+              (1 lsl 30, 0, false); (0, 100, false); (-5, 100, false);
+            ])
+        [
+          (Dispatch.Gemm, 1 lsl 16); (Dispatch.Gemv, 1 lsl 15);
+          (Dispatch.Spmv, 1 lsl 12); (Dispatch.Pairwise, 4096);
+          (Dispatch.Jacobi, 36864);
+        ])
+
+(* Run [f] with telemetry on under every domain count: the result must
+   be bit-identical to [reference], and [kernel] must have taken the
+   parallel branch exactly when [work] reaches its threshold. *)
+let check_bits_everywhere name kernel ~work reference f =
+  let expect_parallel = work >= Dispatch.threshold kernel in
+  List.iter
+    (fun d ->
+      let p0 = decisions kernel "parallel" in
+      let got =
+        Pool.with_default_domains d (fun () ->
+            Telemetry.Registry.with_enabled f)
+      in
+      if got <> reference then
+        QCheck.Test.fail_reportf "%s: bits differ under %d domain(s)" name d;
+      if decisions kernel "parallel" > p0 <> expect_parallel then
+        QCheck.Test.fail_reportf "%s (work %d): expected the %s branch" name
+          work
+          (if expect_parallel then "parallel" else "serial"))
+    domain_counts
+
+let naive_mm (a : Mat.t) (b : Mat.t) =
+  let r = a.Mat.rows and k = a.Mat.cols and c = b.Mat.cols in
+  let out = Array.make (r * c) 0. in
+  for i = 0 to r - 1 do
+    for kk = 0 to k - 1 do
+      let aik = a.Mat.data.((i * k) + kk) in
+      for j = 0 to c - 1 do
+        out.((i * c) + j) <- out.((i * c) + j) +. (aik *. b.Mat.data.((kk * c) + j))
+      done
+    done
+  done;
+  out
+
+let check_mm_naive tag r k c rng =
+  let a = random_mat rng r k and b = random_mat rng k c in
+  check_bits_everywhere
+    (Printf.sprintf "%s %dx%dx%d" tag r k c)
+    Dispatch.Gemm ~work:(r * k * c) (naive_mm a b)
+    (fun () -> (Mat.mm a b).Mat.data)
+
+let gemm_matches_naive =
+  qprop ~count:12 "Mat.mm bit-identical to the naive ikj loop" (fun seed ->
+      let rng = Prng.Rng.create seed in
+      (* r*k*c straddles the 2^16 gemm threshold *)
+      let r = 1 + Prng.Rng.int rng 48
+      and k = 1 + Prng.Rng.int rng 48
+      and c = 1 + Prng.Rng.int rng 48 in
+      check_mm_naive "gemm" r k c rng;
+      true)
+
+let gemm_packed_path_matches_naive =
+  qprop ~count:4 "packed GEMM path (large, odd shapes) matches the naive loop"
+    (fun seed ->
+      let rng = Prng.Rng.create seed in
+      (* full 4x4 tiles plus tail rows and columns of the packed
+         micro-kernel, all above the gemm threshold (r*k*c >= 68310) *)
+      let r = 45 + Prng.Rng.int rng 11
+      and k = 33 + Prng.Rng.int rng 9
+      and c = 46 + Prng.Rng.int rng 11 in
+      check_mm_naive "packed gemm" r k c rng;
+      true)
+
+let gemv_matches_naive =
+  qprop ~count:10 "Mat.mv bit-identical to the naive dot loop" (fun seed ->
+      let rng = Prng.Rng.create seed in
+      (* one shape below the 2^15 gemv threshold, one above *)
+      List.iter
+        (fun (r, c) ->
+          let a = random_mat rng r c in
+          let x = random_vec rng c in
+          let reference =
+            Array.init r (fun i ->
+                let acc = ref 0. in
+                for j = 0 to c - 1 do
+                  acc := !acc +. (a.Mat.data.((i * c) + j) *. x.(j))
+                done;
+                !acc)
+          in
+          check_bits_everywhere
+            (Printf.sprintf "gemv %dx%d" r c)
+            Dispatch.Gemv ~work:(r * c) reference
+            (fun () -> Mat.mv a x))
+        [
+          (1 + Prng.Rng.int rng 96, 1 + Prng.Rng.int rng 96);
+          (182 + Prng.Rng.int rng 48, 182 + Prng.Rng.int rng 48);
+        ];
+      true)
+
+let fused_spmv_matches_unfused =
+  qprop ~count:15 "Csr.lap_mv / fused_lap_mv bit-identical to unfused compose"
+    (fun seed ->
+      let rng = Prng.Rng.create seed in
+      (* at 25% density n <= 51 stays below the 2^12 spmv threshold and
+         n >= 140 lands above it *)
+      List.iter
+        (fun n ->
+          let w = Csr.of_dense (random_sparse_nonneg rng n) in
+          let work = Csr.nnz w in
+          let deg = random_vec rng n
+          and vdiag = random_vec rng n
+          and x = random_vec rng n in
+          let lambda = Prng.Rng.uniform rng 0. 2. in
+          let wx = Csr.mv w x in
+          let lap_ref = Array.init n (fun i -> (deg.(i) *. x.(i)) -. wx.(i)) in
+          check_bits_everywhere "lap_mv" Dispatch.Spmv ~work lap_ref (fun () ->
+              Csr.lap_mv w ~deg x);
+          let fused_ref =
+            Array.init n (fun i ->
+                (vdiag.(i) *. x.(i))
+                +. (lambda *. ((deg.(i) *. x.(i)) -. wx.(i))))
+          in
+          check_bits_everywhere "fused_lap_mv" Dispatch.Spmv ~work fused_ref
+            (fun () -> Csr.fused_lap_mv w ~deg ~vdiag ~lambda x))
+        [ 2 + Prng.Rng.int rng 50; 140 + Prng.Rng.int rng 40 ];
+      true)
+
+let operator_matches_unfused =
+  qprop ~count:10
+    "Laplacian.operator (sparse and dense) bit-identical to V f + lambda L f"
+    (fun seed ->
+      let rng = Prng.Rng.create seed in
+      (* n <= 31 stays below both the spmv and the gemv threshold;
+         n >= 182 reaches both (n^2 >= 2^15 for the dense operator) *)
+      List.iter
+        (fun n ->
+          let w = random_weights rng n in
+          let lambda = Prng.Rng.uniform rng 0. 2. in
+          let n_labeled = Prng.Rng.int rng (n + 1) in
+          let x = random_vec rng n in
+          let csr = Csr.of_dense w in
+          List.iter
+            (fun (tag, g, kernel, work) ->
+              let d = Wg.degrees g in
+              let wx =
+                match Wg.storage g with
+                | Wg.Sparse c -> Csr.mv c x
+                | Wg.Dense m ->
+                    Array.init n (fun i ->
+                        let acc = ref 0. in
+                        for j = 0 to n - 1 do
+                          acc :=
+                            !acc +. (m.Mat.data.((i * m.Mat.cols) + j) *. x.(j))
+                        done;
+                        !acc)
+              in
+              let reference =
+                match Wg.storage g with
+                | Wg.Sparse _ ->
+                    (* the sparse path multiplies by an explicit 0/1 vdiag *)
+                    Array.init n (fun i ->
+                        let vd = if i < n_labeled then 1. else 0. in
+                        (vd *. x.(i))
+                        +. (lambda *. ((d.(i) *. x.(i)) -. wx.(i))))
+                | Wg.Dense _ ->
+                    Array.init n (fun i ->
+                        let v_part = if i < n_labeled then x.(i) else 0. in
+                        v_part +. (lambda *. ((d.(i) *. x.(i)) -. wx.(i))))
+              in
+              let op = Graph.Laplacian.operator ~lambda ~n_labeled g in
+              check_bits_everywhere
+                (Printf.sprintf "operator(%s) n=%d" tag n)
+                kernel ~work reference
+                (fun () -> op.Sparse.Linop.apply x))
+            [
+              ("sparse", Wg.of_sparse csr, Dispatch.Spmv, Csr.nnz csr);
+              ("dense", Wg.of_dense w, Dispatch.Gemv, n * n);
+            ])
+        [ 2 + Prng.Rng.int rng 30; 182 + Prng.Rng.int rng 20 ];
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* satellite: lambda-path factorization reuse                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -393,6 +605,12 @@ let suite =
       qcheck_knn;
       qcheck_jacobi_parallel_ordering;
       qcheck_jacobi_domain_identity;
+      case "dispatch rule pins every kernel's threshold" test_dispatch_rule;
+      gemm_matches_naive;
+      gemm_packed_path_matches_naive;
+      gemv_matches_naive;
+      fused_spmv_matches_unfused;
+      operator_matches_unfused;
       qcheck_lambda_path_strategies_agree;
       case "lambda path shares one factorization" test_lambda_path_shares_factorization;
       case "grid_parallel pooled = grid" test_grid_parallel_pooled_identity;

@@ -475,6 +475,31 @@ let test_engine_run_trace_requires_virtual_clock () =
       Engine.run_trace engine
         [ { Engine.id = 0; arrival_ms = 0.; kind = Engine.Query; faults = [] } ])
 
+(* The engine's costs stand in for work on a virtual clock only: on the
+   real clock a clean query answers in its own time, not in cache_ms. *)
+let test_engine_costs_virtual_only () =
+  let prob = Soak.problem ~seed:1 ~n_vertices:40 ~n_labeled:10 in
+  let config =
+    { Engine.default_config with
+      Engine.deadline_ms = 10_000.;
+      costs =
+        { Engine.solve_ms = 200.; cache_ms = 200.; relabel_ms = 200.;
+          poll_ms = 200. } }
+  in
+  let real = Engine.create ~clock:(Clock.monotonic ()) config prob in
+  let t0 = Unix.gettimeofday () in
+  let r = Engine.handle real (req ~clock:(Engine.clock real) 1) in
+  let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  Alcotest.(check string) "real clock: served" "served"
+    (Engine.status_name r.Engine.status);
+  if wall_ms >= 200. then
+    Alcotest.failf "real clock: clean query took %.1f ms of wall time" wall_ms;
+  let clock = Clock.virtual_ () in
+  let r = Engine.handle (Engine.create ~clock config prob) (req ~clock 1) in
+  Alcotest.(check string) "virtual clock: served" "served"
+    (Engine.status_name r.Engine.status);
+  check_float "virtual clock: cache_ms charged" 200. r.Engine.latency_ms
+
 (* ------------------------------------------------------------------ *)
 (* relabel storm: N Sherman-Morrison downdates vs a fresh solve        *)
 (* ------------------------------------------------------------------ *)
@@ -627,6 +652,8 @@ let suite =
         test_engine_burst_sheds_and_bounds_queue;
       case "engine: trace replay demands a virtual clock"
         test_engine_run_trace_requires_virtual_clock;
+      case "engine: costs charged on a virtual clock only"
+        test_engine_costs_virtual_only;
       qprop ~count:40 "relabel storm: N downdates match a fresh solve"
         prop_relabel_storm;
       case "soak: 400-request chaos run holds every invariant"

@@ -39,6 +39,19 @@ let random_symmetric rng n =
   let m = random_mat rng n n in
   Mat.scale 0.5 (Mat.add m (Mat.transpose m))
 
+(* Random sparse nonneg matrix, ~25% dense (optionally with zero
+   diagonal). *)
+let random_sparse_nonneg rng ?(zero_diag = false) n =
+  Mat.init n n (fun i j ->
+      if zero_diag && i = j then 0.
+      else if Prng.Rng.float rng < 0.25 then Prng.Rng.uniform rng 0.1 3.
+      else 0.)
+
+(* Symmetric nonneg zero-diagonal weights: valid for Weighted_graph. *)
+let random_weights rng n =
+  let m = random_sparse_nonneg rng ~zero_diag:true n in
+  Mat.scale 0.5 (Mat.add m (Mat.transpose m))
+
 (* QCheck: generate via an integer seed so cases shrink to small seeds. *)
 let seed_gen = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000)
 

@@ -1,10 +1,9 @@
-(* Wave-4 tests: random-walk interpretation, induction formula, parallel
-   sweeps, CSV export of figures. *)
+(* Wave-4 tests: random-walk interpretation, parallel sweeps, CSV export
+   of figures. *)
 
 open Test_util
 module P = Gssl.Problem
 module Rw = Gssl.Random_walk
-module Ind = Gssl.Induction
 module Vec = Linalg.Vec
 
 let random_problem rng n m =
@@ -75,96 +74,6 @@ let prop_hitting_distribution_normalized seed =
       let total = Array.fold_left ( + ) 0 row in
       total >= 0 && total <= 20)
     counts
-
-(* ---------- induction ---------- *)
-
-let test_induction_guards () =
-  check_raises_invalid "empty" (fun () ->
-      ignore
-        (Ind.make ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:1. ~points:[||] ~scores:[||]));
-  check_raises_invalid "mismatch" (fun () ->
-      ignore
-        (Ind.make ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:1.
-           ~points:[| [| 0. |] |] ~scores:[| 1.; 2. |]));
-  check_raises_invalid "bad bandwidth" (fun () ->
-      ignore
-        (Ind.make ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:0.
-           ~points:[| [| 0. |] |] ~scores:[| 1. |]));
-  let model =
-    Ind.make ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:1. ~points:[| [| 0.; 0. |] |]
-      ~scores:[| 1. |]
-  in
-  check_raises_invalid "dim mismatch" (fun () -> ignore (Ind.predict model [| 0. |]))
-
-let test_induction_at_training_point () =
-  (* inducting exactly at a training point with a sharply peaked kernel
-     recovers (approximately) that point's fitted score *)
-  let rng = Prng.Rng.create 10 in
-  let p, points = random_problem rng 6 4 in
-  let model =
-    Ind.of_problem ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:0.05 ~points p
-  in
-  let full = Gssl.Hard.solve_full p in
-  Array.iteri
-    (fun i x ->
-      (* skip points that (rarely) coincide closely with another *)
-      let isolated =
-        Array.for_all
-          (fun other -> other == x || Vec.dist2 other x > 0.3)
-          points
-      in
-      if isolated then
-        check_float ~tol:0.05
-          (Printf.sprintf "training point %d" i)
-          full.(i) (Ind.predict model x))
-    points
-
-let prop_induction_in_score_range seed =
-  let rng = Prng.Rng.create seed in
-  let p, points = random_problem rng (2 + Prng.Rng.int rng 6) (1 + Prng.Rng.int rng 6) in
-  let model =
-    Ind.of_problem ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:1. ~points p
-  in
-  let full = Gssl.Hard.solve_full p in
-  let lo = Vec.min full and hi = Vec.max full in
-  let query = [| Prng.Rng.uniform rng (-1.) 3.; Prng.Rng.uniform rng (-1.) 3. |] in
-  let v = Ind.predict model query in
-  v >= lo -. 1e-9 && v <= hi +. 1e-9
-
-let test_induction_far_point_fallback () =
-  (* far outside a compact kernel's support: the global mean fallback *)
-  let model =
-    Ind.make ~kernel:Kernel.Kernel_fn.Box ~bandwidth:1.
-      ~points:[| [| 0. |]; [| 1. |] |] ~scores:[| 0.; 1. |]
-  in
-  check_float "fallback" 0.5 (Ind.predict model [| 100. |])
-
-let test_induction_smoke_accuracy () =
-  (* induction on held-out two-moons points classifies well *)
-  let rng = Prng.Rng.create 11 in
-  let samples = Dataset.Two_moons.generate rng 240 in
-  let train = Array.sub samples 0 200 and test = Array.sub samples 200 40 in
-  let problem, _ = Dataset.Two_moons.to_problem ~labeled_per_moon:3 train in
-  (* reconstruct problem-ordered points: labeled-per-moon ordering *)
-  let moon1 = List.filter (fun s -> s.Dataset.Two_moons.label) (Array.to_list train) in
-  let moon2 = List.filter (fun s -> not s.Dataset.Two_moons.label) (Array.to_list train) in
-  let take k l = List.filteri (fun i _ -> i < k) l in
-  let drop k l = List.filteri (fun i _ -> i >= k) l in
-  let ordered =
-    take 3 moon1 @ take 3 moon2 @ drop 3 moon1 @ drop 3 moon2
-  in
-  let points = Array.of_list (List.map (fun s -> s.Dataset.Two_moons.x) ordered) in
-  let model =
-    Ind.of_problem ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:0.35 ~points problem
-  in
-  let hits = ref 0 in
-  Array.iter
-    (fun s ->
-      let predicted = Ind.predict model s.Dataset.Two_moons.x >= 0.5 in
-      if predicted = s.Dataset.Two_moons.label then incr hits)
-    test;
-  Alcotest.(check bool) "induction >85% on held-out moons" true
-    (float_of_int !hits /. 40. > 0.85)
 
 (* ---------- parallel sweep ---------- *)
 
@@ -280,11 +189,6 @@ let suite =
       case "random walk: guards" test_simulation_guards;
       case "random walk: hitting counts" test_hitting_counts_shape;
       qprop ~count:30 "random walk: counts bounded" prop_hitting_distribution_normalized;
-      case "induction: guards" test_induction_guards;
-      case "induction: training points" test_induction_at_training_point;
-      qprop "induction: within score range" prop_induction_in_score_range;
-      case "induction: compact-support fallback" test_induction_far_point_fallback;
-      case "induction: held-out moons" test_induction_smoke_accuracy;
       case "parallel: identical to sequential" test_parallel_matches_sequential;
       case "parallel: guards" test_parallel_guards;
       case "parallel: real workload" test_parallel_real_workload;

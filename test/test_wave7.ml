@@ -1,118 +1,11 @@
-(* Wave-7 tests: effective resistance and iterative refinement /
-   conditioning (incl. the classic Hilbert-matrix stress test). *)
+(* Wave-7 tests: iterative refinement and conditioning (incl. the
+   classic Hilbert-matrix stress test). *)
 
 open Test_util
-module R = Graph.Resistance
 module Gen = Graph.Generators
 module Refine = Linalg.Refine
 module Mat = Linalg.Mat
 module Vec = Linalg.Vec
-
-(* ---------- effective resistance ---------- *)
-
-let test_resistance_path_graph () =
-  (* unit-conductance path: R(u,v) = hop distance (series circuit) *)
-  let r = R.make (Gen.path 5) in
-  check_float ~tol:1e-8 "adjacent" 1. (R.effective_resistance r 0 1);
-  check_float ~tol:1e-8 "two hops" 2. (R.effective_resistance r 0 2);
-  check_float ~tol:1e-8 "end to end" 4. (R.effective_resistance r 0 4);
-  check_float ~tol:1e-10 "self" 0. (R.effective_resistance r 2 2)
-
-let test_resistance_complete_graph () =
-  (* K_n: R(u,v) = 2/n for every pair *)
-  let n = 6 in
-  let r = R.make (Gen.complete n) in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      check_float ~tol:1e-8 "K6 pair" (2. /. float_of_int n)
-        (R.effective_resistance r u v)
-    done
-  done
-
-let test_resistance_cycle () =
-  (* cycle C_4: R between opposite vertices = parallel of 2+2 = 1 *)
-  let r = R.make (Gen.cycle 4) in
-  check_float ~tol:1e-8 "opposite on C4" 1. (R.effective_resistance r 0 2);
-  (* adjacent: parallel of 1 and 3 -> 3/4 *)
-  check_float ~tol:1e-8 "adjacent on C4" 0.75 (R.effective_resistance r 0 1)
-
-let test_resistance_parallel_edges () =
-  (* two vertices joined by weight 2 (= two unit resistors in parallel):
-     R = 1/2 *)
-  let w = Mat.of_arrays [| [| 0.; 2. |]; [| 2.; 0. |] |] in
-  let r = R.make (Graph.Weighted_graph.of_dense w) in
-  check_float ~tol:1e-10 "conductance 2" 0.5 (R.effective_resistance r 0 1)
-
-let test_resistance_guards () =
-  check_raises_invalid "disconnected" (fun () ->
-      ignore
-        (R.make
-           (Graph.Weighted_graph.of_dense
-              (Mat.of_arrays
-                 [| [| 0.; 1.; 0. |]; [| 1.; 0.; 0. |]; [| 0.; 0.; 0. |] |]))));
-  check_raises_invalid "single vertex" (fun () ->
-      ignore (R.make (Gen.complete 1)));
-  let r = R.make (Gen.path 3) in
-  check_raises_invalid "vertex range" (fun () ->
-      ignore (R.effective_resistance r 0 3))
-
-let test_commute_time_path () =
-  (* path P2 (a single edge): commute time = 2 (one step each way);
-     volume = 2 *)
-  let r = R.make (Gen.path 2) in
-  check_float ~tol:1e-9 "P2 commute" 2. (R.commute_time r 0 1)
-
-let prop_resistance_is_metric seed =
-  let rng = Prng.Rng.create seed in
-  let n = 3 + Prng.Rng.int rng 6 in
-  let points = Array.init n (fun _ -> random_vec rng 2) in
-  let g =
-    Graph.Weighted_graph.of_dense
-      (Kernel.Similarity.dense ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:2. points)
-  in
-  match R.make g with
-  | exception Invalid_argument _ ->
-      true (* numerically disconnected graphs are (correctly) refused *)
-  | r ->
-  let ok = ref true in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      let ruv = R.effective_resistance r u v in
-      if u = v then begin
-        if abs_float ruv > 1e-8 then ok := false
-      end
-      else if ruv < -1e-8 then ok := false
-      (* near-duplicate points can drive R to ~0, so only require
-         nonnegativity up to the pseudoinverse's numerical tolerance *);
-      (* symmetry (exact by construction) *)
-      if ruv <> R.effective_resistance r v u then ok := false;
-      (* triangle inequality, with slack scaled to the magnitudes *)
-      for w = 0 to n - 1 do
-        let via = R.effective_resistance r u w +. R.effective_resistance r w v in
-        if ruv > via +. (1e-7 *. (1. +. via)) then ok := false
-      done
-    done
-  done;
-  !ok
-
-let prop_kirchhoff_index_consistent seed =
-  let rng = Prng.Rng.create seed in
-  let n = 3 + Prng.Rng.int rng 5 in
-  let points = Array.init n (fun _ -> random_vec rng 2) in
-  let g =
-    Graph.Weighted_graph.of_dense
-      (Kernel.Similarity.dense ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:2. points)
-  in
-  match R.make g with
-  | exception Invalid_argument _ -> true
-  | r ->
-  let direct = ref 0. in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      direct := !direct +. R.effective_resistance r u v
-    done
-  done;
-  abs_float (!direct -. R.total_resistance r) < 1e-6 *. (1. +. !direct)
 
 (* ---------- refinement & conditioning ---------- *)
 
@@ -193,14 +86,6 @@ let prop_condition_matches_svd seed =
 let suite =
   ( "wave7",
     [
-      case "resistance: path graph" test_resistance_path_graph;
-      case "resistance: complete graph" test_resistance_complete_graph;
-      case "resistance: cycle circuit laws" test_resistance_cycle;
-      case "resistance: parallel conductance" test_resistance_parallel_edges;
-      case "resistance: guards" test_resistance_guards;
-      case "resistance: commute time" test_commute_time_path;
-      qprop ~count:30 "resistance: metric axioms" prop_resistance_is_metric;
-      qprop ~count:30 "resistance: Kirchhoff index" prop_kirchhoff_index_consistent;
       case "refine: Hilbert system" test_refinement_improves_hilbert_solve;
       qprop "refine: never worse" prop_refine_no_worse;
       qprop "refine: repairs corrupted start" prop_refine_fixes_perturbed_start;
