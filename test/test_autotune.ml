@@ -1,8 +1,13 @@
-(* The fused Laplacian solvers and the speedup-contract gate:
+(* The serial/parallel dispatch rule, the fused Laplacian solvers and
+   the speedup-contract gate:
 
-   1. the fused stationary and CG solvers agree with solves on the
+   1. Parallel.Dispatch keeps the thresholds the kernels have always
+      used, keeps degenerate calls serial, logs every decision on the
+      parallel.tune.* counters, and either Jacobi ordering it picks
+      yields the same spectrum;
+   2. the fused stationary and CG solvers agree with solves on the
       assembled matrix and with the dense Hard solve;
-   2. Obs.Bench_compare fails reports whose recorded speedups dip below
+   3. Obs.Bench_compare fails reports whose recorded speedups dip below
       the floor or collapse versus the committed baseline, on the same
       file-pair path compare.exe drives.
 
@@ -14,6 +19,8 @@ module Export = Telemetry.Export
 module Bc = Obs.Bench_compare
 module Csr = Sparse.Csr
 module Wg = Graph.Weighted_graph
+module Dispatch = Parallel.Dispatch
+module Pool = Parallel.Pool
 
 let with_temp_file f =
   let path = Filename.temp_file "gssl_gate" ".json" in
@@ -21,7 +28,82 @@ let with_temp_file f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-(* --- 1. fused solvers ----------------------------------------------- *)
+(* --- 1. the dispatch rule ------------------------------------------- *)
+
+(* Every kernel with the work at which it goes parallel: the thresholds
+   the kernels used before the rule was fixed. *)
+let thresholds =
+  [
+    (Dispatch.Gemm, 1 lsl 16); (Dispatch.Gemv, 1 lsl 15);
+    (Dispatch.Spmv, 1 lsl 12); (Dispatch.Pairwise, 4096);
+    (Dispatch.Jacobi, 36864);
+  ]
+
+let check_decisions k calls =
+  List.iter
+    (fun (work, rows, expected) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s work=%d rows=%d" (Dispatch.kernel_name k) work
+           rows)
+        expected
+        (Dispatch.decide k ~work ~rows))
+    calls
+
+let test_static_thresholds () =
+  List.iter
+    (fun (k, t) ->
+      Alcotest.(check int)
+        (Dispatch.kernel_name k ^ " threshold")
+        t (Dispatch.threshold k);
+      check_decisions k [ (t - 1, 2, false); (t, 2, true) ])
+    thresholds
+
+let test_degenerate_inputs_stay_serial () =
+  List.iter
+    (fun (k, t) ->
+      check_decisions k
+        [ (t, 1, false); (1 lsl 30, 0, false); (0, 100, false);
+          (-5, 100, false) ])
+    thresholds
+
+let test_decision_log_counters () =
+  Telemetry.Registry.with_enabled (fun () ->
+      List.iter
+        (fun (k, t) ->
+          let name = Dispatch.kernel_name k in
+          let s0 = dispatch_decisions k "serial"
+          and p0 = dispatch_decisions k "parallel" in
+          ignore (Dispatch.decide k ~work:(t - 1) ~rows:2);
+          ignore (Dispatch.decide k ~work:t ~rows:2);
+          ignore (Dispatch.decide k ~work:(2 * t) ~rows:2);
+          Alcotest.(check int)
+            (name ^ ": serial decisions logged")
+            (s0 + 1)
+            (dispatch_decisions k "serial");
+          Alcotest.(check int)
+            (name ^ ": parallel decisions logged")
+            (p0 + 2)
+            (dispatch_decisions k "parallel"))
+        thresholds)
+
+(* n^2 = 192^2 reaches the Jacobi threshold, so the default decision
+   takes the tournament ordering; ~parallel:false keeps the cyclic one.
+   The spectra must agree even though the bits legitimately differ. *)
+let test_jacobi_modes_agree () =
+  let rng = Prng.Rng.create 7 in
+  let m = random_symmetric rng 192 in
+  let cyclic = Linalg.Eigen.jacobi ~parallel:false m in
+  let p0 = dispatch_decisions Dispatch.Jacobi "parallel" in
+  let tournament =
+    Pool.with_default_domains 2 (fun () ->
+        Telemetry.Registry.with_enabled (fun () -> Linalg.Eigen.jacobi m))
+  in
+  if dispatch_decisions Dispatch.Jacobi "parallel" <= p0 then
+    Alcotest.fail "n = 192 must take the parallel Jacobi branch";
+  check_vec ~tol:1e-8 "eigenvalues independent of the dispatch decision"
+    cyclic.Linalg.Eigen.values tournament.Linalg.Eigen.values
+
+(* --- 2. fused solvers ----------------------------------------------- *)
 
 let solve_lap_matches_assembled =
   qprop ~count:12 "Stationary.solve_lap tracks solve on the assembled matrix"
@@ -103,7 +185,7 @@ let scalable_fused_matches_hard =
       check_vec ~tol:1e-6 "Gauss-Seidel via solve_lap = dense Hard" dense gs;
       true)
 
-(* --- 2. the speedup-contract gate ----------------------------------- *)
+(* --- 3. the speedup-contract gate ----------------------------------- *)
 
 let report ?speedups phases =
   let p =
@@ -275,6 +357,16 @@ let test_gate_golden_text () =
 let suite =
   ( "autotune",
     [
+      (* the rule was once one of several dispatch modes; these four
+         names keep the wording they were first registered under *)
+      case "static mode reproduces the legacy thresholds"
+        test_static_thresholds;
+      case "degenerate inputs stay serial in every mode"
+        test_degenerate_inputs_stay_serial;
+      case "decisions are logged to parallel.tune counters"
+        test_decision_log_counters;
+      case "jacobi spectra agree across dispatch modes"
+        test_jacobi_modes_agree;
       solve_lap_matches_assembled;
       scalable_fused_matches_hard;
       case "gate: clean pair passes" test_gate_clean_pass;

@@ -1,10 +1,10 @@
 (* The domain pool and everything routed through it: scheduling
    determinism, exception propagation, nesting, domain-safe telemetry
-   counters, the fixed serial/parallel dispatch rule, and qcheck
-   bit-identity of the parallel kernels (gemm, gemv, CSR spmv, the fused
-   Laplacian operators, pairwise distances, tournament Jacobi, parallel
-   sweeps) against their serial or naive reference under every domain
-   count. *)
+   counters, and qcheck bit-identity of the parallel kernels (gemm,
+   gemv, CSR spmv, the fused Laplacian operators, pairwise distances,
+   tournament Jacobi, parallel sweeps) against their serial or naive
+   reference under every domain count.  The dispatch rule itself is
+   pinned in test_autotune.ml. *)
 
 open Test_util
 module Pool = Parallel.Pool
@@ -255,41 +255,8 @@ let qcheck_jacobi_domain_identity =
         (fun () -> Linalg.Eigen.jacobi ~parallel:true m))
 
 (* ------------------------------------------------------------------ *)
-(* the dispatch rule, and kernels against naive references            *)
+(* kernels against naive references, either side of the threshold     *)
 (* ------------------------------------------------------------------ *)
-
-let decisions kernel verdict =
-  Telemetry.Counter.get
-    (Printf.sprintf "parallel.tune.%s.%s" (Dispatch.kernel_name kernel)
-       verdict)
-
-(* Each kernel's threshold, its decision at threshold - 1 and threshold,
-   and the degenerate serial cases; every decision is logged once. *)
-let test_dispatch_rule () =
-  Telemetry.Registry.with_enabled (fun () ->
-      List.iter
-        (fun (k, t) ->
-          let name = Dispatch.kernel_name k in
-          Alcotest.(check int) (name ^ " threshold") t (Dispatch.threshold k);
-          List.iter
-            (fun (work, rows, expected) ->
-              let label = Printf.sprintf "%s work=%d rows=%d" name work rows in
-              let p0 = decisions k "parallel" and s0 = decisions k "serial" in
-              Alcotest.(check bool) label expected
-                (Dispatch.decide k ~work ~rows);
-              Alcotest.(check (pair int int))
-                (label ^ " logged (parallel, serial)")
-                (if expected then (1, 0) else (0, 1))
-                (decisions k "parallel" - p0, decisions k "serial" - s0))
-            [
-              (t - 1, 2, false); (t, 2, true); (t, 1, false);
-              (1 lsl 30, 0, false); (0, 100, false); (-5, 100, false);
-            ])
-        [
-          (Dispatch.Gemm, 1 lsl 16); (Dispatch.Gemv, 1 lsl 15);
-          (Dispatch.Spmv, 1 lsl 12); (Dispatch.Pairwise, 4096);
-          (Dispatch.Jacobi, 36864);
-        ])
 
 (* Run [f] with telemetry on under every domain count: the result must
    be bit-identical to [reference], and [kernel] must have taken the
@@ -298,14 +265,14 @@ let check_bits_everywhere name kernel ~work reference f =
   let expect_parallel = work >= Dispatch.threshold kernel in
   List.iter
     (fun d ->
-      let p0 = decisions kernel "parallel" in
+      let p0 = dispatch_decisions kernel "parallel" in
       let got =
         Pool.with_default_domains d (fun () ->
             Telemetry.Registry.with_enabled f)
       in
       if got <> reference then
         QCheck.Test.fail_reportf "%s: bits differ under %d domain(s)" name d;
-      if decisions kernel "parallel" > p0 <> expect_parallel then
+      if dispatch_decisions kernel "parallel" > p0 <> expect_parallel then
         QCheck.Test.fail_reportf "%s (work %d): expected the %s branch" name
           work
           (if expect_parallel then "parallel" else "serial"))
@@ -605,7 +572,6 @@ let suite =
       qcheck_knn;
       qcheck_jacobi_parallel_ordering;
       qcheck_jacobi_domain_identity;
-      case "dispatch rule pins every kernel's threshold" test_dispatch_rule;
       gemm_matches_naive;
       gemm_packed_path_matches_naive;
       gemv_matches_naive;

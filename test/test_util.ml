@@ -39,6 +39,14 @@ let random_symmetric rng n =
   let m = random_mat rng n n in
   Mat.scale 0.5 (Mat.add m (Mat.transpose m))
 
+(* How many calls [Parallel.Dispatch] has sent [kernel]'s way [verdict]
+   ("serial" or "parallel"), read off its telemetry counter. *)
+let dispatch_decisions kernel verdict =
+  Telemetry.Counter.get
+    (Printf.sprintf "parallel.tune.%s.%s"
+       (Parallel.Dispatch.kernel_name kernel)
+       verdict)
+
 (* Random sparse nonneg matrix, ~25% dense (optionally with zero
    diagonal). *)
 let random_sparse_nonneg rng ?(zero_diag = false) n =
