@@ -130,7 +130,22 @@ let test_anchored_mask_smallest_vertex () =
       ignore
         (Gssl.Scalable.solve_stationary Sparse.Stationary.Gauss_seidel p));
   expect_vertex_5 "Random_walk.absorption_matrix" (fun () ->
-      ignore (Gssl.Random_walk.absorption_matrix p))
+      ignore (Gssl.Random_walk.absorption_matrix p));
+  expect_vertex_5 "Incremental.create" (fun () ->
+      ignore (Gssl.Incremental.create p))
+
+(* Whether a Cholesky factorization of the singular system succeeds
+   depends on the unanchored pair's weight; the anchoring check must
+   not. *)
+let test_incremental_unanchored_pair () =
+  List.iter
+    (fun w ->
+      match Gssl.Incremental.create (unanchored_pair_problem w) with
+      | exception Hard.Unanchored_unlabeled 3 -> ()
+      | exception Hard.Unanchored_unlabeled v ->
+          Alcotest.failf "w = %g: reported vertex %d, expected 3" w v
+      | _ -> Alcotest.failf "w = %g: expected Unanchored_unlabeled" w)
+    [ 0.3; 0.7; 0.01 ]
 
 let prop_hard_solvers_agree seed =
   let rng = Prng.Rng.create seed in
@@ -517,6 +532,8 @@ let suite =
       case "hard: unanchored detection" test_hard_unanchored;
       case "anchored mask: solvers report the smallest unanchored vertex"
         test_anchored_mask_smallest_vertex;
+      case "incremental: unanchored pair raises at any weight"
+        test_incremental_unanchored_pair;
       qprop "hard: solvers agree" prop_hard_solvers_agree;
       qprop "hard: maximum principle" prop_hard_maximum_principle;
       qprop "hard: solution harmonic" prop_hard_is_harmonic;

@@ -500,6 +500,14 @@ let test_hostile_soak_seed_sensitive () =
   Alcotest.(check bool) "different seed, different digest" false
     (Int64.equal a.Hostile.digest c.Hostile.digest)
 
+(* Bit-identity pin: the hostile soak's response and journal digests. *)
+let test_hostile_soak_pinned_digests () =
+  let s = small_soak () in
+  Alcotest.(check string) "response digest" "f0f67da362d7a4d9"
+    (Printf.sprintf "%016Lx" s.Hostile.digest);
+  Alcotest.(check string) "journal digest" "84c8ed5d6d7d3574"
+    (Printf.sprintf "%016Lx" s.Hostile.journal_digest)
+
 let suite =
   ( "net",
     [
@@ -535,4 +543,6 @@ let suite =
         test_hostile_soak_invariants;
       case "hostile soak: digest seeded and replayable"
         test_hostile_soak_seed_sensitive;
+      case "hostile soak: pinned response and journal digests"
+        test_hostile_soak_pinned_digests;
     ] )

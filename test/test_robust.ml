@@ -500,6 +500,70 @@ let test_resilient_observed_starved_event_trail () =
   Alcotest.(check bool) "a starved component is flagged stagnated" true
     (stagnated <> [])
 
+(* Bit-identity pin: both resilient solvers over the fault problems
+   above (seeds 0-99, each fault class in turn), in dense and CSR
+   storage.  One digest covers the prediction bits and component rungs;
+   another the observed certificates. *)
+let fault_problems () =
+  List.concat_map
+    (fun (classes, graph_of) ->
+      List.init 100 (fun seed ->
+          let rng = Prng.Rng.create seed in
+          let w, labels = two_cluster rng in
+          let fault = List.nth classes (seed mod List.length classes) in
+          let inj = Fault.inject rng ~n_labeled:6 [ fault ] (graph_of w) labels in
+          ( Gssl.Problem.make_unchecked ~graph:inj.Fault.graph
+              ~labels:inj.Fault.labels,
+            inj.Fault.cg_max_iter )))
+    [ (sparse_fault_classes, sparse_graph_of); (dense_fault_classes, Wg.of_dense) ]
+
+let fault_reports ~observe =
+  List.concat_map
+    (fun (p, cap) ->
+      let hard =
+        Resilient.solve_hard ~suspect_threshold:0.5 ?cg_max_iter:cap ~observe p
+      in
+      let soft =
+        Resilient.solve_soft ~suspect_threshold:0.5 ?cg_max_iter:cap ~observe
+          ~lambda:0.5 p
+      in
+      [ hard; soft ])
+    (fault_problems ())
+
+let test_resilient_pinned_digests () =
+  let predictions =
+    digest_hex (fun b ->
+        List.iter
+          (fun (r : Resilient.report) ->
+            Array.iter (add_float_bits b) r.Resilient.predictions;
+            List.iter
+              (fun (c, rung) -> Buffer.add_string b (Printf.sprintf "%d:%s;" c rung))
+              r.Resilient.rungs)
+          (fault_reports ~observe:false))
+  in
+  let certificates =
+    digest_hex (fun b ->
+        List.iter
+          (fun (r : Resilient.report) ->
+            List.iter
+              (fun (c, (cert : Obs.Health.t)) ->
+                Buffer.add_string b
+                  (Printf.sprintf "%d:%s:%d;" c cert.Obs.Health.system
+                     cert.Obs.Health.dim);
+                add_float_bits b cert.Obs.Health.true_residual;
+                Option.iter (add_float_bits b) cert.Obs.Health.cond_estimate;
+                Option.iter
+                  (fun (cv : Obs.Health.convergence) ->
+                    Buffer.add_string b (string_of_int cv.Obs.Health.iterations);
+                    add_float_bits b cv.Obs.Health.final_residual;
+                    add_float_bits b cv.Obs.Health.best_residual)
+                  cert.Obs.Health.convergence)
+              r.Resilient.certificates)
+          (fault_reports ~observe:true))
+  in
+  Alcotest.(check string) "predictions and rungs" "bcf231b9c1ac81f47a3d68fe81ce137a" predictions;
+  Alcotest.(check string) "certificates" "c077ac9fdb988245936be34e06f861eb" certificates
+
 let suite =
   ( "robust",
     [
@@ -531,6 +595,8 @@ let suite =
         test_resilient_clean_soft_matches_soft;
       case "resilient observed: starved cg leaves ordered event trail"
         test_resilient_observed_starved_event_trail;
+      case "resilient: pinned fault-problem digests, dense and CSR"
+        test_resilient_pinned_digests;
       qprop ~count:210 "any single fault: sparse resilient never raises, names it"
         prop_fault_sparse;
       qprop ~count:200 "any single fault: dense resilient never raises, names it"

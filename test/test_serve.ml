@@ -353,6 +353,29 @@ let test_engine_clean_query_served_from_cache () =
   Alcotest.(check int) "stats served" 1 s.Engine.served;
   Alcotest.(check int) "stats cache hits" 1 s.Engine.cache_hits
 
+(* An unanchored component has no Eq. (5) answer, so the engine must
+   not warm its cache with one: the query takes the full solve, which
+   imputes the labeled mean (Prop II.2), at every pair weight. *)
+let test_engine_unanchored_not_cached () =
+  List.iter
+    (fun w ->
+      let clock = Clock.virtual_ () in
+      let engine =
+        Engine.create ~clock Engine.default_config (unanchored_pair_problem w)
+      in
+      let r = Engine.handle engine (req ~clock 1) in
+      Alcotest.(check bool)
+        (Printf.sprintf "w = %g: not a cache hit" w)
+        false r.Engine.cache_hit;
+      List.iter
+        (fun v ->
+          check_float ~tol:0.
+            (Printf.sprintf "w = %g: vertex %d gets the labeled mean" w v)
+            0.5
+            (List.assoc v (Array.to_list r.Engine.predictions)))
+        [ 3; 4 ])
+    [ 0.3; 0.7; 0.01 ]
+
 let test_engine_stall_burns_deadline () =
   let engine, clock, _ = engine_fixture () in
   let r =
@@ -612,6 +635,16 @@ let test_soak_deterministic_replay () =
   Alcotest.(check bool) "verify_replay passes" true v.Soak.replay_verified;
   Alcotest.(check bool) "ok" true (Soak.ok v)
 
+(* Bit-identity pin: the 400-request soak's response and journal
+   digests.  Changes to how the solvers assemble, restrict or certify a
+   system must leave both unchanged. *)
+let test_soak_pinned_digests () =
+  let s = Soak.run { (small_soak ()) with Soak.journal = true } in
+  Alcotest.(check string) "response digest" "a2dc268d288265ec"
+    (Printf.sprintf "%016Lx" s.Soak.digest);
+  Alcotest.(check string) "journal digest" "fad890cb3ed620c0"
+    (Printf.sprintf "%016Lx" s.Soak.journal_digest)
+
 let suite =
   ( "serve",
     [
@@ -642,6 +675,8 @@ let suite =
         test_latency_stall_injector;
       case "engine: clean query served from warm cache, certified"
         test_engine_clean_query_served_from_cache;
+      case "engine: unanchored component is never served from cache"
+        test_engine_unanchored_not_cached;
       case "engine: stall past deadline -> degraded + diagnostic"
         test_engine_stall_burns_deadline;
       case "engine: starved solves retry, degrade, trip breaker"
@@ -660,4 +695,5 @@ let suite =
         test_soak_holds_invariants;
       case "soak: digest-identical replay, seed-sensitive"
         test_soak_deterministic_replay;
+      case "soak: pinned response and journal digests" test_soak_pinned_digests;
     ] )

@@ -68,3 +68,25 @@ let qprop ?(count = 100) name prop =
 
 let qprop_pair ?(count = 100) name gen2 prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen2 prop)
+
+(* Labels 0 and 1 on vertices 0 and 1, both joined to vertex 2
+   (weights 1 and 0.7); vertices 3 and 4 form an unanchored pair of
+   weight [w].  Its hard system is singular, but at some weights a
+   Cholesky factorization of it still succeeds in floating point. *)
+let unanchored_pair_problem w =
+  let m = Mat.zeros 5 5 in
+  List.iter
+    (fun (i, j, x) ->
+      Mat.set m i j x;
+      Mat.set m j i x)
+    [ (0, 2, 1.); (1, 2, 0.7); (3, 4, w) ];
+  Gssl.Problem.make ~graph:(Graph.Weighted_graph.of_dense m) ~labels:[| 0.; 1. |]
+
+(* Hex MD5 of a byte buffer filled by [fill]: a compact pin for
+   bit-identity tests. *)
+let digest_hex fill =
+  let b = Buffer.create 4096 in
+  fill b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let add_float_bits b x = Buffer.add_int64_le b (Int64.bits_of_float x)
