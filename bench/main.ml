@@ -291,7 +291,7 @@ let scalable_ablation =
   in
   [
     Test.make ~name:"scalable: csr+cg hard solve (800 pts, knn-12)"
-      (Staged.stage (fun () -> Gssl.Scalable.solve ~tol:1e-9 sparse_problem));
+      (Staged.stage (fun () -> Gssl.Scalable.solve_hard ~tol:1e-9 sparse_problem));
     Test.make ~name:"scalable: dense cholesky hard solve (800 pts, knn-12)"
       (Staged.stage (fun () -> Gssl.Hard.solve sparse_problem));
     Test.make ~name:"scalable: gauss-seidel hard solve (800 pts, knn-12)"
@@ -536,7 +536,7 @@ module Profile = struct
             Gssl.Hard.solve ~solver:Gssl.Hard.Cholesky ~observe:true
               dense_problem);
         run_phase "hard_cg" (fun () ->
-            Gssl.Scalable.solve ~tol:1e-9 sparse_problem);
+            Gssl.Scalable.solve_hard ~tol:1e-9 sparse_problem);
         run_phase "hard_gauss_seidel" (fun () ->
             Gssl.Scalable.solve_stationary ~tol:1e-9
               Sparse.Stationary.Gauss_seidel sparse_problem);

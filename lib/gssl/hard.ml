@@ -45,42 +45,16 @@ let solve ?(solver = Cholesky) ?(observe = false) problem =
     check_anchored problem;
     let a = system_matrix problem in
     let b = rhs problem in
-    if not observe then
+    let x, attempts =
       match solver with
-      | Cholesky -> Linalg.Cholesky.solve a b
-      | Lu -> Linalg.Lu.solve a b
-      | Cg { tol } -> Sparse.Cg.solve_exn ~tol (Sparse.Linop.of_dense a) b
-    else begin
-      (* observed path: same solve, plus a health certificate recomputed
-         from the returned solution (Eq. 5 system (D22 - W22) f = W21 y) *)
-      let x, convergence, cg_failure =
-        match solver with
-        | Cholesky -> (Linalg.Cholesky.solve a b, None, None)
-        | Lu -> (Linalg.Lu.solve a b, None, None)
-        | Cg { tol } ->
-            let op = Sparse.Linop.of_dense a in
-            let out = Sparse.Cg.solve ~tol op b in
-            let conv =
-              Obs.Health.convergence ~iterations:out.Sparse.Cg.iterations
-                ~final_residual:out.Sparse.Cg.residual_norm
-                ~best_residual:out.Sparse.Cg.best_residual
-                ~converged:out.Sparse.Cg.converged
-            in
-            ( out.Sparse.Cg.solution,
-              Some conv,
-              if out.Sparse.Cg.converged then None
-              else Some (fun () -> Sparse.Cg.ensure_converged op b out) )
-      in
-      let cert =
-        Obs.Health.certify ~system:"gssl.hard" ~rung:(solver_name solver)
-          ~cond:(Linalg.Refine.condition_estimate a)
-          ?convergence ~apply:(Mat.mv a) ~b x
-      in
-      Obs.Health.record cert;
-      (* certificate first, then the same Failure solve_exn would raise *)
-      (match cg_failure with Some raise_it -> raise_it () | None -> ());
-      x
-    end
+      | Cholesky -> (Linalg.Cholesky.solve a b, [])
+      | Lu -> (Linalg.Lu.solve a b, [])
+      | Cg { tol } ->
+          let out = Sparse.Cg.solve ~tol (Sparse.Linop.of_dense a) b in
+          (out.Sparse.Cg.solution, [ out ])
+    in
+    System.finish ~observe ~system:"gssl.hard" ~rung:(solver_name solver)
+      ~attempts { System.a = System.Dense a; b } x
   end
 
 let solve_full ?solver ?observe problem =

@@ -48,8 +48,8 @@ val system_matrix : Problem.t -> Linalg.Mat.t
 (** [D₂₂ − W₂₂] — exposed for tests and the theory diagnostics. *)
 
 val rhs : Problem.t -> Linalg.Vec.t
-(** [W₂₁ Y] — the right-hand side matching {!system_matrix}; exposed so
-    {!Resilient} can assemble per-component systems. *)
+(** [W₂₁ Y] — the right-hand side matching {!system_matrix}, summed over
+    the labels in vertex order. *)
 
 val energy : Problem.t -> Linalg.Vec.t -> float
 (** The objective [Σ_ij w_ij (f_i − f_j)²] of a full score vector — the

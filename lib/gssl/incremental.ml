@@ -4,48 +4,26 @@ module Vec = Linalg.Vec
 type t = {
   graph : Graph.Weighted_graph.t;
   known : (int, float) Hashtbl.t;    (* graph vertex -> label *)
+  n_labeled : int;                   (* labeled at creation: 0 … n−1 *)
+  system : System.t;                 (* Eq. (5) at creation *)
   mutable unlabeled : int array;     (* ascending graph indices *)
   mutable inverse : Mat.t;           (* (D22 - W22)^{-1} on [unlabeled] *)
   mutable rhs : Vec.t;               (* W21 y on [unlabeled] *)
 }
 
 let create problem =
+  Hard.check_anchored problem;
   let n = Problem.n_labeled problem in
-  let total = Problem.size problem in
-  let known = Hashtbl.create (total + 1) in
-  for i = 0 to n - 1 do
-    Hashtbl.replace known i problem.Problem.labels.(i)
-  done;
-  let unlabeled = Array.init (total - n) (fun a -> n + a) in
-  (* reuse Hard's singularity detection, then invert *)
-  let system = Hard.system_matrix problem in
-  (match
-     (* a singular system means an unanchored component; surface the same
-        exception Hard.solve would *)
-     Linalg.Cholesky.factor system
-   with
-  | exception Linalg.Cholesky.Not_positive_definite _ ->
-      (match
-         Array.to_seq unlabeled
-         |> Seq.find (fun _ -> true)
-       with
-      | Some v -> raise (Hard.Unanchored_unlabeled v)
-      | None -> ())
-  | _ -> ());
-  let inverse = Linalg.Cholesky.inverse system in
-  let g = problem.Problem.graph in
-  let rhs =
-    Array.map
-      (fun v ->
-        let acc = ref 0. in
-        for i = 0 to n - 1 do
-          acc := !acc +. (Graph.Weighted_graph.weight g v i
-                          *. problem.Problem.labels.(i))
-        done;
-        !acc)
-      unlabeled
-  in
-  { graph = g; known; unlabeled; inverse; rhs }
+  let known = Hashtbl.create (Problem.size problem + 1) in
+  Array.iteri (Hashtbl.replace known) problem.Problem.labels;
+  let a = Hard.system_matrix problem and b = Hard.rhs problem in
+  { graph = problem.Problem.graph;
+    known;
+    n_labeled = n;
+    system = { System.a = System.Dense a; b };
+    unlabeled = Problem.unlabeled_indices problem;
+    inverse = Linalg.Cholesky.inverse a;
+    rhs = Vec.copy b }
 
 let predict t =
   let scores = Mat.mv t.inverse t.rhs in
@@ -87,3 +65,22 @@ let labels t =
   Array.of_list (List.sort compare out)
 
 let graph t = t.graph
+
+(* The creation-time system restricted to the still-unlabeled vertices,
+   with b continued over the revealed labels in ascending vertex order —
+   the order a fresh assembly over all known labels would sum them in. *)
+let system t =
+  let sub =
+    System.restrict (Array.map (fun v -> v - t.n_labeled) t.unlabeled) t.system
+  in
+  let revealed = List.filter (fun (v, _) -> v >= t.n_labeled) (Array.to_list (labels t)) in
+  let b =
+    Array.mapi
+      (fun p bp ->
+        List.fold_left
+          (fun acc (l, y) ->
+            acc +. (Graph.Weighted_graph.weight t.graph t.unlabeled.(p) l *. y))
+          bp revealed)
+      sub.System.b
+  in
+  { sub with System.b }

@@ -14,7 +14,8 @@ type t
 
 val create : Problem.t -> t
 (** O(m³) setup: invert the initial system matrix.  Raises
-    {!Hard.Unanchored_unlabeled} like {!Hard.solve}. *)
+    {!Hard.Unanchored_unlabeled} like {!Hard.solve} ({!Hard.check_anchored}),
+    whatever the weights of the unanchored component. *)
 
 val predict : t -> (int * float) array
 (** Current scores, as [(graph_vertex, score)] pairs for every
@@ -34,3 +35,10 @@ val labels : t -> (int * float) array
 
 val graph : t -> Graph.Weighted_graph.t
 (** The (fixed) underlying similarity graph. *)
+
+val system : t -> System.t
+(** The current Eq. (5) system over {!remaining}: the creation-time
+    [Dense] system restricted to those vertices ({!System.restrict}),
+    its right-hand side continued over the revealed labels in ascending
+    vertex order — what the system of the current labels sums, whatever
+    order they were revealed in.  O(m²); for certifying {!predict}. *)

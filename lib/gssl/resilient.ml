@@ -62,171 +62,45 @@ let partition comps n =
   done;
   List.init n_comp (fun c -> (c, labeled.(c), unlabeled.(c)))
 
-(* Restriction of a sparse graph to [verts] (globals, in local order),
-   as a local CSR.  Only intra-component edges exist in a sanitised
-   graph, so no weight is lost. *)
-let sub_csr csr verts =
-  let s = Array.length verts in
-  let local = Hashtbl.create (2 * s) in
-  Array.iteri (fun p v -> Hashtbl.replace local v p) verts;
-  let coo = Sparse.Coo.create s s in
-  Array.iteri
-    (fun p v ->
-      Sparse.Csr.iter_row csr v (fun col w ->
-          if w <> 0. then
-            match Hashtbl.find_opt local col with
-            | Some q -> Sparse.Coo.add coo p q w
-            | None -> ()))
-    verts;
-  Sparse.Csr.of_coo coo
-
-(* Summarise every CG attempt of a sparse fallback chain into one
-   convergence record: total iterations, the last attempt's final
-   residual, the best residual any attempt reached.  A chain whose last
-   CG attempt failed is flagged as stagnated even when a later rung
-   (Gauss-Seidel, dense direct) produced the answer — the flag explains
-   *why* the fallback happened. *)
-let convergence_of_attempts = function
-  | [] -> None
-  | attempts ->
-      let total =
-        List.fold_left
-          (fun acc (o : Sparse.Cg.outcome) -> acc + o.Sparse.Cg.iterations)
-          0 attempts
-      in
-      let last = List.nth attempts (List.length attempts - 1) in
-      let best =
-        List.fold_left
-          (fun acc (o : Sparse.Cg.outcome) ->
-            Float.min acc o.Sparse.Cg.best_residual)
-          Float.infinity attempts
-      in
-      Some
-        (Obs.Health.convergence ~iterations:total
-           ~final_residual:last.Sparse.Cg.residual_norm ~best_residual:best
-           ~converged:last.Sparse.Cg.converged)
-
-let dense_cert ~system ~rung a b solution =
-  Obs.Health.certify ~system ~rung
-    ~cond:(Linalg.Refine.condition_estimate a)
-    ~apply:(Mat.mv a) ~b solution
-
-let sparse_cert ~system ~rung ~attempts a b solution =
-  let op = Sparse.Linop.of_csr a in
-  let cond =
-    Obs.Health.cond_estimate ~dim:(Array.length b)
-      ~apply:op.Sparse.Linop.apply
-      ~solve:(fun v ->
-        (Sparse.Cg.solve ~precondition:true op v).Sparse.Cg.solution)
-      ()
+(* One component's restricted system through the fallback chain of its
+   storage, with its certificate when observed. *)
+let solve_component ?cg_max_iter ?should_stop ~observe ~system (sys : System.t) =
+  let finish (out : _ Rsolve.outcome) rung =
+    let cert =
+      if observe then
+        Some
+          (System.certify ~system ~rung ~attempts:out.Rsolve.cg_attempts sys
+             out.Rsolve.solution)
+      else None
+    in
+    (out.Rsolve.solution, rung, out.Rsolve.escalations, cert,
+     out.Rsolve.timings, out.Rsolve.aborted)
   in
-  Obs.Health.certify ~system ~rung ~cond
-    ?convergence:(convergence_of_attempts attempts)
-    ~apply:op.Sparse.Linop.apply ~b solution
+  match sys.System.a with
+  | System.Dense a ->
+      let out = Rsolve.solve_dense ?should_stop a sys.System.b in
+      finish out (Rsolve.dense_rung_name out.Rsolve.rung)
+  | System.Csr a ->
+      let out = Rsolve.solve_sparse ?cg_max_iter ?should_stop a sys.System.b in
+      finish out (Rsolve.sparse_rung_name out.Rsolve.rung)
+  | System.Lap _ | System.Op _ ->
+      invalid_arg "Resilient: no fallback chain for a fused or matrix-free system"
 
-(* Hard criterion on one anchored component: assemble the component's
-   (D − W) system in the same storage as the input and run the matching
-   fallback chain. *)
-let solve_hard_component ?cg_max_iter ?should_stop ~observe g y_clean verts n_lab =
-  let sub_labels = Array.init n_lab (fun p -> y_clean.(verts.(p))) in
-  match Wg.storage g with
+(* The hard system of the sanitised problem in its graph's storage. *)
+let hard_system problem =
+  match Wg.storage problem.Problem.graph with
   | Wg.Dense _ ->
-      let s = Array.length verts in
-      let w = Mat.init s s (fun p q -> Wg.weight g verts.(p) verts.(q)) in
-      let sub =
-        Problem.make_unchecked ~graph:(Wg.of_dense_unchecked w) ~labels:sub_labels
-      in
-      let a = Hard.system_matrix sub and b = Hard.rhs sub in
-      let out = Rsolve.solve_dense ?should_stop a b in
-      let rung = Rsolve.dense_rung_name out.Rsolve.rung in
-      let cert =
-        if observe then
-          Some (dense_cert ~system:"resilient.hard" ~rung a b out.Rsolve.solution)
-        else None
-      in
-      (out.Rsolve.solution, rung, out.Rsolve.escalations, cert,
-       out.Rsolve.timings, out.Rsolve.aborted)
-  | Wg.Sparse csr ->
-      let sub =
-        Problem.make_unchecked
-          ~graph:(Wg.of_sparse_unchecked (sub_csr csr verts))
-          ~labels:sub_labels
-      in
-      let a, b = Scalable.system_csr sub in
-      let out = Rsolve.solve_sparse ?cg_max_iter ?should_stop a b in
-      let rung = Rsolve.sparse_rung_name out.Rsolve.rung in
-      let cert =
-        if observe then
-          Some
-            (sparse_cert ~system:"resilient.hard" ~rung
-               ~attempts:out.Rsolve.cg_attempts a b out.Rsolve.solution)
-        else None
-      in
-      (out.Rsolve.solution, rung, out.Rsolve.escalations, cert,
-       out.Rsolve.timings, out.Rsolve.aborted)
+      { System.a = System.Dense (Hard.system_matrix problem); b = Hard.rhs problem }
+  | Wg.Sparse _ ->
+      let a, b = Scalable.system_csr problem in
+      { System.a = System.Csr a; b }
 
-(* Soft criterion on one anchored component: the component block of
-   (V + λL), solved over all component vertices; the unlabeled slice is
-   the prediction.  Degrees come from the sanitised full graph — equal
-   to component degrees since no edge crosses components. *)
-let solve_soft_component ?cg_max_iter ?should_stop ~observe ~lambda g y_clean verts
-    n_lab =
-  let s = Array.length verts in
-  let d = Wg.degrees g in
-  let rhs =
-    Array.init s (fun p -> if p < n_lab then y_clean.(verts.(p)) else 0.)
-  in
-  let slice_unlabeled (solution : Vec.t) = Vec.slice solution n_lab (s - n_lab) in
-  match Wg.storage g with
-  | Wg.Dense _ ->
-      let a =
-        Mat.init s s (fun p q ->
-            let gp = verts.(p) in
-            let w = Wg.weight g gp verts.(q) in
-            let lap = if p = q then d.(gp) -. w else -.w in
-            let v = if p = q && p < n_lab then 1. else 0. in
-            v +. (lambda *. lap))
-      in
-      let out = Rsolve.solve_dense ?should_stop a rhs in
-      let rung = Rsolve.dense_rung_name out.Rsolve.rung in
-      let cert =
-        if observe then
-          Some (dense_cert ~system:"resilient.soft" ~rung a rhs out.Rsolve.solution)
-        else None
-      in
-      (slice_unlabeled out.Rsolve.solution, rung, out.Rsolve.escalations, cert,
-       out.Rsolve.timings, out.Rsolve.aborted)
-  | Wg.Sparse csr ->
-      let local = Hashtbl.create (2 * s) in
-      Array.iteri (fun p v -> Hashtbl.replace local v p) verts;
-      let coo = Sparse.Coo.create s s in
-      Array.iteri
-        (fun p v ->
-          let diag =
-            (if p < n_lab then 1. else 0.)
-            +. (lambda *. (d.(v) -. Wg.weight g v v))
-          in
-          Sparse.Coo.add coo p p diag;
-          Sparse.Csr.iter_row csr v (fun col w ->
-              if w <> 0. && col <> v then
-                match Hashtbl.find_opt local col with
-                | Some q -> Sparse.Coo.add coo p q (-.(lambda *. w))
-                | None -> ()))
-        verts;
-      let a = Sparse.Csr.of_coo coo in
-      let out = Rsolve.solve_sparse ?cg_max_iter ?should_stop a rhs in
-      let rung = Rsolve.sparse_rung_name out.Rsolve.rung in
-      let cert =
-        if observe then
-          Some
-            (sparse_cert ~system:"resilient.soft" ~rung
-               ~attempts:out.Rsolve.cg_attempts a rhs out.Rsolve.solution)
-        else None
-      in
-      (slice_unlabeled out.Rsolve.solution, rung, out.Rsolve.escalations, cert,
-       out.Rsolve.timings, out.Rsolve.aborted)
-
-let solve_impl ?suspect_threshold ~kind ~component_solver problem =
+(* [system] assembles the sanitised problem's system once; [rows labeled
+   unlabeled] names one component's positions in it, and the position
+   of its first unlabeled vertex among them.  Each anchored component is
+   then solved on the restriction of that system to its positions,
+   which no edge couples to the rest. *)
+let solve_impl ?suspect_threshold ~kind ~system ~rows ~solve problem =
   let g0 = problem.Problem.graph in
   let y0 = problem.Problem.labels in
   let n = Problem.n_labeled problem in
@@ -235,6 +109,7 @@ let solve_impl ?suspect_threshold ~kind ~component_solver problem =
   let mean = finite_mean y0 in
   let y_clean = sanitize_labels mean y0 in
   let g = sanitize_graph g0 in
+  let global = system (Problem.make_unchecked ~graph:g ~labels:y_clean) in
   let comps = Graph.Connectivity.components g in
   let groups = partition comps n in
   let n_components = List.length groups in
@@ -262,10 +137,9 @@ let solve_impl ?suspect_threshold ~kind ~component_solver problem =
       | _, [] -> ()
       | [], _ -> List.iter impute unlabeled
       | _ ->
-          let n_lab = List.length labeled in
-          let verts = Array.of_list (labeled @ unlabeled) in
+          let idx, first = rows labeled unlabeled in
           let solution, rung, escalations, cert, timings, comp_aborted =
-            component_solver g y_clean verts n_lab
+            solve (System.restrict idx global)
           in
           rungs := (c, rung) :: !rungs;
           rung_ms := (c, timings) :: !rung_ms;
@@ -285,7 +159,7 @@ let solve_impl ?suspect_threshold ~kind ~component_solver problem =
             escalations;
           List.iteri
             (fun p v ->
-              let x = solution.(p) in
+              let x = solution.(first + p) in
               if Float.is_finite x then predictions.(v - n) <- x else impute v)
             unlabeled)
     groups;
@@ -303,8 +177,13 @@ let solve_hard ?suspect_threshold ?cg_max_iter ?should_stop ?(observe = false)
     problem =
   Telemetry.Span.with_ "gssl.resilient_hard" @@ fun () ->
   Telemetry.Counter.incr c_hard;
-  solve_impl ?suspect_threshold ~kind:"hard"
-    ~component_solver:(solve_hard_component ?cg_max_iter ?should_stop ~observe)
+  let n = Problem.n_labeled problem in
+  solve_impl ?suspect_threshold ~kind:"hard" ~system:hard_system
+    ~rows:(fun _ unlabeled ->
+      (Array.of_list (List.map (fun v -> v - n) unlabeled), 0))
+    ~solve:
+      (solve_component ?cg_max_iter ?should_stop ~observe
+         ~system:"resilient.hard")
     problem
 
 let solve_soft ?suspect_threshold ?cg_max_iter ?should_stop ?(observe = false)
@@ -313,7 +192,10 @@ let solve_soft ?suspect_threshold ?cg_max_iter ?should_stop ?(observe = false)
     invalid_arg "Resilient.solve_soft: lambda must be strictly positive";
   Telemetry.Span.with_ "gssl.resilient_soft" @@ fun () ->
   Telemetry.Counter.incr c_soft;
-  solve_impl ?suspect_threshold ~kind:"soft"
-    ~component_solver:
-      (solve_soft_component ?cg_max_iter ?should_stop ~observe ~lambda)
+  solve_impl ?suspect_threshold ~kind:"soft" ~system:(Soft.system ~lambda)
+    ~rows:(fun labeled unlabeled ->
+      (Array.of_list (labeled @ unlabeled), List.length labeled))
+    ~solve:
+      (solve_component ?cg_max_iter ?should_stop ~observe
+         ~system:"resilient.soft")
     problem

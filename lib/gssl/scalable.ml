@@ -32,56 +32,17 @@ let system_lap problem =
       else if j < n && i >= n then rhs.(i - n) <- rhs.(i - n) +. (w *. y.(j)));
   (Sparse.Csr.of_coo coo, deg, rhs)
 
+(* The assembled matrix, derived from the fused form: each row holds its
+   diagonal deg'_v and −w for every stored W₂₂ entry. *)
 let system_csr problem =
-  let n = Problem.n_labeled problem and m = Problem.n_unlabeled problem in
-  let g = problem.Problem.graph in
-  let d = Problem.degrees problem in
-  let y = problem.Problem.labels in
+  let w, deg, b = system_lap problem in
+  let m = Vec.dim deg in
   let coo = Sparse.Coo.create m m in
-  let rhs = Vec.zeros m in
-  (* diagonal: full degree minus the self-loop weight *)
   for a = 0 to m - 1 do
-    let v = n + a in
-    Sparse.Coo.add coo a a (d.(v) -. Graph.Weighted_graph.weight g v v)
+    Sparse.Coo.add coo a a deg.(a);
+    Sparse.Csr.iter_row w a (fun c x -> Sparse.Coo.add coo a c (-.x))
   done;
-  (* off-diagonals and right-hand side from the edge list *)
-  Graph.Weighted_graph.iter_edges g (fun i j w ->
-      if i >= n && j >= n then begin
-        Sparse.Coo.add coo (i - n) (j - n) (-.w);
-        Sparse.Coo.add coo (j - n) (i - n) (-.w)
-      end
-      else if i < n && j >= n then rhs.(j - n) <- rhs.(j - n) +. (w *. y.(i))
-      else if j < n && i >= n then rhs.(i - n) <- rhs.(i - n) +. (w *. y.(j)));
-  (Sparse.Csr.of_coo coo, rhs)
-
-(* Restrict the fused system to the anchored unlabeled vertices.  Exact,
-   not approximate: unanchored components share no edges with anchored
-   ones, so dropping their rows/columns decouples nothing. *)
-let restrict_system w22 deg b mask =
-  let m = Array.length mask in
-  let sel = Array.make m (-1) in
-  let count = ref 0 in
-  for a = 0 to m - 1 do
-    if mask.(a) then begin
-      sel.(a) <- !count;
-      incr count
-    end
-  done;
-  let ms = !count in
-  let coo = Sparse.Coo.create ms ms in
-  for a = 0 to m - 1 do
-    if mask.(a) then
-      Sparse.Csr.iter_row w22 a (fun c w ->
-          if mask.(c) then Sparse.Coo.add coo sel.(a) sel.(c) w)
-  done;
-  let sdeg = Vec.zeros ms and sb = Vec.zeros ms in
-  for a = 0 to m - 1 do
-    if mask.(a) then begin
-      sdeg.(sel.(a)) <- deg.(a);
-      sb.(sel.(a)) <- b.(a)
-    end
-  done;
-  (Sparse.Csr.of_coo coo, sdeg, sb, sel)
+  (Sparse.Csr.of_coo coo, b)
 
 let solve_hard ?(tol = 1e-10) ?max_iter ?(observe = false)
     ?(precond = `Jacobi) ?should_stop ?(unanchored = `Raise) problem =
@@ -93,100 +54,53 @@ let solve_hard ?(tol = 1e-10) ?max_iter ?(observe = false)
   let m_all = Problem.n_unlabeled problem in
   if m_all = 0 then [||]
   else begin
-    let mask =
+    (* the anchored positions, when some are not: unanchored components
+       share no edges with anchored ones, so the restriction to the
+       anchored set is exact *)
+    let anchored =
       match unanchored with
       | `Raise ->
           Hard.check_anchored problem;
-          Array.make m_all true
-      | `Impute -> Problem.anchored_mask problem
+          None
+      | `Impute ->
+          let mask = Problem.anchored_mask problem in
+          if Array.for_all Fun.id mask then None
+          else
+            Some (Array.of_list (List.filter (Array.get mask) (List.init m_all Fun.id)))
     in
-    let w22, deg, b = system_lap problem in
-    let w22, deg, b, sel =
-      if Array.for_all Fun.id mask then (w22, deg, b, None)
-      else begin
-        let w, d, rhs, sel = restrict_system w22 deg b mask in
-        (w, d, rhs, Some sel)
-      end
-    in
-    let m = Vec.dim b in
+    let w, deg, b = system_lap problem in
+    let sys = { System.a = System.Lap { w; deg }; b } in
+    let sys = match anchored with None -> sys | Some idx -> System.restrict idx sys in
     let solution =
-      if m = 0 then [||]
+      if Vec.dim sys.System.b = 0 then [||]
       else begin
-        let op =
-          Sparse.Linop.of_fun ~dim:m
-            ~diag:(fun () ->
-              let wd = Sparse.Csr.diagonal w22 in
-              Array.init m (fun i -> deg.(i) -. wd.(i)))
-            (fun x -> Sparse.Csr.lap_mv w22 ~deg x)
-        in
         let precond_apply =
-          match precond with
-          | `Jacobi -> None
-          | `Multigrid ->
-              let mg = Sparse.Multigrid.build ~w:w22 ~diag:deg () in
+          match (precond, sys.System.a) with
+          | `Multigrid, System.Lap { w; deg } ->
+              let mg = Sparse.Multigrid.build ~w ~diag:deg () in
               Some (Sparse.Multigrid.precondition mg)
+          | _ -> None
         in
-        if not observe then begin
-          let out =
-            Sparse.Cg.solve ~tol ?max_iter ?precond_apply ?should_stop op b
-          in
-          Sparse.Cg.ensure_converged op b out;
+        let out =
+          Sparse.Cg.solve ~tol ?max_iter ?precond_apply ?should_stop
+            (System.operator sys.System.a) sys.System.b
+        in
+        let rung = match precond with `Jacobi -> "cg" | `Multigrid -> "mg_cg" in
+        System.finish ~observe ~system:"gssl.scalable" ~rung ~attempts:[ out ] sys
           out.Sparse.Cg.solution
-        end
-        else begin
-          let out =
-            Sparse.Cg.solve ~tol ?max_iter ?precond_apply ?should_stop op b
-          in
-          let convergence =
-            Obs.Health.convergence ~iterations:out.Sparse.Cg.iterations
-              ~final_residual:out.Sparse.Cg.residual_norm
-              ~best_residual:out.Sparse.Cg.best_residual
-              ~converged:out.Sparse.Cg.converged
-          in
-          let cond =
-            (* matrix-free estimate: power iteration on the operator and on
-               its inverse through an uncapped preconditioned CG solve *)
-            Obs.Health.cond_estimate ~dim:(Vec.dim b)
-              ~apply:op.Sparse.Linop.apply
-              ~solve:(fun v ->
-                (Sparse.Cg.solve ~precondition:true op v).Sparse.Cg.solution)
-              ()
-          in
-          let rung =
-            match precond with `Jacobi -> "cg" | `Multigrid -> "mg_cg"
-          in
-          let cert =
-            Obs.Health.certify ~system:"gssl.scalable" ~rung ~cond ~convergence
-              ~apply:op.Sparse.Linop.apply ~b out.Sparse.Cg.solution
-          in
-          Obs.Health.record cert;
-          (* certificate recorded even when the solve failed; then enforce
-             the same contract as the unobserved path *)
-          Sparse.Cg.ensure_converged op b out;
-          out.Sparse.Cg.solution
-        end
       end
     in
-    match sel with
+    match anchored with
     | None -> solution
-    | Some sel ->
+    | Some idx ->
         (* unanchored vertices carry no information from the labels: fill
            them with the labeled mean, the hard criterion's degenerate
            limit for an unanchored component (Prop II.2) *)
-        let ybar = Stats.Descriptive.mean problem.Problem.labels in
-        let out =
-          Array.init m_all (fun a ->
-              if sel.(a) >= 0 then solution.(sel.(a))
-              else begin
-                Telemetry.Counter.incr c_imputed;
-                ybar
-              end)
-        in
+        let out = Array.make m_all (Stats.Descriptive.mean problem.Problem.labels) in
+        Array.iteri (fun k a -> out.(a) <- solution.(k)) idx;
+        Telemetry.Counter.add c_imputed (m_all - Array.length idx);
         out
   end
-
-let solve ?tol ?max_iter ?observe problem =
-  solve_hard ?tol ?max_iter ?observe problem
 
 let solve_stationary ?(tol = 1e-10) ?max_iter method_ problem =
   Telemetry.Span.with_ "gssl.scalable_stationary_solve" @@ fun () ->

@@ -8,7 +8,7 @@
 
 val system_csr : Problem.t -> Sparse.Csr.t * Linalg.Vec.t
 (** The m×m CSR system matrix [D₂₂ − W₂₂] and the right-hand side
-    [W₂₁ Y], assembled from the graph's edge list without densifying. *)
+    [W₂₁ Y]: {!system_lap} with its diagonal stored. *)
 
 val system_lap : Problem.t -> Sparse.Csr.t * Linalg.Vec.t * Linalg.Vec.t
 (** The same system in fused form [(W₂₂, deg', W₂₁ Y)] with
@@ -16,18 +16,6 @@ val system_lap : Problem.t -> Sparse.Csr.t * Linalg.Vec.t * Linalg.Vec.t
     {!system_csr} assembles, but here it stays implicit so the solvers
     can stream it through {!Sparse.Csr.lap_mv} /
     {!Sparse.Stationary.solve_lap} in one pass per application. *)
-
-val solve :
-  ?tol:float -> ?max_iter:int -> ?observe:bool -> Problem.t -> Linalg.Vec.t
-(** Hard-criterion scores on the unlabeled block via CG on the CSR
-    system ([tol] default 1e-10).  Raises {!Hard.Unanchored_unlabeled}
-    when some unlabeled component carries no label, [Failure] on CG
-    non-convergence.
-
-    [~observe:true] (default false) records an [Obs.Health] certificate
-    (recomputed residual, matrix-free condition estimate, CG convergence
-    summary) — on a failed solve the certificate is recorded {e before}
-    the [Failure] is raised, so the stagnation evidence survives. *)
 
 val solve_hard :
   ?tol:float ->
@@ -38,8 +26,15 @@ val solve_hard :
   ?unanchored:[ `Raise | `Impute ] ->
   Problem.t ->
   Linalg.Vec.t
-(** The full-control hard-criterion solve ({!solve} is this with all
-    defaults).
+(** Hard-criterion scores on the unlabeled block via CG on the fused
+    system ([tol] default 1e-10).  Raises [Failure] when CG does not
+    converge.
+
+    [~observe:true] (default false) records an [Obs.Health] certificate
+    ({!System.certify}: recomputed residual, matrix-free condition
+    estimate, CG convergence summary) — on a failed solve it is recorded
+    {e before} the [Failure] is raised, so the stagnation evidence
+    survives.
 
     [precond] selects the CG preconditioner: [`Jacobi] (default, the
     operator diagonal) or [`Multigrid] — a symmetric V-cycle over a
@@ -51,9 +46,10 @@ val solve_hard :
 
     [unanchored] selects the policy for unlabeled components carrying
     no label: [`Raise] (default) raises {!Hard.Unanchored_unlabeled}
-    like {!solve}; [`Impute] solves the anchored subsystem exactly
-    (unanchored components share no edges with it, so the restriction
-    loses nothing) and fills unanchored vertices with the labeled mean —
+    like {!Hard.solve}; [`Impute] solves {!System.restrict} of the
+    system to the anchored vertices (unanchored components share no
+    edges with them, so the restriction is exact) and fills unanchored
+    vertices with the labeled mean —
     the hard criterion's degenerate limit for such components
     (Prop II.2).  Imputed vertices are counted on
     [gssl.scalable_imputed]; multigrid solves on

@@ -37,6 +37,26 @@ let solve_full_cholesky ~lambda problem =
   | exception Linalg.Cholesky.Not_positive_definite _ ->
       failwith "Soft.solve: system not positive definite (disconnected graph?)"
 
+(* V + λL in the graph's own storage: the dense matrix, or CSR assembled
+   row by row from each row's stored weights. *)
+let system ~lambda problem =
+  let b = padded_labels problem in
+  match Graph.Weighted_graph.storage problem.Problem.graph with
+  | Graph.Weighted_graph.Dense _ ->
+      { System.a = System.Dense (full_matrix ~lambda problem); b }
+  | Graph.Weighted_graph.Sparse w ->
+      let n = Problem.n_labeled problem in
+      let d = Problem.degrees problem in
+      let total = Problem.size problem in
+      let coo = Sparse.Coo.create total total in
+      for v = 0 to total - 1 do
+        let vdiag = if v < n then 1. else 0. in
+        Sparse.Coo.add coo v v (vdiag +. (lambda *. (d.(v) -. Sparse.Csr.get w v v)));
+        Sparse.Csr.iter_row w v (fun j x ->
+            if x <> 0. && j <> v then Sparse.Coo.add coo v j (-.(lambda *. x)))
+      done;
+      { System.a = System.Csr (Sparse.Csr.of_coo coo); b }
+
 let full_operator ~lambda problem =
   Graph.Laplacian.operator ~lambda ~n_labeled:(Problem.n_labeled problem)
     problem.Problem.graph
@@ -79,71 +99,43 @@ let method_name = function
   | Block -> "block"
   | Cg _ -> "cg"
 
-let solve_full_plain ~method_ ~lambda problem =
-  match method_ with
-  | Full_cholesky -> solve_full_cholesky ~lambda problem
-  | Cg { tol } -> solve_full_cg ~tol ~lambda problem
-  | Block ->
-      (* reconstruct the labeled part from the unlabeled part via the top
-         block equation: f_L = (I + λD11 − λW11)^{-1} (Y + λ W12 f_U) *)
-      let n = Problem.n_labeled problem in
-      let f_u = solve_block ~lambda problem in
-      let _, w12, _, _ = Problem.blocks problem in
-      let d = Problem.degrees problem in
-      let w11, _, _, _ = Problem.blocks problem in
-      let top =
-        Mat.init n n (fun i j ->
-            let v = if i = j then 1. +. (lambda *. d.(i)) else 0. in
-            v -. (lambda *. Mat.get w11 i j))
-      in
-      let rhs =
-        if Array.length f_u = 0 then Vec.copy problem.Problem.labels
-        else Vec.add problem.Problem.labels (Vec.scale lambda (Mat.mv w12 f_u))
-      in
-      let f_l = Linalg.Lu.solve top rhs in
-      Vec.concat f_l f_u
+(* Block: reconstruct the labeled part from the unlabeled part via the
+   top block equation f_L = (I + λD11 − λW11)^{-1} (Y + λ W12 f_U). *)
+let solve_full_block ~lambda problem =
+  let n = Problem.n_labeled problem in
+  let f_u = solve_block ~lambda problem in
+  let w11, w12, _, _ = Problem.blocks problem in
+  let d = Problem.degrees problem in
+  let top =
+    Mat.init n n (fun i j ->
+        let v = if i = j then 1. +. (lambda *. d.(i)) else 0. in
+        v -. (lambda *. Mat.get w11 i j))
+  in
+  let rhs =
+    if Array.length f_u = 0 then Vec.copy problem.Problem.labels
+    else Vec.add problem.Problem.labels (Vec.scale lambda (Mat.mv w12 f_u))
+  in
+  let f_l = Linalg.Lu.solve top rhs in
+  Vec.concat f_l f_u
 
 let solve_full ?(method_ = Full_cholesky) ?(observe = false) ~lambda problem =
   check_lambda lambda;
   Telemetry.Span.with_ "gssl.soft_solve_full" @@ fun () ->
   Telemetry.Counter.incr c_solves;
-  if not observe then solve_full_plain ~method_ ~lambda problem
-  else begin
-    (* observed path: same full (n+m) solve of (V + λL) f = (Y; 0), plus
-       a health certificate recomputed against the matrix-free operator *)
-    let op = full_operator ~lambda problem in
-    let b = padded_labels problem in
-    let x, convergence, cg_failure =
-      match method_ with
-      | Cg { tol } ->
-          let out = Sparse.Cg.solve ~tol op b in
-          let conv =
-            Obs.Health.convergence ~iterations:out.Sparse.Cg.iterations
-              ~final_residual:out.Sparse.Cg.residual_norm
-              ~best_residual:out.Sparse.Cg.best_residual
-              ~converged:out.Sparse.Cg.converged
-          in
-          ( out.Sparse.Cg.solution,
-            Some conv,
-            if out.Sparse.Cg.converged then None
-            else Some (fun () -> Sparse.Cg.ensure_converged op b out) )
-      | Full_cholesky | Block ->
-          (solve_full_plain ~method_ ~lambda problem, None, None)
-    in
-    let cond =
-      Obs.Health.cond_estimate ~dim:(Vec.dim b) ~apply:op.Sparse.Linop.apply
-        ~solve:(fun v ->
-          (Sparse.Cg.solve ~precondition:true op v).Sparse.Cg.solution)
-        ()
-    in
-    let cert =
-      Obs.Health.certify ~system:"gssl.soft" ~rung:(method_name method_) ~cond
-        ?convergence ~apply:op.Sparse.Linop.apply ~b x
-    in
-    Obs.Health.record cert;
-    (match cg_failure with Some raise_it -> raise_it () | None -> ());
-    x
-  end
+  (* certificates cover the full (n+m) system (V + λL) f = (Y; 0), through
+     the matrix-free operator *)
+  let op = full_operator ~lambda problem in
+  let b = padded_labels problem in
+  let x, attempts =
+    match method_ with
+    | Full_cholesky -> (solve_full_cholesky ~lambda problem, [])
+    | Block -> (solve_full_block ~lambda problem, [])
+    | Cg { tol } ->
+        let out = Sparse.Cg.solve ~tol op b in
+        (out.Sparse.Cg.solution, [ out ])
+  in
+  System.finish ~observe ~system:"gssl.soft" ~rung:(method_name method_)
+    ~attempts { System.a = System.Op op; b } x
 
 let solve ?(method_ = Full_cholesky) ?(observe = false) ~lambda problem =
   check_lambda lambda;

@@ -34,6 +34,12 @@ val solve_full :
     *smoothed*, not equal to the observed responses (that is the point
     of the soft criterion). *)
 
+val system : lambda:float -> Problem.t -> System.t
+(** The full (n+m) system [(V + λL) f = (Y; 0)] in the graph's storage:
+    [Dense] for a dense graph, [Csr] (each row's diagonal
+    [v_i + λ(d_i − w_ii)] and its stored off-diagonal weights [−λ w_ij])
+    for a sparse one.  {!Resilient} restricts it to each component. *)
+
 val method_name : method_ -> string
 
 val objective : lambda:float -> Problem.t -> Linalg.Vec.t -> float

@@ -1,6 +1,3 @@
-module Vec = Linalg.Vec
-module Mat = Linalg.Mat
-module Wg = Graph.Weighted_graph
 module Check = Robust.Check
 module Fault = Robust.Fault
 module Problem = Gssl.Problem
@@ -128,10 +125,11 @@ let create ?(clock = Clock.monotonic ()) ?journal config problem =
   let cache = Cache.create ~capacity:config.cache_capacity () in
   let base_key = Cache.key problem.Problem.graph in
   (* Warm the factorization cache: the server's whole point is paying the
-     O(m^3) inverse once.  An unanchorable graph simply leaves the cache
-     cold — queries then take the resilient full-solve path. *)
+     O(m^3) inverse once.  An unanchored component, or a system too badly
+     conditioned to factor, simply leaves the cache cold — queries then
+     take the resilient full-solve path. *)
   (try Cache.put cache base_key (Incremental.create problem)
-   with Gssl.Hard.Unanchored_unlabeled _ -> ());
+   with Gssl.Hard.Unanchored_unlabeled _ | Linalg.Cholesky.Not_positive_definite _ -> ());
   { config;
     clock;
     (* the costs stand in for work on a virtual clock; a real clock
@@ -221,35 +219,15 @@ let mean_predictions t =
   let m = Problem.n_unlabeled t.problem in
   Array.init m (fun i -> (n + i, mean))
 
-(* The current hard system of a cached incremental state, reassembled
-   from the graph for certification: A[p][q] = d(v_p) − w(v_p,v_p) on the
-   diagonal, −w(v_p,v_q) off it, over the still-unlabeled vertices;
-   b[p] = Σ w(v_p, l)·y_l over known labels.  O(m²) — the price of an
-   honestly recomputed residual on the cache-hit path. *)
+(* The cached state's current Eq. (5) system, certified against its
+   predictions: an honestly recomputed residual on the cache-hit path. *)
 let certify_incremental inc =
-  let rem = Incremental.remaining inc in
-  let m = Array.length rem in
-  if m = 0 then None
-  else begin
-    let g = Incremental.graph inc in
-    let d = Wg.degrees g in
-    let labels = Incremental.labels inc in
-    let a =
-      Mat.init m m (fun p q ->
-          let vp = rem.(p) and vq = rem.(q) in
-          if p = q then d.(vp) -. Wg.weight g vp vp else -.(Wg.weight g vp vq))
-    in
-    let b =
-      Array.init m (fun p ->
-          Array.fold_left
-            (fun acc (l, y) -> acc +. (Wg.weight g rem.(p) l *. y))
-            0. labels)
-    in
+  if Incremental.n_remaining inc = 0 then None
+  else
     let x = Array.map snd (Incremental.predict inc) in
     Some
-      (Obs.Health.certify ~system:"serve.incremental" ~rung:"sherman_morrison"
-         ~apply:(Mat.mv a) ~b x)
-  end
+      (Gssl.System.certify ~system:"serve.incremental" ~rung:"sherman_morrison"
+         ~cond:false (Incremental.system inc) x)
 
 (* The least healthy certificate of a resilient report — the one worth
    surfacing on the response. *)

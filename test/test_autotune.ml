@@ -176,7 +176,7 @@ let scalable_fused_matches_hard =
       let labels = Array.init l (fun _ -> if Prng.Rng.bool rng then 1. else 0.) in
       let p = Gssl.Problem.make ~graph:(Wg.of_dense w) ~labels in
       let dense = Gssl.Hard.solve p in
-      let cg = Gssl.Scalable.solve ~tol:1e-12 p in
+      let cg = Gssl.Scalable.solve_hard ~tol:1e-12 p in
       check_vec ~tol:1e-6 "CG via lap_mv = dense Hard" dense cg;
       let gs =
         Gssl.Scalable.solve_stationary ~tol:1e-12

@@ -304,10 +304,10 @@ let prop_scalable_matches_dense seed =
   match Gssl.Hard.solve p with
   | exception Gssl.Hard.Unanchored_unlabeled _ -> (
       (* the sparse path must agree on the failure too *)
-      match Scal.solve p with
+      match Scal.solve_hard p with
       | exception Gssl.Hard.Unanchored_unlabeled _ -> true
       | _ -> false)
-  | dense -> Vec.approx_equal ~tol:1e-6 dense (Scal.solve ~tol:1e-12 p)
+  | dense -> Vec.approx_equal ~tol:1e-6 dense (Scal.solve_hard ~tol:1e-12 p)
 
 let prop_scalable_stationary_matches seed =
   let rng = Prng.Rng.create seed in

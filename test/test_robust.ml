@@ -300,7 +300,7 @@ let test_unanchored_raisers_consistent () =
     | _ -> Alcotest.failf "%s should raise Unanchored_unlabeled" name
   in
   expect_raise "Hard.solve" (fun () -> ignore (Gssl.Hard.solve dense));
-  expect_raise "Scalable.solve" (fun () -> ignore (Gssl.Scalable.solve sparse));
+  expect_raise "Scalable.solve_hard" (fun () -> ignore (Gssl.Scalable.solve_hard sparse));
   expect_raise "Incremental.create" (fun () ->
       ignore (Gssl.Incremental.create dense));
   expect_raise "Random_walk.absorption_matrix" (fun () ->
@@ -352,7 +352,7 @@ let test_resilient_clean_sparse_matches_scalable () =
   List.iter
     (fun (_, rung) -> Alcotest.(check string) "first sparse rung" "cg" rung)
     r.Resilient.rungs;
-  check_vec ~tol:1e-5 "matches Scalable.solve" (Gssl.Scalable.solve p)
+  check_vec ~tol:1e-5 "matches Scalable.solve_hard" (Gssl.Scalable.solve_hard p)
     r.Resilient.predictions
 
 let test_resilient_clean_soft_matches_soft () =

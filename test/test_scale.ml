@@ -621,7 +621,7 @@ let solve_hard_mg_matches_jacobi =
     (fun seed ->
       let rng = Rng.create seed in
       let p = knn_problem rng ~n_points:(60 + Rng.int rng 120) ~n_labeled:8 ~k:6 in
-      match Gssl.Scalable.solve p with
+      match Gssl.Scalable.solve_hard p with
       | exception Gssl.Hard.Unanchored_unlabeled _ ->
           true (* disconnected draw: covered by the imputation test *)
       | jac ->

@@ -220,7 +220,7 @@ let prop_scalable_matches_hard seed =
   let max_iter = 2000 in
   match
     with_clean_registry (fun () ->
-        let sparse = Gssl.Scalable.solve ~tol:1e-12 ~max_iter p in
+        let sparse = Gssl.Scalable.solve_hard ~tol:1e-12 ~max_iter p in
         let dense = Gssl.Hard.solve ~solver:Gssl.Hard.Cholesky p in
         ( sparse,
           dense,
