@@ -186,34 +186,6 @@ let parallel_for ?grain pool n body =
       match Atomic.get job.failed with Some e -> raise e | None -> ()
   end
 
-let parallel_reduce ?grain pool n ~map ~combine ~init =
-  if n <= 0 then init
-  else begin
-    let grain =
-      match grain with
-      | Some g when g >= 1 -> g
-      | Some _ -> invalid_arg "Pool.parallel_reduce: need grain >= 1"
-      | None -> default_grain n
-    in
-    let chunk_count = (n + grain - 1) / grain in
-    let results = Array.make chunk_count None in
-    (* iterate over chunk indices so the per-chunk boundaries survive the
-       inline path too (the for-body receives chunk indices, not raw
-       element indices) *)
-    parallel_for ~grain:1 pool chunk_count (fun clo chi ->
-        for c = clo to chi - 1 do
-          let lo = c * grain in
-          let hi = Stdlib.min n (lo + grain) in
-          results.(c) <- Some (map lo hi)
-        done);
-    Array.fold_left
-      (fun acc r ->
-        match r with
-        | Some v -> combine acc v
-        | None -> failwith "Pool.parallel_reduce: missing chunk")
-      init results
-  end
-
 let with_pool ?domains f =
   let pool = create ?domains () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
@@ -268,6 +240,3 @@ let with_default_domains domains f =
     f
 
 let run ?grain n body = parallel_for ?grain (get_default ()) n body
-
-let reduce ?grain n ~map ~combine ~init =
-  parallel_reduce ?grain (get_default ()) n ~map ~combine ~init

@@ -7,9 +7,8 @@
     (chunk [c] covers [c*grain, min n ((c+1)*grain))).  The chunk layout
     depends only on [n] and [grain] — never on the pool size or on which
     domain executes which chunk — so any computation whose chunks write
-    disjoint state, and any {!parallel_reduce} (whose per-chunk partials
-    are combined in ascending chunk order), produces bit-identical
-    results regardless of the domain count.  No floating-point sum is
+    disjoint state produces bit-identical results regardless of the
+    domain count.  No floating-point sum is
     reassociated across a chunk boundary by the pool itself.
 
     {2 Scheduling}
@@ -62,20 +61,6 @@ val parallel_for : ?grain:int -> t -> int -> (int -> int -> unit) -> unit
     {!default_grain}[ n].  Exceptions raised by [body] are re-raised in
     the caller after all chunks have been drained (first one wins). *)
 
-val parallel_reduce :
-  ?grain:int ->
-  t ->
-  int ->
-  map:(int -> int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  init:'a ->
-  'a
-(** [parallel_reduce ~grain pool n ~map ~combine ~init] evaluates
-    [map lo hi] on every chunk of [0, n) and folds the per-chunk results
-    with [combine] in ascending chunk order starting from [init] —
-    deterministic for any domain count because both the chunk layout and
-    the combine order are fixed.  Returns [init] when [n <= 0]. *)
-
 val default_grain : int -> int
 (** [max 1 ((n + 63) / 64)] — at most 64 chunks, enough slack for
     dynamic load balancing while keeping per-chunk dispatch cost
@@ -87,8 +72,8 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
 
 val sequential : (unit -> 'a) -> 'a
 (** Run [f] with pool dispatch disabled on the current domain: every
-    {!parallel_for} / {!parallel_reduce} reached from inside [f]
-    (including through {!run} / {!reduce}) executes inline.  This is the
+    {!parallel_for} reached from inside [f] (including through {!run})
+    executes inline.  This is the
     reference serial mode the qcheck bit-identity properties and the
     serial bench phases compare against. *)
 
@@ -114,12 +99,3 @@ val with_default_domains : int -> (unit -> 'a) -> 'a
 
 val run : ?grain:int -> int -> (int -> int -> unit) -> unit
 (** {!parallel_for} on the default pool. *)
-
-val reduce :
-  ?grain:int ->
-  int ->
-  map:(int -> int -> 'a) ->
-  combine:('a -> 'a -> 'a) ->
-  init:'a ->
-  'a
-(** {!parallel_reduce} on the default pool. *)

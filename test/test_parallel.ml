@@ -42,34 +42,6 @@ let test_parallel_for_fills () =
             [ 0; 1; 2; 7; 100; 1000 ]))
     [ 1; 2; 4 ]
 
-let test_parallel_reduce_deterministic () =
-  (* an intentionally reassociation-sensitive float sum: identical bits
-     required for every pool size because chunking depends only on grain *)
-  let n = 10_000 in
-  let term i = sin (float_of_int i) *. 1e-3 +. 1e10 /. float_of_int (i + 1) in
-  let sum_with domains =
-    Pool.with_pool ~domains (fun pool ->
-        Pool.parallel_reduce ~grain:97 pool n
-          ~map:(fun lo hi ->
-            let acc = ref 0. in
-            for i = lo to hi - 1 do
-              acc := !acc +. term i
-            done;
-            !acc)
-          ~combine:( +. ) ~init:0.)
-  in
-  let reference = sum_with 1 in
-  List.iter
-    (fun d ->
-      let got = sum_with d in
-      if got <> reference then
-        Alcotest.failf "reduce domains=%d: %.17g <> %.17g" d got reference)
-    [ 2; 3; 4; 8 ];
-  Alcotest.(check int)
-    "empty range returns init" 42
-    (Pool.with_pool ~domains:2 (fun pool ->
-         Pool.parallel_reduce pool 0 ~map:(fun _ _ -> 0) ~combine:( + ) ~init:42))
-
 let test_exception_propagates () =
   Pool.with_pool ~domains:2 (fun pool ->
       match
@@ -558,7 +530,6 @@ let suite =
   ( "parallel",
     [
       case "parallel_for fills every index" test_parallel_for_fills;
-      case "parallel_reduce bit-deterministic" test_parallel_reduce_deterministic;
       case "exceptions propagate" test_exception_propagates;
       case "nested parallel_for runs inline" test_nested_runs_inline;
       case "sequential disables dispatch" test_sequential_forces_inline;
