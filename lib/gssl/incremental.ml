@@ -73,7 +73,9 @@ let system t =
   let sub =
     System.restrict (Array.map (fun v -> v - t.n_labeled) t.unlabeled) t.system
   in
-  let revealed = List.filter (fun (v, _) -> v >= t.n_labeled) (Array.to_list (labels t)) in
+  let revealed =
+    List.filter (fun (v, _) -> v >= t.n_labeled) (Array.to_list (labels t))
+  in
   let b =
     Array.mapi
       (fun p bp ->

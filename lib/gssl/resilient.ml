@@ -65,12 +65,12 @@ let partition comps n =
 (* One component's restricted system through the fallback chain of its
    storage, with its certificate when observed. *)
 let solve_component ?cg_max_iter ?should_stop ~observe ~system (sys : System.t) =
-  let finish (out : _ Rsolve.outcome) rung =
+  let outcome (out : _ Rsolve.outcome) rung =
     let cert =
       if observe then
         Some
-          (System.certify ~system ~rung ~attempts:out.Rsolve.cg_attempts sys
-             out.Rsolve.solution)
+          (System.certify ~system ~rung ~attempts:out.Rsolve.cg_attempts
+             ~cond:true sys out.Rsolve.solution)
       else None
     in
     (out.Rsolve.solution, rung, out.Rsolve.escalations, cert,
@@ -79,10 +79,10 @@ let solve_component ?cg_max_iter ?should_stop ~observe ~system (sys : System.t) 
   match sys.System.a with
   | System.Dense a ->
       let out = Rsolve.solve_dense ?should_stop a sys.System.b in
-      finish out (Rsolve.dense_rung_name out.Rsolve.rung)
+      outcome out (Rsolve.dense_rung_name out.Rsolve.rung)
   | System.Csr a ->
       let out = Rsolve.solve_sparse ?cg_max_iter ?should_stop a sys.System.b in
-      finish out (Rsolve.sparse_rung_name out.Rsolve.rung)
+      outcome out (Rsolve.sparse_rung_name out.Rsolve.rung)
   | System.Lap _ | System.Op _ ->
       invalid_arg "Resilient: no fallback chain for a fused or matrix-free system"
 
@@ -90,7 +90,8 @@ let solve_component ?cg_max_iter ?should_stop ~observe ~system (sys : System.t) 
 let hard_system problem =
   match Wg.storage problem.Problem.graph with
   | Wg.Dense _ ->
-      { System.a = System.Dense (Hard.system_matrix problem); b = Hard.rhs problem }
+      let a = Hard.system_matrix problem in
+      { System.a = System.Dense a; b = Hard.rhs problem }
   | Wg.Sparse _ ->
       let a, b = Scalable.system_csr problem in
       { System.a = System.Csr a; b }
@@ -100,7 +101,8 @@ let hard_system problem =
    of its first unlabeled vertex among them.  Each anchored component is
    then solved on the restriction of that system to its positions,
    which no edge couples to the rest. *)
-let solve_impl ?suspect_threshold ~kind ~system ~rows ~solve problem =
+let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind
+    ~system ~rows problem =
   let g0 = problem.Problem.graph in
   let y0 = problem.Problem.labels in
   let n = Problem.n_labeled problem in
@@ -139,7 +141,8 @@ let solve_impl ?suspect_threshold ~kind ~system ~rows ~solve problem =
       | _ ->
           let idx, first = rows labeled unlabeled in
           let solution, rung, escalations, cert, timings, comp_aborted =
-            solve (System.restrict idx global)
+            solve_component ?cg_max_iter ?should_stop ~observe
+              ~system:("resilient." ^ kind) (System.restrict idx global)
           in
           rungs := (c, rung) :: !rungs;
           rung_ms := (c, timings) :: !rung_ms;
@@ -178,12 +181,10 @@ let solve_hard ?suspect_threshold ?cg_max_iter ?should_stop ?(observe = false)
   Telemetry.Span.with_ "gssl.resilient_hard" @@ fun () ->
   Telemetry.Counter.incr c_hard;
   let n = Problem.n_labeled problem in
-  solve_impl ?suspect_threshold ~kind:"hard" ~system:hard_system
+  solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind:"hard"
+    ~system:hard_system
     ~rows:(fun _ unlabeled ->
       (Array.of_list (List.map (fun v -> v - n) unlabeled), 0))
-    ~solve:
-      (solve_component ?cg_max_iter ?should_stop ~observe
-         ~system:"resilient.hard")
     problem
 
 let solve_soft ?suspect_threshold ?cg_max_iter ?should_stop ?(observe = false)
@@ -192,10 +193,8 @@ let solve_soft ?suspect_threshold ?cg_max_iter ?should_stop ?(observe = false)
     invalid_arg "Resilient.solve_soft: lambda must be strictly positive";
   Telemetry.Span.with_ "gssl.resilient_soft" @@ fun () ->
   Telemetry.Counter.incr c_soft;
-  solve_impl ?suspect_threshold ~kind:"soft" ~system:(Soft.system ~lambda)
+  solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind:"soft"
+    ~system:(Soft.system ~lambda)
     ~rows:(fun labeled unlabeled ->
       (Array.of_list (labeled @ unlabeled), List.length labeled))
-    ~solve:
-      (solve_component ?cg_max_iter ?should_stop ~observe
-         ~system:"resilient.soft")
     problem

@@ -66,11 +66,15 @@ let solve_hard ?(tol = 1e-10) ?max_iter ?(observe = false)
           let mask = Problem.anchored_mask problem in
           if Array.for_all Fun.id mask then None
           else
-            Some (Array.of_list (List.filter (Array.get mask) (List.init m_all Fun.id)))
+            Some
+              (Array.of_list
+                 (List.filter (Array.get mask) (List.init m_all Fun.id)))
     in
     let w, deg, b = system_lap problem in
     let sys = { System.a = System.Lap { w; deg }; b } in
-    let sys = match anchored with None -> sys | Some idx -> System.restrict idx sys in
+    let sys =
+      match anchored with None -> sys | Some idx -> System.restrict idx sys
+    in
     let solution =
       if Vec.dim sys.System.b = 0 then [||]
       else begin
@@ -86,8 +90,8 @@ let solve_hard ?(tol = 1e-10) ?max_iter ?(observe = false)
             (System.operator sys.System.a) sys.System.b
         in
         let rung = match precond with `Jacobi -> "cg" | `Multigrid -> "mg_cg" in
-        System.finish ~observe ~system:"gssl.scalable" ~rung ~attempts:[ out ] sys
-          out.Sparse.Cg.solution
+        System.finish ~observe ~system:"gssl.scalable" ~rung ~attempts:[ out ]
+          sys out.Sparse.Cg.solution
       end
     in
     match anchored with
@@ -96,7 +100,8 @@ let solve_hard ?(tol = 1e-10) ?max_iter ?(observe = false)
         (* unanchored vertices carry no information from the labels: fill
            them with the labeled mean, the hard criterion's degenerate
            limit for an unanchored component (Prop II.2) *)
-        let out = Array.make m_all (Stats.Descriptive.mean problem.Problem.labels) in
+        let ybar = Stats.Descriptive.mean problem.Problem.labels in
+        let out = Array.make m_all ybar in
         Array.iteri (fun k a -> out.(a) <- solution.(k)) idx;
         Telemetry.Counter.add c_imputed (m_all - Array.length idx);
         out

@@ -51,7 +51,8 @@ let system ~lambda problem =
       let coo = Sparse.Coo.create total total in
       for v = 0 to total - 1 do
         let vdiag = if v < n then 1. else 0. in
-        Sparse.Coo.add coo v v (vdiag +. (lambda *. (d.(v) -. Sparse.Csr.get w v v)));
+        let lap = d.(v) -. Sparse.Csr.get w v v in
+        Sparse.Coo.add coo v v (vdiag +. (lambda *. lap));
         Sparse.Csr.iter_row w v (fun j x ->
             if x <> 0. && j <> v then Sparse.Coo.add coo v j (-.(lambda *. x)))
       done;

@@ -71,7 +71,7 @@ let convergence = function
            ~final_residual:last.Sparse.Cg.residual_norm ~best_residual:best
            ~converged:last.Sparse.Cg.converged)
 
-let certify ~system ~rung ?(attempts = []) ?(cond = true) { a; b } x =
+let certify ~system ~rung ~attempts ~cond { a; b } x =
   let op = operator a in
   let cond =
     if not cond then None
@@ -91,7 +91,8 @@ let certify ~system ~rung ?(attempts = []) ?(cond = true) { a; b } x =
   Obs.Health.certify ~system ~rung ?cond ?convergence:(convergence attempts)
     ~apply:op.Sparse.Linop.apply ~b x
 
-let finish ~observe ~system ~rung ?(attempts = []) sys x =
-  if observe then Obs.Health.record (certify ~system ~rung ~attempts sys x);
+let finish ~observe ~system ~rung ~attempts sys x =
+  if observe then
+    Obs.Health.record (certify ~system ~rung ~attempts ~cond:true sys x);
   List.iter (Sparse.Cg.ensure_converged (operator sys.a) sys.b) attempts;
   x

@@ -34,13 +34,13 @@ val operator : matrix -> Sparse.Linop.t
 val certify :
   system:string ->
   rung:string ->
-  ?attempts:Sparse.Cg.outcome list ->
-  ?cond:bool ->
+  attempts:Sparse.Cg.outcome list ->
+  cond:bool ->
   t ->
   Linalg.Vec.t ->
   Obs.Health.t
 (** The health certificate of solution [x]: its residual recomputed
-    through {!operator}, a condition estimate unless [~cond:false]
+    through {!operator}, a condition estimate when [cond]
     ({!Linalg.Refine.condition_estimate} on [Dense], power iteration
     with preconditioned CG otherwise), and, when CG ran, the summary of
     its [attempts] (oldest first): total iterations, the last attempt's
@@ -52,12 +52,12 @@ val finish :
   observe:bool ->
   system:string ->
   rung:string ->
-  ?attempts:Sparse.Cg.outcome list ->
+  attempts:Sparse.Cg.outcome list ->
   t ->
   Linalg.Vec.t ->
   Linalg.Vec.t
 (** The end of a solve: when [observe], record {!certify}'s certificate
-    ({!Obs.Health.record}); then raise [Failure] like
-    {!Sparse.Cg.solve_exn} if a CG attempt did not converge.  The
-    certificate is recorded before the failure, so the flight recorder
-    keeps the post-mortem.  Returns [x]. *)
+    with its condition estimate ({!Obs.Health.record}); then raise
+    [Failure] like {!Sparse.Cg.solve_exn} if a CG attempt did not
+    converge.  The certificate is recorded before the failure, so the
+    flight recorder keeps the post-mortem.  Returns [x]. *)

@@ -129,7 +129,9 @@ let create ?(clock = Clock.monotonic ()) ?journal config problem =
      conditioned to factor, simply leaves the cache cold — queries then
      take the resilient full-solve path. *)
   (try Cache.put cache base_key (Incremental.create problem)
-   with Gssl.Hard.Unanchored_unlabeled _ | Linalg.Cholesky.Not_positive_definite _ -> ());
+   with
+   | Gssl.Hard.Unanchored_unlabeled _ | Linalg.Cholesky.Not_positive_definite _
+     -> ());
   { config;
     clock;
     (* the costs stand in for work on a virtual clock; a real clock
@@ -227,7 +229,7 @@ let certify_incremental inc =
     let x = Array.map snd (Incremental.predict inc) in
     Some
       (Gssl.System.certify ~system:"serve.incremental" ~rung:"sherman_morrison"
-         ~cond:false (Incremental.system inc) x)
+         ~attempts:[] ~cond:false (Incremental.system inc) x)
 
 (* The least healthy certificate of a resilient report — the one worth
    surfacing on the response. *)

@@ -561,8 +561,10 @@ let test_resilient_pinned_digests () =
               r.Resilient.certificates)
           (fault_reports ~observe:true))
   in
-  Alcotest.(check string) "predictions and rungs" "bcf231b9c1ac81f47a3d68fe81ce137a" predictions;
-  Alcotest.(check string) "certificates" "c077ac9fdb988245936be34e06f861eb" certificates
+  Alcotest.(check string) "predictions and rungs"
+    "bcf231b9c1ac81f47a3d68fe81ce137a" predictions;
+  Alcotest.(check string) "certificates" "c077ac9fdb988245936be34e06f861eb"
+    certificates
 
 let suite =
   ( "robust",

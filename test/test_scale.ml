@@ -721,6 +721,41 @@ let test_solve_hard_should_stop () =
         (Astring.String.is_infix ~affix:"cooperative abort" msg)
   | _ -> Alcotest.fail "expected Failure from the aborted solve"
 
+(* Bit-identity pin: Scalable.system_csr (row pointers, columns, value
+   and right-hand-side bits) on 40 kNN problems and 10 dense ones with
+   self-loops.  The digest was recorded while system_csr still had an
+   assembly of its own, before it was derived from system_lap. *)
+let test_system_csr_pinned () =
+  let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i) in
+  let add_system buf p =
+    let a, b = Gssl.Scalable.system_csr p in
+    Array.iter (add_int buf) a.Sparse.Csr.row_ptr;
+    Array.iter (add_int buf) a.Sparse.Csr.col_idx;
+    Array.iter (add_float_bits buf) a.Sparse.Csr.values;
+    Array.iter (add_float_bits buf) b
+  in
+  let digest =
+    digest_hex (fun buf ->
+        for seed = 0 to 39 do
+          let rng = Rng.create seed in
+          add_system buf
+            (knn_problem rng ~n_points:(40 + Rng.int rng 160)
+               ~n_labeled:(2 + Rng.int rng 20) ~k:(3 + Rng.int rng 8))
+        done;
+        for seed = 40 to 49 do
+          let rng = Rng.create seed in
+          let n = 12 + Rng.int rng 20 in
+          let w = random_weights rng n in
+          for i = 0 to n - 1 do
+            if Rng.bool rng then Mat.set w i i (Rng.uniform rng 0.1 1.)
+          done;
+          add_system buf
+            (Gssl.Problem.make ~graph:(Graph.Weighted_graph.of_dense w)
+               ~labels:(Array.init (1 + Rng.int rng 5) (fun _ -> Rng.float rng)))
+        done)
+  in
+  Alcotest.(check string) "system_csr digest" "927c955c246fa49b049abd94190855f0" digest
+
 let suite =
   ( "scale",
     [
@@ -757,4 +792,5 @@ let suite =
       case "solve_hard: multigrid matches dense Hard.solve"
         test_solve_hard_matches_dense_hard;
       case "solve_hard: should_stop aborts" test_solve_hard_should_stop;
+      case "system_csr: pinned CSR bits" test_system_csr_pinned;
     ] )
