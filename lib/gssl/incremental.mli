@@ -13,9 +13,11 @@
 type t
 
 val create : Problem.t -> t
-(** O(m³) setup: invert the initial system matrix.  Raises
-    {!Hard.Unanchored_unlabeled} like {!Hard.solve} ({!Hard.check_anchored}),
-    whatever the weights of the unanchored component. *)
+(** O(m³) setup: invert the initial system matrix, which is kept (m²
+    floats) for {!system}.  Raises {!Hard.Unanchored_unlabeled} like
+    {!Hard.solve} ({!Hard.check_anchored}), whatever the weights of the
+    unanchored component, and [Linalg.Cholesky.Not_positive_definite]
+    when an anchored system is too ill-conditioned to factor. *)
 
 val predict : t -> (int * float) array
 (** Current scores, as [(graph_vertex, score)] pairs for every

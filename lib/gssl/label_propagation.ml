@@ -16,15 +16,7 @@ let run ?(tol = 1e-10) ?(max_iter = 100_000) ?init problem =
       invalid_arg "Label_propagation.run: unlabeled vertex of degree zero"
   done;
   (* constant part: D22^{-1} W21 Y *)
-  let base =
-    Array.init m (fun a ->
-        let acc = ref 0. in
-        for i = 0 to n - 1 do
-          acc := !acc +. (Graph.Weighted_graph.weight g (n + a) i
-                          *. problem.Problem.labels.(i))
-        done;
-        !acc /. d.(n + a))
-  in
+  let base = Array.mapi (fun a b -> b /. d.(n + a)) (Hard.rhs problem) in
   let f =
     match init with
     | None -> Vec.zeros m

@@ -34,22 +34,10 @@ let hard_scores t =
   let m = Problem.n_unlabeled p0 in
   if m = 0 then Mat.zeros 0 t.n_classes
   else begin
-    let a = Hard.system_matrix p0 in
-    let l = Linalg.Cholesky.factor a in
-    let n = Array.length t.class_labels in
-    let g = t.graph in
+    let l = Linalg.Cholesky.factor (Hard.system_matrix p0) in
     let cols =
       Array.init t.n_classes (fun c ->
-          let rhs =
-            Array.init m (fun a_idx ->
-                let acc = ref 0. in
-                for i = 0 to n - 1 do
-                  if t.class_labels.(i) = c then
-                    acc := !acc +. Graph.Weighted_graph.weight g (n + a_idx) i
-                done;
-                !acc)
-          in
-          Linalg.Cholesky.solve_factored l rhs)
+          Linalg.Cholesky.solve_factored l (Hard.rhs (indicator_problem t c)))
     in
     Mat.of_cols cols
   end
