@@ -13,8 +13,8 @@ type matrix =
   | Dense of Linalg.Mat.t
   | Csr of Sparse.Csr.t
   | Lap of { w : Sparse.Csr.t; deg : Linalg.Vec.t }
-      (** [diag(deg) − w] kept implicit, as {!Scalable.system_lap}
-          returns it; [w] stores no diagonal *)
+      (** [diag(deg) − w] kept implicit: the fused form
+          {!Scalable.system_lap} returns *)
   | Op of Sparse.Linop.t  (** matrix-free; cannot be restricted *)
 
 type t = { a : matrix; b : Linalg.Vec.t }
