@@ -488,11 +488,11 @@ module Profile = struct
           (Printf.sprintf
              "bench: %s parallel result is not bit-identical to serial" kernel)
     in
+    let short name f = run_phase ~calls:short_calls name f in
     (* parallel legs: the fixture sizes sit above every kernel's
        dispatch threshold, so these phases go through the pool (validate
        checks the decision counters) — they exist to prove bit-identity
        and measure the raw pool cost *)
-    let short name f = run_phase ~calls:short_calls name f in
     let par name f =
       short name (fun () -> Parallel.Pool.with_default_domains par_domains f)
     in

@@ -86,7 +86,7 @@ let solve_component ?cg_max_iter ?should_stop ~observe ~system (sys : System.t) 
   | System.Lap _ | System.Op _ ->
       invalid_arg "Resilient: no fallback chain for a fused or matrix-free system"
 
-(* The hard system of the sanitised problem in its graph's storage. *)
+(* Eq. (5) in the storage of the problem's graph. *)
 let hard_system problem =
   match Wg.storage problem.Problem.graph with
   | Wg.Dense _ ->

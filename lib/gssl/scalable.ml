@@ -83,7 +83,7 @@ let solve_hard ?(tol = 1e-10) ?max_iter ?(observe = false)
           | `Multigrid, System.Lap { w; deg } ->
               let mg = Sparse.Multigrid.build ~w ~diag:deg () in
               Some (Sparse.Multigrid.precondition mg)
-          | _ -> None
+          | _ -> None (* `Jacobi: CG's default diagonal preconditioner *)
         in
         let out =
           Sparse.Cg.solve ~tol ?max_iter ?precond_apply ?should_stop
