@@ -464,6 +464,34 @@ let test_engine_relabel_paths () =
   | Engine.Degraded _ -> ()
   | _ -> Alcotest.fail "duplicate relabel must degrade")
 
+(* Bit-identity pin: the certificates of cache-hit answers (queries and
+   relabels) while 20 unlabeled vertices are revealed in a shuffled
+   order, so the certified system's right-hand side must not depend on
+   the reveal order. *)
+let test_engine_cache_certificates_pinned () =
+  let engine, clock, prob = engine_fixture ~deadline_ms:1e6 () in
+  let rng = Prng.Rng.create 5 in
+  let order = Array.init (P.n_unlabeled prob) (fun a -> P.n_labeled prob + a) in
+  Prng.Rng.shuffle_inplace rng order;
+  let digest =
+    digest_hex (fun buf ->
+        for k = 0 to 59 do
+          let kind =
+            if k mod 3 = 0 then
+              Engine.Relabel { vertex = order.(k / 3); label = Prng.Rng.float rng }
+            else Engine.Query
+          in
+          let r = Engine.handle engine (req ~clock ~kind (k + 1)) in
+          Alcotest.(check bool) "cache hit" true r.Engine.cache_hit;
+          match r.Engine.certificate with
+          | Some c ->
+              add_float_bits buf c.Obs.Health.true_residual;
+              add_float_bits buf c.Obs.Health.rel_residual
+          | None -> Alcotest.fail "cache answers carry a certificate"
+        done)
+  in
+  Alcotest.(check string) "certificate digest" "8e4ed1291114eb4ea2b4923fe86bddc3" digest
+
 let test_engine_burst_sheds_and_bounds_queue () =
   let engine, _, _ = engine_fixture ~queue_capacity:2 () in
   let trace =
@@ -683,6 +711,8 @@ let suite =
         test_engine_starved_solve_degrades_and_trips_breaker;
       case "engine: relabel NaN rejected, finite applied, dup rejected"
         test_engine_relabel_paths;
+      case "engine: pinned cache-hit certificates over shuffled relabels"
+        test_engine_cache_certificates_pinned;
       case "engine: burst sheds, queue stays bounded, order kept"
         test_engine_burst_sheds_and_bounds_queue;
       case "engine: trace replay demands a virtual clock"
