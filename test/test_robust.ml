@@ -390,15 +390,19 @@ let check_fault_report ~seed ~fault which (r : Resilient.report) =
     QCheck.Test.fail_reportf "%s: fault %s left no diagnostic (seed %d)" which
       (Fault.class_name fault) seed
 
-let prop_single_fault ~classes ~graph_of seed =
+(* Seed [seed]'s two-cluster problem under the fault class it selects:
+   (fault, problem, the CG iteration cap the fault imposes). *)
+let fault_problem ~classes ~graph_of seed =
   let rng = Prng.Rng.create seed in
   let w, labels = two_cluster rng in
   let fault = List.nth classes (seed mod List.length classes) in
   let inj = Fault.inject rng ~n_labeled:6 [ fault ] (graph_of w) labels in
-  let p =
-    Gssl.Problem.make_unchecked ~graph:inj.Fault.graph ~labels:inj.Fault.labels
-  in
-  let cap = inj.Fault.cg_max_iter in
+  ( fault,
+    Gssl.Problem.make_unchecked ~graph:inj.Fault.graph ~labels:inj.Fault.labels,
+    inj.Fault.cg_max_iter )
+
+let prop_single_fault ~classes ~graph_of seed =
+  let fault, p, cap = fault_problem ~classes ~graph_of seed in
   check_fault_report ~seed ~fault "solve_hard"
     (Resilient.solve_hard ~suspect_threshold:0.5 ?cg_max_iter:cap p);
   check_fault_report ~seed ~fault "solve_soft"
@@ -504,22 +508,15 @@ let test_resilient_observed_starved_event_trail () =
    above (seeds 0-99, each fault class in turn), in dense and CSR
    storage.  One digest covers the prediction bits and component rungs;
    another the observed certificates. *)
-let fault_problems () =
-  List.concat_map
-    (fun (classes, graph_of) ->
-      List.init 100 (fun seed ->
-          let rng = Prng.Rng.create seed in
-          let w, labels = two_cluster rng in
-          let fault = List.nth classes (seed mod List.length classes) in
-          let inj = Fault.inject rng ~n_labeled:6 [ fault ] (graph_of w) labels in
-          ( Gssl.Problem.make_unchecked ~graph:inj.Fault.graph
-              ~labels:inj.Fault.labels,
-            inj.Fault.cg_max_iter )))
-    [ (sparse_fault_classes, sparse_graph_of); (dense_fault_classes, Wg.of_dense) ]
-
 let fault_reports ~observe =
+  let problems =
+    List.concat_map
+      (fun (classes, graph_of) ->
+        List.init 100 (fault_problem ~classes ~graph_of))
+      [ (sparse_fault_classes, sparse_graph_of); (dense_fault_classes, Wg.of_dense) ]
+  in
   List.concat_map
-    (fun (p, cap) ->
+    (fun (_, p, cap) ->
       let hard =
         Resilient.solve_hard ~suspect_threshold:0.5 ?cg_max_iter:cap ~observe p
       in
@@ -528,7 +525,7 @@ let fault_reports ~observe =
           ~lambda:0.5 p
       in
       [ hard; soft ])
-    (fault_problems ())
+    problems
 
 let test_resilient_pinned_digests () =
   let predictions =
