@@ -139,17 +139,21 @@ transport-smoke:
 # `repro scale` exits non-zero if any scaling contract (recall floor,
 # iteration reduction, solver agreement) is violated.  It runs on one
 # and on two domains, and the two `graph digest` lines (a hash of the
-# built CSR) must match: the ANN search's cross-domain bit-identity at
-# 12 000 points, beyond the few hundred the qcheck properties reach.
+# built CSR) and the two `solution digest` lines (a hash of the
+# multigrid answer) must match: the ANN search's and the solve's
+# cross-domain bit-identity at 12 000 points, beyond the few hundred
+# the qcheck properties reach.
 scale-smoke:
 	dune build bin/repro.exe
 	GSSL_DOMAINS=1 ./_build/default/bin/repro.exe scale --count 12000 --seed 11 > /tmp/gssl_scale_d1.txt
 	GSSL_DOMAINS=2 ./_build/default/bin/repro.exe scale --count 12000 --seed 11 > /tmp/gssl_scale_d2.txt
-	@d1=$$(grep '^graph    digest' /tmp/gssl_scale_d1.txt); \
-	d2=$$(grep '^graph    digest' /tmp/gssl_scale_d2.txt); \
-	test -n "$$d1" && test "$$d1" = "$$d2" || \
-		{ echo "scale-smoke: graph digest differs across domain counts: '$$d1' vs '$$d2'"; exit 1; }; \
-	echo "scale-smoke: $$d1 on 1 and 2 domains"
+	@for what in 'graph    digest' 'solution digest'; do \
+		d1=$$(grep "^$$what" /tmp/gssl_scale_d1.txt); \
+		d2=$$(grep "^$$what" /tmp/gssl_scale_d2.txt); \
+		test -n "$$d1" && test "$$d1" = "$$d2" || \
+			{ echo "scale-smoke: $$what differs across domain counts: '$$d1' vs '$$d2'"; exit 1; }; \
+		echo "scale-smoke: $$d1 on 1 and 2 domains"; \
+	done
 
 ci: build test test-domains1 test-random \
 	fault-smoke soak-smoke bench-smoke bench-par bench-check trace-smoke \

@@ -1584,17 +1584,18 @@ let scale_cmd =
           "graph    ANN kNN  %10.1f ms  %d edges  recall %.3f  (%d trees, \
            %d-leaf probes, %d escalation(s))\n%!"
           ann_ms edges recall trees probes escalations);
-    (* SplitMix64 over the CSR's row pointers, columns and value bits:
-       equal digests across domain counts witness a bit-identical graph *)
-    let digest =
-      let mix h v = Prng.Splitmix64.mix (Int64.logxor h v) in
-      let ints h a = Array.fold_left (fun h x -> mix h (Int64.of_int x)) h a in
-      Array.fold_left
-        (fun h v -> mix h (Int64.bits_of_float v))
-        (ints (ints 0L w.Sparse.Csr.row_ptr) w.Sparse.Csr.col_idx)
-        w.Sparse.Csr.values
+    (* SplitMix64 over the CSR's row pointers, columns and value bits,
+       and over the multigrid solution's bits: equal digests across
+       domain counts witness a bit-identical graph and answer *)
+    let mix h v = Prng.Splitmix64.mix (Int64.logxor h v) in
+    let ints h a = Array.fold_left (fun h x -> mix h (Int64.of_int x)) h a in
+    let floats h a =
+      Array.fold_left (fun h v -> mix h (Int64.bits_of_float v)) h a
     in
-    Printf.printf "graph    digest %016Lx\n%!" digest;
+    Printf.printf "graph    digest %016Lx\n%!"
+      (floats
+         (ints (ints 0L w.Sparse.Csr.row_ptr) w.Sparse.Csr.col_idx)
+         w.Sparse.Csr.values);
     (match exact with
     | false -> ()
     | true ->
@@ -1636,6 +1637,7 @@ let scale_cmd =
     let mg_x, mg_ms, mg_iters = solve `Multigrid in
     Printf.printf "solve    multigrid CG %8.1f ms   %4d iteration(s)\n%!" mg_ms
       mg_iters;
+    Printf.printf "solution digest %016Lx\n%!" (floats 0L mg_x);
     let imputed = Telemetry.Counter.get "gssl.scalable_imputed" in
     if imputed > 0 then
       Printf.printf "         (%d unanchored vertex/vertices imputed to the \

@@ -41,4 +41,5 @@ val total_weight : t -> float
 (** [Σ_ij w_ij] (each undirected edge counted twice, like the paper). *)
 
 val iter_edges : t -> (int -> int -> float -> unit) -> unit
-(** Visit every nonzero [w_ij] with [i < j] once. *)
+(** Visit every nonzero [w_ij] with [i < j] once, in ascending
+    [(i, j)] order. *)

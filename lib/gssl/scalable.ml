@@ -10,27 +10,48 @@ let c_imputed = Telemetry.Counter.make "gssl.scalable_imputed"
    the off-diagonal unlabeled-block weights.  The solvers stream W₂₂
    through Csr.lap_mv / Stationary.solve_lap, so A is never assembled
    and each operator application is one pass with no intermediate
-   vector. *)
+   vector.
+
+   W₂₂ is written straight into CSR: one pass over the edges counts each
+   row's entries, a second fills the rows.  Edges arrive with i < j in
+   ascending (i, j) order, so row a receives its columns below a (from
+   earlier rows' edges), then those above: every row comes out strictly
+   increasing. *)
 let system_lap problem =
   let n = Problem.n_labeled problem and m = Problem.n_unlabeled problem in
   let g = problem.Problem.graph in
   let d = Problem.degrees problem in
   let y = problem.Problem.labels in
-  let coo = Sparse.Coo.create m m in
   let rhs = Vec.zeros m in
   let deg =
     Array.init m (fun a ->
         let v = n + a in
         d.(v) -. Graph.Weighted_graph.weight g v v)
   in
+  let row_ptr = Array.make (m + 1) 0 in
   Graph.Weighted_graph.iter_edges g (fun i j w ->
       if i >= n && j >= n then begin
-        Sparse.Coo.add coo (i - n) (j - n) w;
-        Sparse.Coo.add coo (j - n) (i - n) w
+        row_ptr.(i - n + 1) <- row_ptr.(i - n + 1) + 1;
+        row_ptr.(j - n + 1) <- row_ptr.(j - n + 1) + 1
       end
       else if i < n && j >= n then rhs.(j - n) <- rhs.(j - n) +. (w *. y.(i))
       else if j < n && i >= n then rhs.(i - n) <- rhs.(i - n) +. (w *. y.(j)));
-  (Sparse.Csr.of_coo coo, deg, rhs)
+  for a = 0 to m - 1 do
+    row_ptr.(a + 1) <- row_ptr.(a + 1) + row_ptr.(a)
+  done;
+  let col_idx = Array.make row_ptr.(m) 0 and values = Array.make row_ptr.(m) 0. in
+  let fill = Array.sub row_ptr 0 m in
+  let put a c w =
+    col_idx.(fill.(a)) <- c;
+    values.(fill.(a)) <- w;
+    fill.(a) <- fill.(a) + 1
+  in
+  Graph.Weighted_graph.iter_edges g (fun i j w ->
+      if i >= n && j >= n then begin
+        put (i - n) (j - n) w;
+        put (j - n) (i - n) w
+      end);
+  (Sparse.Csr.of_sorted_rows ~rows:m ~cols:m ~row_ptr ~col_idx ~values, deg, rhs)
 
 (* The assembled matrix, derived from the fused form: each row holds its
    diagonal deg'_v and −w for every stored W₂₂ entry. *)

@@ -20,8 +20,13 @@
     operator symmetric; PSD is inherited from the fine operator because
     [xᵀ(PᵀAP)x = (Px)ᵀA(Px) ≥ 0].
 
-    [W] must hold non-negative off-diagonal weights only (diagonal
-    entries are ignored by the matching and the Galerkin sums). *)
+    The coarse matrix is written straight into CSR, one aggregate's row
+    at a time ({!Csr.of_sorted_rows}).
+
+    [W] must be symmetric — each coarse row sums both triangles of its
+    members' rows — and hold non-negative off-diagonal weights only
+    (diagonal entries are ignored by the matching and the Galerkin
+    sums). *)
 
 type t
 

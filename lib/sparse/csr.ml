@@ -71,6 +71,28 @@ let of_coo coo =
     values = Array.sub out_val 0 !pos;
   }
 
+let of_sorted_rows ~rows ~cols ~row_ptr ~col_idx ~values =
+  let bad what = invalid_arg ("Csr.of_sorted_rows: " ^ what) in
+  if rows < 0 || cols < 0 then bad "negative dimension";
+  if Array.length row_ptr <> rows + 1 then bad "row_ptr length <> rows + 1";
+  if row_ptr.(0) <> 0 then bad "row_ptr does not start at 0";
+  for i = 0 to rows - 1 do
+    if row_ptr.(i + 1) < row_ptr.(i) then bad "row_ptr decreases"
+  done;
+  let n = Array.length col_idx in
+  if Array.length values <> n || row_ptr.(rows) <> n then
+    bad "row_ptr, col_idx and values lengths disagree";
+  for i = 0 to rows - 1 do
+    let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
+    for k = lo to hi - 1 do
+      let c = col_idx.(k) in
+      if c < 0 || c >= cols then bad "column out of range";
+      if k > lo && col_idx.(k - 1) >= c then
+        bad "row columns not strictly increasing"
+    done
+  done;
+  { rows; cols; row_ptr; col_idx; values }
+
 let of_dense ?threshold m = of_coo (Coo.of_dense ?threshold m)
 
 let to_dense t =
@@ -135,13 +157,14 @@ let mv t x =
    expression, so the fused result is bit-identical to the composed
    one. *)
 
-let lap_mv t ~deg x =
+let lap_mv_into t ~deg x y =
   if Array.length x <> t.cols then invalid_arg "Csr.lap_mv: length mismatch";
   if Array.length deg <> t.rows then
     invalid_arg "Csr.lap_mv: degree length mismatch";
+  if Array.length y <> t.rows then
+    invalid_arg "Csr.lap_mv: output length mismatch";
   Telemetry.Counter.incr c_matvec;
   Telemetry.Counter.add c_flops ((2 * nnz t) + (2 * t.rows));
-  let y = Array.make t.rows 0. in
   let rows lo hi =
     for i = lo to hi - 1 do
       let acc = ref 0. in
@@ -151,7 +174,11 @@ let lap_mv t ~deg x =
       y.(i) <- (deg.(i) *. x.(i)) -. !acc
     done
   in
-  spmv_dispatch t rows;
+  spmv_dispatch t rows
+
+let lap_mv t ~deg x =
+  let y = Array.make t.rows 0. in
+  lap_mv_into t ~deg x y;
   y
 
 let fused_lap_mv t ~deg ~vdiag ~lambda x =

@@ -1,7 +1,8 @@
 (** Compressed-sparse-row matrices.
 
     Immutable after construction.  Within each row, column indices are
-    strictly increasing and duplicates from the COO stage are summed. *)
+    strictly increasing: {!of_coo} sums duplicates, {!of_sorted_rows}
+    rejects them. *)
 
 type t = private {
   rows : int;
@@ -12,6 +13,25 @@ type t = private {
 }
 
 val of_coo : Coo.t -> t
+
+val of_sorted_rows :
+  rows:int ->
+  cols:int ->
+  row_ptr:int array ->
+  col_idx:int array ->
+  values:float array ->
+  t
+(** [of_sorted_rows ~rows ~cols ~row_ptr ~col_idx ~values] is the CSR
+    matrix whose row [i] holds [col_idx.(k), values.(k)] for
+    [row_ptr.(i) <= k < row_ptr.(i + 1)], for builders that already
+    emit each row sorted and without duplicates.  It validates in
+    O(rows + nnz) and raises [Invalid_argument] unless [row_ptr] has
+    length [rows + 1], starts at 0 and never decreases, its last entry
+    equals the lengths of [col_idx] and [values], and every row's
+    columns strictly increase within [0, cols).  The result takes
+    ownership of the three arrays: they are stored, not copied, so the
+    caller must not modify them afterwards. *)
+
 val of_dense : ?threshold:float -> Linalg.Mat.t -> t
 val to_dense : t -> Linalg.Mat.t
 val dims : t -> int * int
@@ -29,6 +49,13 @@ val lap_mv : t -> deg:Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t
     [y_i = deg_i * x_i - (W x)_i] computed in one row pass (degree
     scaling fused into the SpMV sweep, no intermediate vector).
     Bit-identical to the composed [deg.*x - mv w x]. *)
+
+val lap_mv_into :
+  t -> deg:Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+(** [lap_mv_into w ~deg x y] writes [lap_mv w ~deg x] into [y] (same
+    bits, same counters, same row-panel dispatch) without allocating.
+    [y] must not alias [x].  Raises [Invalid_argument] on a length
+    mismatch. *)
 
 val fused_lap_mv :
   t ->

@@ -2,13 +2,14 @@
 
     Built on a {!Coarsen} heavy-edge hierarchy of the operator
     [A = diag(diag) − W].  One {!precondition} application runs a
-    single V-cycle: weighted-Jacobi pre-smoothing (damping [omega],
-    [smooth_iters] sweeps, zero initial guess), recursive coarse-grid
-    correction through the aggregation transfer operators, a direct
-    dense Cholesky solve at the coarsest level (ridge retry for
-    singular pure-Laplacian tails; Jacobi sweeps when factorization
-    fails or the coarsest level is too large for a dense factor), and
-    symmetric post-smoothing.
+    single V-cycle: one weighted-Jacobi pre-smoothing sweep (damping
+    2/3) from a zero initial guess, which needs no product with [A],
+    recursive coarse-grid correction through the aggregation transfer
+    operators, a direct dense Cholesky solve at the coarsest level
+    (ridge retry for singular pure-Laplacian tails; 8 Jacobi sweeps
+    when factorization fails or the coarsest level is too large for a
+    dense factor), and one post-smoothing sweep: two products with each
+    level's operator per cycle.
 
     Because pre- and post-smoothing counts are equal, the smoother is
     symmetric, and the coarse solve is symmetric, the V-cycle realises
@@ -18,26 +19,22 @@
     [cg.solve] trace spans. *)
 
 type t
+(** The hierarchy, the coarse factorization and one set of per-level
+    work vectors.  A [t] therefore serves one {!precondition} call at a
+    time: share it between concurrent solves and the calls overwrite
+    each other's buffers.  Each solve builds its own. *)
 
-val build :
-  ?coarse_cutoff:int ->
-  ?max_levels:int ->
-  ?smooth_iters:int ->
-  ?omega:float ->
-  w:Csr.t ->
-  diag:Linalg.Vec.t ->
-  unit ->
-  t
-(** [build ~w ~diag ()] constructs the hierarchy and the coarse
-    factorization.  [smooth_iters] defaults to 2, [omega] to 2/3 (the
-    classical optimum for Jacobi on Laplacian-like spectra);
-    [coarse_cutoff] / [max_levels] are passed to {!Coarsen.build}.
-    Counters: [sparse.multigrid.builds], [sparse.multigrid.cycles];
-    span: [multigrid.build]. *)
+val build : w:Csr.t -> diag:Linalg.Vec.t -> unit -> t
+(** [build ~w ~diag ()] constructs the hierarchy ({!Coarsen.build} at
+    its defaults; [W] must be symmetric), the coarse factorization and
+    the work vectors.  Counters: [sparse.multigrid.builds],
+    [sparse.multigrid.cycles]; span: [multigrid.build]. *)
 
 val precondition : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** [precondition t r ≈ A⁻¹ r] by one V-cycle — the [precond_apply]
-    callback for {!Cg.solve}.  Linear and deterministic in [r]. *)
+    callback for {!Cg.solve}.  Linear and deterministic in [r]: it
+    returns a fresh vector and leaves [r] unchanged.  Raises
+    [Invalid_argument] when [r] does not match the finest level. *)
 
 val operator : t -> Linop.t
 (** The finest-level operator [A] as a matrix-free [Linop], applied via

@@ -535,6 +535,60 @@ let mg_agrees_with_flat_cg =
         xf;
       true)
 
+(* CG needs the V-cycle to be one fixed SPD operator M: symmetric,
+   positive definite, and the same bits on every call with the input
+   left alone, which the work vectors a [Mg.t] reuses could break.  Three
+   shapes: a random connected graph (several levels), one of at most 64
+   vertices (one level, Cholesky coarse solve) and an edge-free
+   1100-vertex system (one level, Jacobi sweeps in place of a factor). *)
+let mg_vcycle_fixed_spd =
+  qprop ~count:20 "multigrid: V-cycle is a fixed SPD operator" (fun seed ->
+      let rng = Rng.create seed in
+      let bits = Array.map Int64.bits_of_float in
+      let with_boundary w =
+        let deg = Csr.row_sums w in
+        for _ = 0 to 2 do
+          let v = Rng.int rng (Array.length deg) in
+          deg.(v) <- deg.(v) +. Rng.uniform rng 0.5 2.
+        done;
+        deg
+      in
+      let check name ~depth_ok w deg =
+        let n = Array.length deg in
+        let mg = Mg.build ~w ~diag:deg () in
+        if not (depth_ok (Mg.depth mg)) then
+          QCheck.Test.fail_reportf "%s: depth %d" name (Mg.depth mg);
+        let apply r =
+          let before = bits r in
+          let z = Mg.precondition mg r in
+          if bits r <> before then
+            QCheck.Test.fail_reportf "%s: precondition modified r" name;
+          z
+        in
+        for _ = 1 to 3 do
+          let u = random_vec rng n and v = random_vec rng n in
+          let mu = apply u and mv = apply v in
+          let umv = Vec.dot u mv and vmu = Vec.dot v mu in
+          if abs_float (umv -. vmu) > 1e-10 *. (1. +. abs_float umv) then
+            QCheck.Test.fail_reportf "%s: u'Mv = %.17g, v'Mu = %.17g" name umv
+              vmu;
+          if Vec.dot v mv <= 0. then
+            QCheck.Test.fail_reportf "%s: v'Mv = %g" name (Vec.dot v mv);
+          if bits (apply v) <> bits mv then
+            QCheck.Test.fail_reportf "%s: a second call changed the bits" name
+        done
+      in
+      let n = 100 + Rng.int rng 300 in
+      let w = random_connected_csr rng n ~extra:n in
+      check "connected" ~depth_ok:(fun d -> d > 1) w (with_boundary w);
+      let n = 8 + Rng.int rng 57 in
+      let w = random_connected_csr rng n ~extra:n in
+      check "small" ~depth_ok:(( = ) 1) w (with_boundary w);
+      check "edge-free" ~depth_ok:(( = ) 1)
+        (Csr.of_coo (Coo.create 1100 1100))
+        (Array.init 1100 (fun _ -> Rng.uniform rng 0.5 2.));
+      true)
+
 let test_mg_reduces_iterations_on_grid () =
   let w = grid_csr 40 40 in
   let n = 1600 in
@@ -778,6 +832,7 @@ let suite =
       coarsen_invariants;
       galerkin_identity;
       mg_agrees_with_flat_cg;
+      mg_vcycle_fixed_spd;
       case "multigrid cuts CG iterations on a grid"
         test_mg_reduces_iterations_on_grid;
       case "multigrid solve + cooperative abort"

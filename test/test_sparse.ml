@@ -115,7 +115,8 @@ let prop_csr_get_matches_dense seed =
    presorted matrix is emitted column-major (each row still increasing)
    and the shuffled one is the raw triplets, duplicates included, in
    random order.  Integer values keep every duplicate sum exact, so the
-   two CSRs must also agree bit for bit. *)
+   two CSRs must also agree bit for bit, and with [Csr.of_sorted_rows]
+   fed the dense matrix's nonzeros row by row. *)
 let prop_csr_of_coo_presorted_and_shuffled seed =
   let rng = Prng.Rng.create seed in
   let r = 1 + Prng.Rng.int rng 12 and c = 1 + Prng.Rng.int rng 12 in
@@ -151,10 +152,63 @@ let prop_csr_of_coo_presorted_and_shuffled seed =
     !ok
   in
   let a = Csr.of_coo presorted and b = Csr.of_coo shuffled in
+  let cols = ref [] and vals = ref [] and row_ptr = Array.make (r + 1) 0 in
+  for i = 0 to r - 1 do
+    for j = 0 to c - 1 do
+      let v = Mat.get dense i j in
+      if v <> 0. then begin
+        cols := j :: !cols;
+        vals := v :: !vals
+      end
+    done;
+    row_ptr.(i + 1) <- List.length !cols
+  done;
+  let s =
+    Csr.of_sorted_rows ~rows:r ~cols:c ~row_ptr
+      ~col_idx:(Array.of_list (List.rev !cols))
+      ~values:(Array.of_list (List.rev !vals))
+  in
+  let same_bits (x : Csr.t) (y : Csr.t) =
+    x.row_ptr = y.row_ptr && x.col_idx = y.col_idx
+    && Array.map Int64.bits_of_float x.values
+       = Array.map Int64.bits_of_float y.values
+  in
   increasing a && increasing b
   && Mat.approx_equal ~tol:0. dense (Csr.to_dense a)
   && Mat.approx_equal ~tol:0. dense (Csr.to_dense b)
-  && a.row_ptr = b.row_ptr && a.col_idx = b.col_idx && a.values = b.values
+  && same_bits a b && same_bits a s
+
+let test_csr_of_sorted_rows_rejects () =
+  let mk ?(rows = 2) row_ptr col_idx values () =
+    Csr.of_sorted_rows ~rows ~cols:3 ~row_ptr ~col_idx ~values
+  in
+  let ok = mk [| 0; 2; 3 |] [| 0; 2; 1 |] [| 1.; 2.; 3. |] () in
+  check_float "accepted entry" 3. (Csr.get ok 1 1);
+  let bad ?rows name row_ptr col_idx values =
+    check_raises_invalid name (mk ?rows row_ptr col_idx values)
+  in
+  let cols = [| 0; 2; 1 |] and vals = [| 1.; 2.; 3. |] in
+  bad "row_ptr too short" [| 0; 3 |] cols vals;
+  bad "row_ptr too long" [| 0; 2; 3; 3 |] cols vals;
+  bad "row_ptr not from 0" [| 1; 2; 3 |] cols vals;
+  (* rows 0 and 2 overlap, each sorted on its own *)
+  bad ~rows:3 "row_ptr decreases" [| 0; 2; 1; 3 |] [| 0; 1; 2 |] vals;
+  bad "values shorter" [| 0; 2; 3 |] cols [| 1.; 2. |];
+  bad "row_ptr ends before nnz" [| 0; 2; 2 |] cols vals;
+  bad "unsorted row" [| 0; 2; 3 |] [| 2; 0; 1 |] vals;
+  bad "repeated column" [| 0; 2; 3 |] [| 1; 1; 1 |] vals;
+  bad "column past cols" [| 0; 2; 3 |] [| 0; 3; 1 |] vals;
+  bad "negative column" [| 0; 2; 3 |] [| 0; 2; -1 |] vals
+
+let prop_csr_lap_mv_into_matches seed =
+  let rng = Prng.Rng.create seed in
+  let n = 1 + Prng.Rng.int rng 12 in
+  let csr = Csr.of_coo (random_sparse rng n n) in
+  let deg = random_vec rng n and x = random_vec rng n in
+  let y = Array.make n nan in
+  Csr.lap_mv_into csr ~deg x y;
+  Array.map Int64.bits_of_float y
+  = Array.map Int64.bits_of_float (Csr.lap_mv csr ~deg x)
 
 (* ---------- CG ---------- *)
 
@@ -286,6 +340,9 @@ let suite =
       qprop "coo->csr->dense roundtrip" prop_csr_roundtrip;
       qprop "csr of_coo: presorted and shuffled = dense sum"
         prop_csr_of_coo_presorted_and_shuffled;
+      case "csr of_sorted_rows rejects malformed arrays"
+        test_csr_of_sorted_rows_rejects;
+      qprop "csr lap_mv_into = lap_mv bit for bit" prop_csr_lap_mv_into_matches;
       qprop "csr mv = dense mv" prop_csr_mv_matches_dense;
       qprop "csr tmv = dense tmv" prop_csr_tmv_matches_dense;
       qprop "csr transpose" prop_csr_transpose;
