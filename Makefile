@@ -35,15 +35,25 @@ test-domains1:
 fault-smoke:
 	dune build @fault-smoke
 
+# $(call expect_digests,FILE,'STRING' ...): fail unless FILE holds every
+# fixed STRING — the digests a CLI run at the pinned seed must print.
+expect_digests = for want in $(2); do \
+		grep -qF -- "$$want" $(1) || \
+			{ echo "$@: '$$want' missing from $(1):"; cat $(1); exit 1; }; \
+	done; echo "$@: pinned digests hold"
+
 # Chaos soak smoke: replay a seeded fault-injected request trace through
 # the serve engine twice (--verify-replay) and fail on any serving
 # invariant violation — dropped responses, an uncertified Served answer,
-# queue overgrowth, or replay divergence.  Runs once at the pinned seed
-# and once at a fresh seed, so the invariants are exercised beyond the
-# seed the tests pin.
+# queue overgrowth, or replay divergence.  Runs once at the pinned seed,
+# journaled, where the response and journal digests must be the pinned
+# ones, and once at a fresh seed, so the invariants are exercised beyond
+# the seed the tests pin.
 soak-smoke:
 	dune build bin/repro.exe
-	./_build/default/bin/repro.exe soak --requests 1500 --verify-replay > /dev/null
+	./_build/default/bin/repro.exe soak --requests 1500 --verify-replay \
+		--journal /tmp/gssl_soak_journal.jsonl > /tmp/gssl_soak_pinned.txt
+	@$(call expect_digests,/tmp/gssl_soak_pinned.txt,'digest d3a2cb607a79fa0d ' 'digest fb5d0e8e09ca0708')
 	@seed=$$(( ($$(date +%N | sed 's/^0*//') % 999983) + 43 )); \
 	echo "soak-smoke fresh seed=$$seed"; \
 	./_build/default/bin/repro.exe soak --requests 1500 --seed $$seed --verify-replay
@@ -106,17 +116,19 @@ obs-smoke:
 	./_build/default/bin/repro.exe top --requests 600 --format json > /dev/null
 
 # Transport smoke: the hostile-client soak byte-replayed on the virtual
-# clock (pinned seed + a fresh seed, both with replay verification and a
-# journal digest), then a real loopback exchange — `gssl serve --socket`
-# against the scripted hostile client, which asserts every corruption
-# mode maps to its typed error and that a clean query still answers on a
-# connection that just survived garbage — finishing with a SIGTERM
-# graceful drain that must exit 0.
+# clock (pinned seed, where the response and journal digests must be the
+# pinned ones, + a fresh seed, both with replay verification), then a
+# real loopback exchange — `gssl serve --socket` against the scripted
+# hostile client, which asserts every corruption mode maps to its typed
+# error and that a clean query still answers on a connection that just
+# survived a JSON-level error — finishing with a SIGTERM graceful drain
+# that must exit 0.
 TRANSPORT_SOCK ?= /tmp/gssl_transport_smoke.sock
 transport-smoke:
 	dune build bin/repro.exe
 	./_build/default/bin/repro.exe netsoak --connections 1500 --verify-replay \
-		--journal /tmp/gssl_netsoak_journal.jsonl > /dev/null
+		--journal /tmp/gssl_netsoak_journal.jsonl > /tmp/gssl_netsoak_pinned.txt
+	@$(call expect_digests,/tmp/gssl_netsoak_pinned.txt,'digest=a3e958f94de60f10 ' 'digest 6f960958b7bbe9db')
 	@seed=$$(( ($$(date +%N | sed 's/^0*//') % 999983) + 43 )); \
 	echo "transport-smoke fresh seed=$$seed"; \
 	./_build/default/bin/repro.exe netsoak --connections 1500 --seed $$seed \

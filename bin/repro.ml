@@ -145,7 +145,7 @@ let domains_arg =
         ~env:(Cmd.Env.info "GSSL_DOMAINS"))
 
 (* One knob steers both layers: the sweep grid gets the count explicitly,
-   and the default pool (used by gemm / spmv / pairwise / Jacobi) is
+   and the default pool (used by gemm / spmv / pairwise) is
    resized to match. *)
 let resolve_domains d =
   let d = if d = 0 then Domain.recommended_domain_count () else d in
@@ -645,6 +645,21 @@ let health_cmd =
 
 (* long-lived serving layer: chaos soak replay and an interactive server *)
 
+(* Write the engine's journal to [journal_path] when both exist. *)
+let write_journal journal_path engine =
+  match (journal_path, Serve.Engine.journal engine) with
+  | Some path, Some j ->
+      Obs.Journal.write j path;
+      Printf.printf "(journal written to %s: %d line(s), digest %016Lx)\n%!"
+        path (Obs.Journal.length j) (Obs.Journal.digest j)
+  | _ -> ()
+
+(* The tail `soak` and `netsoak` share: write the first run's journal,
+   then exit 1 unless the soak held. *)
+let finish_soak journal_path engine ok =
+  write_journal journal_path engine;
+  if not ok then exit 1
+
 let soak_cmd =
   let requests_arg =
     let doc = "Number of requests in the generated trace." in
@@ -690,13 +705,7 @@ let soak_cmd =
     in
     let s, engine = Serve.Soak.run_full cfg in
     print_string (Serve.Soak.describe s);
-    (match (journal_path, Serve.Engine.journal engine) with
-    | Some path, Some j ->
-        Obs.Journal.write j path;
-        Printf.printf "(journal written to %s: %d line(s), digest %Lx)\n" path
-          (Obs.Journal.length j) (Obs.Journal.digest j)
-    | _ -> ());
-    if not (Serve.Soak.ok s) then exit 1
+    finish_soak journal_path engine (Serve.Soak.ok s)
   in
   let term =
     Term.(
@@ -877,14 +886,6 @@ let serve_cmd =
       if journal_path = None then None else Some (Obs.Journal.create ())
     in
     let engine = Serve.Engine.create ~clock ?journal config prob in
-    let write_journal () =
-      match (journal_path, Serve.Engine.journal engine) with
-      | Some path, Some j ->
-          Obs.Journal.write j path;
-          Printf.printf "(journal written to %s: %d line(s), digest %Lx)\n%!"
-            path (Obs.Journal.length j) (Obs.Journal.digest j)
-      | _ -> ()
-    in
     match (socket, tcp) with
     | None, None ->
         (* stdin REPL *)
@@ -896,7 +897,7 @@ let serve_cmd =
           (Gssl.Problem.n_labeled prob);
         let parse_errors = repl_loop engine clock in
         print_serve_stats ~parse_errors engine;
-        write_journal ()
+        write_journal journal_path engine
     | _ ->
         let address =
           match (socket, tcp) with
@@ -925,7 +926,7 @@ let serve_cmd =
         Printf.printf "gssl serve: drained.\n";
         print_serve_stats engine;
         print_transport_stats engine;
-        write_journal ()
+        write_journal journal_path engine
   in
   let term =
     Term.(
@@ -966,11 +967,12 @@ let client_cmd =
   in
   let hostile_flag =
     let doc =
-      "Run the scripted hostile probe instead of clean requests: bad magic, \
-       bad version, oversized length, truncated frame, garbage JSON, \
-       unknown/malformed ops — asserting each comes back as the right typed \
-       protocol error and that a clean query still succeeds afterwards.  \
-       Exits nonzero on any mismatch."
+      "Run the scripted hostile probe instead of clean requests: every case \
+       of the netsoak's corruption table (bad magic, bad version, oversized \
+       length, truncated frame, garbage JSON, unknown/malformed ops) — \
+       asserting each comes back as the right typed protocol error, that a \
+       JSON-level error leaves its connection serving, and that a clean \
+       query still succeeds afterwards.  Exits nonzero on any mismatch."
     in
     Arg.(value & flag & info [ "hostile" ] ~doc)
   in
@@ -1045,46 +1047,25 @@ let client_cmd =
         Printf.printf "not ok %d - %s\n%!" !checks name
       end
     in
-    let expect_error name bytes code =
-      with_conn address (fun fd ->
-          send_all fd bytes;
-          (try Unix.shutdown fd Unix.SHUTDOWN_SEND
-           with Unix.Unix_error _ -> ());
-          match recv_frames fd ~count:1 with
-          | [ p ] -> expect name (err_code p = Some code)
-          | _ -> expect name false)
-    in
-    let junk n = String.init n (fun _ -> Char.chr (Prng.Rng.int rng 256)) in
-    expect_error "bad magic rejected" ("EVIL" ^ junk 8) "bad_magic";
-    expect_error "bad version rejected"
-      (Net.Frame.magic ^ "\002" ^ junk 4)
-      "bad_version";
-    expect_error "oversized length rejected"
-      (Net.Frame.magic ^ "\001\x7f\xff\xff\xff")
-      "too_large";
-    expect_error "truncated frame rejected"
-      (String.sub (q ()) 0 (1 + Prng.Rng.int rng (String.length (q ()) - 1)))
-      "truncated";
-    expect_error "unknown op rejected"
-      (Net.Frame.encode "{\"op\":\"frobnicate\"}")
-      "unknown_op";
-    expect_error "missing field rejected"
-      (Net.Frame.encode "{\"op\":\"relabel\",\"vertex\":3}")
-      "missing_field";
-    expect_error "non-finite label rejected"
-      (Net.Frame.encode "{\"op\":\"relabel\",\"vertex\":3,\"label\":1e999}")
-      "bad_field";
-    (* JSON-level faults are per-frame recoverable: garbage then a clean
-       query on the SAME connection must both be answered *)
-    with_conn address (fun fd ->
-        send_all fd (Net.Frame.encode ("\000" ^ junk 12));
-        send_all fd (q ());
-        (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
-        match recv_frames fd ~count:2 with
-        | [ e; r ] ->
-            expect "garbage JSON rejected, connection survives"
-              (err_code e = Some "malformed_json" && is_ok r)
-        | _ -> expect "garbage JSON rejected, connection survives" false);
+    (* Every case of the netsoak's corruption table, one connection each.
+       A framing error closes the connection; a JSON-level error is
+       per-frame, so a clean query on the SAME connection must still be
+       answered after it. *)
+    Array.iter
+      (fun (c : Net.Hostile.corruption) ->
+        with_conn address (fun fd ->
+            send_all fd (c.bytes rng);
+            if not c.fatal then send_all fd (q ());
+            (try Unix.shutdown fd Unix.SHUTDOWN_SEND
+             with Unix.Unix_error _ -> ());
+            expect
+              (if c.fatal then c.name ^ " rejected"
+               else c.name ^ " rejected, connection survives")
+              (match recv_frames fd ~count:(if c.fatal then 1 else 2) with
+              | [ e ] -> c.fatal && err_code e = Some c.code
+              | [ e; r ] -> err_code e = Some c.code && is_ok r
+              | _ -> false)))
+      Net.Hostile.corruptions;
     (* and the server still serves cleanly after all of the abuse *)
     with_conn address (fun fd ->
         send_all fd (q ());
@@ -1179,13 +1160,7 @@ let netsoak_cmd =
     in
     let s, engine = Net.Hostile.run_full cfg in
     print_endline (Net.Hostile.describe s);
-    (match (journal_path, Serve.Engine.journal engine) with
-    | Some path, Some j ->
-        Obs.Journal.write j path;
-        Printf.printf "(journal written to %s: %d line(s), digest %Lx)\n" path
-          (Obs.Journal.length j) (Obs.Journal.digest j)
-    | _ -> ());
-    if not (Net.Hostile.ok s) then exit 1
+    finish_soak journal_path engine (Net.Hostile.ok s)
   in
   let term =
     Term.(
@@ -1546,9 +1521,9 @@ let scale_cmd =
     Telemetry.Registry.enable ();
     Telemetry.Registry.reset ();
     let time f =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Telemetry.Monotonic.now_ns () in
       let r = f () in
-      (r, (Unix.gettimeofday () -. t0) *. 1000.)
+      (r, (Telemetry.Monotonic.now_ns () -. t0) *. 1e-6)
     in
     let failures = ref [] in
     let contract name ok detail =

@@ -49,6 +49,10 @@ type report = {
           partial iterates, not converged answers. *)
 }
 
+val finite_mean : float array -> float
+(** Mean of the finite entries — the λ→∞ constant of Proposition II.2
+    and the value every imputation uses.  0 when no entry is finite. *)
+
 val solve_hard :
   ?suspect_threshold:float ->
   ?cg_max_iter:int ->

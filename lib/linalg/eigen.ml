@@ -48,115 +48,20 @@ let rotate a v p q =
     done
   end
 
-(* --- parallel rotation sweeps -------------------------------------- *)
-
-(* Round-robin tournament schedule: [n] slots (padded to even) play
-   [m - 1] rounds of [m / 2] simultaneous pairings; over a full sweep
-   every unordered pair meets exactly once, so this is a cyclic Jacobi
-   ordering — just one whose rounds are mutually disjoint. *)
-let tournament_rounds n =
-  let m = if n mod 2 = 0 then n else n + 1 in
-  Array.init (m - 1) (fun r ->
-      let pos = Array.make m 0 in
-      for i = 1 to m - 1 do
-        pos.(i) <- ((i - 1 + r) mod (m - 1)) + 1
-      done;
-      let pairs = ref [] in
-      for i = (m / 2) - 1 downto 0 do
-        let a = pos.(i) and b = pos.(m - 1 - i) in
-        (* drop pairings against the padding slot *)
-        if a < n && b < n then
-          pairs := (Stdlib.min a b, Stdlib.max a b) :: !pairs
-      done;
-      Array.of_list !pairs)
-
-(* One parallel sweep: for each tournament round, compute every
-   rotation's (c, s) from the current matrix, then apply the combined
-   orthogonal update J = Π rotations (disjoint pairs commute) in two
-   barriered phases — columns (A·J, V·J) then rows (Jᵀ·(A·J)).  Within a
-   phase each pair touches only its own two columns (resp. rows), so the
-   pair loop fans out over the pool; every element is computed
-   independently, making the sweep bit-identical for any domain count. *)
-let parallel_sweep a v rounds =
-  let n = a.Mat.rows in
-  let ad = a.Mat.data and vd = v.Mat.data in
-  Array.iter
-    (fun pairs ->
-      let npairs = Array.length pairs in
-      let cs = Array.make npairs 1. and sn = Array.make npairs 0. in
-      for idx = 0 to npairs - 1 do
-        let p, q = pairs.(idx) in
-        let apq = ad.((p * n) + q) in
-        if apq <> 0. then begin
-          let app = ad.((p * n) + p) and aqq = ad.((q * n) + q) in
-          let theta = (aqq -. app) /. (2. *. apq) in
-          let t =
-            let s = if theta >= 0. then 1. else -1. in
-            s /. (abs_float theta +. sqrt ((theta *. theta) +. 1.))
-          in
-          let c = 1. /. sqrt ((t *. t) +. 1.) in
-          cs.(idx) <- c;
-          sn.(idx) <- t *. c
-        end
-      done;
-      let grain = Stdlib.max 1 ((npairs + 15) / 16) in
-      (* phase 1: columns p, q of A and V — disjoint across pairs *)
-      Parallel.Pool.run ~grain npairs (fun lo hi ->
-          for idx = lo to hi - 1 do
-            let p, q = pairs.(idx) in
-            let c = cs.(idx) and s = sn.(idx) in
-            if s <> 0. then
-              for k = 0 to n - 1 do
-                let akp = ad.((k * n) + p) and akq = ad.((k * n) + q) in
-                ad.((k * n) + p) <- (c *. akp) -. (s *. akq);
-                ad.((k * n) + q) <- (s *. akp) +. (c *. akq);
-                let vkp = vd.((k * n) + p) and vkq = vd.((k * n) + q) in
-                vd.((k * n) + p) <- (c *. vkp) -. (s *. vkq);
-                vd.((k * n) + q) <- (s *. vkp) +. (c *. vkq)
-              done
-          done);
-      (* phase 2: rows p, q of A — disjoint across pairs *)
-      Parallel.Pool.run ~grain npairs (fun lo hi ->
-          for idx = lo to hi - 1 do
-            let p, q = pairs.(idx) in
-            let c = cs.(idx) and s = sn.(idx) in
-            if s <> 0. then
-              for k = 0 to n - 1 do
-                let apk = ad.((p * n) + k) and aqk = ad.((q * n) + k) in
-                ad.((p * n) + k) <- (c *. apk) -. (s *. aqk);
-                ad.((q * n) + k) <- (s *. apk) +. (c *. aqk)
-              done
-          done))
-    rounds
-
-(* Whether a sweep uses the serial cyclic ordering or the parallel
-   tournament schedule is decided by Parallel.Dispatch on the work of
-   one tournament round (n² rotated elements): n >= 192, so the small
-   matrices the test-suite and the solvers spin through keep their
-   rotation order — and their results — bit-for-bit stable. *)
-let jacobi ?(tol = 1e-12) ?(max_sweeps = 100) ?parallel m =
+let jacobi ?(tol = 1e-12) ?(max_sweeps = 100) m =
   if not (Mat.is_square m) then invalid_arg "Eigen.jacobi: matrix not square";
   let n = m.Mat.rows in
-  let parallel =
-    match parallel with
-    | Some b -> b
-    | None ->
-        Parallel.Dispatch.decide Parallel.Dispatch.Jacobi ~work:(n * n) ~rows:n
-  in
   let a = Mat.copy m in
   let v = Mat.eye n in
   let scale = Stdlib.max 1. (Mat.frobenius_norm m) in
-  let rounds = if parallel && n > 1 then tournament_rounds n else [||] in
   let sweeps = ref 0 in
   while off_diag_norm a > tol *. scale && !sweeps < max_sweeps do
     incr sweeps;
-    if parallel && n > 1 then parallel_sweep a v rounds
-    else
-      for p = 0 to n - 2 do
-        for q = p + 1 to n - 1 do
-          rotate a v p q
-        done
+    for p = 0 to n - 2 do
+      for q = p + 1 to n - 1 do
+        rotate a v p q
       done
+    done
   done;
   Telemetry.Counter.incr c_jacobi;
   Telemetry.Counter.add c_sweeps !sweeps;

@@ -10,20 +10,10 @@ type decomposition = {
   vectors : Mat.t;  (** column [j] is the eigenvector for [values.(j)] *)
 }
 
-val jacobi :
-  ?tol:float -> ?max_sweeps:int -> ?parallel:bool -> Mat.t -> decomposition
-(** Full eigendecomposition of a symmetric matrix by cyclic Jacobi
-    rotations.  [tol] (default 1e-12) bounds the off-diagonal Frobenius
-    norm at convergence; [max_sweeps] defaults to 100.
-
-    [parallel] selects the rotation ordering: [false] is the classic
-    serial cyclic-by-rows sweep; [true] orders each sweep as the
-    round-robin tournament rounds of mutually disjoint pairs and applies
-    each round's rotations simultaneously on the {!Parallel.Pool} (two
-    barriered element-wise phases per round, so the result is
-    bit-identical for any domain count — though it differs in the last
-    bits from the serial ordering, both converge to the same spectrum
-    within [tol]).  Default: parallel from 192×192 up, serial below.
+val jacobi : ?tol:float -> ?max_sweeps:int -> Mat.t -> decomposition
+(** Full eigendecomposition of a symmetric matrix by serial cyclic-by-rows
+    Jacobi rotations.  [tol] (default 1e-12) bounds the off-diagonal
+    Frobenius norm at convergence; [max_sweeps] defaults to 100.
     Raises [Invalid_argument] if not square, [Failure] on non-convergence. *)
 
 val power_iteration :

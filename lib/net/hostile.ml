@@ -1,5 +1,6 @@
 module Engine = Serve.Engine
 module Clock = Serve.Clock
+module Soak = Serve.Soak
 module Transport = Serve.Transport
 module Rng = Prng.Rng
 module J = Telemetry.Export
@@ -108,6 +109,54 @@ let chunks rng k s =
   in
   pieces 0 cuts
 
+(* ---------- the byte-corruption menu ---------- *)
+
+(* The pinned netsoak digests fix each case's draws and their order.
+   [^] evaluates its right operand first, so bad_magic draws its random
+   tail before its first byte. *)
+type corruption = {
+  name : string;
+  code : string;
+  fatal : bool;
+  bytes : Rng.t -> string;
+}
+
+let corruptions =
+  [|
+    { name = "bad_magic"; code = "bad_magic"; fatal = true;
+      bytes =
+        (fun rng ->
+          String.make 1 (Char.chr (Char.code 'A' + Rng.int rng 6))
+          ^ random_bytes rng (3 + Rng.int rng 12)) };
+    { name = "bad_version"; code = "bad_version"; fatal = true;
+      bytes =
+        (fun rng ->
+          let v = 2 + Rng.int rng 250 in
+          Frame.magic ^ String.make 1 (Char.chr v) ^ random_bytes rng 4) };
+    { name = "too_large"; code = "too_large"; fatal = true;
+      bytes = (fun _ -> Frame.magic ^ "\001\x7f\xff\xff\xff") };
+    { name = "truncated"; code = "truncated"; fatal = true;
+      bytes =
+        (fun rng ->
+          let f = Lazy.force query_frame in
+          let cut = 1 + Rng.int rng (String.length f - 1) in
+          String.sub f 0 cut) };
+    { name = "garbage_json"; code = "malformed_json"; fatal = false;
+      bytes =
+        (fun rng ->
+          Frame.encode ("\000" ^ random_bytes rng (1 + Rng.int rng 24))) };
+    { name = "unknown_op"; code = "unknown_op"; fatal = false;
+      bytes = (fun _ -> Frame.encode "{\"op\":\"frobnicate\"}") };
+    { name = "missing_field"; code = "missing_field"; fatal = false;
+      bytes = (fun _ -> Frame.encode "{\"op\":\"relabel\",\"vertex\":5}") };
+    { name = "nonfinite_label"; code = "bad_field"; fatal = false;
+      bytes =
+        (fun _ ->
+          Frame.encode "{\"op\":\"relabel\",\"vertex\":5,\"label\":1e999}") };
+  |]
+
+(* ---------- the scenario trace ---------- *)
+
 let base ~sid ~arrival ~name ~events ~expect =
   { sid; arrival_ms = arrival; name; events; expect; reads = true;
     small_buffer = false; exp_ok_frames = 0; exp_rejected = 0;
@@ -115,25 +164,10 @@ let base ~sid ~arrival ~name ~events ~expect =
 
 let gen cfg prob =
   let rng = Rng.create ((cfg.seed * 6563) + 29) in
-  let n = Gssl.Problem.n_labeled prob in
-  let m = Gssl.Problem.n_unlabeled prob in
-  let pool = Array.init m (fun i -> n + i) in
-  Rng.shuffle_inplace rng pool;
-  let max_relabels = Stdlib.max 0 (m - 8) in
-  let next_relabel = ref 0 in
+  let pool = Soak.relabel_pool rng prob in
   let io = cfg.io_deadline_ms in
-  let arrival = ref 0. in
-  List.init cfg.connections (fun sid ->
-      let in_burst =
-        cfg.burst_every > 0 && sid >= cfg.burst_every
-        && sid mod cfg.burst_every < cfg.burst_size
-      in
-      let gap =
-        if in_burst then 0.02
-        else -.cfg.mean_gap_ms *. log (1. -. Rng.float rng)
-      in
-      arrival := !arrival +. gap;
-      let a = !arrival in
+  Soak.schedule rng ~count:cfg.connections ~mean_gap_ms:cfg.mean_gap_ms
+    ~burst_every:cfg.burst_every ~burst_size:cfg.burst_size (fun sid a ->
       let q () = Lazy.force query_frame in
       let clean () =
         match Rng.int rng 6 with
@@ -153,9 +187,8 @@ let gen cfg prob =
             { (base ~sid ~arrival:a ~name:"chunked_query" ~events
                  ~expect:(Ok_n 1))
               with exp_ok_frames = 1 }
-        | 2 when !next_relabel < max_relabels ->
-            let vertex = pool.(!next_relabel) in
-            incr next_relabel;
+        | 2 when Soak.relabels_left pool ->
+            let vertex = Soak.take_relabel pool in
             let label = float_of_int (vertex mod 2) in
             { (base ~sid ~arrival:a ~name:"relabel"
                  ~events:[ Send (relabel_frame ~vertex ~label); Half_close ]
@@ -179,60 +212,11 @@ let gen cfg prob =
       in
       let hostile () =
         match Rng.int rng 12 with
-        | 0 ->
-            let junk =
-              String.make 1 (Char.chr (Char.code 'A' + Rng.int rng 6))
-              ^ random_bytes rng (3 + Rng.int rng 12)
-            in
-            { (base ~sid ~arrival:a ~name:"bad_magic"
-                 ~events:[ Send junk; Half_close ] ~expect:(Err "bad_magic"))
-              with exp_rejected = 1 }
-        | 1 ->
-            let v = 2 + Rng.int rng 250 in
-            let hdr = Frame.magic ^ String.make 1 (Char.chr v)
-                      ^ random_bytes rng 4 in
-            { (base ~sid ~arrival:a ~name:"bad_version"
-                 ~events:[ Send hdr; Half_close ] ~expect:(Err "bad_version"))
-              with exp_rejected = 1 }
-        | 2 ->
-            let hdr = Frame.magic ^ "\001\x7f\xff\xff\xff" in
-            { (base ~sid ~arrival:a ~name:"too_large"
-                 ~events:[ Send hdr; Half_close ] ~expect:(Err "too_large"))
-              with exp_rejected = 1 }
-        | 3 ->
-            let f = q () in
-            let cut = 1 + Rng.int rng (String.length f - 1) in
-            { (base ~sid ~arrival:a ~name:"truncated"
-                 ~events:[ Send (String.sub f 0 cut); Half_close ]
-                 ~expect:(Err "truncated"))
-              with exp_rejected = 1 }
-        | 4 ->
-            let garbage = "\000" ^ random_bytes rng (1 + Rng.int rng 24) in
-            { (base ~sid ~arrival:a ~name:"garbage_json"
-                 ~events:[ Send (Frame.encode garbage); Half_close ]
-                 ~expect:(Err "malformed_json"))
-              with exp_rejected = 1 }
-        | 5 ->
-            { (base ~sid ~arrival:a ~name:"unknown_op"
-                 ~events:
-                   [ Send (Frame.encode "{\"op\":\"frobnicate\"}"); Half_close ]
-                 ~expect:(Err "unknown_op"))
-              with exp_rejected = 1 }
-        | 6 ->
-            { (base ~sid ~arrival:a ~name:"missing_field"
-                 ~events:
-                   [ Send (Frame.encode "{\"op\":\"relabel\",\"vertex\":5}");
-                     Half_close ]
-                 ~expect:(Err "missing_field"))
-              with exp_rejected = 1 }
-        | 7 ->
-            { (base ~sid ~arrival:a ~name:"nonfinite_label"
-                 ~events:
-                   [ Send
-                       (Frame.encode
-                          "{\"op\":\"relabel\",\"vertex\":5,\"label\":1e999}");
-                     Half_close ]
-                 ~expect:(Err "bad_field"))
+        | k when k < Array.length corruptions ->
+            let c = corruptions.(k) in
+            { (base ~sid ~arrival:a ~name:c.name
+                 ~events:[ Send (c.bytes rng); Half_close ]
+                 ~expect:(Err c.code))
               with exp_rejected = 1 }
         | 8 ->
             (* slowloris: a few header bytes, then silence past the
@@ -268,10 +252,6 @@ let gen cfg prob =
 (* ---------- replay ---------- *)
 
 type rundata = {
-  r_engine : Engine.t;
-  r_digest : int64;
-  r_journal_lines : int;
-  r_journal_digest : int64;
   r_responses : int;
   r_ok : int;
   r_err : int;
@@ -280,11 +260,6 @@ type rundata = {
   r_violations : string list;
 }
 
-let engine_config cfg =
-  { Engine.default_config with
-    Engine.deadline_ms = cfg.deadline_ms;
-    seed = cfg.seed }
-
 let mix = Serve.Cache.mix
 
 let mix_string h s =
@@ -292,10 +267,10 @@ let mix_string h s =
   String.iter (fun c -> acc := mix !acc (Int64.of_int (Char.code c))) s;
   !acc
 
-let run_once cfg prob scenarios =
-  let clock = Clock.virtual_ () in
-  let journal = if cfg.journal then Some (Obs.Journal.create ()) else None in
-  let engine = Engine.create ~clock ?journal (engine_config cfg) prob in
+(* One run of the script through [Conn] on the harness's engine and
+   virtual clock: what the clients read back, the transport counters
+   reconciled against the script, and the response-byte digest. *)
+let drive cfg scenarios clock engine =
   let tr = Engine.transport engine in
   let next_req = ref 0 in
   let fresh_id () =
@@ -462,58 +437,38 @@ let run_once cfg prob scenarios =
   check "conns_closed" tr.Transport.conns_closed (List.length scenarios);
   if !max_buffer > Conn.default_config.Conn.max_buffered + 65536 then
     note "connection buffer grew unbounded: %d bytes" !max_buffer;
-  let st = Engine.stats engine in
-  let jl, jd =
-    match Engine.journal engine with
-    | Some j ->
-        (match Obs.Journal.validate_text (Obs.Journal.to_text j) with
-        | Ok _ -> ()
-        | Error e -> note "journal failed schema validation: %s" e);
-        let expect_lines = st.Engine.served + st.Engine.degraded + st.Engine.shed in
-        if Obs.Journal.length j <> expect_lines then
-          note "journal has %d line(s), engine served %d"
-            (Obs.Journal.length j) expect_lines;
-        (Obs.Journal.length j, Obs.Journal.digest j)
-    | None -> (0, 0L)
-  in
   digest := mix !digest (Int64.of_int tr.Transport.frames_ok);
   digest := mix !digest (Int64.of_int tr.Transport.frames_rejected);
   digest := mix !digest (Int64.of_int tr.Transport.io_deadline_expired);
-  digest := mix !digest jd;
-  { r_engine = engine;
-    r_digest = !digest;
-    r_journal_lines = jl;
-    r_journal_digest = jd;
-    r_responses = !responses_total;
-    r_ok = !ok_total;
-    r_err = !err_total;
-    r_frames_sent = !frames_sent;
-    r_max_buffer = !max_buffer;
-    r_violations = List.rev !violations }
+  digest :=
+    mix !digest
+      (match Engine.journal engine with
+      | Some j -> Obs.Journal.digest j
+      | None -> 0L);
+  ( { r_responses = !responses_total;
+      r_ok = !ok_total;
+      r_err = !err_total;
+      r_frames_sent = !frames_sent;
+      r_max_buffer = !max_buffer;
+      r_violations = List.rev !violations },
+    !digest )
 
 let run_full cfg =
-  let t0 = Unix.gettimeofday () in
   let prob =
-    Serve.Soak.problem ~seed:cfg.seed ~n_vertices:cfg.n_vertices
+    Soak.problem ~seed:cfg.seed ~n_vertices:cfg.n_vertices
       ~n_labeled:cfg.n_labeled
   in
   let scenarios = gen cfg prob in
-  let first = run_once cfg prob scenarios in
-  let replay_violations, replay_verified =
-    if not cfg.verify_replay then ([], true)
-    else begin
-      let second = run_once cfg prob scenarios in
-      let vs = ref [] in
-      if second.r_digest <> first.r_digest then
-        vs := "replay digest mismatch (responses/traces diverged)" :: !vs;
-      if cfg.journal && second.r_journal_digest <> first.r_journal_digest then
-        vs := "replay journal digest mismatch" :: !vs;
-      (List.rev !vs, !vs = [])
-    end
+  let r =
+    Soak.replay ~verify_replay:cfg.verify_replay ~journal:cfg.journal
+      { Engine.default_config with
+        Engine.deadline_ms = cfg.deadline_ms;
+        seed = cfg.seed }
+      prob (drive cfg scenarios)
   in
-  let st = Engine.stats first.r_engine in
-  let tr = Engine.transport first.r_engine in
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let first = r.Soak.result in
+  let st = Engine.stats r.Soak.engine in
+  let tr = Engine.transport r.Soak.engine in
   ( { connections = List.length scenarios;
       frames_sent = first.r_frames_sent;
       responses = first.r_responses;
@@ -527,13 +482,13 @@ let run_full cfg =
       io_deadline_expired = tr.Transport.io_deadline_expired;
       overflow_shed = tr.Transport.overflow_shed;
       max_conn_buffer = first.r_max_buffer;
-      journal_lines = first.r_journal_lines;
-      journal_digest = first.r_journal_digest;
-      digest = first.r_digest;
-      replay_verified;
-      wall_ms;
-      violations = first.r_violations @ replay_violations },
-    first.r_engine )
+      journal_lines = r.Soak.journal_lines;
+      journal_digest = r.Soak.journal_digest;
+      digest = r.Soak.digest;
+      replay_verified = r.Soak.replay_verified;
+      wall_ms = r.Soak.wall_ms;
+      violations = first.r_violations @ r.Soak.violations },
+    r.Soak.engine )
 
 let run cfg = fst (run_full cfg)
 let ok s = s.violations = []

@@ -1,15 +1,20 @@
-(** Deterministic hostile-client soak: the transport-layer counterpart
-    of {!Serve.Soak}.
+(** Deterministic hostile-client soak: the byte-level traffic of the
+    {!Serve.Soak} harness.
 
-    Generates a seeded trace of client connections — a clean mix
-    (whole, chunked, and pipelined queries, relabels, stats/metrics)
-    interleaved with a hostile menu (byte-level frame corruption: bad
-    magic, bad version, oversized length; truncated frames with
-    half-close; garbage JSON with embedded NULs; unknown ops; missing
-    and non-finite fields; slowloris mid-frame stalls; peers that stop
-    reading; abrupt disconnects; burst connects) — and replays it
+    Generates a seeded trace of client connections on the harness's
+    arrival schedule — a clean mix (whole, chunked, and pipelined
+    queries, relabels drawn from the harness's pool, stats/metrics)
+    interleaved with a hostile menu (the {!corruptions} table: bad
+    magic, bad version, oversized length, truncated frames with
+    half-close, garbage JSON with embedded NULs, unknown ops, missing
+    and non-finite fields; then slowloris mid-frame stalls, peers that
+    stop reading, abrupt disconnects, burst connects) — and replays it
     byte-for-byte through {!Conn} + {!Serve.Engine.handle} on the
-    virtual clock.  Invariants checked:
+    engine and virtual clock {!Serve.Soak.replay} builds.  This module
+    owns the scenario menu, the replay through [Conn] and the
+    transport-counter reconciliation; the harness owns the engine
+    setup, the replay comparison and the observability check.
+    Invariants checked:
 
     - the server never crashes: no exception escapes any connection,
       whatever bytes arrive;
@@ -21,11 +26,27 @@
     - transport counters reconcile exactly with the scenario script
       (every expected [client_gone], [io_deadline_expired], rejected
       and accepted frame is accounted for);
+    - the SLO tracker and the journal reconcile with the engine's
+      books (the harness's observability check);
     - optionally ([verify_replay]), a second run produces a
       bit-identical response-byte digest — and, when journaling, a
       bit-identical span journal.
 
     Violations are returned as strings, never exceptions. *)
+
+type corruption = {
+  name : string;  (** scenario name, e.g. ["bad_magic"] *)
+  code : string;  (** the typed error the server must answer with *)
+  fatal : bool;
+      (** a framing error: the server answers and closes the connection.
+          Otherwise the error is per-frame and the connection survives. *)
+  bytes : Prng.Rng.t -> string;  (** the corrupt bytes, drawn from the rng *)
+}
+
+val corruptions : corruption array
+(** The eight byte-level corruption cases, in the order the trace
+    generator draws them.  [repro client --hostile] sends the same
+    table over a real socket. *)
 
 type config = {
   connections : int;

@@ -1,19 +1,17 @@
-type kernel = Gemm | Gemv | Spmv | Pairwise | Jacobi
+type kernel = Gemm | Gemv | Spmv | Pairwise
 
 let kernel_name = function
   | Gemm -> "gemm"
   | Gemv -> "gemv"
   | Spmv -> "spmv"
   | Pairwise -> "pairwise"
-  | Jacobi -> "jacobi"
 
-(* pairwise n >= 64 and jacobi n >= 192, squared *)
+(* pairwise: n >= 64, squared *)
 let threshold = function
   | Gemm -> 1 lsl 16
   | Gemv -> 1 lsl 15
   | Spmv -> 1 lsl 12
   | Pairwise -> 4096
-  | Jacobi -> 36864
 
 let counters =
   List.map
@@ -23,7 +21,7 @@ let counters =
           (Printf.sprintf "parallel.tune.%s.%s" (kernel_name k) verdict)
       in
       (k, (c "serial", c "parallel")))
-    [ Gemm; Gemv; Spmv; Pairwise; Jacobi ]
+    [ Gemm; Gemv; Spmv; Pairwise ]
 
 let decide k ~work ~rows =
   let parallel = rows >= 2 && work >= threshold k in

@@ -1,10 +1,10 @@
 (** Serial/parallel dispatch for the pooled kernels.
 
     Every parallel kernel (dense GEMM/GEMV, sparse SpMV, pairwise
-    distances, Jacobi rotation sweeps) asks this module whether the
-    current call fans out over the domain pool.  One fixed rule
-    answers: parallel when the call spreads over at least two rows and
-    its work measure reaches the kernel's {!threshold}.  The decision
+    distances) asks this module whether the current call fans out over
+    the domain pool.  One fixed rule answers: parallel when the call
+    spreads over at least two rows and its work measure reaches the
+    kernel's {!threshold}.  The decision
     depends only on the call's sizes — never on the live pool size or
     the clock — and the parallel path keeps each row's accumulation
     order, so the output is bit-identical either way.
@@ -12,15 +12,14 @@
     Each decision bumps a [parallel.tune.<kernel>.{serial,parallel}]
     telemetry counter. *)
 
-type kernel = Gemm | Gemv | Spmv | Pairwise | Jacobi
+type kernel = Gemm | Gemv | Spmv | Pairwise
 
 val kernel_name : kernel -> string
 
 val threshold : kernel -> int
 (** The work at which a kernel goes parallel, in that kernel's work
     measure: [Gemm] rows·k·cols ≥ 2¹⁶, [Gemv] rows·cols ≥ 2¹⁵, [Spmv]
-    nnz ≥ 2¹², [Pairwise] n² ≥ 4096, [Jacobi] n² ≥ 36864 (one
-    tournament round). *)
+    nnz ≥ 2¹², [Pairwise] n² ≥ 4096. *)
 
 val decide : kernel -> work:int -> rows:int -> bool
 (** [rows >= 2 && work >= threshold kernel] (so [work <= 0] is serial),

@@ -72,7 +72,7 @@ let create ?domains () =
 
 let size pool = pool.domains
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+let now_ns () = int_of_float (Telemetry.Monotonic.now_ns ())
 
 let run_chunk pool job c =
   let lo = c * job.grain in

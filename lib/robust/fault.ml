@@ -45,8 +45,8 @@ let detects fault (d : Check.diagnostic) =
    [should_stop] polling around it. *)
 let busy_wait_ms ms =
   if ms > 0. then begin
-    let deadline = Unix.gettimeofday () +. (ms /. 1e3) in
-    while Unix.gettimeofday () < deadline do
+    let deadline = Telemetry.Monotonic.now_ns () +. (ms *. 1e6) in
+    while Telemetry.Monotonic.now_ns () < deadline do
       ignore (Sys.opaque_identity (ref 0))
     done
   end

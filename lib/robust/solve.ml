@@ -57,7 +57,7 @@ let all_finite = Array.for_all Float.is_finite
 
 let abort_reason = "cooperative abort (should_stop)"
 
-let now_ms () = Unix.gettimeofday () *. 1e3
+let now_ms () = Telemetry.Monotonic.now_ns () *. 1e-6
 
 (* Per-rung wall-time attribution.  Each rung entry leaves a timestamp
    mark; [timings_of] turns consecutive marks into durations (the last

@@ -7,7 +7,7 @@ let virtual_ ?(start_ms = 0.) () = Virtual { now_ms = start_ms }
 let is_virtual = function Virtual _ -> true | Monotonic -> false
 
 let now_ms = function
-  | Monotonic -> Unix.gettimeofday () *. 1e3
+  | Monotonic -> Telemetry.Monotonic.now_ns () *. 1e-6
   | Virtual v -> v.now_ms
 
 let advance t ms =

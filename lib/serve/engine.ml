@@ -207,16 +207,7 @@ let make_ctx t (req : request) =
 (* λ→∞ labeled-mean imputation (Prop II.2): the cheapest total answer,
    used when even the cached factorization is unavailable. *)
 let mean_predictions t =
-  let y = t.problem.Problem.labels in
-  let sum = ref 0. and count = ref 0 in
-  Array.iter
-    (fun v ->
-      if Float.is_finite v then begin
-        sum := !sum +. v;
-        incr count
-      end)
-    y;
-  let mean = if !count = 0 then 0. else !sum /. float_of_int !count in
+  let mean = Resilient.finite_mean t.problem.Problem.labels in
   let n = Problem.n_labeled t.problem in
   let m = Problem.n_unlabeled t.problem in
   Array.init m (fun i -> (n + i, mean))
@@ -337,6 +328,21 @@ let degraded_answer t (req : request) ~ctx ~queue_ms ?(diagnostics = [])
   finish t req ~ctx ~queue_ms ~cache_hit ~attempts ~diagnostics
     (Degraded reason) predictions
 
+(* A cache-hit answer: the cached state's predictions, certified
+   against its system, Served when healthy and Degraded with the
+   [unhealthy] reason otherwise.  Nothing left to predict certifies as
+   healthy. *)
+let cached_answer t (req : request) ~ctx ~queue_ms inc ~unhealthy =
+  let predictions = Incremental.predict inc in
+  let certificate = certify_incremental inc in
+  let status =
+    match certificate with
+    | Some c when not (Obs.Health.healthy c) -> Degraded unhealthy
+    | Some _ | None -> Served
+  in
+  finish t req ~ctx ~queue_ms ~cache_hit:true ~attempts:1 ?certificate status
+    predictions
+
 let expire t (req : request) ~ctx ~queue_ms ~deadline ?(attempts = 1) () =
   t.st.s_deadline_expired <- t.st.s_deadline_expired + 1;
   Telemetry.Counter.incr c_deadline;
@@ -456,20 +462,8 @@ let process t ~ctx ~queue_ms (req : request) =
                   | () ->
                       Clock.advance t.clock t.costs.relabel_ms;
                       t.st.s_relabels <- t.st.s_relabels + 1;
-                      let predictions = Incremental.predict inc in
-                      let certificate = certify_incremental inc in
-                      let healthy =
-                        match certificate with
-                        | Some c -> Obs.Health.healthy c
-                        | None -> true (* nothing left to predict *)
-                      in
-                      if healthy then
-                        finish t req ~ctx ~queue_ms ~cache_hit:true ~attempts:1
-                          ?certificate Served predictions
-                      else
-                        finish t req ~ctx ~queue_ms ~cache_hit:true ~attempts:1
-                          ?certificate
-                          (Degraded "incremental update unhealthy") predictions
+                      cached_answer t req ~ctx ~queue_ms inc
+                        ~unhealthy:"incremental update unhealthy"
                   | exception Invalid_argument msg ->
                       degraded_answer t req ~ctx ~queue_ms
                         ("relabel rejected: " ^ msg)
@@ -480,20 +474,8 @@ let process t ~ctx ~queue_ms (req : request) =
         | Some inc ->
             Trace_ctx.with_span ctx "cache_query" (fun () ->
                 Clock.advance t.clock t.costs.cache_ms;
-                let predictions = Incremental.predict inc in
-                let certificate = certify_incremental inc in
-                let healthy =
-                  match certificate with
-                  | Some c -> Obs.Health.healthy c
-                  | None -> true
-                in
-                if healthy then
-                  finish t req ~ctx ~queue_ms ~cache_hit:true ~attempts:1
-                    ?certificate Served predictions
-                else
-                  finish t req ~ctx ~queue_ms ~cache_hit:true ~attempts:1
-                    ?certificate (Degraded "cached answer failed certification")
-                    predictions)
+                cached_answer t req ~ctx ~queue_ms inc
+                  ~unhealthy:"cached answer failed certification")
         | None -> full_solve t req ~ctx ~queue_ms ~deadline inj
       end
     | Query -> full_solve t req ~ctx ~queue_ms ~deadline inj

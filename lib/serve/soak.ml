@@ -3,6 +3,140 @@ module Wg = Graph.Weighted_graph
 module Fault = Robust.Fault
 module Problem = Gssl.Problem
 
+(* ---------- shared machinery ---------- *)
+
+(* Exponential arrival gaps with periodic near-simultaneous bursts (to
+   saturate the queue).  [make] runs right after each gap draw, so the
+   caller's own draws interleave with the gaps on one stream. *)
+let schedule rng ~count ~mean_gap_ms ~burst_every ~burst_size make =
+  let arrival = ref 0. in
+  List.init count (fun i ->
+      let in_burst =
+        burst_every > 0 && i >= burst_every && i mod burst_every < burst_size
+      in
+      let gap =
+        if in_burst then 0.02 else -.mean_gap_ms *. log (1. -. Rng.float rng)
+      in
+      arrival := !arrival +. gap;
+      make i !arrival)
+
+type relabel_pool = { order : int array; limit : int; mutable next : int }
+
+let relabel_pool rng prob =
+  let n = Problem.n_labeled prob in
+  let m = Problem.n_unlabeled prob in
+  let order = Array.init m (fun i -> n + i) in
+  Rng.shuffle_inplace rng order;
+  { order; limit = Stdlib.max 0 (m - 8); next = 0 }
+
+let relabels_left pool = pool.next < pool.limit
+
+let take_relabel pool =
+  if not (relabels_left pool) then
+    invalid_arg "Soak.take_relabel: relabel pool exhausted";
+  let vertex = pool.order.(pool.next) in
+  pool.next <- pool.next + 1;
+  vertex
+
+type 'a replayed = {
+  engine : Engine.t;
+  result : 'a;
+  digest : int64;
+  journal_lines : int;
+  journal_digest : int64;
+  replay_verified : bool;
+  wall_ms : float;
+  violations : string list;
+}
+
+(* The observability pipeline must agree with the engine's own books —
+   exactly, not approximately: the SLO tracker saw every response and
+   counted full-fidelity answers as quality-good, and the journal's
+   running aggregate (same histogram implementation) reproduces the
+   engine's status counts and latency percentiles bit-for-bit. *)
+let check_observability engine =
+  let violations = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
+  let st = Engine.stats engine in
+  let answered = st.Engine.served + st.Engine.degraded + st.Engine.shed in
+  let slo = Engine.slo_snapshot engine in
+  if slo.Obs.Slo.total <> answered then
+    note "slo tracker observed %d responses, engine answered %d"
+      slo.Obs.Slo.total answered;
+  if slo.Obs.Slo.quality_good <> st.Engine.served then
+    note "slo quality_good %d does not reconcile with served %d"
+      slo.Obs.Slo.quality_good st.Engine.served;
+  (match Engine.journal engine with
+  | None -> ()
+  | Some j ->
+      let agg = Obs.Journal.aggregate j in
+      if Obs.Journal.length j <> answered then
+        note "journal has %d lines for %d responses" (Obs.Journal.length j)
+          answered;
+      if agg.Obs.Journal.served <> st.Engine.served
+         || agg.Obs.Journal.degraded <> st.Engine.degraded
+         || agg.Obs.Journal.shed <> st.Engine.shed
+      then
+        note
+          "journal aggregate %d/%d/%d does not reconcile with stats %d/%d/%d"
+          agg.Obs.Journal.served agg.Obs.Journal.degraded agg.Obs.Journal.shed
+          st.Engine.served st.Engine.degraded st.Engine.shed;
+      let hist = Engine.latency_histogram engine in
+      if agg.Obs.Journal.latency_p50 <> Obs.Histogram.p50 hist then
+        note "journal p50 %g != engine p50 %g" agg.Obs.Journal.latency_p50
+          (Obs.Histogram.p50 hist);
+      if agg.Obs.Journal.latency_p99 <> Obs.Histogram.p99 hist then
+        note "journal p99 %g != engine p99 %g" agg.Obs.Journal.latency_p99
+          (Obs.Histogram.p99 hist);
+      (match Obs.Journal.validate_text (Obs.Journal.to_text j) with
+      | Ok n when n = answered -> ()
+      | Ok n -> note "journal schema validated %d of %d lines" n answered
+      | Error msg -> note "journal schema violation: %s" msg));
+  List.rev !violations
+
+(* The journal's line count and digest; (0, 0L) without a journal. *)
+let journal_book engine =
+  match Engine.journal engine with
+  | Some j -> (Obs.Journal.length j, Obs.Journal.digest j)
+  | None -> (0, 0L)
+
+let replay ~verify_replay ~journal config prob script =
+  let wall0 = Telemetry.Monotonic.now_ns () in
+  let run_once () =
+    let clock = Clock.virtual_ () in
+    let journal = if journal then Some (Obs.Journal.create ()) else None in
+    let engine = Engine.create ~clock ?journal config prob in
+    let result, digest = script clock engine in
+    (engine, result, digest)
+  in
+  let engine, result, digest = run_once () in
+  let journal_lines, journal_digest = journal_book engine in
+  let diverged =
+    if not verify_replay then []
+    else begin
+      let engine2, _, digest2 = run_once () in
+      let moved what a b =
+        if Int64.equal a b then []
+        else
+          [ Printf.sprintf "replay diverged: %s digest %016Lx, then %016Lx"
+              what a b ]
+      in
+      moved "response" digest digest2
+      @ moved "journal" journal_digest (snd (journal_book engine2))
+    end
+  in
+  let violations = check_observability engine @ diverged in
+  { engine;
+    result;
+    digest;
+    journal_lines;
+    journal_digest;
+    replay_verified = diverged = [];
+    wall_ms = (Telemetry.Monotonic.now_ns () -. wall0) *. 1e-6;
+    violations }
+
+(* ---------- the request soak ---------- *)
+
 type config = {
   requests : int;
   seed : int;
@@ -38,19 +172,7 @@ type summary = {
   requests : int;
   responses : int;
   dropped : int;
-  served : int;
-  degraded : int;
-  shed : int;
-  deadline_expired : int;
-  solver_aborts : int;
-  retried : int;
-  relabels : int;
-  breaker_trips : int;
-  breaker_transitions : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  max_backlog : int;
+  stats : Engine.stats;
   p50_ms : float;
   p99_ms : float;
   max_ms : float;
@@ -104,35 +226,20 @@ let problem ~seed ~n_vertices ~n_labeled =
   let labels = Array.init n_labeled (fun v -> float_of_int (v mod 2)) in
   Problem.make ~graph ~labels
 
-(* Deterministic request trace: exponential arrival gaps with periodic
-   near-simultaneous bursts (to saturate the queue), a seeded mix of
+(* Deterministic request trace on the shared schedule: a seeded mix of
    clean queries, faulted queries and relabels.  Relabels never exhaust
    the unlabeled pool, and a slice of them carry NaN labels to exercise
    the rejection path. *)
 let gen_trace (cfg : config) prob =
   let rng = Rng.create ((cfg.seed * 7919) + 17) in
-  let n = Problem.n_labeled prob in
-  let m = Problem.n_unlabeled prob in
-  let pool = Array.init m (fun i -> n + i) in
-  Rng.shuffle_inplace rng pool;
-  let max_relabels = Stdlib.max 0 (m - 8) in
-  let next_relabel = ref 0 in
-  let arrival = ref 0. in
-  List.init cfg.requests (fun id ->
-      let in_burst =
-        cfg.burst_every > 0 && id >= cfg.burst_every
-        && id mod cfg.burst_every < cfg.burst_size
-      in
-      let gap =
-        if in_burst then 0.02
-        else -.cfg.mean_gap_ms *. log (1. -. Rng.float rng)
-      in
-      arrival := !arrival +. gap;
+  let pool = relabel_pool rng prob in
+  schedule rng ~count:cfg.requests ~mean_gap_ms:cfg.mean_gap_ms
+    ~burst_every:cfg.burst_every ~burst_size:cfg.burst_size
+    (fun id arrival_ms ->
       let kind, faults =
         let u = Rng.float rng in
-        if u < cfg.relabel_rate && !next_relabel < max_relabels then begin
-          let vertex = pool.(!next_relabel) in
-          incr next_relabel;
+        if u < cfg.relabel_rate && relabels_left pool then begin
+          let vertex = take_relabel pool in
           let label =
             if Rng.float rng < 0.15 then Float.nan
             else float_of_int (vertex mod 2)
@@ -153,7 +260,7 @@ let gen_trace (cfg : config) prob =
           (Engine.Query, faults)
         else (Engine.Query, [])
       in
-      { Engine.id; arrival_ms = !arrival; kind; faults })
+      { Engine.id; arrival_ms; kind; faults })
 
 let digest_of responses =
   List.fold_left
@@ -205,131 +312,35 @@ let check_invariants (cfg : config) (responses : Engine.response list)
   if st.Engine.served = 0 then note "no request was served at all";
   List.rev !violations
 
-(* The observability pipeline must agree with the engine's own books —
-   exactly, not approximately: the SLO tracker saw every response and
-   counted full-fidelity answers as quality-good, and the journal's
-   running aggregate (same histogram implementation) reproduces the
-   engine's status counts and latency percentiles bit-for-bit. *)
-let check_observability (engine : Engine.t) (responses : Engine.response list)
-    (st : Engine.stats) =
-  let violations = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
-  let slo = Engine.slo_snapshot engine in
-  let n_resp = List.length responses in
-  if slo.Obs.Slo.total <> n_resp then
-    note "slo tracker observed %d responses, engine answered %d"
-      slo.Obs.Slo.total n_resp;
-  if slo.Obs.Slo.quality_good <> st.Engine.served then
-    note "slo quality_good %d does not reconcile with served %d"
-      slo.Obs.Slo.quality_good st.Engine.served;
-  (match Engine.journal engine with
-  | None -> ()
-  | Some j ->
-      let agg = Obs.Journal.aggregate j in
-      if Obs.Journal.length j <> n_resp then
-        note "journal has %d lines for %d responses" (Obs.Journal.length j)
-          n_resp;
-      if agg.Obs.Journal.served <> st.Engine.served
-         || agg.Obs.Journal.degraded <> st.Engine.degraded
-         || agg.Obs.Journal.shed <> st.Engine.shed
-      then
-        note
-          "journal aggregate %d/%d/%d does not reconcile with stats %d/%d/%d"
-          agg.Obs.Journal.served agg.Obs.Journal.degraded agg.Obs.Journal.shed
-          st.Engine.served st.Engine.degraded st.Engine.shed;
-      let hist = Engine.latency_histogram engine in
-      if agg.Obs.Journal.latency_p50 <> Obs.Histogram.p50 hist then
-        note "journal p50 %g != engine p50 %g" agg.Obs.Journal.latency_p50
-          (Obs.Histogram.p50 hist);
-      if agg.Obs.Journal.latency_p99 <> Obs.Histogram.p99 hist then
-        note "journal p99 %g != engine p99 %g" agg.Obs.Journal.latency_p99
-          (Obs.Histogram.p99 hist);
-      (match Obs.Journal.validate_text (Obs.Journal.to_text j) with
-      | Ok n when n = n_resp -> ()
-      | Ok n -> note "journal schema validated %d of %d lines" n n_resp
-      | Error msg -> note "journal schema violation: %s" msg));
-  List.rev !violations
-
 let run_full (cfg : config) =
-  let wall0 = Unix.gettimeofday () in
   let prob = problem ~seed:cfg.seed ~n_vertices:cfg.n_vertices
       ~n_labeled:cfg.n_labeled in
   let trace = gen_trace cfg prob in
-  let run_once () =
-    let clock = Clock.virtual_ () in
-    let journal = if cfg.journal then Some (Obs.Journal.create ()) else None in
-    let engine = Engine.create ~clock ?journal (engine_config cfg) prob in
-    let responses = Engine.run_trace engine trace in
-    (engine, responses)
+  let r =
+    replay ~verify_replay:cfg.verify_replay ~journal:cfg.journal
+      (engine_config cfg) prob (fun _clock engine ->
+        let responses = Engine.run_trace engine trace in
+        (responses, digest_of responses))
   in
-  let engine, responses = run_once () in
-  let digest = digest_of responses in
-  let journal_digest =
-    match Engine.journal engine with
-    | Some j -> Obs.Journal.digest j
-    | None -> 0L
-  in
-  let replay_verified, journal_replay_verified =
-    if cfg.verify_replay then begin
-      let engine2, again = run_once () in
-      let jd2 =
-        match Engine.journal engine2 with
-        | Some j -> Obs.Journal.digest j
-        | None -> 0L
-      in
-      (Int64.equal (digest_of again) digest, Int64.equal jd2 journal_digest)
-    end
-    else (true, true)
-  in
-  let st = Engine.stats engine in
-  let violations =
-    check_invariants cfg responses st
-    @ check_observability engine responses st
-    @ (if replay_verified then []
-       else [ "replay diverged: same seed produced a different digest" ])
-    @ (if journal_replay_verified then []
-       else [ "journal replay diverged: same seed journaled differently" ])
-  in
+  let engine = r.engine in
+  let stats = Engine.stats engine in
   let hist = Engine.latency_histogram engine in
-  let served, degraded, shed =
-    List.fold_left
-      (fun (s, d, x) (r : Engine.response) ->
-        match r.Engine.status with
-        | Engine.Served -> (s + 1, d, x)
-        | Engine.Degraded _ -> (s, d + 1, x)
-        | Engine.Shed _ -> (s, d, x + 1))
-      (0, 0, 0) responses
-  in
+  let n_resp = List.length r.result in
   let summary =
     { requests = cfg.requests;
-      responses = List.length responses;
-      dropped = cfg.requests - List.length responses;
-      served;
-      degraded;
-      shed;
-      deadline_expired = st.Engine.deadline_expired;
-      solver_aborts = st.Engine.solver_aborts;
-      retried = st.Engine.retried;
-      relabels = st.Engine.relabels;
-      breaker_trips = st.Engine.breaker_trips;
-      breaker_transitions = st.Engine.breaker_transitions;
-      cache_hits = st.Engine.cache_hits;
-      cache_misses = st.Engine.cache_misses;
-      cache_evictions = st.Engine.cache_evictions;
-      max_backlog = st.Engine.max_backlog;
+      responses = n_resp;
+      dropped = cfg.requests - n_resp;
+      stats;
       p50_ms = Obs.Histogram.p50 hist;
       p99_ms = Obs.Histogram.p99 hist;
       max_ms = Obs.Histogram.max_value hist;
       slo = Engine.slo_snapshot engine;
-      journal_lines =
-        (match Engine.journal engine with
-        | Some j -> Obs.Journal.length j
-        | None -> 0);
-      journal_digest;
-      digest;
-      replay_verified = replay_verified && journal_replay_verified;
-      wall_ms = (Unix.gettimeofday () -. wall0) *. 1e3;
-      violations }
+      journal_lines = r.journal_lines;
+      journal_digest = r.journal_digest;
+      digest = r.digest;
+      replay_verified = r.replay_verified;
+      wall_ms = r.wall_ms;
+      violations = check_invariants cfg r.result stats @ r.violations }
   in
   (summary, engine)
 
@@ -340,12 +351,15 @@ let describe (s : summary) =
   let line fmt = Printf.ksprintf (fun str -> Buffer.add_string b (str ^ "\n")) fmt in
   line "soak: %d requests, %d responses (%d dropped)" s.requests s.responses
     s.dropped;
-  line "  served %d | degraded %d | shed %d" s.served s.degraded s.shed;
+  let st = s.stats in
+  line "  served %d | degraded %d | shed %d" st.Engine.served st.Engine.degraded
+    st.Engine.shed;
   line "  deadline expired %d | cg aborts %d | retried %d | relabels %d"
-    s.deadline_expired s.solver_aborts s.retried s.relabels;
+    st.Engine.deadline_expired st.Engine.solver_aborts st.Engine.retried
+    st.Engine.relabels;
   line "  breaker trips %d (transitions %d) | cache hits/misses/evictions %d/%d/%d | max backlog %d"
-    s.breaker_trips s.breaker_transitions s.cache_hits s.cache_misses
-    s.cache_evictions s.max_backlog;
+    st.Engine.breaker_trips st.Engine.breaker_transitions st.Engine.cache_hits
+    st.Engine.cache_misses st.Engine.cache_evictions st.Engine.max_backlog;
   line "  latency (virtual) p50 %.3f ms | p99 %.3f ms | max %.3f ms" s.p50_ms
     s.p99_ms s.max_ms;
   line
@@ -357,8 +371,8 @@ let describe (s : summary) =
     s.slo.Obs.Slo.quality_burn
     (100. *. s.slo.Obs.Slo.quality_budget);
   if s.journal_lines > 0 then
-    line "  journal: %d lines, digest %Lx" s.journal_lines s.journal_digest;
-  line "  digest %Lx | replay %s | wall %.1f ms" s.digest
+    line "  journal: %d lines, digest %016Lx" s.journal_lines s.journal_digest;
+  line "  digest %016Lx | replay %s | wall %.1f ms" s.digest
     (if s.replay_verified then "verified" else "DIVERGED")
     s.wall_ms;
   (match s.violations with

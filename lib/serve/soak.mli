@@ -1,28 +1,98 @@
-(** Deterministic chaos soak harness.
+(** The seeded chaos harness.
 
-    Generates a seeded multi-thousand-request trace — clean queries,
-    Sherman–Morrison relabels (a slice with NaN labels), and faulted
-    queries drawing from the {!Robust.Fault} menu (latency stalls, CG
-    starvation caps, NaN weight poison, label flips) — with exponential
-    arrival gaps punctuated by near-simultaneous bursts that overflow
-    the admission queue.  Replays it through an {!Engine} on a virtual
-    clock and checks the serving invariants:
+    One harness drives the serve engine on a virtual clock for both
+    kinds of chaos traffic: the request soak below ({!run}) and the
+    byte-level hostile-client soak ([Net.Hostile]).  It owns the parts
+    they share:
+
+    - the seeded arrival schedule ({!schedule}): exponential gaps
+      punctuated by near-simultaneous bursts that overflow the admission
+      queue;
+    - the shuffled pool of unlabeled vertices that relabels draw from
+      ({!relabel_pool});
+    - the replay verifier ({!replay}): each run builds a fresh engine on
+      a virtual clock (with a span journal when asked) and runs the
+      caller's script on it; a second run must reproduce the response
+      digest and the journal digest bit for bit;
+    - the observability check, run by {!replay} on the first run: the
+      SLO tracker, the journal's line count and aggregate, its p50/p99
+      and its schema all reconcile exactly with the engine's own books.
+
+    The request soak generates a seeded multi-thousand-request trace —
+    clean queries, Sherman–Morrison relabels (a slice with NaN labels),
+    and faulted queries drawing from the {!Robust.Fault} menu (latency
+    stalls, CG starvation caps, NaN weight poison, label flips) — and
+    checks the serving invariants on top:
 
     - zero dropped requests (exactly one response per request);
     - every [Served] response carries a {e healthy} certificate; every
       other response is explicitly [Degraded] or [Shed];
     - the queue backlog never exceeds its capacity (saturation sheds);
-    - at least one request is actually served;
-    - optionally ([verify_replay]), a second run of the same seed
-      produces bit-identical per-request outcomes (digest equality) —
-      and, when journaling is on, a bit-identical span journal;
-    - the observability pipeline reconciles exactly with the engine's
-      books: the SLO tracker saw every response and agrees with the
-      served count, and the journal's aggregate reproduces the status
-      counts and latency percentiles while passing schema validation.
+    - at least one request is actually served.
 
     Violations are returned as strings, not exceptions — the harness
     always completes and reports. *)
+
+(** {1 Shared machinery} *)
+
+val schedule :
+  Prng.Rng.t ->
+  count:int ->
+  mean_gap_ms:float ->
+  burst_every:int ->
+  burst_size:int ->
+  (int -> float -> 'a) ->
+  'a list
+(** [schedule rng ~count ~mean_gap_ms ~burst_every ~burst_size make]
+    builds [count] items in order: item [i] arrives 0.02 ms after item
+    [i - 1] inside a burst (the first [burst_size] positions of every
+    [burst_every]-long block after the first; [burst_every <= 0] means
+    no bursts) and an exponential gap of mean [mean_gap_ms] later
+    otherwise.  [make i arrival_ms] builds the item and may draw from
+    [rng] itself; its draws follow the item's gap draw. *)
+
+type relabel_pool
+
+val relabel_pool : Prng.Rng.t -> Gssl.Problem.t -> relabel_pool
+(** The problem's unlabeled vertices in an order shuffled by [rng].  At
+    most [m - 8] of the [m] are handed out, so relabels never exhaust
+    the unlabeled block. *)
+
+val relabels_left : relabel_pool -> bool
+
+val take_relabel : relabel_pool -> int
+(** The next vertex to relabel.  Raises [Invalid_argument] when
+    [relabels_left] is false. *)
+
+type 'a replayed = {
+  engine : Engine.t;
+      (** the first run's engine: journal, SLO tracker and metrics live *)
+  result : 'a;           (** the first run's script result *)
+  digest : int64;        (** the first run's response digest *)
+  journal_lines : int;   (** 0 without a journal *)
+  journal_digest : int64;  (** 0L without a journal *)
+  replay_verified : bool;
+      (** no second run was asked for, or it reproduced both digests *)
+  wall_ms : float;       (** real time the runs and checks took *)
+  violations : string list;
+      (** observability violations of the first run, then one line per
+          digest the second run moved *)
+}
+
+val replay :
+  verify_replay:bool ->
+  journal:bool ->
+  Engine.config ->
+  Gssl.Problem.t ->
+  (Clock.t -> Engine.t -> 'a * int64) ->
+  'a replayed
+(** [replay ~verify_replay ~journal config problem script] builds an
+    engine for [problem] on a fresh virtual clock, with a journal when
+    [journal], and runs [script clock engine], which returns its result
+    and its response digest.  With [verify_replay] it does so twice and
+    compares both the response digest and the journal digest. *)
+
+(** {1 The request soak} *)
 
 type config = {
   requests : int;
@@ -48,19 +118,7 @@ type summary = {
   requests : int;
   responses : int;
   dropped : int;
-  served : int;
-  degraded : int;
-  shed : int;
-  deadline_expired : int;
-  solver_aborts : int;
-  retried : int;
-  relabels : int;
-  breaker_trips : int;
-  breaker_transitions : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  max_backlog : int;
+  stats : Engine.stats;  (** the engine's books at the end of the run *)
   p50_ms : float;  (** virtual-clock latency percentiles *)
   p99_ms : float;
   max_ms : float;
@@ -76,7 +134,7 @@ type summary = {
 
 val problem :
   seed:int -> n_vertices:int -> n_labeled:int -> Gssl.Problem.t
-(** The synthetic two-cluster sparse problem the soak serves (exposed
+(** The synthetic two-cluster sparse problem the soaks serve (exposed
     for tests).  Raises [Invalid_argument] on degenerate sizes. *)
 
 val gen_trace : config -> Gssl.Problem.t -> Engine.request list

@@ -26,16 +26,14 @@ let () =
          are short-lived and die with their tasks *)
       Domain.DLS.get stack_key := [])
 
-(* Wall clock, not monotonic: an NTP step can make a later reading
-   smaller than an earlier one, which is why durations are clamped to
-   zero below.  The source is swappable so tests can simulate exactly
-   that backwards jump. *)
-let system_now_ns () = Unix.gettimeofday () *. 1e9
-let time_source = ref system_now_ns
+(* The monotonic clock by default.  The source is swappable, and an
+   injected one may run backwards, which is why durations are clamped
+   to zero below; a test injects exactly that backwards step. *)
+let time_source = ref Monotonic.now_ns
 
 let set_time_source = function
   | Some f -> time_source := f
-  | None -> time_source := system_now_ns
+  | None -> time_source := Monotonic.now_ns
 
 let now_ns () = !time_source ()
 

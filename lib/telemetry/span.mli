@@ -6,12 +6,12 @@
     layer by layer.  When {!Registry.is_enabled} is false [with_ name f]
     is exactly [f ()].
 
-    {b Clock caveat.}  Timestamps come from [Unix.gettimeofday], which is
-    the {e wall} clock, not a monotonic one: NTP adjustments or manual
-    clock changes can move it backwards mid-span, so a stop reading may
-    precede the start reading.  Durations are therefore clamped to zero —
-    a span can under-report but never reports a negative duration.  The
-    clamp is unit-tested via {!set_time_source}. *)
+    {b Clock.}  Timestamps come from {!Monotonic.now_ns} unless a test
+    injects another source with {!set_time_source}.  An injected source
+    may run backwards, so a stop reading may precede the start reading;
+    durations are therefore clamped to zero — a span can under-report
+    but never reports a negative duration.  The clamp is unit-tested
+    via {!set_time_source}. *)
 
 type stat = {
   mutable count : int;
@@ -40,9 +40,9 @@ val now_ns : unit -> float
 
 val set_time_source : (unit -> float) option -> unit
 (** Replace the clock with a fake (a function returning nanoseconds);
-    [None] restores [Unix.gettimeofday].  Test-only: lets a unit test
-    simulate a wall clock stepping backwards between span start and stop
-    and assert the duration clamps to 0. *)
+    [None] restores {!Monotonic.now_ns}.  Test-only: lets a unit test
+    simulate a clock stepping backwards between span start and stop and
+    assert the duration clamps to 0. *)
 
 val on_complete : (string -> float -> float -> unit) -> unit
 (** [on_complete f] registers [f path start_ns duration_ns] to run each

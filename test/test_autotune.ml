@@ -2,9 +2,9 @@
    the speedup-contract gate:
 
    1. Parallel.Dispatch keeps the thresholds the kernels have always
-      used, keeps degenerate calls serial, logs every decision on the
-      parallel.tune.* counters, and either Jacobi ordering it picks
-      yields the same spectrum;
+      used, keeps degenerate calls serial and logs every decision on the
+      parallel.tune.* counters; Jacobi, which no longer dispatches,
+      recovers a known spectrum at the size that used to go parallel;
    2. the fused stationary and CG solvers agree with solves on the
       assembled matrix and with the dense Hard solve;
    3. Obs.Bench_compare fails reports whose recorded speedups dip below
@@ -20,7 +20,6 @@ module Bc = Obs.Bench_compare
 module Csr = Sparse.Csr
 module Wg = Graph.Weighted_graph
 module Dispatch = Parallel.Dispatch
-module Pool = Parallel.Pool
 
 let with_temp_file f =
   let path = Filename.temp_file "gssl_gate" ".json" in
@@ -36,7 +35,6 @@ let thresholds =
   [
     (Dispatch.Gemm, 1 lsl 16); (Dispatch.Gemv, 1 lsl 15);
     (Dispatch.Spmv, 1 lsl 12); (Dispatch.Pairwise, 4096);
-    (Dispatch.Jacobi, 36864);
   ]
 
 let check_decisions k calls =
@@ -86,22 +84,22 @@ let test_decision_log_counters () =
             (dispatch_decisions k "parallel"))
         thresholds)
 
-(* n^2 = 192^2 reaches the Jacobi threshold, so the default decision
-   takes the tournament ordering; ~parallel:false keeps the cyclic one.
-   The spectra must agree even though the bits legitimately differ. *)
+(* Jacobi is cyclic at every size.  At n = 192, where a tournament
+   ordering used to take over, the default call must recover the known
+   spectrum of the second-difference matrix tridiag(-1, 2, -1):
+   2 - 2 cos (k pi / (n + 1)), k = 1..n, ascending. *)
 let test_jacobi_modes_agree () =
-  let rng = Prng.Rng.create 7 in
-  let m = random_symmetric rng 192 in
-  let cyclic = Linalg.Eigen.jacobi ~parallel:false m in
-  let p0 = dispatch_decisions Dispatch.Jacobi "parallel" in
-  let tournament =
-    Pool.with_default_domains 2 (fun () ->
-        Telemetry.Registry.with_enabled (fun () -> Linalg.Eigen.jacobi m))
+  let n = 192 in
+  let m =
+    Mat.init n n (fun i j ->
+        if i = j then 2. else if abs (i - j) = 1 then -1. else 0.)
   in
-  if dispatch_decisions Dispatch.Jacobi "parallel" <= p0 then
-    Alcotest.fail "n = 192 must take the parallel Jacobi branch";
-  check_vec ~tol:1e-8 "eigenvalues independent of the dispatch decision"
-    cyclic.Linalg.Eigen.values tournament.Linalg.Eigen.values
+  let expected =
+    Array.init n (fun k ->
+        2. -. (2. *. cos (float_of_int (k + 1) *. Float.pi /. float_of_int (n + 1))))
+  in
+  check_vec ~tol:1e-8 "second-difference spectrum" expected
+    (Linalg.Eigen.jacobi m).Linalg.Eigen.values
 
 (* --- 2. fused solvers ----------------------------------------------- *)
 

@@ -441,7 +441,8 @@ let test_soak_journaled_reconciles () =
       let a = Journal.aggregate j in
       Alcotest.(check int) "aggregate requests" s.Soak.responses
         a.Journal.requests;
-      Alcotest.(check int) "aggregate served" s.Soak.served a.Journal.served;
+      Alcotest.(check int) "aggregate served" s.Soak.stats.Engine.served
+        a.Journal.served;
       check_float ~tol:0. "aggregate p50 exact" s.Soak.p50_ms
         a.Journal.latency_p50;
       check_float ~tol:0. "aggregate p99 exact" s.Soak.p99_ms

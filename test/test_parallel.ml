@@ -2,9 +2,9 @@
    determinism, exception propagation, nesting, domain-safe telemetry
    counters, and qcheck bit-identity of the parallel kernels (gemm,
    gemv, CSR spmv, the fused Laplacian operators, pairwise distances,
-   tournament Jacobi, parallel sweeps) against their serial or naive
-   reference under every domain count.  The dispatch rule itself is
-   pinned in test_autotune.ml. *)
+   parallel sweeps) against their serial or naive reference under every
+   domain count.  The dispatch rule itself is pinned in
+   test_autotune.ml. *)
 
 open Test_util
 module Pool = Parallel.Pool
@@ -196,35 +196,6 @@ let qcheck_knn =
       let pts = Array.init n (fun _ -> random_vec rng 3) in
       check_bit_identical "knn" ( = ) (fun () ->
           Kernel.Pairwise.all_k_nearest pts k))
-
-let qcheck_jacobi_parallel_ordering =
-  qprop ~count:15 "tournament Jacobi matches serial spectrum" (fun seed ->
-      let rng = Prng.Rng.create seed in
-      let n = 2 + Prng.Rng.int rng 20 in
-      let m = random_symmetric rng n in
-      let serial = Linalg.Eigen.jacobi ~parallel:false m in
-      let par = Pool.sequential (fun () -> Linalg.Eigen.jacobi ~parallel:true m) in
-      let scale = 1. +. Mat.max_abs m in
-      Array.iteri
-        (fun i v ->
-          if abs_float (v -. par.Linalg.Eigen.values.(i)) > 1e-7 *. scale then
-            QCheck.Test.fail_reportf
-              "eigenvalue %d: serial %.12g vs tournament %.12g" i v
-              par.Linalg.Eigen.values.(i))
-        serial.Linalg.Eigen.values;
-      true)
-
-let qcheck_jacobi_domain_identity =
-  qprop ~count:10 "tournament Jacobi bit-identical across domains"
-    (fun seed ->
-      let rng = Prng.Rng.create seed in
-      let n = 2 + Prng.Rng.int rng 16 in
-      let m = random_symmetric rng n in
-      check_bit_identical "jacobi"
-        (fun (a : Linalg.Eigen.decomposition) b ->
-          a.Linalg.Eigen.values = b.Linalg.Eigen.values
-          && mat_equal a.Linalg.Eigen.vectors b.Linalg.Eigen.vectors)
-        (fun () -> Linalg.Eigen.jacobi ~parallel:true m))
 
 (* ------------------------------------------------------------------ *)
 (* kernels against naive references, either side of the threshold     *)
@@ -541,8 +512,6 @@ let suite =
       qcheck_spmv;
       qcheck_pairwise;
       qcheck_knn;
-      qcheck_jacobi_parallel_ordering;
-      qcheck_jacobi_domain_identity;
       gemm_matches_naive;
       gemm_packed_path_matches_naive;
       gemv_matches_naive;

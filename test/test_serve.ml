@@ -641,11 +641,12 @@ let test_soak_holds_invariants () =
   Alcotest.(check int) "nothing dropped" 0 s.Soak.dropped;
   Alcotest.(check bool) "ok" true (Soak.ok s);
   (* the trace actually exercises the failure modes *)
-  Alcotest.(check bool) "some served" true (s.Soak.served > 0);
-  Alcotest.(check bool) "some degraded" true (s.Soak.degraded > 0);
-  Alcotest.(check bool) "some shed" true (s.Soak.shed > 0);
+  let st = s.Soak.stats in
+  Alcotest.(check bool) "some served" true (st.Engine.served > 0);
+  Alcotest.(check bool) "some degraded" true (st.Engine.degraded > 0);
+  Alcotest.(check bool) "some shed" true (st.Engine.shed > 0);
   Alcotest.(check bool) "some deadline expiries" true
-    (s.Soak.deadline_expired > 0);
+    (st.Engine.deadline_expired > 0);
   Alcotest.(check bool) "latency percentiles ordered" true
     (s.Soak.p50_ms <= s.Soak.p99_ms && s.Soak.p99_ms <= s.Soak.max_ms)
 
@@ -654,7 +655,8 @@ let test_soak_deterministic_replay () =
   let b = Soak.run (small_soak ()) in
   Alcotest.(check bool) "same seed, same digest" true
     (Int64.equal a.Soak.digest b.Soak.digest);
-  Alcotest.(check int) "same served count" a.Soak.served b.Soak.served;
+  Alcotest.(check int) "same served count" a.Soak.stats.Engine.served
+    b.Soak.stats.Engine.served;
   let c = Soak.run (small_soak ~seed:43 ()) in
   Alcotest.(check bool) "different seed, different digest" false
     (Int64.equal a.Soak.digest c.Soak.digest);
@@ -672,6 +674,46 @@ let test_soak_pinned_digests () =
     (Printf.sprintf "%016Lx" s.Soak.digest);
   Alcotest.(check string) "journal digest" "fad890cb3ed620c0"
     (Printf.sprintf "%016Lx" s.Soak.journal_digest)
+
+(* The shared replay verifier's failure path: a script whose second run
+   moves one digest must come back unverified, with one violation that
+   names the digest that moved and none for the one that held. *)
+let clean_query id =
+  { Engine.id; arrival_ms = 10. *. float_of_int id; kind = Engine.Query;
+    faults = [] }
+
+let replay_diverging ~second_run =
+  let prob = Soak.problem ~seed:1 ~n_vertices:40 ~n_labeled:10 in
+  let runs = ref 0 in
+  Soak.replay ~verify_replay:true ~journal:true Engine.default_config prob
+    (fun _clock engine ->
+      incr runs;
+      let responses = Engine.run_trace engine [ clean_query 0 ] in
+      let digest = Soak.digest_of responses in
+      if !runs = 1 then ((), digest) else second_run engine digest)
+
+let check_moved (r : unit Soak.replayed) ~moved ~held =
+  let naming what =
+    List.filter
+      (fun v -> Astring.String.is_infix ~affix:(what ^ " digest") v)
+      r.Soak.violations
+  in
+  Alcotest.(check bool) "replay not verified" false r.Soak.replay_verified;
+  Alcotest.(check int) (moved ^ " digest named") 1 (List.length (naming moved));
+  Alcotest.(check int) (held ^ " digest not named") 0 (List.length (naming held))
+
+let test_replay_flags_response_digest () =
+  check_moved ~moved:"response" ~held:"journal"
+    (replay_diverging ~second_run:(fun _engine digest ->
+         ((), Int64.succ digest)))
+
+let test_replay_flags_journal_digest () =
+  (* one more request on the second run: one more journal line, same
+     response digest *)
+  check_moved ~moved:"journal" ~held:"response"
+    (replay_diverging ~second_run:(fun engine digest ->
+         ignore (Engine.run_trace engine [ clean_query 1 ]);
+         ((), digest)))
 
 let suite =
   ( "serve",
@@ -726,4 +768,8 @@ let suite =
       case "soak: digest-identical replay, seed-sensitive"
         test_soak_deterministic_replay;
       case "soak: pinned response and journal digests" test_soak_pinned_digests;
+      case "replay verifier: response digest moved"
+        test_replay_flags_response_digest;
+      case "replay verifier: journal digest moved"
+        test_replay_flags_journal_digest;
     ] )
