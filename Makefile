@@ -154,11 +154,16 @@ transport-smoke:
 # built CSR) and the two `solution digest` lines (a hash of the
 # multigrid answer) must match: the ANN search's and the solve's
 # cross-domain bit-identity at 12 000 points, beyond the few hundred
-# the qcheck properties reach.
+# the qcheck properties reach.  Both runs must also print the pinned
+# digests, so a change that moved the graph or the answer on every
+# domain count alike still fails.
 scale-smoke:
 	dune build bin/repro.exe
 	GSSL_DOMAINS=1 ./_build/default/bin/repro.exe scale --count 12000 --seed 11 > /tmp/gssl_scale_d1.txt
 	GSSL_DOMAINS=2 ./_build/default/bin/repro.exe scale --count 12000 --seed 11 > /tmp/gssl_scale_d2.txt
+	@for f in /tmp/gssl_scale_d1.txt /tmp/gssl_scale_d2.txt; do \
+		$(call expect_digests,$$f,'graph    digest 5808190dc79f79de' 'solution digest 4e112a898450e43f'); \
+	done
 	@for what in 'graph    digest' 'solution digest'; do \
 		d1=$$(grep "^$$what" /tmp/gssl_scale_d1.txt); \
 		d2=$$(grep "^$$what" /tmp/gssl_scale_d2.txt); \

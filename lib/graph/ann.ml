@@ -4,14 +4,16 @@ module Rng = Prng.Rng
 (* Approximate k-nearest-neighbours via a small forest of randomized
    projection trees with multi-probe search.
 
-   Determinism contract: the forest is built serially with a seeded
-   generator consumed in DFS order, and each query depends only on the
-   forest and its own point — so fanning queries out over the domain
-   pool is bit-identical for any domain count, like every other pooled
-   kernel.  The recall knob is enforced by measurement: the search
-   budget is escalated (doubled) until a sampled recall probe meets the
-   target; once the budget covers every leaf the search degenerates to
-   exhaustive, so the target is always reachable.
+   Determinism contract: tree [t] draws from its own seeded substream,
+   consumed in DFS order, and owns its projection buffer and leaf
+   count, so building the trees on the domain pool gives the same
+   forest for any domain count.  Each query depends only on the forest
+   and its own point, so fanning queries out over the pool is
+   bit-identical too, like every other pooled kernel.  The recall knob
+   is enforced by measurement: the search budget is escalated (doubled)
+   until a sampled recall probe meets the target; once the budget
+   covers every leaf the search degenerates to exhaustive, so the
+   target is always reachable.
 
    Both orders the index relies on — (projection, index) for the median
    split and (distance², index) for the neighbour ranking — are strict
@@ -26,13 +28,17 @@ let c_exact_fallbacks = Telemetry.Counter.make "graph.ann.exact_fallbacks"
 
 type node =
   | Leaf of int array * int * int
-      (* the tree's point permutation, and this leaf's offset and length
-         in it *)
+      (* the tree's permutation of positions in [coords], and this
+         leaf's offset and length in it *)
   | Split of { dir : Vec.t; thr : float; left : node; right : node }
 
 type t = {
   points : Vec.t array;
-  coords : float array;  (* [points] flattened row-major, n × dim *)
+  coords : float array;
+      (* [points] flattened row-major in the first tree's leaf order:
+         position p holds point [order.(p)], so the points of a leaf,
+         and of neighbouring leaves, sit together in memory *)
+  order : int array;
   dim : int;
   forest : node array;  (* tree roots *)
   leaf_size : int;
@@ -143,8 +149,8 @@ let select proj idx lo hi k =
 (* Split the segment [off, off+len) of [idx] at its positional median
    along a random direction, under the (projection, point index) order
    so exact projection ties cannot make the layout depend on the
-   selection's internals.  [proj] is one buffer shared by the whole
-   build; each node overwrites its own segment of it. *)
+   selection's internals.  [proj] is one buffer per tree; each node
+   overwrites its own segment of it.  [coords] is in input order. *)
 let rec build_node rng coords dim idx proj off len leaf_size leaves =
   if len <= leaf_size then begin
     incr leaves;
@@ -184,16 +190,41 @@ let build ?(seed = 0x5eed) ?(trees = 3) ?(leaf_size = 24) points =
   Telemetry.Span.with_ "ann.build" (fun () ->
       Telemetry.Counter.incr c_builds;
       let rng = Rng.create seed in
-      let leaves = ref 0 in
-      let coords = flatten points dim in
-      let proj = Array.make n 0. in
-      let forest =
-        Array.init trees (fun t ->
-            let tree_rng = Rng.substream rng t in
-            let idx = Array.init n Fun.id in
-            build_node tree_rng coords dim idx proj 0 n leaf_size leaves)
-      in
-      { points; coords; dim; forest; leaf_size; total_leaves = !leaves })
+      let flat = flatten points dim in
+      let forest = Array.make trees (Leaf ([||], 0, 0)) in
+      let perms = Array.make trees [||] and leaves = Array.make trees 0 in
+      (* one tree a row: each reads only [flat] and its own substream *)
+      Parallel.Dispatch.run Parallel.Dispatch.Pairwise ~work:(trees * n) trees
+        (fun lo hi ->
+          for t = lo to hi - 1 do
+            let idx = Array.init n Fun.id and count = ref 0 in
+            forest.(t) <-
+              build_node (Rng.substream rng t) flat dim idx (Array.make n 0.)
+                0 n leaf_size count;
+            perms.(t) <- idx;
+            leaves.(t) <- !count
+          done);
+      (* lay the coordinates out in the first tree's leaf order and turn
+         every tree's permutation into positions in that copy *)
+      let order = Array.copy perms.(0) in
+      let pos = Array.make n 0 in
+      Array.iteri (fun p i -> pos.(i) <- p) order;
+      let coords = Array.make (n * dim) 0. in
+      Array.iteri
+        (fun p i -> Array.blit flat (i * dim) coords (p * dim) dim)
+        order;
+      Array.iter
+        (fun idx -> Array.iteri (fun p i -> idx.(p) <- pos.(i)) idx)
+        perms;
+      {
+        points;
+        coords;
+        order;
+        dim;
+        forest;
+        leaf_size;
+        total_leaves = Array.fold_left ( + ) 0 leaves;
+      })
 
 (* ---- the k best (distance², index) keys ------------------------- *)
 
@@ -245,15 +276,15 @@ module Best = struct
     b.d2.(!i) <- d;
     b.id.(!i) <- j
 
-  (* Offer point [j] of the flat [coords] at its squared distance from
-     [q], computed in [Vec.dist2_sq]'s operation order so the keys are
-     bit-identical to it. *)
-  let offer b coords dim q j =
-    let base = j * dim in
+  (* Offer point [j], stored at position [x] of the flat [coords], at
+     its squared distance from [q], computed in [Vec.dist2_sq]'s
+     operation order so the keys are bit-identical to it. *)
+  let offer b coords dim q x j =
+    let base = x * dim in
     let acc = ref 0. in
     for c = 0 to dim - 1 do
-      let x = coords.(base + c) -. q.(c) in
-      acc := !acc +. (x *. x)
+      let dx = coords.(base + c) -. q.(c) in
+      acc := !acc +. (dx *. dx)
     done;
     let d = !acc in
     if not (full b) then begin
@@ -296,11 +327,13 @@ end
 
 (* exact k-nearest of [q] over every point but [exclude], under the
    same (distance², index) order the approximate path uses, so recall
-   comparisons are unambiguous even with tied distances *)
-let exact_k_nearest best coords dim n q ~exclude =
+   comparisons are unambiguous even with tied distances; position [x]
+   of [coords] holds point [order.(x)] *)
+let exact_k_nearest best coords order dim q ~exclude =
   Best.clear best;
-  for j = 0 to n - 1 do
-    if j <> exclude then Best.offer best coords dim q j
+  for x = 0 to Array.length order - 1 do
+    let j = order.(x) in
+    if j <> exclude then Best.offer best coords dim q x j
   done;
   Best.drain best
 
@@ -397,12 +430,13 @@ let search index s q ~exclude ~budget =
     let descending = ref true in
     while !descending do
       match !node with
-      | Leaf (idx, off, len) ->
+      | Leaf (pos, off, len) ->
           incr visited;
           ncand := !ncand + len;
           for p = off to off + len - 1 do
-            let j = idx.(p) in
-            if j <> exclude then Best.offer best index.coords index.dim q j
+            let x = pos.(p) in
+            let j = index.order.(x) in
+            if j <> exclude then Best.offer best index.coords index.dim q x j
           done;
           descending := false
       | Split { dir; thr; left; right } ->
@@ -434,8 +468,7 @@ let knn_search index s q ~exclude ~budget =
   if Best.full s.best then Best.drain s.best
   else begin
     Telemetry.Counter.incr c_exact_fallbacks;
-    exact_k_nearest s.best index.coords index.dim
-      (Array.length index.points) q ~exclude
+    exact_k_nearest s.best index.coords index.order index.dim q ~exclude
   end
 
 let query_point index s i ~budget =
@@ -478,12 +511,12 @@ let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
     (* small n: the exact Pairwise-style path, fanned out like the
        pairwise kernel itself *)
     Telemetry.Counter.incr c_exact_fallbacks;
-    let coords = flatten points d in
+    let coords = flatten points d and order = Array.init n Fun.id in
     let out = Array.make n [||] in
     let rows lo hi =
       let best = Best.create k in
       for i = lo to hi - 1 do
-        out.(i) <- exact_k_nearest best coords d n points.(i) ~exclude:i
+        out.(i) <- exact_k_nearest best coords order d points.(i) ~exclude:i
       done
     in
     Parallel.Dispatch.run Parallel.Dispatch.Pairwise ~work:(n * n) n rows;
@@ -508,8 +541,8 @@ let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
            let best = Best.create k in
            for s = lo to hi - 1 do
              exact_sets.(s) <-
-               exact_k_nearest best index.coords d n points.(sample.(s))
-                 ~exclude:sample.(s)
+               exact_k_nearest best index.coords index.order d
+                 points.(sample.(s)) ~exclude:sample.(s)
            done
          in
          Parallel.Dispatch.run Parallel.Dispatch.Pairwise
@@ -526,11 +559,13 @@ let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
           Telemetry.Counter.incr c_escalations;
           recall := sample_recall index ~budget:!budget ~k sample exact_sets
         done;
-        (* commit: run every query at the final budget, in parallel *)
+        (* commit: run every query at the final budget, in parallel and
+           in leaf order, so consecutive queries probe nearby leaves *)
         let out = Array.make n [||] in
         let rows lo hi =
           let s = scratch k in
-          for i = lo to hi - 1 do
+          for p = lo to hi - 1 do
+            let i = index.order.(p) in
             out.(i) <- query_point index s i ~budget:!budget
           done
         in

@@ -10,27 +10,36 @@
 
     {2 Cost}
 
-    Each split places its positional median by in-place selection
-    (O(len) expected, falling back to a sort past log₂ len partition
-    rounds so it never goes quadratic) into one projection buffer
-    shared by the whole build.  The index keeps a row-major copy of the
-    points, n·d floats (4 MB at n = 10⁵, d = 5), that the distance loop
-    reads.  A query offers every point of every visited leaf straight
-    into one bounded max-heap of the [k] best (distance², index) keys,
-    so it costs O(budget · leaf_size · (d + log k)) with [budget] the
-    leaf visits, plus an O(k) membership scan for each candidate that
-    beats the kept k-th key (about 39 of the ~298 candidates a query
-    at n = 10⁵, k = 8, 4 trees), and allocates only its answer.  The
-    same heap serves the exact scans: the recall probe, the small-[n]
-    path and the fallback.
+    The trees are built on the domain pool, one tree a pool row.  Each
+    split places its positional median by in-place selection (O(len)
+    expected, falling back to a sort past log₂ len partition rounds so
+    it never goes quadratic) into its tree's projection buffer.  The
+    index keeps one row-major copy of the points, n·d floats (4 MB at
+    n = 10⁵, d = 5), laid out in the first tree's leaf order, and the
+    leaves hold positions in it: the points of a leaf, and of nearby
+    leaves, are adjacent in memory.  A query offers every point of
+    every visited leaf straight into one bounded max-heap of the [k]
+    best (distance², index) keys, so it costs
+    O(budget · leaf_size · (d + log k)) with [budget] the leaf visits,
+    plus an O(k) membership scan for each candidate that beats the
+    kept k-th key (about 39 of the ~298 candidates a query at
+    n = 10⁵, k = 8, 4 trees), and allocates only its answer.  The
+    [all_k_nearest] fan-out walks its queries in the same leaf order.
+    The same heap and the same copy serve the exact scans: the recall
+    probe and the fallback (the small-[n] path scans a copy in input
+    order).
 
     {2 Determinism}
 
-    The forest build is serial and seeded; each query depends only on
-    the forest and its own point, so the query fan-out over the domain
-    pool (routed through [Parallel.Dispatch]'s pairwise threshold,
-    work measure [n · budget · leaf_size]) is bit-identical for any
-    domain count — the same contract as every other pooled kernel.
+    Tree [t] draws its directions from a substream that depends only
+    on ([seed], [t]) and owns its projection buffer and leaf count, so
+    the forest is the same for any domain count.  Each query depends
+    only on the forest and its own point, and its answer is ranked by
+    original indices, not positions.  Both fan-outs go through
+    [Parallel.Dispatch]'s pairwise threshold (work measures
+    [trees · n] for the build and [n · budget · leaf_size] for the
+    queries), so the output is bit-identical for any domain count —
+    the same contract as every other pooled kernel.
 
     {2 Recall model}
 

@@ -25,9 +25,14 @@ val knn :
   Linalg.Vec.t array ->
   Sparse.Csr.t
 (** Mutual-or symmetrised kNN graph: [w_ij] is kept when [j] is among the
-    [k] nearest of [i] *or* vice versa; the matrix is symmetric.  Diagonal
-    entries are kept (self-similarity).  Raises [Invalid_argument] if
-    [k <= 0] or [k >= n]. *)
+    [k] nearest of [i] *or* vice versa; the matrix is exactly symmetric.
+    Diagonal entries are kept (self-similarity); an entry whose weight
+    is 0 (outside a compact kernel's support) is not stored.  The
+    neighbour lists come from the exact search
+    ([Pairwise.all_k_nearest]) and are symmetrised straight into CSR in
+    O(n·k) memory: each row sorts, dedupes and weighs its own entries,
+    on the domain pool, inside a [knn.symmetrise] span.  Raises
+    [Invalid_argument] if [k <= 0] or [k >= n]. *)
 
 type knn_info =
   | Exact  (** the exact [knn] path answered (small [n]) *)
@@ -53,12 +58,12 @@ val knn_approx :
     larger inputs build the graph from [Graph.Ann] approximate
     neighbour lists (randomized projection trees with multi-probe
     search, escalated until the measured recall reaches
-    [recall_target], default 0.9) with an O(n·k)-memory
-    symmetrisation — never the O(n²) boolean matrix of the exact path.
-    The result is exactly symmetric with K(0) self-similarities on the
-    diagonal, matching {!knn}'s conventions, and deterministic for any
-    domain count.  Raises [Invalid_argument] under {!knn}'s
-    conditions. *)
+    [recall_target], default 0.9), symmetrised by {!knn}'s row-wise
+    pass.  The result is exactly symmetric with K(0) self-similarities
+    on the diagonal, matching {!knn}'s conventions, and bit-identical
+    for any domain count.  A traced call splits into the [ann.build],
+    [ann.search] and [knn.symmetrise] spans.  Raises [Invalid_argument]
+    under {!knn}'s conditions. *)
 
 val epsilon :
   kernel:Kernel_fn.t ->

@@ -1,8 +1,8 @@
 (** The serving layer's notion of time.
 
     Two implementations behind one interface:
-    - [Monotonic] reads the real clock.  [advance] {e busy-waits} (a
-      stalled worker is busy, not asleep) and [jump] is a no-op (real
+    - [Monotonic] reads the real clock.  [advance] {e sleeps}, so a
+      retry backoff leaves its core free, and [jump] is a no-op (real
       time flows on its own).  This is what a live [gssl serve] session
       uses.
     - [Virtual] is a number.  [advance] and [jump] are arithmetic, so a
@@ -25,9 +25,11 @@ val is_virtual : t -> bool
 val now_ms : t -> float
 
 val advance : t -> float -> unit
-(** Spend [ms] milliseconds: arithmetic on a virtual clock, a busy-wait
-    ({!Robust.Fault.busy_wait_ms}) on the monotonic one.  Negative or
-    zero durations are no-ops. *)
+(** Let [ms] milliseconds pass: arithmetic on a virtual clock, a sleep
+    ([Unix.sleepf]) on the monotonic one, which burns no CPU.  Time a
+    worker spends busy, such as an injected latency stall, is the
+    caller's to spin ({!Robust.Fault.busy_wait_ms}).  Negative or zero
+    durations are no-ops. *)
 
 val jump : t -> float -> unit
 (** [jump t target_ms] moves a virtual clock forward to [target_ms]

@@ -438,7 +438,10 @@ let process t ~ctx ~queue_ms (req : request) =
         if inj.Fault.stall_ms > 0. then
           Trace_ctx.annotate_current
             [ ("stall_ms", Obs.Event.Float inj.Fault.stall_ms) ];
-        Clock.advance t.clock inj.Fault.stall_ms;
+        (* a stall is busy time: on the real clock the worker spins *)
+        if Clock.is_virtual t.clock then
+          Clock.advance t.clock inj.Fault.stall_ms
+        else Fault.busy_wait_ms inj.Fault.stall_ms;
         inj)
   in
   if Deadline.expired deadline then expire t req ~ctx ~queue_ms ~deadline ()

@@ -1,9 +1,9 @@
 (** Bounded retry with exponential backoff and seeded jitter.
 
-    Backoff time is spent on the {!Clock} (so it burns the request's
-    deadline budget and is deterministic under a virtual clock), and
-    jitter is drawn from the caller's {!Prng.Rng.t} — no hidden
-    randomness, no wall-clock sleeps. *)
+    Backoff time is spent on the {!Clock}, so it burns the request's
+    deadline budget, is deterministic under a virtual clock and sleeps
+    on the real one; jitter is drawn from the caller's {!Prng.Rng.t} —
+    no hidden randomness. *)
 
 type policy = {
   max_attempts : int;  (** total attempts, including the first *)

@@ -243,13 +243,36 @@ let ann_golden ?queries run points =
 let check_golden name want (got, _) =
   Alcotest.(check string) name want got
 
-let test_ann_golden_tree_path () =
+(* 3000 Model-1 points, and the generator that drew them *)
+let model1_points () =
   let rng = Rng.create 1 in
-  let points =
+  ( rng,
     Array.map
       (fun s -> s.Dataset.Synthetic.x)
-      (Dataset.Synthetic.sample_many rng Dataset.Synthetic.Model1 3000)
+      (Dataset.Synthetic.sample_many rng Dataset.Synthetic.Model1 3000) )
+
+(* 1500 points on an 11³ lattice (so distinct points tie in distance),
+   then 900 exact copies of them *)
+let duplicated_lattice () =
+  let rng = Rng.create 2 in
+  let lattice =
+    Array.init 1500 (fun _ ->
+        Array.init 3 (fun _ -> 0.5 *. float_of_int (Rng.int rng 11)))
   in
+  Array.init 2400 (fun i ->
+      Array.copy lattice.(if i < 1500 then i else i * 7 mod 1500))
+
+(* 1500 uniform points in 5-D whose last 300 copy earlier ones *)
+let points_with_copies () =
+  let rng = Rng.create 5 in
+  let points = random_points rng 1500 5 in
+  for i = 1200 to 1499 do
+    points.(i) <- Array.copy points.(Rng.int rng 1200)
+  done;
+  points
+
+let test_ann_golden_tree_path () =
+  let rng, points = model1_points () in
   let index = Ann.build ~seed:9 ~trees:4 points in
   let qs = Array.init 50 (fun _ -> Array.init 5 (fun _ -> Rng.float rng)) in
   check_golden "n=3000 d=5 k=8 trees=4"
@@ -260,17 +283,7 @@ let test_ann_golden_tree_path () =
        points)
 
 let test_ann_golden_duplicates () =
-  let rng = Rng.create 2 in
-  (* 1500 points on an 11³ lattice (so distinct points tie in distance),
-     then 900 exact copies of them *)
-  let lattice =
-    Array.init 1500 (fun _ ->
-        Array.init 3 (fun _ -> 0.5 *. float_of_int (Rng.int rng 11)))
-  in
-  let points =
-    Array.init 2400 (fun i ->
-        Array.copy lattice.(if i < 1500 then i else i * 7 mod 1500))
-  in
+  let points = duplicated_lattice () in
   check_golden "duplicated lattice points"
     "276e6c155ed261a6 exact=false trees=3 probes=12 esc=0 recall=0x1.fcp-1 \
      cand=554398 fb=0"
@@ -309,11 +322,7 @@ let test_ann_golden_escalation () =
   Alcotest.(check bool) "escalated" true (info.Ann.escalations >= 1)
 
 let test_ann_golden_exact_cutoff () =
-  let rng = Rng.create 5 in
-  let points = random_points rng 1500 5 in
-  for i = 1200 to 1499 do
-    points.(i) <- Array.copy points.(Rng.int rng 1200)
-  done;
+  let points = points_with_copies () in
   let ((_, info) as r) = ann_golden (fun p -> Ann.all_k_nearest p 7) points in
   check_golden "exact-cutoff path"
     "d5713040bf890184 exact=true trees=0 probes=0 esc=0 recall=0x1p+0 cand=0 \
@@ -350,6 +359,48 @@ let test_knn_approx_exact_path_matches_knn () =
   | _ -> Alcotest.fail "expected the exact path below the cutoff");
   check_mat ~tol:0. "same matrix" (Csr.to_dense w_exact)
     (Csr.to_dense w_approx)
+
+(* Bit-identity pin of the symmetrised kNN graphs, which the ANN
+   goldens above do not reach: a digest over the row pointers, columns
+   and value bits of knn_approx on the tree path and on the duplicated
+   lattice, and of the exact knn on points with copies under a
+   compactly supported kernel (so some kept pairs weigh 0 and are
+   dropped), each built on 1 and 2 domains.  The digests were recorded
+   before the symmetrisation was written straight into CSR. *)
+let test_knn_csr_pinned () =
+  let csr_digest (w : Csr.t) =
+    digest_hex (fun buf ->
+        let add_int i = Buffer.add_int64_le buf (Int64.of_int i) in
+        Array.iter add_int w.row_ptr;
+        Array.iter add_int w.col_idx;
+        Array.iter (add_float_bits buf) w.values)
+  in
+  let pin name want build =
+    List.iter
+      (fun domains ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s at domains=%d" name domains)
+          want
+          (csr_digest (Pool.with_default_domains domains build)))
+      [ 1; 2 ]
+  in
+  let module S = Kernel.Similarity in
+  let rbf = Kernel.Kernel_fn.Rbf in
+  let _, model1 = model1_points () in
+  pin "knn_approx tree path" "8c33206fb883908c5864b968fb7374cc" (fun () ->
+      fst
+        (S.knn_approx ~kernel:rbf ~bandwidth:0.3 ~k:8 ~seed:5 ~trees:4 model1));
+  let lattice = duplicated_lattice () in
+  pin "knn_approx duplicated lattice" "ebd5968461c763748b14f8bbc7065340"
+    (fun () ->
+      fst
+        (S.knn_approx ~kernel:rbf ~bandwidth:0.5 ~k:8 ~seed:3 ~trees:3
+           ~exact_cutoff:0 lattice));
+  let copies = points_with_copies () in
+  pin "knn with copies, truncated kernel" "b96849bd4388cb5b75a9a27ed09a30be"
+    (fun () ->
+      S.knn ~kernel:(Kernel.Kernel_fn.Truncated_rbf 2.) ~bandwidth:1. ~k:7
+        copies)
 
 let test_knn_approx_structure_and_determinism () =
   let rng = Rng.create 31 in
@@ -829,6 +880,7 @@ let suite =
         test_knn_approx_exact_path_matches_knn;
       case "knn_approx: structure and domain determinism"
         test_knn_approx_structure_and_determinism;
+      case "knn graphs: pinned CSR bits" test_knn_csr_pinned;
       coarsen_invariants;
       galerkin_identity;
       mg_agrees_with_flat_cg;

@@ -40,14 +40,18 @@ let test_virtual_clock () =
   Clock.jump c 2.;
   check_float "jump never goes backward" 40. (Clock.now_ms c)
 
+(* A 50 ms advance on the real clock takes its 50 ms of wall time but
+   sleeps through them: a spin would burn about 50 ms of CPU. *)
 let test_monotonic_clock () =
   let c = Clock.monotonic () in
   Alcotest.(check bool) "not virtual" false (Clock.is_virtual c);
-  let t0 = Clock.now_ms c in
-  Clock.advance c 2.;
-  let t1 = Clock.now_ms c in
-  Alcotest.(check bool) "busy-wait advanced real time >= 2ms" true
-    (t1 -. t0 >= 2.)
+  let t0 = Clock.now_ms c and cpu0 = Sys.time () in
+  Clock.advance c 50.;
+  let wall_ms = Clock.now_ms c -. t0
+  and cpu_ms = (Sys.time () -. cpu0) *. 1e3 in
+  if wall_ms < 50. then Alcotest.failf "advanced %.3f ms of real time" wall_ms;
+  if cpu_ms >= 25. then
+    Alcotest.failf "a 50 ms advance burned %.3f ms of CPU" cpu_ms
 
 let test_deadline_accounting () =
   let c = Clock.virtual_ () in
@@ -719,7 +723,7 @@ let suite =
   ( "serve",
     [
       case "clock: virtual arithmetic, forward-only jump" test_virtual_clock;
-      case "clock: monotonic busy-wait advance" test_monotonic_clock;
+      case "clock: monotonic advance sleeps" test_monotonic_clock;
       case "deadline: arrival-anchored accounting" test_deadline_accounting;
       case "deadline: should_stop charges per-poll cost"
         test_deadline_should_stop_charges_cost;
