@@ -360,7 +360,6 @@ module Profile = struct
           && String.sub k 0 (String.length fallback_prefix) = fallback_prefix)
         (T.Counter.snapshot ())
     in
-    let residual_trace = T.Trace.get "cg.residual" in
     (* per-span latency percentiles for this phase (the registry was
        fresh at phase start, so every histogram belongs to it) *)
     let quantiles = Obs.Histogram.quantiles_json () in
@@ -380,8 +379,6 @@ module Profile = struct
             Obj (List.map (fun (k, v) -> (k, Num (float_of_int v))) counters) );
           ( "fallback",
             Obj (List.map (fun (k, v) -> (k, Num (float_of_int v))) fallback) );
-          ( "cg_residual_trace_points",
-            Num (float_of_int (Array.length residual_trace)) );
         ])
 
   let knn_problem ~seed ~count ~n_labeled ~k =
@@ -424,7 +421,8 @@ module Profile = struct
     in
     (* scaling-layer sizes: ann_n sits above the ANN exact-cutoff so the
        ann_build phase takes the tree path while knn_exact_build pays the
-       O(n²) reference cost on the same points; mg_n is the
+       O(n²) exact scan (Ann's (distance², index) heap over every point)
+       on the same points; mg_n is the
        low-label-rate solve the V-cycle preconditioner exists for;
        scale_n is the end-to-end graph-build + multigrid-solve pipeline
        (10⁶ vertices in profile mode). *)
@@ -554,7 +552,8 @@ module Profile = struct
             Gssl.Scalable.solve_stationary ~tol:1e-9
               Sparse.Stationary.Gauss_seidel sparse_problem);
         (* scaling layer: the ANN graph build races the O(n²) exact
-           build on the same points under a recall floor, the
+           scan, which ranks neighbours in the same (distance², index)
+           heap, on the same points under a recall floor, the
            multigrid-preconditioned solve races flat (Jacobi-
            preconditioned) CG on the same low-label-rate problem under
            an iteration-reduction contract, and scale_1m runs the whole
@@ -691,7 +690,6 @@ module Profile = struct
                   ("iterations", Num 0.);
                   ("counters", Obj []);
                   ("fallback", Obj []);
-                  ("cg_residual_trace_points", Num 0.);
                 ])
           in
           let journaled =

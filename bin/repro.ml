@@ -39,7 +39,7 @@ let exit0_on_epipe f =
 
 let profile_arg =
   let doc =
-    "Enable the telemetry subsystem (timers, counters, solver traces) and \
+    "Enable the telemetry subsystem (timers and counters) and \
      print a per-phase timing/counter report after the run."
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
@@ -1498,8 +1498,9 @@ let scale_cmd =
   in
   let exact_arg =
     let doc =
-      "Also build the exact O(n²) kNN graph and report the wall-clock \
-       ratio (keep $(b,--count) modest with this on)."
+      "Also build the exact kNN graph, which scans all n² pairs into the \
+       same (distance², index) ranking the ANN search uses, and report \
+       the wall-clock ratio (keep $(b,--count) modest with this on)."
     in
     Arg.(value & flag & info [ "exact" ] ~doc)
   in

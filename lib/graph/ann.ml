@@ -337,6 +337,21 @@ let exact_k_nearest best coords order dim q ~exclude =
   done;
   Best.drain best
 
+(* the exact lists of the points [queries], each excluding itself, one
+   query a pool row under the pairwise rule (work: queries × n): every
+   point on the small-n path, the probe sample on the tree path *)
+let exact_rows coords order dim points k queries =
+  let m = Array.length queries in
+  let out = Array.make m [||] in
+  Parallel.Dispatch.run Parallel.Dispatch.Pairwise
+    ~work:(m * Array.length order) m (fun lo hi ->
+      let best = Best.create k in
+      for s = lo to hi - 1 do
+        let i = queries.(s) in
+        out.(s) <- exact_k_nearest best coords order dim points.(i) ~exclude:i
+      done);
+  out
+
 (* ---- multi-probe search ---------------------------------------- *)
 
 (* tiny binary min-heap keyed by split margin, over parallel arrays;
@@ -504,24 +519,15 @@ let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
   if recall_target < 0. || recall_target > 1. then
     invalid_arg "Ann.all_k_nearest: recall_target must be in [0, 1]";
   if probes < 1 then invalid_arg "Ann.all_k_nearest: probes must be >= 1";
-  if k = 0 then
-    ( Array.make n [||],
-      { exact = true; trees = 0; probes = 0; escalations = 0; recall = 1. } )
+  let exact_info =
+    { exact = true; trees = 0; probes = 0; escalations = 0; recall = 1. }
+  in
+  if k = 0 then (Array.make n [||], exact_info)
   else if n <= exact_cutoff then begin
-    (* small n: the exact Pairwise-style path, fanned out like the
-       pairwise kernel itself *)
+    (* small n: no forest, every point scanned in input order *)
     Telemetry.Counter.incr c_exact_fallbacks;
-    let coords = flatten points d and order = Array.init n Fun.id in
-    let out = Array.make n [||] in
-    let rows lo hi =
-      let best = Best.create k in
-      for i = lo to hi - 1 do
-        out.(i) <- exact_k_nearest best coords order d points.(i) ~exclude:i
-      done
-    in
-    Parallel.Dispatch.run Parallel.Dispatch.Pairwise ~work:(n * n) n rows;
-    ( out,
-      { exact = true; trees = 0; probes = 0; escalations = 0; recall = 1. } )
+    let all = Array.init n Fun.id in
+    (exact_rows (flatten points d) all d points k all, exact_info)
   end
   else begin
     let index = build ?seed ?trees ?leaf_size points in
@@ -536,17 +542,9 @@ let all_k_nearest ?seed ?trees ?leaf_size ?(probes = 4)
         let sample =
           Rng.sample_without_replacement sample_rng sample_size n
         in
-        let exact_sets = Array.make sample_size [||] in
-        (let rows lo hi =
-           let best = Best.create k in
-           for s = lo to hi - 1 do
-             exact_sets.(s) <-
-               exact_k_nearest best index.coords index.order d
-                 points.(sample.(s)) ~exclude:sample.(s)
-           done
-         in
-         Parallel.Dispatch.run Parallel.Dispatch.Pairwise
-           ~work:(sample_size * n) sample_size rows);
+        let exact_sets =
+          exact_rows index.coords index.order d points k sample
+        in
         (* escalate the leaf-visit budget until the sampled recall meets
            the target; at total_leaves the search is exhaustive, so the
            loop always terminates with recall 1.0 in the worst case *)

@@ -25,9 +25,12 @@
     kept k-th key (about 39 of the ~298 candidates a query at
     n = 10⁵, k = 8, 4 trees), and allocates only its answer.  The
     [all_k_nearest] fan-out walks its queries in the same leaf order.
-    The same heap and the same copy serve the exact scans: the recall
-    probe and the fallback (the small-[n] path scans a copy in input
-    order).
+    The same heap answers the exact scans, which offer every point:
+    the recall probe and the fallback read the leaf-ordered copy, and
+    the small-[n] path scans a copy in input order.  That path is the
+    repo's one exact kNN search (O(n²·(d + log k)), one query a pool
+    row); [Kernel.Similarity.knn] and [knn_approx] get their exact
+    lists from it.
 
     {2 Determinism}
 
@@ -35,11 +38,12 @@
     on ([seed], [t]) and owns its projection buffer and leaf count, so
     the forest is the same for any domain count.  Each query depends
     only on the forest and its own point, and its answer is ranked by
-    original indices, not positions.  Both fan-outs go through
+    original indices, not positions.  Every fan-out goes through
     [Parallel.Dispatch]'s pairwise threshold (work measures
-    [trees · n] for the build and [n · budget · leaf_size] for the
-    queries), so the output is bit-identical for any domain count —
-    the same contract as every other pooled kernel.
+    [trees · n] for the build, [n · budget · leaf_size] for the
+    queries and [queries · n] for the exact scans), so the output is
+    bit-identical for any domain count — the same contract as every
+    other pooled kernel.
 
     {2 Recall model}
 
@@ -49,7 +53,9 @@
     every leaf the search is exhaustive (every point is a candidate), so
     the escalation loop always terminates — the target is reachable by
     construction, not by luck.  Small inputs ([n <= exact_cutoff]) skip
-    the forest entirely and take the exact pairwise path. *)
+    the forest entirely and take the exact path, whose recall is 1 by
+    construction: every point is scanned into the heap, and tied
+    distances go to the lower index, as on the tree path. *)
 
 type t
 (** A built index over a fixed point set. *)
@@ -97,7 +103,7 @@ val all_k_nearest :
     [recall_target] (default 0.9) the measured-recall threshold the
     escalation loop enforces on a [recall_sample]-point probe (default
     64 queries); [exact_cutoff] (default 2048) the size at or below
-    which the exact pairwise path answers directly.  Counters:
+    which the exact path answers directly.  Counters:
     [graph.ann.builds], [graph.ann.queries], [graph.ann.candidates],
     [graph.ann.escalations], [graph.ann.exact_fallbacks]; spans:
     [ann.build], [ann.search].  Raises [Invalid_argument] unless

@@ -1,4 +1,6 @@
-(** Pairwise-distance computations shared by the similarity builders. *)
+(** The dense squared-distance matrix behind {!Similarity.dense}.  The
+    kNN graphs rank their neighbours with [Graph.Ann]'s exact
+    (distance², index) search instead. *)
 
 val sq_distance_matrix : Linalg.Vec.t array -> Linalg.Mat.t
 (** [n]×[n] matrix of squared Euclidean distances, computed via the
@@ -8,19 +10,3 @@ val sq_distance_matrix : Linalg.Vec.t array -> Linalg.Mat.t
     empty or ragged input.  For [n ≥ 64] the row loop fans out over the
     {!Parallel.Pool} — every cell is computed independently, so the
     matrix is bit-identical to the serial loop for any domain count. *)
-
-val sq_distances_to : Linalg.Vec.t array -> Linalg.Vec.t -> Linalg.Vec.t
-(** Squared distances from every row point to one query point. *)
-
-val k_nearest : Linalg.Vec.t array -> int -> int -> int array
-(** [k_nearest points k i] — indices of the [k] nearest neighbours of
-    point [i] (excluding [i] itself), nearest first.  Raises
-    [Invalid_argument] if [k] ≥ number of points or [i] out of range. *)
-
-val all_k_nearest : Linalg.Vec.t array -> int -> int array array
-(** [all_k_nearest points k] — the neighbour list of every point at
-    once: entry [i] equals [k_nearest points k i].  This is the O(N²
-    log N) pass behind kNN graph construction; for [≥ 64] points the
-    per-point searches run on the {!Parallel.Pool} (each list is
-    computed independently, so the result is bit-identical to the
-    serial loop for any domain count). *)

@@ -101,12 +101,6 @@ let symmetrise ~kernel ~bandwidth points nb =
           done);
       Sparse.Csr.of_sorted_rows ~rows:n ~cols:n ~row_ptr ~col_idx ~values)
 
-let knn ~kernel ~bandwidth ~k points =
-  let n = Array.length points in
-  if n = 0 then invalid_arg "Similarity.knn: empty data";
-  if k <= 0 || k >= n then invalid_arg "Similarity.knn: k must lie in [1, n-1]";
-  symmetrise ~kernel ~bandwidth points (Pairwise.all_k_nearest points k)
-
 type knn_info =
   | Exact
   | Approximate of {
@@ -117,26 +111,26 @@ type knn_info =
     }
 
 let knn_approx ~kernel ~bandwidth ~k ?seed ?trees ?recall_target
-    ?(exact_cutoff = 2048) points =
+    ?exact_cutoff points =
   let n = Array.length points in
-  if n = 0 then invalid_arg "Similarity.knn_approx: empty data";
-  if k <= 0 || k >= n then
-    invalid_arg "Similarity.knn_approx: k must lie in [1, n-1]";
-  if n <= exact_cutoff then (knn ~kernel ~bandwidth ~k points, Exact)
-  else begin
-    let nb, info =
-      Graph.Ann.all_k_nearest ?seed ?trees ?recall_target ~exact_cutoff
-        points k
-    in
-    ( symmetrise ~kernel ~bandwidth points nb,
+  if n = 0 then invalid_arg "Similarity.knn: empty data";
+  if k <= 0 || k >= n then invalid_arg "Similarity.knn: k must lie in [1, n-1]";
+  let nb, (info : Graph.Ann.info) =
+    Graph.Ann.all_k_nearest ?seed ?trees ?recall_target ?exact_cutoff points k
+  in
+  ( symmetrise ~kernel ~bandwidth points nb,
+    if info.exact then Exact
+    else
       Approximate
         {
-          recall = info.Graph.Ann.recall;
-          probes = info.Graph.Ann.probes;
-          escalations = info.Graph.Ann.escalations;
-          trees = info.Graph.Ann.trees;
+          recall = info.recall;
+          probes = info.probes;
+          escalations = info.escalations;
+          trees = info.trees;
         } )
-  end
+
+let knn ~kernel ~bandwidth ~k points =
+  fst (knn_approx ~kernel ~bandwidth ~k ~exact_cutoff:max_int points)
 
 let epsilon ~kernel ~bandwidth ~radius points =
   let n = Array.length points in

@@ -27,15 +27,18 @@ val knn :
 (** Mutual-or symmetrised kNN graph: [w_ij] is kept when [j] is among the
     [k] nearest of [i] *or* vice versa; the matrix is exactly symmetric.
     Diagonal entries are kept (self-similarity); an entry whose weight
-    is 0 (outside a compact kernel's support) is not stored.  The
-    neighbour lists come from the exact search
-    ([Pairwise.all_k_nearest]) and are symmetrised straight into CSR in
-    O(n·k) memory: each row sorts, dedupes and weighs its own entries,
-    on the domain pool, inside a [knn.symmetrise] span.  Raises
-    [Invalid_argument] if [k <= 0] or [k >= n]. *)
+    is 0 (outside a compact kernel's support) is not stored.  This is
+    {!knn_approx} with no size cutoff: the neighbour lists come from
+    [Graph.Ann]'s exact path, which scans every point into a bounded
+    heap ranked by (distance², index), so tied distances go to the
+    lower index (O(n²·(d + log k)) time).  They are symmetrised
+    straight into CSR in O(n·k) memory: each row sorts, dedupes and
+    weighs its own entries inside a [knn.symmetrise] span.  Both passes
+    run on the domain pool.  Raises [Invalid_argument] if [k <= 0] or
+    [k >= n]. *)
 
 type knn_info =
-  | Exact  (** the exact [knn] path answered (small [n]) *)
+  | Exact  (** the exact path answered ([n <= exact_cutoff]) *)
   | Approximate of {
       recall : float;  (** measured on the ANN probe sample *)
       probes : int;  (** final leaf-visit budget per query *)
@@ -53,17 +56,18 @@ val knn_approx :
   ?exact_cutoff:int ->
   Linalg.Vec.t array ->
   Sparse.Csr.t * knn_info
-(** Scalable variant of {!knn}: inputs at or below [exact_cutoff]
-    points (default 2048) take the exact path and return [Exact];
-    larger inputs build the graph from [Graph.Ann] approximate
-    neighbour lists (randomized projection trees with multi-probe
-    search, escalated until the measured recall reaches
-    [recall_target], default 0.9), symmetrised by {!knn}'s row-wise
-    pass.  The result is exactly symmetric with K(0) self-similarities
-    on the diagonal, matching {!knn}'s conventions, and bit-identical
-    for any domain count.  A traced call splits into the [ann.build],
-    [ann.search] and [knn.symmetrise] spans.  Raises [Invalid_argument]
-    under {!knn}'s conditions. *)
+(** The kNN graph from one [Graph.Ann.all_k_nearest] call: inputs at
+    or below [exact_cutoff] points (Ann's default, 2048) take its exact
+    path, which {!knn} always takes, and return [Exact]; larger inputs
+    use its approximate neighbour lists (randomized projection trees
+    with multi-probe search, escalated until the measured recall
+    reaches [recall_target], default 0.9).  Both rank by (distance²,
+    index) and go through the same row-wise symmetrisation, so the
+    result is exactly symmetric with K(0) self-similarities on the
+    diagonal, and bit-identical for any domain count.  A traced call on
+    the tree path splits into the [ann.build], [ann.search] and
+    [knn.symmetrise] spans.  Raises [Invalid_argument] under {!knn}'s
+    conditions. *)
 
 val epsilon :
   kernel:Kernel_fn.t ->

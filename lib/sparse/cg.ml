@@ -75,7 +75,6 @@ let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
     let best = ref !res in
     let breakdown = ref false in
     let aborted = ref false in
-    Telemetry.Trace.record "cg.residual" !res;
     while
       (not !breakdown) && (not !aborted) && !res > threshold
       && !iterations < max_iter
@@ -99,7 +98,6 @@ let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
         Vec.axpy (-.alpha) ap r;
         res := Vec.norm2 r;
         if !res < !best then best := !res;
-        Telemetry.Trace.record "cg.residual" !res;
         if !res > threshold then begin
           let z = apply_precond r in
           let rz' = Vec.dot r z in

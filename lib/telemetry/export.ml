@@ -253,20 +253,12 @@ let spans_json () =
              ] ))
        (Span.snapshot ()))
 
-let traces_json () =
-  Obj
-    (List.map
-       (fun (name, values) ->
-         (name, Arr (Array.to_list (Array.map (fun v -> Num v) values))))
-       (Trace.snapshot ()))
-
 let to_json_value () =
   Obj
     [
       ("enabled", Bool (Registry.is_enabled ()));
       ("counters", counters_json ());
       ("spans", spans_json ());
-      ("traces", traces_json ());
     ]
 
 let to_json () = render (to_json_value ())
@@ -275,7 +267,6 @@ let to_text () =
   let buf = Buffer.create 512 in
   let counters = Counter.snapshot () in
   let spans = Span.snapshot () in
-  let traces = Trace.snapshot () in
   Buffer.add_string buf "== telemetry report ==\n";
   if counters <> [] then begin
     Buffer.add_string buf "counters:\n";
@@ -293,15 +284,6 @@ let to_text () =
              (s.Span.total_ns /. 1e6) s.Span.count (s.Span.max_ns /. 1e6)))
       spans
   end;
-  if traces <> [] then begin
-    Buffer.add_string buf "traces (points, last value):\n";
-    List.iter
-      (fun (name, values) ->
-        let k = Array.length values in
-        let last = if k = 0 then Float.nan else values.(k - 1) in
-        Buffer.add_string buf (Printf.sprintf "  %-36s %6d points, last %.3g\n" name k last))
-      traces
-  end;
-  if counters = [] && spans = [] && traces = [] then
+  if counters = [] && spans = [] then
     Buffer.add_string buf "  (empty)\n";
   Buffer.contents buf

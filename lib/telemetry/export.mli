@@ -36,9 +36,9 @@ val to_bool : json -> bool option
 
 val to_json_value : unit -> json
 (** Snapshot of the whole registry:
-    [{"enabled": ..., "counters": {...}, "spans": {...}, "traces": {...}}].
+    [{"enabled": ..., "counters": {...}, "spans": {...}}].
     Span statistics are reported as [{count, total_ms, max_ms}]. *)
 
 val to_json : unit -> string
 val to_text : unit -> string
-(** Human-readable report: nonzero counters, span table, trace sizes. *)
+(** Human-readable report: nonzero counters and the span table. *)

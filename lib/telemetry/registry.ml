@@ -1,5 +1,5 @@
 (* Global on/off switch plus reset hooks.  The sibling modules (Counter,
-   Span, Trace) register a hook here at module-initialisation time so that
+   Span) register a hook here at module-initialisation time so that
    [reset] clears every metric in one call.
 
    The switch is a plain bool ref: instrumentation sites pay one load and

@@ -1,7 +1,7 @@
 (** Global telemetry switch and registry.
 
     Telemetry is off by default; every probe in the codebase
-    ({!Counter.add}, {!Span.with_}, {!Trace.record}) degrades to a single
+    ({!Counter.add}, {!Span.with_}) degrades to a single
     branch on {!is_enabled} when disabled, so instrumented code runs at
     full speed unless a caller opts in. *)
 
@@ -14,7 +14,7 @@ val disable : unit -> unit
 val is_enabled : unit -> bool
 
 val reset : unit -> unit
-(** Zero every counter, span statistic, and trace. *)
+(** Zero every counter and span statistic. *)
 
 val on_reset : (unit -> unit) -> unit
 (** Register a hook run by {!reset}.  Used by the sibling modules; user

@@ -111,17 +111,12 @@ let test_pairwise_known () =
   check_float "diag" 0. (Mat.get d2 1 1);
   Alcotest.(check bool) "symmetric" true (Mat.is_symmetric d2)
 
-let test_pairwise_query () =
-  let points = [| [| 0. |]; [| 2. |] |] in
-  check_vec "distances to query" [| 1.; 1. |] (P.sq_distances_to points [| 1. |]);
-  check_raises_invalid "dim mismatch" (fun () ->
-      ignore (P.sq_distances_to points [| 1.; 2. |]))
-
 let test_k_nearest () =
   let points = [| [| 0. |]; [| 1. |]; [| 10. |]; [| 0.5 |] |] in
-  let nn = P.k_nearest points 2 0 in
-  Alcotest.(check (array int)) "two nearest of 0" [| 3; 1 |] nn;
-  check_raises_invalid "k too big" (fun () -> ignore (P.k_nearest points 4 0))
+  let nn, _ = Graph.Ann.all_k_nearest points 2 in
+  Alcotest.(check (array int)) "two nearest of 0" [| 3; 1 |] nn.(0);
+  check_raises_invalid "k too big" (fun () ->
+      ignore (Graph.Ann.all_k_nearest points 4))
 
 let prop_pairwise_matches_direct seed =
   let rng = Prng.Rng.create seed in
@@ -206,7 +201,6 @@ let suite =
       case "paper bandwidth rate" test_bandwidth_paper_rate;
       case "bandwidth selection" test_bandwidth_select;
       case "pairwise known values" test_pairwise_known;
-      case "pairwise to query" test_pairwise_query;
       case "k nearest neighbours" test_k_nearest;
       qprop "pairwise matches direct" prop_pairwise_matches_direct;
       case "dense similarity" test_similarity_dense;

@@ -195,7 +195,7 @@ let qcheck_knn =
       let k = 1 + Prng.Rng.int rng (Stdlib.min 8 (n - 1)) in
       let pts = Array.init n (fun _ -> random_vec rng 3) in
       check_bit_identical "knn" ( = ) (fun () ->
-          Kernel.Pairwise.all_k_nearest pts k))
+          fst (Graph.Ann.all_k_nearest pts k)))
 
 (* ------------------------------------------------------------------ *)
 (* kernels against naive references, either side of the threshold     *)

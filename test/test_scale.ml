@@ -71,7 +71,7 @@ let operator_of w deg =
 
 let recall_vs_exact points nb k =
   let n = Array.length points in
-  let exact = Kernel.Pairwise.all_k_nearest points k in
+  let exact = brute_knn_rows points k in
   let hits = ref 0 in
   for i = 0 to n - 1 do
     Array.iter
@@ -81,7 +81,7 @@ let recall_vs_exact points nb k =
   float_of_int !hits /. float_of_int (n * k)
 
 let ann_recall_meets_target =
-  qprop ~count:20 "ann: measured recall >= target vs exact pairwise"
+  qprop ~count:20 "ann: measured recall >= target vs brute force"
     (fun seed ->
       let rng = Rng.create seed in
       let n = 80 + Rng.int rng 120 in
@@ -95,11 +95,10 @@ let ann_recall_meets_target =
       if info.Ann.recall < 0.9 then
         QCheck.Test.fail_reportf "reported recall %.3f < 0.9" info.Ann.recall;
       (* the probe sample covered every point, so the reported recall is
-         the true recall; cross-check against the independent exact
-         kernel implementation *)
+         the true recall; cross-check against the brute-force sort *)
       let r = recall_vs_exact points nb k in
       if r < 0.9 -. 1e-9 then
-        QCheck.Test.fail_reportf "recall vs Pairwise %.3f < 0.9" r;
+        QCheck.Test.fail_reportf "recall vs brute force %.3f < 0.9" r;
       Array.iteri
         (fun i nbi ->
           if Array.length nbi <> k then
@@ -131,20 +130,55 @@ let ann_bit_identical_across_domains =
         domain_counts;
       true)
 
-let test_ann_exact_cutoff_matches_pairwise () =
+let test_ann_exact_cutoff_matches_brute_force () =
   let rng = Rng.create 11 in
   let points = random_points rng 60 3 in
   let nb, info = Ann.all_k_nearest points 4 in
   Alcotest.(check bool) "exact path" true info.Ann.exact;
   check_float "recall" 1.0 info.Ann.recall;
-  let exact = Kernel.Pairwise.all_k_nearest points 4 in
+  let exact = brute_knn_rows points 4 in
   Array.iteri
     (fun i nbi ->
-      let a = Array.copy nbi and b = Array.copy exact.(i) in
-      Array.sort compare a;
-      Array.sort compare b;
-      if a <> b then Alcotest.failf "row %d differs from Pairwise" i)
+      Alcotest.(check (array int)) (Printf.sprintf "row %d" i) exact.(i) nbi)
     nb
+
+(* Exact lists on lattice points with copies, where distances tie
+   between distinct points and copies tie at 0: row for row equal to
+   the brute-force sort, on 1 and 2 domains, with n on both sides of
+   the pairwise pool threshold (n² >= 4096). *)
+let ann_exact_lists_with_ties =
+  qprop ~count:30 "ann: exact lists = brute_knn with ties, 1 and 2 domains"
+    (fun seed ->
+      let rng = Rng.create seed in
+      List.iter
+        (fun n ->
+          let distinct = 1 + Rng.int rng n in
+          let d = 1 + Rng.int rng 3 in
+          let base =
+            Array.init distinct (fun _ ->
+                Array.init d (fun _ -> float_of_int (Rng.int rng 4)))
+          in
+          let points =
+            Array.init n (fun i ->
+                Array.copy base.(if i < distinct then i else Rng.int rng distinct))
+          in
+          let k = 1 + Rng.int rng (min 10 (n - 1)) in
+          let want = brute_knn_rows points k in
+          List.iter
+            (fun domains ->
+              let got, _ =
+                Pool.with_default_domains domains (fun () ->
+                    Ann.all_k_nearest points k)
+              in
+              Array.iteri
+                (fun i row ->
+                  if row <> want.(i) then
+                    QCheck.Test.fail_reportf
+                      "n=%d k=%d domains=%d: row %d differs" n k domains i)
+                got)
+            [ 1; 2 ])
+        [ 2 + Rng.int rng 62; 64 + Rng.int rng 100 ];
+      true)
 
 let test_ann_query_external () =
   let rng = Rng.create 5 in
@@ -153,15 +187,8 @@ let test_ann_query_external () =
   let q = Array.init 3 (fun _ -> Rng.uniform rng (-5.) 5.) in
   (* a huge probe budget makes the multi-probe search exhaustive *)
   let got = Ann.query index ~probes:10_000 q 5 in
-  let d2 = Array.init 400 (fun j -> Vec.dist2_sq points.(j) q) in
-  let order = Array.init 400 Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = Float.compare d2.(a) d2.(b) in
-      if c <> 0 then c else compare a b)
-    order;
   Alcotest.(check (array int)) "exhaustive query is exact"
-    (Array.sub order 0 5) got
+    (brute_knn points q 5) got
 
 (* exhaustive search on point sets with deliberate duplicates: ties in
    distance (and in every split projection) must fall back to the point
@@ -192,14 +219,7 @@ let ann_exhaustive_query_with_duplicates =
       let k = Rng.int rng (n + 1) in
       (* every tree has at most [n] leaves *)
       let got = Ann.query index ~probes:(trees * n) q k in
-      let d2 = Array.map (fun p -> Vec.dist2_sq p q) points in
-      let order = Array.init n Fun.id in
-      Array.sort
-        (fun a b ->
-          let c = Float.compare d2.(a) d2.(b) in
-          if c <> 0 then c else compare a b)
-        order;
-      let want = Array.sub order 0 k in
+      let want = brute_knn points q k in
       if got <> want then
         QCheck.Test.fail_reportf "n=%d k=%d: got [%s], want [%s]" n k
           (String.concat ";" (Array.to_list (Array.map string_of_int got)))
@@ -366,7 +386,9 @@ let test_knn_approx_exact_path_matches_knn () =
    lattice, and of the exact knn on points with copies under a
    compactly supported kernel (so some kept pairs weigh 0 and are
    dropped), each built on 1 and 2 domains.  The digests were recorded
-   before the symmetrisation was written straight into CSR. *)
+   before the symmetrisation was written straight into CSR.  The exact
+   knn on the duplicated lattice pins the (distance², index) tie order:
+   distinct points tie in distance there and copies tie at 0. *)
 let test_knn_csr_pinned () =
   let csr_digest (w : Csr.t) =
     digest_hex (fun buf ->
@@ -400,7 +422,9 @@ let test_knn_csr_pinned () =
   pin "knn with copies, truncated kernel" "b96849bd4388cb5b75a9a27ed09a30be"
     (fun () ->
       S.knn ~kernel:(Kernel.Kernel_fn.Truncated_rbf 2.) ~bandwidth:1. ~k:7
-        copies)
+        copies);
+  pin "knn duplicated lattice, tie order" "7d8a8507d9b5eba7050d1e5c88cacfc6"
+    (fun () -> S.knn ~kernel:rbf ~bandwidth:0.5 ~k:8 lattice)
 
 let test_knn_approx_structure_and_determinism () =
   let rng = Rng.create 31 in
@@ -867,7 +891,8 @@ let suite =
       ann_recall_meets_target;
       ann_bit_identical_across_domains;
       case "ann: small n takes the exact pairwise path"
-        test_ann_exact_cutoff_matches_pairwise;
+        test_ann_exact_cutoff_matches_brute_force;
+      ann_exact_lists_with_ties;
       case "ann: exhaustive external query is exact" test_ann_query_external;
       ann_exhaustive_query_with_duplicates;
       case "ann golden: tree path" test_ann_golden_tree_path;

@@ -1,4 +1,4 @@
-(* Tests of the telemetry subsystem (counters, spans, traces, JSON
+(* Tests of the telemetry subsystem (counters, spans, JSON
    export/parse) plus the differential property pinning the sparse
    CSR+CG hard solver to the dense direct one, with the telemetry
    iteration counters as a side-channel check. *)
@@ -7,7 +7,6 @@ open Test_util
 module T_registry = Telemetry.Registry
 module T_counter = Telemetry.Counter
 module T_span = Telemetry.Span
-module T_trace = Telemetry.Trace
 module T_export = Telemetry.Export
 module Vec = Linalg.Vec
 
@@ -121,20 +120,6 @@ let test_registry_with_enabled_restores () =
   (try T_registry.with_enabled (fun () -> failwith "x") with Failure _ -> ());
   Alcotest.(check bool) "restored after exception" false (T_registry.is_enabled ())
 
-(* ---------- traces ---------- *)
-
-let test_trace_order_and_disabled () =
-  with_clean_registry (fun () ->
-      T_trace.record "test.trace" 3.;
-      T_trace.record "test.trace" 2.;
-      T_trace.record "test.trace" 1.;
-      check_vec ~tol:0. "chronological order" [| 3.; 2.; 1. |] (T_trace.get "test.trace");
-      Alcotest.(check int) "length" 3 (T_trace.length "test.trace");
-      Alcotest.(check (option (float 0.))) "last" (Some 1.) (T_trace.last "test.trace"));
-  T_registry.disable ();
-  T_trace.record "test.trace" 9.;
-  Alcotest.(check int) "disabled record dropped" 0 (T_trace.length "test.trace")
-
 (* ---------- JSON export ---------- *)
 
 let test_json_roundtrip () =
@@ -142,8 +127,6 @@ let test_json_roundtrip () =
       let c = T_counter.make "test.json_counter" in
       T_counter.add c 7;
       T_span.with_ "test.json_span" busy_work;
-      T_trace.record "test.json_trace" 0.5;
-      T_trace.record "test.json_trace" 0.25;
       let json = T_export.parse (T_export.to_json ()) in
       let counters = Option.get (T_export.member "counters" json) in
       Alcotest.(check (option int)) "counter survives round-trip" (Some 7)
@@ -155,13 +138,7 @@ let test_json_roundtrip () =
       let total_ms =
         Option.get (Option.bind (T_export.member "total_ms" span) T_export.to_float)
       in
-      Alcotest.(check bool) "span total_ms positive" true (total_ms > 0.);
-      let traces = Option.get (T_export.member "traces" json) in
-      (match T_export.member "test.json_trace" traces with
-      | Some (T_export.Arr [ T_export.Num a; T_export.Num b ]) ->
-          check_float ~tol:0. "trace[0]" 0.5 a;
-          check_float ~tol:0. "trace[1]" 0.25 b
-      | _ -> Alcotest.fail "trace missing or malformed"))
+      Alcotest.(check bool) "span total_ms positive" true (total_ms > 0.))
 
 let test_json_renders_escapes_and_parses () =
   let open T_export in
@@ -278,7 +255,6 @@ let suite =
       case "span exception unwinds" test_span_exception_unwinds;
       case "span disabled no-op" test_span_disabled_noop;
       case "with_enabled restores state" test_registry_with_enabled_restores;
-      case "trace order + disabled no-op" test_trace_order_and_disabled;
       case "json export round-trip" test_json_roundtrip;
       case "json escapes round-trip" test_json_renders_escapes_and_parses;
       case "json weird metric names round-trip"

@@ -90,3 +90,25 @@ let digest_hex fill =
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let add_float_bits b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+
+(* The brute-force reference for every kNN search: the [k] points
+   nearest to [q], skipping index [exclude], from a full sort under
+   (squared distance, index) with [Vec.dist2_sq]'s bits, so tied
+   distances go to the lower index. *)
+let brute_knn ?(exclude = -1) points q k =
+  let d2 = Array.map (fun p -> Vec.dist2_sq p q) points in
+  let order =
+    List.filter (( <> ) exclude) (List.init (Array.length points) Fun.id)
+  in
+  let ranked =
+    List.sort
+      (fun a b ->
+        let c = Float.compare d2.(a) d2.(b) in
+        if c <> 0 then c else compare a b)
+      order
+  in
+  Array.of_list (List.filteri (fun r _ -> r < k) ranked)
+
+(* every point's [k] nearest others, by [brute_knn] *)
+let brute_knn_rows points k =
+  Array.mapi (fun i p -> brute_knn ~exclude:i points p k) points
