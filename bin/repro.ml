@@ -1209,8 +1209,8 @@ let render_dashboard engine ~processed ~total =
   line "  queue     p50 %7.3f ms   p99 %7.3f ms   max backlog %d"
     (Obs.Histogram.p50 qhist) (Obs.Histogram.p99 qhist)
     s.Serve.Engine.max_backlog;
-  line "  cache     hits %-6d misses %-6d evictions %d" s.Serve.Engine.cache_hits
-    s.Serve.Engine.cache_misses s.Serve.Engine.cache_evictions;
+  line "  cache     hits %-6d misses %d" s.Serve.Engine.cache_hits
+    s.Serve.Engine.cache_misses;
   (let tr = Serve.Engine.transport engine in
    line
      "  transport conns %d/%d  frames ok %-6d rejected %-5d gone %-4d \

@@ -1,7 +1,6 @@
 (* End-to-end file workflow: write a partially labeled dataset to CSV,
-   read it back, fit the hard criterion, attach predictive uncertainty,
-   and export the results — the loop a practitioner would run on their
-   own data files.
+   read it back, fit the hard criterion, and export the results — the
+   loop a practitioner would run on their own data files.
 
    Run with:  dune exec examples/csv_workflow.exe *)
 
@@ -41,16 +40,15 @@ let () =
       ~bandwidth:Kernel.Bandwidth.Median_heuristic ~labeled ~unlabeled
   in
   let scores = Gssl.Hard.solve problem in
-  let stds = Gssl.Random_walk.predictive_std problem in
   Printf.printf "fitted hard criterion on %d labeled + %d unlabeled points\n\n"
     (Array.length labeled) (Array.length unlabeled);
 
-  Printf.printf "%28s  %8s  %10s  %6s\n" "point" "score" "+/- std" "class";
+  Printf.printf "%28s  %8s  %6s\n" "point" "score" "class";
   Array.iteri
     (fun a x ->
       if a < 8 then
-        Printf.printf "(%8.3f, %8.3f)          %8.3f  %10.3f  %6d\n" x.(0) x.(1)
-          scores.(a) stds.(a)
+        Printf.printf "(%8.3f, %8.3f)          %8.3f  %6d\n" x.(0) x.(1)
+          scores.(a)
           (if scores.(a) >= 0.5 then 1 else 0))
     unlabeled;
   Printf.printf "   ... (%d more)\n\n" (Array.length unlabeled - 8);
@@ -58,13 +56,13 @@ let () =
   (* export predictions back to CSV *)
   let out = Filename.temp_file "gssl_pred" ".csv" in
   Dataset.Csv.write_file out
-    ([ "x0"; "x1"; "score"; "std" ]
+    ([ "x0"; "x1"; "score" ]
     :: Array.to_list
          (Array.mapi
             (fun a x ->
               [
                 string_of_float x.(0); string_of_float x.(1);
-                string_of_float scores.(a); string_of_float stds.(a);
+                string_of_float scores.(a);
               ])
             unlabeled));
   Printf.printf "predictions written to %s\n" out;

@@ -52,38 +52,4 @@ let () =
 
   print_newline ();
   print_string
-    "The hard criterion (lambda=0) should top every column - Figure 5's claim.\n\n";
-
-  (* extension 1: class-mass normalization of the harmonic scores (the
-     standard companion from the original Zhu et al. paper) *)
-  let hard_scores = Experiment.Figures.predict_adaptive ~lambda:0. problem in
-  let plain = Stats.Metrics.confusion ~truth hard_scores in
-  let cmn_pred = Gssl.Cmn.classify ~labels:y hard_scores in
-  let cmn_as_scores = Array.map (fun b -> if b then 1. else 0.) cmn_pred in
-  let cmn = Stats.Metrics.confusion ~truth cmn_as_scores in
-  Printf.printf "CMN post-processing:  accuracy %.4f -> %.4f\n"
-    (Stats.Metrics.accuracy plain) (Stats.Metrics.accuracy cmn);
-
-  (* extension 2: PCA-compress the 256-pixel images to 30 components and
-     rerun the hard criterion - the manifold geometry survives *)
-  let pca = Stats.Pca.fit ~n_components:30 points in
-  let var_kept =
-    Linalg.Vec.sum (Stats.Pca.explained_variance_ratio pca)
-  in
-  let compressed = Stats.Pca.transform_many pca points in
-  let d2c = Kernel.Pairwise.sq_distance_matrix compressed in
-  let hc = sqrt (Stats.Descriptive.median_of_pairwise_sq_distances compressed) in
-  let wc =
-    Kernel.Similarity.dense_of_sq_distances ~kernel:Kernel.Kernel_fn.Rbf
-      ~bandwidth:hc d2c
-  in
-  let wcp = Mat.init n_total n_total (fun i j -> Mat.get wc perm.(i) perm.(j)) in
-  let problem_pca =
-    Gssl.Problem.make ~graph:(Graph.Weighted_graph.of_dense wcp) ~labels:y
-  in
-  let scores_pca = Experiment.Figures.predict_adaptive ~lambda:0. problem_pca in
-  Printf.printf
-    "PCA to 30 dims (%.1f%% variance kept): AUC %.4f (raw pixels: %.4f)\n"
-    (100. *. var_kept)
-    (Stats.Roc.auc ~truth ~scores:scores_pca)
-    (Stats.Roc.auc ~truth ~scores:hard_scores)
+    "The hard criterion (lambda=0) should top every column - Figure 5's claim.\n"

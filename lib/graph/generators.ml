@@ -9,48 +9,6 @@ let symmetric_of_edges n edges =
     edges;
   Weighted_graph.of_dense m
 
-let complete ?(weight = 1.) n =
-  if n < 1 then invalid_arg "Generators.complete: need n >= 1";
-  if weight < 0. then invalid_arg "Generators.complete: negative weight";
-  Weighted_graph.of_dense
-    (Mat.init n n (fun i j -> if i = j then 0. else weight))
-
-let path n =
-  if n < 1 then invalid_arg "Generators.path: need n >= 1";
-  symmetric_of_edges n (List.init (n - 1) (fun i -> (i, i + 1, 1.)))
-
-let cycle n =
-  if n < 3 then invalid_arg "Generators.cycle: need n >= 3";
-  symmetric_of_edges n
-    ((n - 1, 0, 1.) :: List.init (n - 1) (fun i -> (i, i + 1, 1.)))
-
-let star n =
-  if n < 2 then invalid_arg "Generators.star: need n >= 2";
-  symmetric_of_edges n (List.init (n - 1) (fun i -> (0, i + 1, 1.)))
-
-let grid rows cols =
-  if rows < 1 || cols < 1 then invalid_arg "Generators.grid: empty grid";
-  let idx r c = (r * cols) + c in
-  let edges = ref [] in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      if c + 1 < cols then edges := (idx r c, idx r (c + 1), 1.) :: !edges;
-      if r + 1 < rows then edges := (idx r c, idx (r + 1) c, 1.) :: !edges
-    done
-  done;
-  symmetric_of_edges (rows * cols) !edges
-
-let erdos_renyi rng ~n ~p =
-  if n < 1 then invalid_arg "Generators.erdos_renyi: need n >= 1";
-  if p < 0. || p > 1. then invalid_arg "Generators.erdos_renyi: p outside [0,1]";
-  let edges = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Prng.Rng.bernoulli rng p then edges := (i, j, 1.) :: !edges
-    done
-  done;
-  symmetric_of_edges n !edges
-
 let stochastic_block rng ~sizes ~p_in ~p_out =
   if Array.length sizes = 0 then invalid_arg "Generators.stochastic_block: no blocks";
   Array.iter

@@ -1,29 +1,8 @@
-(** Standard random and deterministic graph generators.
+(** Random graph generators.
 
-    Used by the test suite (known spectra, known connectivity), the
-    benchmarks, and the cluster-assumption demonstrations (the stochastic
-    block model is the graph-world version of the paper's cluster
-    assumption). *)
-
-val complete : ?weight:float -> int -> Weighted_graph.t
-(** Complete graph on [n] vertices, all off-diagonal weights [weight]
-    (default 1), zero diagonal.  Raises [Invalid_argument] on [n < 1]. *)
-
-val path : int -> Weighted_graph.t
-(** Path 0—1—…—(n−1) with unit weights. *)
-
-val cycle : int -> Weighted_graph.t
-(** Cycle on [n ≥ 3] vertices. *)
-
-val star : int -> Weighted_graph.t
-(** Vertex 0 connected to all others ([n ≥ 2]). *)
-
-val grid : int -> int -> Weighted_graph.t
-(** [rows]×[cols] 4-neighbour lattice, row-major vertex numbering. *)
-
-val erdos_renyi : Prng.Rng.t -> n:int -> p:float -> Weighted_graph.t
-(** Each pair independently joined with probability [p] (unit weight).
-    Raises [Invalid_argument] unless [0 ≤ p ≤ 1]. *)
+    The stochastic block model is the graph-world version of the paper's
+    cluster assumption; [examples/sbm_anchors.ml] uses it to show the
+    uninformative limit of the hard criterion. *)
 
 val stochastic_block :
   Prng.Rng.t ->

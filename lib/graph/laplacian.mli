@@ -2,7 +2,7 @@
 
     The soft criterion's penalty is [fᵀ L f] with the *unnormalized*
     Laplacian [L = D − W] (Eq. (3)); the normalized variants are provided
-    for completeness and the spectral utilities. *)
+    for completeness. *)
 
 type kind =
   | Unnormalized          (** L = D − W *)

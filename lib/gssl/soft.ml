@@ -65,29 +65,29 @@ let full_operator ~lambda problem =
 let solve_full_cg ~tol ~lambda problem =
   Sparse.Cg.solve_exn ~tol (full_operator ~lambda problem) (padded_labels problem)
 
+(* I + λD11 − λW11, the labeled block of V + λL. *)
+let top_block ~lambda problem =
+  let n = Problem.n_labeled problem in
+  let g = problem.Problem.graph in
+  let d = Problem.degrees problem in
+  Mat.init n n (fun i j ->
+      let v = if i = j then 1. +. (lambda *. d.(i)) else 0. in
+      v -. (lambda *. Graph.Weighted_graph.weight g i j))
+
 (* Eq. (4): f_U = (D22 - W22 - λ W21 (I + λD11 - λW11)^{-1} W12)^{-1}
                   · W21 (I + λD11 - λW11)^{-1} Y_n.                        *)
 let solve_block ~lambda problem =
-  let n = Problem.n_labeled problem and m = Problem.n_unlabeled problem in
-  if m = 0 then [||]
+  if Problem.n_unlabeled problem = 0 then [||]
   else begin
-    let w11, w12, w21, w22 = Problem.blocks problem in
-    let d = Problem.degrees problem in
-    (* I + λ D11 - λ W11 *)
-    let top =
-      Mat.init n n (fun i j ->
-          let v = if i = j then 1. +. (lambda *. d.(i)) else 0. in
-          v -. (lambda *. Mat.get w11 i j))
-    in
+    let _, w12, w21, _ = Problem.blocks problem in
+    let top = top_block ~lambda problem in
     let top_inv_y = Linalg.Lu.solve top problem.Problem.labels in
     let top_inv_w12 = Linalg.Lu.solve_many top w12 in
     (* D22 - W22 - λ W21 top^{-1} W12 *)
-    let d22_minus_w22 =
-      Mat.init m m (fun a b ->
-          let v = if a = b then d.(n + a) else 0. in
-          v -. Mat.get w22 a b)
+    let middle =
+      Mat.sub (Hard.system_matrix problem)
+        (Mat.scale lambda (Mat.mm w21 top_inv_w12))
     in
-    let middle = Mat.sub d22_minus_w22 (Mat.scale lambda (Mat.mm w21 top_inv_w12)) in
     Linalg.Lu.solve middle (Mat.mv w21 top_inv_y)
   end
 
@@ -103,15 +103,9 @@ let method_name = function
 (* Block: reconstruct the labeled part from the unlabeled part via the
    top block equation f_L = (I + λD11 − λW11)^{-1} (Y + λ W12 f_U). *)
 let solve_full_block ~lambda problem =
-  let n = Problem.n_labeled problem in
   let f_u = solve_block ~lambda problem in
-  let w11, w12, _, _ = Problem.blocks problem in
-  let d = Problem.degrees problem in
-  let top =
-    Mat.init n n (fun i j ->
-        let v = if i = j then 1. +. (lambda *. d.(i)) else 0. in
-        v -. (lambda *. Mat.get w11 i j))
-  in
+  let _, w12, _, _ = Problem.blocks problem in
+  let top = top_block ~lambda problem in
   let rhs =
     if Array.length f_u = 0 then Vec.copy problem.Problem.labels
     else Vec.add problem.Problem.labels (Vec.scale lambda (Mat.mv w12 f_u))

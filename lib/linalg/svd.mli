@@ -3,8 +3,8 @@
     [decompose a] factors an m×n matrix (m ≥ n) as [a = u s vᵀ] with
     orthonormal-column [u] (m×n), nonnegative [s] descending, and
     orthogonal [v] (n×n).  One-sided Jacobi is slow (O(n² m) per sweep)
-    but simple and accurate — adequate for the PCA preprocessing used in
-    the image experiments. *)
+    but simple and accurate — adequate for the Nyström pseudo-inverse
+    in [Kernel.Nystrom]. *)
 
 type t = {
   u : Mat.t;        (** m×n, orthonormal columns *)

@@ -260,7 +260,7 @@ type rundata = {
   r_violations : string list;
 }
 
-let mix = Serve.Cache.mix
+let mix = Prng.Splitmix64.combine
 
 let mix_string h s =
   let acc = ref h in

@@ -92,7 +92,7 @@ let parse_request text =
 let predictions_digest preds =
   Array.fold_left
     (fun h (v, x) ->
-      Serve.Cache.mix (Serve.Cache.mix h (Int64.of_int v))
+      Prng.Splitmix64.(combine (combine h (Int64.of_int v)))
         (Int64.bits_of_float x))
     0x5eedL preds
 

@@ -18,7 +18,6 @@ type config = {
   retry : Retry.policy;
   breaker_failures : int;
   breaker_cooldown_ms : float;
-  cache_capacity : int;
   costs : costs;
   seed : int;
   slo : Obs.Slo.config;
@@ -30,7 +29,6 @@ let default_config =
     retry = Retry.default;
     breaker_failures = 3;
     breaker_cooldown_ms = 40.;
-    cache_capacity = 8;
     costs = { solve_ms = 2.0; cache_ms = 0.5; relabel_ms = 1.0; poll_ms = 0.2 };
     seed = 1;
     slo = Obs.Slo.default }
@@ -78,7 +76,6 @@ type stats = {
   breaker_transitions : int;
   cache_hits : int;
   cache_misses : int;
-  cache_evictions : int;
 }
 
 type internal_stats = {
@@ -90,6 +87,8 @@ type internal_stats = {
   mutable s_retried : int;
   mutable s_relabels : int;
   mutable s_max_backlog : int;
+  mutable s_cache_hits : int;
+  mutable s_cache_misses : int;
 }
 
 type t = {
@@ -97,8 +96,7 @@ type t = {
   clock : Clock.t;
   costs : costs;
   problem : Problem.t;
-  cache : Incremental.t Cache.t;
-  base_key : Cache.key;
+  warm : Incremental.t option;
   breaker : Breaker.t;
   rng : Prng.Rng.t;
   latency : Obs.Histogram.t;
@@ -116,22 +114,24 @@ let c_served = Telemetry.Counter.make "serve.served"
 let c_degraded = Telemetry.Counter.make "serve.degraded"
 let c_shed = Telemetry.Counter.make "serve.shed"
 let c_deadline = Telemetry.Counter.make "serve.deadline_expired"
+let c_cache_hits = Telemetry.Counter.make "serve.cache_hits"
+let c_cache_misses = Telemetry.Counter.make "serve.cache_misses"
 
 let create ?(clock = Clock.monotonic ()) ?journal config problem =
   if config.queue_capacity < 1 then
     invalid_arg "Engine.create: queue_capacity must be >= 1";
   if config.deadline_ms <= 0. then
     invalid_arg "Engine.create: deadline_ms must be positive";
-  let cache = Cache.create ~capacity:config.cache_capacity () in
-  let base_key = Cache.key problem.Problem.graph in
-  (* Warm the factorization cache: the server's whole point is paying the
+  (* Warm the factorization: the server's whole point is paying the
      O(m^3) inverse once.  An unanchored component, or a system too badly
-     conditioned to factor, simply leaves the cache cold — queries then
-     take the resilient full-solve path. *)
-  (try Cache.put cache base_key (Incremental.create problem)
-   with
-   | Gssl.Hard.Unanchored_unlabeled _ | Linalg.Cholesky.Not_positive_definite _
-     -> ());
+     conditioned to factor, simply leaves it cold — queries then take the
+     resilient full-solve path. *)
+  let warm =
+    try Some (Incremental.create problem)
+    with
+    | Gssl.Hard.Unanchored_unlabeled _ | Linalg.Cholesky.Not_positive_definite _
+      -> None
+  in
   { config;
     clock;
     (* the costs stand in for work on a virtual clock; a real clock
@@ -140,8 +140,7 @@ let create ?(clock = Clock.monotonic ()) ?journal config problem =
       (if Clock.is_virtual clock then config.costs
        else { solve_ms = 0.; cache_ms = 0.; relabel_ms = 0.; poll_ms = 0. });
     problem;
-    cache;
-    base_key;
+    warm;
     breaker =
       Breaker.create ~failure_threshold:config.breaker_failures
         ~cooldown_ms:config.breaker_cooldown_ms clock;
@@ -152,7 +151,8 @@ let create ?(clock = Clock.monotonic ()) ?journal config problem =
     journal;
     st =
       { s_served = 0; s_degraded = 0; s_shed = 0; s_deadline_expired = 0;
-        s_solver_aborts = 0; s_retried = 0; s_relabels = 0; s_max_backlog = 0 };
+        s_solver_aborts = 0; s_retried = 0; s_relabels = 0; s_max_backlog = 0;
+        s_cache_hits = 0; s_cache_misses = 0 };
     transport = Transport.create ();
     worker_free_ms = Clock.now_ms clock;
     pending_finish = [] }
@@ -168,9 +168,8 @@ let stats t =
     max_backlog = t.st.s_max_backlog;
     breaker_trips = Breaker.trips t.breaker;
     breaker_transitions = Breaker.transitions t.breaker;
-    cache_hits = Cache.hits t.cache;
-    cache_misses = Cache.misses t.cache;
-    cache_evictions = Cache.evictions t.cache }
+    cache_hits = t.st.s_cache_hits;
+    cache_misses = t.st.s_cache_misses }
 
 let latency_histogram t = t.latency
 let queue_histogram t = t.queue_wait
@@ -315,13 +314,26 @@ let finish t (req : request) ~ctx ~queue_ms ~cache_hit ~attempts ?certificate
     certificate; diagnostics; queue_ms; latency_ms; rung_ms; attempts;
     cache_hit }
 
-(* Degraded answer: cached-factorization predictions when available
+(* The warm factorization for a clean query or relabel, counted as a
+   cache hit or miss.  Degraded answers read [t.warm] directly, so they
+   do not inflate the hit rate an operator tunes against. *)
+let find_warm t =
+  (match t.warm with
+  | Some _ ->
+      t.st.s_cache_hits <- t.st.s_cache_hits + 1;
+      Telemetry.Counter.incr c_cache_hits
+  | None ->
+      t.st.s_cache_misses <- t.st.s_cache_misses + 1;
+      Telemetry.Counter.incr c_cache_misses);
+  t.warm
+
+(* Degraded answer: warm-factorization predictions when available
    (label propagation from the last known-good state), labeled-mean
    imputation otherwise.  Cheap by construction and always total. *)
 let degraded_answer t (req : request) ~ctx ~queue_ms ?(diagnostics = [])
     ?(attempts = 1) reason =
   let predictions, cache_hit =
-    match Cache.peek t.cache t.base_key with
+    match t.warm with
     | Some inc -> (Incremental.predict inc, true)
     | None -> (mean_predictions t, false)
   in
@@ -456,7 +468,7 @@ let process t ~ctx ~queue_ms (req : request) =
           Trace_ctx.with_span ctx "relabel"
             ~fields:[ ("vertex", Obs.Event.Int vertex) ]
             (fun () ->
-              match Cache.find t.cache t.base_key with
+              match find_warm t with
               | None ->
                   degraded_answer t req ~ctx ~queue_ms
                     "no cached factorization"
@@ -473,7 +485,7 @@ let process t ~ctx ~queue_ms (req : request) =
                 end)
     | Query when req.faults = [] -> begin
         (* clean query: serve from the cached factorization *)
-        match Cache.find t.cache t.base_key with
+        match find_warm t with
         | Some inc ->
             Trace_ctx.with_span ctx "cache_query" (fun () ->
                 Clock.advance t.clock t.costs.cache_ms;
@@ -559,15 +571,16 @@ let metrics t =
       s.breaker_transitions;
     c "serve.cache_hits" "factorization cache hits" s.cache_hits;
     c "serve.cache_misses" "factorization cache misses" s.cache_misses;
-    c "serve.cache_evictions" "factorization cache evictions"
-      s.cache_evictions;
+    (* the one warm factorization is never evicted; the series stays so
+       scrapers and pinned exposition digests keep their shape *)
+    c "serve.cache_evictions" "factorization cache evictions" 0;
     g "serve.max_backlog" "deepest queue observed"
       (float_of_int s.max_backlog);
     g "serve.queue_capacity" "admission queue capacity"
       (float_of_int t.config.queue_capacity);
     g "serve.breaker_state" "0=closed 1=open 2=half_open" (breaker_gauge t);
     g "serve.cache_entries" "live factorization cache entries"
-      (float_of_int (Cache.length t.cache));
+      (if Option.is_some t.warm then 1. else 0.);
     g "serve.slo.latency_compliance" "window fraction under the latency threshold"
       slo.Obs.Slo.latency_compliance;
     g "serve.slo.quality_compliance" "window fraction served at full fidelity"

@@ -1,8 +1,8 @@
 (** The long-lived, admission-controlled request engine.
 
-    One engine holds one problem (graph + initial labels), a warm
-    factorization cache ({!Cache} of {!Gssl.Incremental.t}), a circuit
-    {!Breaker}, and a {!Clock}.  Requests flow through this lifecycle
+    One engine holds one problem (graph + initial labels), its warm
+    factorization (one {!Gssl.Incremental.t}, built at creation), a
+    circuit {!Breaker}, and a {!Clock}.  Requests flow through this lifecycle
     (DESIGN §11 has the full state machine):
 
     + {b Admission} — {!run_trace} replays an arrival-ordered trace
@@ -50,7 +50,6 @@ type config = {
   retry : Retry.policy;
   breaker_failures : int;
   breaker_cooldown_ms : float;
-  cache_capacity : int;
   costs : costs;
   seed : int;  (** drives per-request fault injection and retry jitter *)
   slo : Obs.Slo.config;
@@ -100,15 +99,15 @@ type stats = {
   breaker_trips : int;
   breaker_transitions : int;  (** every breaker state change *)
   cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
+      (** clean queries and relabels answered from the warm factorization *)
+  cache_misses : int;  (** the same requests finding it cold *)
 }
 
 type t
 
 val create :
   ?clock:Clock.t -> ?journal:Obs.Journal.t -> config -> Gssl.Problem.t -> t
-(** Builds the engine and warms the factorization cache (an unanchorable
+(** Builds the engine and warms its factorization (an unanchorable
     problem leaves it cold; queries then take the full-solve path).
     Default clock: monotonic.  When [journal] is given, every finished
     request appends its span tree to it as one JSONL line.  Raises

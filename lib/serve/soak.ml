@@ -263,22 +263,23 @@ let gen_trace (cfg : config) prob =
       { Engine.id; arrival_ms; kind; faults })
 
 let digest_of responses =
+  let combine = Prng.Splitmix64.combine in
   List.fold_left
     (fun h (r : Engine.response) ->
-      let h = Cache.mix h (Int64.of_int r.Engine.id) in
+      let h = combine h (Int64.of_int r.Engine.id) in
       let h =
-        Cache.mix h
+        combine h
           (Int64.of_int
              (match r.Engine.status with
              | Engine.Served -> 1
              | Engine.Degraded _ -> 2
              | Engine.Shed _ -> 3))
       in
-      let h = Cache.mix h (Int64.of_int r.Engine.attempts) in
-      let h = Cache.mix h (Int64.bits_of_float r.Engine.latency_ms) in
+      let h = combine h (Int64.of_int r.Engine.attempts) in
+      let h = combine h (Int64.bits_of_float r.Engine.latency_ms) in
       Array.fold_left
         (fun h (v, x) ->
-          Cache.mix (Cache.mix h (Int64.of_int v)) (Int64.bits_of_float x))
+          combine (combine h (Int64.of_int v)) (Int64.bits_of_float x))
         h r.Engine.predictions)
     0x5eedL responses
 
@@ -357,9 +358,9 @@ let describe (s : summary) =
   line "  deadline expired %d | cg aborts %d | retried %d | relabels %d"
     st.Engine.deadline_expired st.Engine.solver_aborts st.Engine.retried
     st.Engine.relabels;
-  line "  breaker trips %d (transitions %d) | cache hits/misses/evictions %d/%d/%d | max backlog %d"
+  line "  breaker trips %d (transitions %d) | cache hits/misses %d/%d | max backlog %d"
     st.Engine.breaker_trips st.Engine.breaker_transitions st.Engine.cache_hits
-    st.Engine.cache_misses st.Engine.cache_evictions st.Engine.max_backlog;
+    st.Engine.cache_misses st.Engine.max_backlog;
   line "  latency (virtual) p50 %.3f ms | p99 %.3f ms | max %.3f ms" s.p50_ms
     s.p99_ms s.max_ms;
   line

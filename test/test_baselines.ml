@@ -1,4 +1,4 @@
-(* Wave-3 feature tests: two moons, graph generators, local-global
+(* Wave-3 feature tests: two moons, the SBM generator, local-global
    consistency, LapRLS, scalable sparse solver, baseline studies. *)
 
 open Test_util
@@ -59,61 +59,23 @@ let test_two_moons_guards () =
 
 (* ---------- graph generators ---------- *)
 
-let test_complete_graph () =
-  let g = Gen.complete 5 in
-  Alcotest.(check int) "order" 5 (Graph.Weighted_graph.order g);
-  check_vec "degrees" (Vec.create 5 4.) (Graph.Weighted_graph.degrees g);
-  Alcotest.(check bool) "connected" true (Graph.Connectivity.is_connected g);
-  check_raises_invalid "n=0" (fun () -> ignore (Gen.complete 0))
-
-let test_path_cycle_star () =
-  let p = Gen.path 4 in
-  check_vec "path degrees" [| 1.; 2.; 2.; 1. |] (Graph.Weighted_graph.degrees p);
-  let c = Gen.cycle 4 in
-  check_vec "cycle degrees" (Vec.create 4 2.) (Graph.Weighted_graph.degrees c);
-  let s = Gen.star 4 in
-  check_vec "star degrees" [| 3.; 1.; 1.; 1. |] (Graph.Weighted_graph.degrees s);
-  check_raises_invalid "cycle too small" (fun () -> ignore (Gen.cycle 2))
-
-let test_grid_graph () =
-  let g = Gen.grid 2 3 in
-  Alcotest.(check int) "order" 6 (Graph.Weighted_graph.order g);
-  (* corner degree 2, edge degree 3 *)
-  check_float "corner" 2. (Graph.Weighted_graph.degrees g).(0);
-  check_float "middle of row" 3. (Graph.Weighted_graph.degrees g).(1);
-  Alcotest.(check bool) "connected" true (Graph.Connectivity.is_connected g)
-
 let laplacian_spectrum g =
   Linalg.Eigen.eigenvalues (Graph.Laplacian.dense g)
 
 let test_known_spectra () =
   (* complete graph K_n Laplacian eigenvalues: 0 and n (multiplicity n-1) *)
-  let spec = laplacian_spectrum (Gen.complete 5) in
+  let k5 = Mat.init 5 5 (fun i j -> if i = j then 0. else 1.) in
+  let spec = laplacian_spectrum (Graph.Weighted_graph.of_dense k5) in
   check_float ~tol:1e-9 "K5 lambda1" 0. spec.(0);
   for i = 1 to 4 do
     check_float ~tol:1e-8 "K5 lambda_i = n" 5. spec.(i)
   done;
   (* star S_n: eigenvalues 0, 1 (n-2 times), n *)
-  let star_spec = laplacian_spectrum (Gen.star 5) in
+  let star = Mat.init 5 5 (fun i j -> if (i = 0) <> (j = 0) then 1. else 0.) in
+  let star_spec = laplacian_spectrum (Graph.Weighted_graph.of_dense star) in
   check_float ~tol:1e-9 "star lambda1" 0. star_spec.(0);
   check_float ~tol:1e-8 "star lambda2" 1. star_spec.(1);
   check_float ~tol:1e-8 "star max" 5. star_spec.(4)
-
-let prop_erdos_renyi_edge_count seed =
-  let rng = Prng.Rng.create seed in
-  let n = 20 in
-  let g = Gen.erdos_renyi rng ~n ~p:0.5 in
-  (* binomial(190, 1/2): between 50 and 140 with overwhelming probability *)
-  let edges = ref 0 in
-  Graph.Weighted_graph.iter_edges g (fun _ _ _ -> incr edges);
-  !edges > 50 && !edges < 140
-
-let prop_erdos_renyi_extremes seed =
-  let rng = Prng.Rng.create seed in
-  let empty = Gen.erdos_renyi rng ~n:6 ~p:0. in
-  let full = Gen.erdos_renyi rng ~n:6 ~p:1. in
-  Graph.Weighted_graph.total_weight empty = 0.
-  && Graph.Weighted_graph.total_weight full = 30.
 
 let test_sbm_structure () =
   let rng = Prng.Rng.create 5 in
@@ -362,12 +324,7 @@ let suite =
       case "two moons: geometry" test_two_moons_geometry;
       case "two moons: gssl separates" test_two_moons_separable_by_gssl;
       case "two moons: guards" test_two_moons_guards;
-      case "generators: complete" test_complete_graph;
-      case "generators: path/cycle/star" test_path_cycle_star;
-      case "generators: grid" test_grid_graph;
       case "generators: known spectra" test_known_spectra;
-      qprop ~count:30 "generators: ER edge count" prop_erdos_renyi_edge_count;
-      qprop ~count:20 "generators: ER extremes" prop_erdos_renyi_extremes;
       case "generators: SBM structure" test_sbm_structure;
       case "generators: SBM recovery" test_sbm_community_recovery;
       case "lgc: guards" test_lgc_guards;

@@ -229,28 +229,6 @@ let prop_spd_has_positive_spectrum seed =
   let { Eigen.values; _ } = Eigen.jacobi a in
   Array.for_all (fun l -> l > 0.) values && Eigen.is_positive_semidefinite a
 
-(* ---------- Block inverse ---------- *)
-
-let prop_block_inverse_matches_direct seed =
-  let rng = Prng.Rng.create seed in
-  let n = 2 + Prng.Rng.int rng 6 in
-  let k = 1 + Prng.Rng.int rng (n - 1) in
-  let a = random_spd rng n in
-  (* SPD guarantees all the blocks/Schur complements are invertible *)
-  let p = Linalg.Block.partition a k in
-  let inv_blocks = Linalg.Block.assemble (Linalg.Block.block_inverse p) in
-  Mat.approx_equal ~tol:1e-5 (Lu.inverse a) inv_blocks
-
-let prop_lower_left_of_inverse seed =
-  let rng = Prng.Rng.create seed in
-  let n = 2 + Prng.Rng.int rng 6 in
-  let k = 1 + Prng.Rng.int rng (n - 1) in
-  let a = random_spd rng n in
-  let p = Linalg.Block.partition a k in
-  let direct = Lu.inverse a in
-  let _, _, direct21, _ = Mat.split4 direct k in
-  Mat.approx_equal ~tol:1e-5 direct21 (Linalg.Block.lower_left_of_inverse p)
-
 let suite =
   ( "decompositions",
     [
@@ -284,6 +262,4 @@ let suite =
       qprop "eigen: orthogonal vectors" prop_eigen_orthogonal;
       qprop "eigen: trace = sum of eigenvalues" prop_eigen_trace;
       qprop "eigen: SPD spectrum positive" prop_spd_has_positive_spectrum;
-      qprop "block: inverse matches direct" prop_block_inverse_matches_direct;
-      qprop "block: (2,1) of inverse" prop_lower_left_of_inverse;
     ] )

@@ -1,11 +1,10 @@
-(* Tests for the feature wave: incremental solver, active learning, CMN,
-   CSV I/O, SVG plots, ablation studies. *)
+(* Tests for the feature wave: incremental solver, active learning, CSV
+   I/O, SVG plots, ablation studies. *)
 
 open Test_util
 module P = Gssl.Problem
 module Inc = Gssl.Incremental
 module Active = Gssl.Active
-module Cmn = Gssl.Cmn
 module Csv = Dataset.Csv
 module Vec = Linalg.Vec
 
@@ -166,52 +165,6 @@ let prop_active_reveals_improve_fit seed =
   Array.for_all
     (fun (_, s) -> s >= -1e-8 && s <= 1. +. 1e-8)
     (Inc.predict solver)
-
-(* ---------- CMN ---------- *)
-
-let test_cmn_balanced_identity_order () =
-  (* CMN is monotone in the raw score, so the induced ranking is identical *)
-  let labels = [| 1.; 0.; 1.; 0. |] in
-  let f = [| 0.9; 0.1; 0.6; 0.4 |] in
-  let s = Cmn.scores ~labels f in
-  Alcotest.(check bool) "order preserved" true
-    (s.(0) > s.(2) && s.(2) > s.(3) && s.(3) > s.(1))
-
-let test_cmn_prior_shifts_threshold () =
-  let labels = [| 1.; 0. |] in
-  let f = [| 0.45; 0.55; 0.5 |] in
-  (* with a high positive prior, middling scores classify positive *)
-  let high = Cmn.classify ~prior:0.9 ~labels f in
-  let low = Cmn.classify ~prior:0.1 ~labels f in
-  Alcotest.(check bool) "high prior more positives" true
-    (Array.for_all (fun b -> b) high);
-  Alcotest.(check bool) "low prior fewer positives" true
-    (Array.for_all not low)
-
-let test_cmn_guards () =
-  let labels = [| 1.; 0. |] in
-  check_raises_invalid "bad prior" (fun () ->
-      ignore (Cmn.scores ~prior:1.5 ~labels [| 0.5 |]));
-  check_raises_invalid "score out of range" (fun () ->
-      ignore (Cmn.scores ~labels [| 1.5 |]));
-  check_raises_invalid "zero mass" (fun () -> ignore (Cmn.scores ~labels [| 0.; 0. |]))
-
-let prop_cmn_matches_class_mass_rule seed =
-  (* definition check: sign of score = comparison of normalised masses *)
-  let rng = Prng.Rng.create seed in
-  let n = 2 + Prng.Rng.int rng 10 in
-  let f = Array.init n (fun _ -> 0.05 +. (0.9 *. Prng.Rng.float rng)) in
-  let q = 0.2 +. (0.6 *. Prng.Rng.float rng) in
-  let labels = [| 1.; 0. |] in
-  let s = Cmn.scores ~prior:q ~labels f in
-  let pos_mass = Vec.sum f in
-  let neg_mass = float_of_int n -. pos_mass in
-  Array.for_all
-    (fun i ->
-      let lhs = q *. f.(i) /. pos_mass in
-      let rhs = (1. -. q) *. (1. -. f.(i)) /. neg_mass in
-      (s.(i) > 0.) = (lhs > rhs))
-    (Array.init n (fun i -> i))
 
 (* ---------- CSV ---------- *)
 
@@ -400,10 +353,6 @@ let suite =
       case "active: budget semantics" test_active_run_budget;
       case "active: random strategy" test_active_random_strategy;
       qprop ~count:30 "active: scores stay in [0,1]" prop_active_reveals_improve_fit;
-      case "cmn: preserves ranking" test_cmn_balanced_identity_order;
-      case "cmn: prior shifts threshold" test_cmn_prior_shifts_threshold;
-      case "cmn: guards" test_cmn_guards;
-      qprop "cmn: matches mass rule" prop_cmn_matches_class_mass_rule;
       case "csv: simple parse" test_csv_parse_simple;
       case "csv: quoting" test_csv_parse_quoted;
       case "csv: embedded newline" test_csv_parse_embedded_newline;

@@ -129,8 +129,6 @@ let test_anchored_mask_smallest_vertex () =
   expect_vertex_5 "Scalable.solve_stationary" (fun () ->
       ignore
         (Gssl.Scalable.solve_stationary Sparse.Stationary.Gauss_seidel p));
-  expect_vertex_5 "Random_walk.absorption_matrix" (fun () ->
-      ignore (Gssl.Random_walk.absorption_matrix p));
   expect_vertex_5 "Incremental.create" (fun () ->
       ignore (Gssl.Incremental.create p))
 

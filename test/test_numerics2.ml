@@ -1,12 +1,11 @@
-(* Tests for the second-wave numerics: SVD, rank-one updates, PCA,
-   Nystrom approximation. *)
+(* Tests for the second-wave numerics: SVD, rank-one updates, Nystrom
+   approximation. *)
 
 open Test_util
 module Mat = Linalg.Mat
 module Vec = Linalg.Vec
 module Svd = Linalg.Svd
 module R1 = Linalg.Rank_one
-module Pca = Stats.Pca
 
 (* ---------- SVD ---------- *)
 
@@ -137,66 +136,6 @@ let test_delete_guards () =
   check_raises_invalid "bad index" (fun () ->
       ignore (R1.delete_row_col (Mat.eye 3) 3))
 
-(* ---------- PCA ---------- *)
-
-let test_pca_known_direction () =
-  (* points along the x-axis: first component = (±1, 0) *)
-  let points = [| [| -2.; 0. |]; [| -1.; 0. |]; [| 1.; 0. |]; [| 2.; 0. |] |] in
-  let p = Pca.fit ~n_components:1 points in
-  check_float ~tol:1e-10 "x-axis direction" 1.
-    (abs_float (Mat.get p.Pca.components 0 0));
-  check_float ~tol:1e-10 "no y component" 0. (Mat.get p.Pca.components 1 0);
-  (* variance along x of (-2,-1,1,2) is 10/3 *)
-  check_float ~tol:1e-10 "explained variance" (10. /. 3.)
-    p.Pca.explained_variance.(0);
-  check_float ~tol:1e-10 "all variance explained" 1.
-    (Pca.explained_variance_ratio p).(0)
-
-let test_pca_guards () =
-  check_raises_invalid "one point" (fun () -> ignore (Pca.fit [| [| 1. |] |]));
-  check_raises_invalid "ragged" (fun () ->
-      ignore (Pca.fit [| [| 1. |]; [| 1.; 2. |] |]));
-  check_raises_invalid "bad k" (fun () ->
-      ignore (Pca.fit ~n_components:3 [| [| 1.; 2. |]; [| 3.; 4. |] |]))
-
-let prop_pca_full_roundtrip seed =
-  (* with all components kept, inverse_transform recovers the point *)
-  let rng = Prng.Rng.create seed in
-  let n = 3 + Prng.Rng.int rng 10 and d = 1 + Prng.Rng.int rng 4 in
-  let points = Array.init n (fun _ -> random_vec rng d) in
-  let p = Pca.fit points in
-  Array.for_all
-    (fun x ->
-      Vec.approx_equal ~tol:1e-7 x (Pca.inverse_transform p (Pca.transform p x)))
-    points
-
-let prop_pca_scores_uncorrelated seed =
-  (* transformed coordinates have diagonal covariance *)
-  let rng = Prng.Rng.create seed in
-  let n = 10 + Prng.Rng.int rng 20 in
-  let points =
-    Array.init n (fun _ ->
-        let x = Prng.Rng.uniform rng (-2.) 2. in
-        [| x; (0.5 *. x) +. Prng.Rng.uniform rng (-0.3) 0.3; Prng.Rng.uniform rng (-1.) 1. |])
-  in
-  let p = Pca.fit points in
-  let scores = Pca.transform_many p points in
-  let col k = Array.map (fun z -> z.(k)) scores in
-  abs_float (Stats.Descriptive.covariance (col 0) (col 1)) < 1e-7
-  && abs_float (Stats.Descriptive.covariance (col 0) (col 2)) < 1e-7
-
-let prop_pca_variance_ordering seed =
-  let rng = Prng.Rng.create seed in
-  let n = 5 + Prng.Rng.int rng 15 and d = 2 + Prng.Rng.int rng 3 in
-  let points = Array.init n (fun _ -> random_vec rng d) in
-  let p = Pca.fit points in
-  let ev = p.Pca.explained_variance in
-  let ok = ref true in
-  for i = 1 to Array.length ev - 1 do
-    if ev.(i) > ev.(i - 1) +. 1e-10 then ok := false
-  done;
-  !ok && Vec.sum (Pca.explained_variance_ratio p) <= 1. +. 1e-9
-
 (* ---------- Nystrom ---------- *)
 
 let sample_points rng n d = Array.init n (fun _ -> random_vec rng d)
@@ -274,11 +213,6 @@ let suite =
       case "rank1: guards" test_sherman_morrison_guards;
       qprop "rank1: delete row/col" prop_delete_row_col;
       case "rank1: delete guards" test_delete_guards;
-      case "pca: known direction" test_pca_known_direction;
-      case "pca: guards" test_pca_guards;
-      qprop "pca: full roundtrip" prop_pca_full_roundtrip;
-      qprop "pca: scores uncorrelated" prop_pca_scores_uncorrelated;
-      qprop "pca: variance ordering" prop_pca_variance_ordering;
       case "nystrom: exact at l=n" test_nystrom_exact_with_all_landmarks;
       case "nystrom: guards" test_nystrom_guards;
       qprop "nystrom: multiply = dense" prop_nystrom_multiply_matches_dense;

@@ -391,9 +391,7 @@ let test_engine_journals_and_tracks_slo () =
   Alcotest.(check int) "both full fidelity" 2 s.Slo.quality_good;
   let st = Engine.stats engine in
   Alcotest.(check bool) "transition counter wired" true
-    (st.Engine.breaker_transitions >= 0);
-  Alcotest.(check bool) "eviction counter wired" true
-    (st.Engine.cache_evictions >= 0)
+    (st.Engine.breaker_transitions >= 0)
 
 let test_engine_metrics_snapshot () =
   let engine, clock = engine_fixture () in

@@ -303,8 +303,9 @@ let test_unanchored_raisers_consistent () =
   expect_raise "Scalable.solve_hard" (fun () -> ignore (Gssl.Scalable.solve_hard sparse));
   expect_raise "Incremental.create" (fun () ->
       ignore (Gssl.Incremental.create dense));
-  expect_raise "Random_walk.absorption_matrix" (fun () ->
-      ignore (Gssl.Random_walk.absorption_matrix dense))
+  expect_raise "Scalable.solve_stationary" (fun () ->
+      ignore
+        (Gssl.Scalable.solve_stationary Sparse.Stationary.Gauss_seidel sparse))
 
 let test_resilient_imputes_unanchored () =
   List.iter

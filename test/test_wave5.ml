@@ -1,188 +1,9 @@
-(* Wave-5 tests: k-means, Lanczos, spectral clustering, plus explicit
-   failure-mode / failure-injection coverage for the solvers. *)
+(* Wave-5 tests: explicit failure-mode / failure-injection coverage for
+   the solvers. *)
 
 open Test_util
-module Km = Stats.Kmeans
-module Lz = Sparse.Lanczos
-module Sc = Graph.Spectral_clustering
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
-
-(* ---------- k-means ---------- *)
-
-let blobs rng ~per_cluster centers =
-  let points =
-    Array.concat
-      (List.map
-         (fun c ->
-           Array.init per_cluster (fun _ ->
-               Array.map (fun v -> v +. Prng.Rng.uniform rng (-0.3) 0.3) c))
-         centers)
-  in
-  let truth =
-    Array.concat
-      (List.mapi (fun i _ -> Array.make per_cluster i) centers)
-  in
-  (points, truth)
-
-let test_kmeans_separated_blobs () =
-  let rng = Prng.Rng.create 1 in
-  let points, truth = blobs rng ~per_cluster:20 [ [| 0.; 0. |]; [| 5.; 0. |]; [| 0.; 5. |] ] in
-  let r = Km.fit ~rng ~k:3 points in
-  check_float "perfect recovery" 1. (Km.agreement ~truth r.Km.assignments);
-  Alcotest.(check bool) "small inertia" true (r.Km.inertia < 0.2 *. 60.)
-
-let test_kmeans_k1 () =
-  let rng = Prng.Rng.create 2 in
-  let points = [| [| 0. |]; [| 2. |]; [| 4. |] |] in
-  let r = Km.fit ~rng ~k:1 points in
-  check_vec ~tol:1e-9 "centroid = mean" [| 2. |] r.Km.centroids.(0);
-  (* inertia = sum of squared deviations = 4 + 0 + 4 *)
-  check_float ~tol:1e-9 "inertia" 8. r.Km.inertia
-
-let test_kmeans_k_equals_n () =
-  let rng = Prng.Rng.create 3 in
-  let points = [| [| 0. |]; [| 2. |]; [| 4. |] |] in
-  let r = Km.fit ~rng ~k:3 points in
-  check_float ~tol:1e-9 "zero inertia" 0. r.Km.inertia
-
-let test_kmeans_guards () =
-  let rng = Prng.Rng.create 4 in
-  check_raises_invalid "empty" (fun () -> ignore (Km.fit ~rng ~k:1 [||]));
-  check_raises_invalid "k too big" (fun () ->
-      ignore (Km.fit ~rng ~k:3 [| [| 0. |] |]));
-  check_raises_invalid "ragged" (fun () ->
-      ignore (Km.fit ~rng ~k:1 [| [| 0. |]; [| 0.; 1. |] |]))
-
-let test_kmeans_assign () =
-  let rng = Prng.Rng.create 5 in
-  let points, _ = blobs rng ~per_cluster:10 [ [| 0.; 0. |]; [| 6.; 6. |] ] in
-  let r = Km.fit ~rng ~k:2 points in
-  let a = Km.assign r [| 0.1; -0.1 |] and b = Km.assign r [| 6.2; 5.9 |] in
-  Alcotest.(check bool) "different clusters" true (a <> b)
-
-let test_agreement_permutation_invariant () =
-  let truth = [| 0; 0; 1; 1; 2; 2 |] in
-  let flipped = [| 2; 2; 0; 0; 1; 1 |] in
-  check_float "permuted labels = perfect" 1. (Km.agreement ~truth flipped);
-  check_float "one error" (5. /. 6.)
-    (Km.agreement ~truth [| 2; 2; 0; 1; 1; 1 |]);
-  check_raises_invalid "mismatch" (fun () ->
-      ignore (Km.agreement ~truth [| 0 |]))
-
-let prop_kmeans_inertia_nonincreasing_in_k seed =
-  let rng = Prng.Rng.create seed in
-  let points = Array.init 30 (fun _ -> random_vec rng 2) in
-  let inertia k = (Km.fit ~rng:(Prng.Rng.create (seed + k)) ~k points).Km.inertia in
-  (* not strictly guaranteed per-run (local optima), so compare k=1 (exact)
-     against the best of several k=3 runs *)
-  let i1 = inertia 1 in
-  let i3 =
-    List.fold_left Stdlib.min infinity (List.map (fun s -> (Km.fit ~rng:(Prng.Rng.create s) ~k:3 points).Km.inertia) [ 1; 2; 3 ])
-  in
-  i3 <= i1 +. 1e-9
-
-(* ---------- Lanczos ---------- *)
-
-let prop_lanczos_full_recovers_spectrum seed =
-  (* k = n Lanczos steps recover the whole spectrum of an SPD matrix *)
-  let rng = Prng.Rng.create seed in
-  let n = 2 + Prng.Rng.int rng 8 in
-  let a = random_spd rng n in
-  let ritz = Lz.ritz_values (Lz.run ~seed ~k:n (Sparse.Linop.of_dense a)) in
-  let exact = Linalg.Eigen.eigenvalues a in
-  Vec.approx_equal ~tol:1e-5 exact ritz
-
-let test_lanczos_extreme_convergence () =
-  (* a few steps approximate the extreme eigenvalues of a diagonal matrix *)
-  let d = Array.init 50 (fun i -> float_of_int (i + 1)) in
-  let op = Sparse.Linop.of_dense (Mat.diag d) in
-  let ritz = Lz.ritz_values (Lz.run ~k:20 op) in
-  check_float ~tol:0.5 "largest" 50. ritz.(Array.length ritz - 1);
-  check_float ~tol:0.5 "smallest" 1. ritz.(0)
-
-let test_lanczos_guards () =
-  let op = Sparse.Linop.of_dense (Mat.eye 3) in
-  check_raises_invalid "k=0" (fun () -> ignore (Lz.run ~k:0 op));
-  check_raises_invalid "k>n" (fun () -> ignore (Lz.run ~k:4 op))
-
-let prop_lanczos_basis_orthonormal seed =
-  let rng = Prng.Rng.create seed in
-  let n = 3 + Prng.Rng.int rng 8 in
-  let a = random_spd rng n in
-  let k = 1 + Prng.Rng.int rng n in
-  let { Lz.basis; _ } = Lz.run ~seed ~k (Sparse.Linop.of_dense a) in
-  let ok = ref true in
-  for i = 0 to k - 1 do
-    for j = 0 to k - 1 do
-      (* early-exhausted basis vectors may be zero; skip those *)
-      if Vec.norm2 basis.(i) > 0.5 && Vec.norm2 basis.(j) > 0.5 then begin
-        let expected = if i = j then 1. else 0. in
-        if abs_float (Vec.dot basis.(i) basis.(j) -. expected) > 1e-7 then
-          ok := false
-      end
-    done
-  done;
-  !ok
-
-let prop_ritz_pairs_residual seed =
-  (* extreme Ritz pairs have small residual ||A v - lambda v|| *)
-  let rng = Prng.Rng.create seed in
-  let n = 4 + Prng.Rng.int rng 6 in
-  let a = random_spd rng n in
-  let pairs = Lz.ritz_pairs (Lz.run ~seed ~k:n (Sparse.Linop.of_dense a)) in
-  let lambda, v = pairs.(Array.length pairs - 1) in
-  Vec.norm2 (Vec.sub (Mat.mv a v) (Vec.scale lambda v)) < 1e-4 *. (1. +. lambda)
-
-(* ---------- spectral clustering ---------- *)
-
-let test_spectral_two_blocks () =
-  let rng = Prng.Rng.create 6 in
-  let g, blocks =
-    Graph.Generators.stochastic_block rng ~sizes:[| 15; 15 |] ~p_in:0.9 ~p_out:0.05
-  in
-  let labels = Sc.cluster ~rng ~k:2 g in
-  Alcotest.(check bool) "recovers blocks" true
-    (Stats.Kmeans.agreement ~truth:blocks labels > 0.9)
-
-let test_spectral_two_moons () =
-  let rng = Prng.Rng.create 7 in
-  let samples = Dataset.Two_moons.generate ~noise:0.06 rng 160 in
-  let points = Array.map (fun s -> s.Dataset.Two_moons.x) samples in
-  let truth =
-    Array.map (fun s -> if s.Dataset.Two_moons.label then 1 else 0) samples
-  in
-  let w =
-    Kernel.Similarity.dense ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:0.25 points
-  in
-  let g = Graph.Weighted_graph.of_dense w in
-  let labels = Sc.cluster ~rng ~k:2 g in
-  Alcotest.(check bool) "unsupervised moons > 90%" true
-    (Stats.Kmeans.agreement ~truth labels > 0.9)
-
-let test_spectral_lanczos_path_agrees () =
-  let rng = Prng.Rng.create 8 in
-  let g, blocks =
-    Graph.Generators.stochastic_block rng ~sizes:[| 12; 12 |] ~p_in:0.9 ~p_out:0.02
-  in
-  let dense_labels = Sc.cluster ~rng:(Prng.Rng.create 9) ~k:2 g in
-  let lanczos_labels =
-    Sc.cluster ~via_lanczos:true ~rng:(Prng.Rng.create 9) ~k:2 g
-  in
-  (* both paths must recover the planted partition *)
-  Alcotest.(check bool) "dense path" true
-    (Stats.Kmeans.agreement ~truth:blocks dense_labels > 0.9);
-  Alcotest.(check bool) "lanczos path" true
-    (Stats.Kmeans.agreement ~truth:blocks lanczos_labels > 0.9)
-
-let test_spectral_guards () =
-  let rng = Prng.Rng.create 10 in
-  let g = Graph.Generators.complete 4 in
-  check_raises_invalid "k=0" (fun () -> ignore (Sc.cluster ~rng ~k:0 g));
-  check_raises_invalid "k>n" (fun () -> ignore (Sc.cluster ~rng ~k:5 g));
-  let isolated = Graph.Weighted_graph.of_dense (Mat.zeros 3 3) in
-  check_raises_invalid "zero degree" (fun () ->
-      ignore (Sc.embedding ~k:2 isolated))
 
 (* ---------- failure modes / failure injection ---------- *)
 
@@ -249,22 +70,6 @@ let test_jacobi_eigen_max_sweeps () =
 let suite =
   ( "wave5",
     [
-      case "kmeans: separated blobs" test_kmeans_separated_blobs;
-      case "kmeans: k=1 centroid" test_kmeans_k1;
-      case "kmeans: k=n" test_kmeans_k_equals_n;
-      case "kmeans: guards" test_kmeans_guards;
-      case "kmeans: assign" test_kmeans_assign;
-      case "kmeans: agreement metric" test_agreement_permutation_invariant;
-      qprop ~count:30 "kmeans: inertia decreases in k" prop_kmeans_inertia_nonincreasing_in_k;
-      qprop ~count:50 "lanczos: full run = spectrum" prop_lanczos_full_recovers_spectrum;
-      case "lanczos: extreme convergence" test_lanczos_extreme_convergence;
-      case "lanczos: guards" test_lanczos_guards;
-      qprop ~count:50 "lanczos: basis orthonormal" prop_lanczos_basis_orthonormal;
-      qprop ~count:50 "lanczos: ritz residual" prop_ritz_pairs_residual;
-      case "spectral: SBM blocks" test_spectral_two_blocks;
-      case "spectral: two moons unsupervised" test_spectral_two_moons;
-      case "spectral: lanczos path agrees" test_spectral_lanczos_path_agrees;
-      case "spectral: guards" test_spectral_guards;
       case "failure: cg iteration cap" test_cg_iteration_cap;
       case "failure: jacobi divergence" test_stationary_divergence_detected;
       case "failure: propagation cap" test_propagation_cap_reported;

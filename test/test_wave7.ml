@@ -2,7 +2,6 @@
    classic Hilbert-matrix stress test). *)
 
 open Test_util
-module Gen = Graph.Generators
 module Refine = Linalg.Refine
 module Mat = Linalg.Mat
 module Vec = Linalg.Vec
