@@ -53,7 +53,7 @@ soak-smoke:
 	dune build bin/repro.exe
 	./_build/default/bin/repro.exe soak --requests 1500 --verify-replay \
 		--journal /tmp/gssl_soak_journal.jsonl > /tmp/gssl_soak_pinned.txt
-	@$(call expect_digests,/tmp/gssl_soak_pinned.txt,'digest d3a2cb607a79fa0d ' 'digest fb5d0e8e09ca0708')
+	@$(call expect_digests,/tmp/gssl_soak_pinned.txt,'digest 92adb463fe93ba49 ' 'digest 96a89193fd92508b')
 	@seed=$$(( ($$(date +%N | sed 's/^0*//') % 999983) + 43 )); \
 	echo "soak-smoke fresh seed=$$seed"; \
 	./_build/default/bin/repro.exe soak --requests 1500 --seed $$seed --verify-replay
@@ -128,7 +128,7 @@ transport-smoke:
 	dune build bin/repro.exe
 	./_build/default/bin/repro.exe netsoak --connections 1500 --verify-replay \
 		--journal /tmp/gssl_netsoak_journal.jsonl > /tmp/gssl_netsoak_pinned.txt
-	@$(call expect_digests,/tmp/gssl_netsoak_pinned.txt,'digest=a3e958f94de60f10 ' 'digest 6f960958b7bbe9db')
+	@$(call expect_digests,/tmp/gssl_netsoak_pinned.txt,'digest=864b85d0ca4da255 ' 'digest 15fff8228fbb357e')
 	@seed=$$(( ($$(date +%N | sed 's/^0*//') % 999983) + 43 )); \
 	echo "transport-smoke fresh seed=$$seed"; \
 	./_build/default/bin/repro.exe netsoak --connections 1500 --seed $$seed \

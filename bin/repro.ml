@@ -729,14 +729,14 @@ let c_repl_parse_errors = Telemetry.Counter.make "serve.repl.parse_errors"
 let print_serve_stats ?(parse_errors = 0) engine =
   let s = Serve.Engine.stats engine in
   Printf.printf
-    "served %d | degraded %d | shed %d | deadline expired %d | retried %d\n\
+    "served %d | degraded %d | shed %d | deadline expired %d\n\
      relabels %d | breaker trips %d | cache hits/misses %d/%d | parse errors \
      %d\n\
      %!"
     s.Serve.Engine.served s.Serve.Engine.degraded s.Serve.Engine.shed
-    s.Serve.Engine.deadline_expired s.Serve.Engine.retried
-    s.Serve.Engine.relabels s.Serve.Engine.breaker_trips
-    s.Serve.Engine.cache_hits s.Serve.Engine.cache_misses parse_errors
+    s.Serve.Engine.deadline_expired s.Serve.Engine.relabels
+    s.Serve.Engine.breaker_trips s.Serve.Engine.cache_hits
+    s.Serve.Engine.cache_misses parse_errors
 
 let print_transport_stats engine =
   let tr = Serve.Engine.transport engine in
@@ -1197,9 +1197,9 @@ let render_dashboard engine ~processed ~total =
   let pct v = 100. *. v in
   line "repro top — solve service  [%d/%d requests]" processed total;
   line "";
-  line "  traffic   served %-6d degraded %-6d shed %-6d retried %-6d relabels %d"
+  line "  traffic   served %-6d degraded %-6d shed %-6d relabels %d"
     s.Serve.Engine.served s.Serve.Engine.degraded s.Serve.Engine.shed
-    s.Serve.Engine.retried s.Serve.Engine.relabels;
+    s.Serve.Engine.relabels;
   line "  failures  deadline expired %-4d cg aborts %-4d breaker trips %d (%d transitions)"
     s.Serve.Engine.deadline_expired s.Serve.Engine.solver_aborts
     s.Serve.Engine.breaker_trips s.Serve.Engine.breaker_transitions;
@@ -1349,14 +1349,13 @@ let journal_cmd =
     let num k = Option.bind (member k j) to_float in
     let int k = Option.bind (member k j) to_int in
     let getf d = Option.value ~default:d in
-    Printf.printf "trace %s  request %d  %s  %.3f ms (queue %.3f ms, %d attempt(s)%s)\n"
+    Printf.printf "trace %s  request %d  %s  %.3f ms (queue %.3f ms%s)\n"
       (getf "?" (str "trace"))
       (getf (-1) (int "request"))
       (getf "?" (str "status")
       ^ match str "reason" with None -> "" | Some r -> " [" ^ r ^ "]")
       (getf Float.nan (num "latency_ms"))
       (getf Float.nan (num "queue_ms"))
-      (getf 0 (int "attempts"))
       (match Option.bind (member "cache_hit" j) to_bool with
       | Some true -> ", cache hit"
       | _ -> "");

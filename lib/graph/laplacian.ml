@@ -1,8 +1,6 @@
 module Mat = Linalg.Mat
 module Vec = Linalg.Vec
 
-type kind = Unnormalized | Symmetric_normalized | Random_walk
-
 let c_operator_applies = Telemetry.Counter.make "graph.laplacian_applies"
 
 (* the fused dense apply below is a gemv-class pass; it shares the
@@ -10,62 +8,12 @@ let c_operator_applies = Telemetry.Counter.make "graph.laplacian_applies"
 let c_gemv = Telemetry.Counter.make "linalg.gemv"
 let c_lin_flops = Telemetry.Counter.make "linalg.flops"
 
-let check_degrees kind d =
-  match kind with
-  | Unnormalized -> ()
-  | Symmetric_normalized | Random_walk ->
-      Array.iter
-        (fun v ->
-          if v <= 0. then
-            invalid_arg "Laplacian: normalized Laplacian needs positive degrees")
-        d
-
-let dense ?(kind = Unnormalized) g =
+let dense g =
   let w = Weighted_graph.to_dense g in
   let d = Weighted_graph.degrees g in
-  check_degrees kind d;
   let n = Weighted_graph.order g in
-  match kind with
-  | Unnormalized ->
-      Mat.init n n (fun i j ->
-          if i = j then d.(i) -. Mat.get w i j else -.Mat.get w i j)
-  | Symmetric_normalized ->
-      Mat.init n n (fun i j ->
-          let v = Mat.get w i j /. sqrt (d.(i) *. d.(j)) in
-          if i = j then 1. -. v else -.v)
-  | Random_walk ->
-      Mat.init n n (fun i j ->
-          let v = Mat.get w i j /. d.(i) in
-          if i = j then 1. -. v else -.v)
-
-let sparse ?(kind = Unnormalized) g =
-  let d = Weighted_graph.degrees g in
-  check_degrees kind d;
-  let n = Weighted_graph.order g in
-  let coo = Sparse.Coo.create n n in
-  let add_weight i j w =
-    match kind with
-    | Unnormalized ->
-        Sparse.Coo.add coo i j (-.w);
-        Sparse.Coo.add coo j i (-.w)
-    | Symmetric_normalized ->
-        let v = w /. sqrt (d.(i) *. d.(j)) in
-        Sparse.Coo.add coo i j (-.v);
-        Sparse.Coo.add coo j i (-.v)
-    | Random_walk ->
-        Sparse.Coo.add coo i j (-.(w /. d.(i)));
-        Sparse.Coo.add coo j i (-.(w /. d.(j)))
-  in
-  Weighted_graph.iter_edges g add_weight;
-  (* diagonal: degree minus self-loop weight for unnormalized; the
-     normalized kinds have 1 − w_ii/d_i on the diagonal *)
-  for i = 0 to n - 1 do
-    let wii = Weighted_graph.weight g i i in
-    match kind with
-    | Unnormalized -> Sparse.Coo.add coo i i (d.(i) -. wii)
-    | Symmetric_normalized | Random_walk -> Sparse.Coo.add coo i i (1. -. (wii /. d.(i)))
-  done;
-  Sparse.Csr.of_coo coo
+  Mat.init n n (fun i j ->
+      if i = j then d.(i) -. Mat.get w i j else -.Mat.get w i j)
 
 let quadratic_energy g f =
   if Array.length f <> Weighted_graph.order g then

@@ -1,21 +1,10 @@
 (** Graph Laplacians.
 
     The soft criterion's penalty is [fᵀ L f] with the *unnormalized*
-    Laplacian [L = D − W] (Eq. (3)); the normalized variants are provided
-    for completeness. *)
+    Laplacian [L = D − W] (Eq. (3)). *)
 
-type kind =
-  | Unnormalized          (** L = D − W *)
-  | Symmetric_normalized  (** L_sym = I − D^{−1/2} W D^{−1/2} *)
-  | Random_walk           (** L_rw = I − D^{−1} W *)
-
-val dense : ?kind:kind -> Weighted_graph.t -> Linalg.Mat.t
-(** Default [Unnormalized].  The normalized kinds raise
-    [Invalid_argument] when some vertex has zero degree. *)
-
-val sparse : ?kind:kind -> Weighted_graph.t -> Sparse.Csr.t
-(** Same, in CSR form (built from the graph's sparse storage when
-    available, else from the dense one). *)
+val dense : Weighted_graph.t -> Linalg.Mat.t
+(** [L = D − W] as a dense matrix. *)
 
 val quadratic_energy : Weighted_graph.t -> Linalg.Vec.t -> float
 (** [Σ_ij w_ij (f_i − f_j)²] — the paper's smoothness functional,

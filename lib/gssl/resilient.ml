@@ -11,7 +11,6 @@ type report = {
   n_components : int;
   n_anchored : int;
   rungs : (int * string) list;
-  rung_ms : (int * (string * float) list) list;
   certificates : (int * Obs.Health.t) list;
   aborted : bool;
 }
@@ -74,7 +73,7 @@ let solve_component ?cg_max_iter ?should_stop ~observe ~system (sys : System.t) 
       else None
     in
     (out.Rsolve.solution, rung, out.Rsolve.escalations, cert,
-     out.Rsolve.timings, out.Rsolve.aborted)
+     out.Rsolve.aborted)
   in
   match sys.System.a with
   | System.Dense a ->
@@ -122,7 +121,6 @@ let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind
   let extra = ref [] in
   let imputed = ref [] in
   let rungs = ref [] in
-  let rung_ms = ref [] in
   let certificates = ref [] in
   let aborted = ref false in
   let impute v =
@@ -140,12 +138,11 @@ let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind
       | [], _ -> List.iter impute unlabeled
       | _ ->
           let idx, first = rows labeled unlabeled in
-          let solution, rung, escalations, cert, timings, comp_aborted =
+          let solution, rung, escalations, cert, comp_aborted =
             solve_component ?cg_max_iter ?should_stop ~observe
               ~system:("resilient." ^ kind) (System.restrict idx global)
           in
           rungs := (c, rung) :: !rungs;
-          rung_ms := (c, timings) :: !rung_ms;
           aborted := !aborted || comp_aborted;
           (match cert with
           | Some cert ->
@@ -172,7 +169,6 @@ let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind
     n_components;
     n_anchored;
     rungs = List.rev !rungs;
-    rung_ms = List.rev !rung_ms;
     certificates = List.rev !certificates;
     aborted = !aborted }
 

@@ -31,11 +31,6 @@ type report = {
       (** For each solved component id, the fallback-chain rung that
           produced its solution (e.g. ["cholesky"], ["cg"],
           ["dense_direct:qr"]). *)
-  rung_ms : (int * (string * float) list) list;
-      (** For each solved component id, cumulative wall milliseconds per
-          fallback rung entered (see {!Robust.Solve.type-outcome}
-          [timings]) — the breakdown deadline accounting needs to say
-          where a request's budget was spent. *)
   certificates : (int * Obs.Health.t) list;
       (** With [~observe:true]: one health certificate per solved
           component, in solve order — recomputed residual against the

@@ -1,25 +1,3 @@
-let refine ?(iterations = 2) a b x0 =
-  if not (Mat.is_square a) then invalid_arg "Refine.refine: matrix not square";
-  if Array.length b <> a.Mat.rows || Array.length x0 <> a.Mat.rows then
-    invalid_arg "Refine.refine: length mismatch";
-  let f = Lu.factor a in
-  let x = Vec.copy x0 in
-  for _ = 1 to iterations do
-    let residual = Vec.sub b (Mat.mv a x) in
-    let correction = Lu.solve_factored f residual in
-    Vec.axpy 1. correction x
-  done;
-  x
-
-let solve_refined ?(iterations = 2) a b =
-  let f = Lu.factor a in
-  let x = Lu.solve_factored f b in
-  for _ = 1 to iterations do
-    let residual = Vec.sub b (Mat.mv a x) in
-    Vec.axpy 1. (Lu.solve_factored f residual) x
-  done;
-  x
-
 let condition_estimate ?(iterations = 30) a =
   if not (Mat.is_square a) then
     invalid_arg "Refine.condition_estimate: matrix not square";

@@ -1,25 +1,9 @@
-(** Iterative refinement and condition-number estimation for dense
-    solves.
+(** Condition-number estimation for dense systems.
 
     The similarity matrices of tightly clustered inputs make the
-    hard/soft systems ill-conditioned; refinement recovers accuracy lost
-    to rounding at the cost of extra residual evaluations, and the
-    condition estimate tells callers when to distrust a direct solve. *)
-
-val refine :
-  ?iterations:int ->
-  Mat.t ->
-  Vec.t ->
-  Vec.t ->
-  Vec.t
-(** [refine a b x0] improves an approximate solution of [a x = b] by
-    [iterations] (default 2) rounds of [x ← x + a⁻¹(b − a x)], each
-    using a fresh LU factorization of [a] on the residual.  Raises
-    {!Lu.Singular} / [Invalid_argument] like {!Lu.solve}. *)
-
-val solve_refined : ?iterations:int -> Mat.t -> Vec.t -> Vec.t
-(** LU solve followed by refinement — one factorization shared by the
-    solve and all refinement steps. *)
+    hard/soft systems ill-conditioned; the estimate tells callers when
+    to distrust a direct solve, and every dense health certificate
+    carries it. *)
 
 val condition_estimate : ?iterations:int -> Mat.t -> float
 (** 2-norm condition number estimate via power iteration on [aᵀa] (for

@@ -122,7 +122,6 @@ let response_body (r : Engine.response) =
     @ reason
     @ [ ("latency_ms", J.Num r.Engine.latency_ms);
         ("queue_ms", J.Num r.Engine.queue_ms);
-        ("attempts", J.Num (float_of_int r.Engine.attempts));
         ("cache_hit", J.Bool r.Engine.cache_hit);
         ("healthy", healthy);
         ("predictions", predictions);
@@ -144,7 +143,6 @@ let stats_body engine =
            i "shed" s.Engine.shed;
            i "deadline_expired" s.Engine.deadline_expired;
            i "solver_aborts" s.Engine.solver_aborts;
-           i "retried" s.Engine.retried;
            i "relabels" s.Engine.relabels;
            i "breaker_trips" s.Engine.breaker_trips;
            i "cache_hits" s.Engine.cache_hits;

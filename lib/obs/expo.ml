@@ -105,12 +105,3 @@ let metric_json m =
         ]
 
 let to_json metrics = Telemetry.Export.Arr (List.map metric_json metrics)
-
-(* Global telemetry counters as exposition metrics, so a snapshot can
-   merge engine-owned state with the process-wide counter registry. *)
-let of_telemetry () =
-  List.map
-    (fun (name, v) ->
-      Counter
-        { name; help = "telemetry counter"; value = float_of_int v })
-    (Telemetry.Counter.snapshot ())

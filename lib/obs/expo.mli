@@ -24,6 +24,3 @@ val to_prometheus : metric list -> string
     [_sum] / [_count]. *)
 
 val to_json : metric list -> Telemetry.Export.json
-
-val of_telemetry : unit -> metric list
-(** Every global telemetry counter as a [Counter] metric. *)

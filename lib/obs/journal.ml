@@ -1,7 +1,7 @@
 (* Per-request span journal.
 
    One JSONL line per finished request: the trace id, the response
-   disposition (status / latency / queue wait / attempts / cache hit),
+   disposition (status / latency / queue wait / cache hit),
    and the full span tree of its {!Trace_ctx}.  The journal keeps a
    running SplitMix64 digest over the exact line bytes — two runs that
    journal identical lines in identical order have equal digests, which
@@ -49,8 +49,7 @@ let digest_line h line =
     line;
   !h
 
-let line_json ~request ~status ~reason ~latency_ms ~queue_ms ~attempts
-    ~cache_hit ctx =
+let line_json ~request ~status ~reason ~latency_ms ~queue_ms ~cache_hit ctx =
   let open Telemetry.Export in
   let base =
     [
@@ -66,7 +65,6 @@ let line_json ~request ~status ~reason ~latency_ms ~queue_ms ~attempts
     [
       ("latency_ms", Num latency_ms);
       ("queue_ms", Num queue_ms);
-      ("attempts", Num (float_of_int attempts));
       ("cache_hit", Bool cache_hit);
       ( "spans",
         Arr (List.map Trace_ctx.span_json (Trace_ctx.spans ctx)) );
@@ -74,12 +72,10 @@ let line_json ~request ~status ~reason ~latency_ms ~queue_ms ~attempts
   in
   Obj (base @ reason_field @ rest)
 
-let record t ~request ~status ?reason ~latency_ms ~queue_ms ~attempts
-    ~cache_hit ctx =
+let record t ~request ~status ?reason ~latency_ms ~queue_ms ~cache_hit ctx =
   let line =
     Telemetry.Export.render
-      (line_json ~request ~status ~reason ~latency_ms ~queue_ms ~attempts
-         ~cache_hit ctx)
+      (line_json ~request ~status ~reason ~latency_ms ~queue_ms ~cache_hit ctx)
   in
   Mutex.lock t.mutex;
   t.lines_rev <- line :: t.lines_rev;
@@ -165,7 +161,6 @@ let validate_line line =
       let* status = field "status" to_str j in
       let* latency = field "latency_ms" to_float j in
       let* queue = field "queue_ms" to_float j in
-      let* attempts = field "attempts" to_int j in
       let* _cache_hit = field "cache_hit" to_bool j in
       let* () =
         if String.length trace = 16 then Ok ()
@@ -178,9 +173,6 @@ let validate_line line =
       let* () =
         if latency >= 0. && queue >= 0. then Ok ()
         else Error "negative latency_ms or queue_ms"
-      in
-      let* () =
-        if attempts >= 0 then Ok () else Error "negative attempts"
       in
       let* spans =
         match member "spans" j with

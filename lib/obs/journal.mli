@@ -2,7 +2,7 @@
     reconciling aggregate.
 
     Each finished request appends one JSON line: trace id, status,
-    latency/queue/attempt/cache fields, and the full span tree of its
+    latency/queue/cache fields, and the full span tree of its
     {!Trace_ctx}.  The journal maintains a SplitMix64 digest over the
     exact line bytes (replaying a seeded trace must reproduce it
     bit-for-bit) and a running aggregate using the same {!Histogram}
@@ -21,7 +21,6 @@ val record :
   ?reason:string ->
   latency_ms:float ->
   queue_ms:float ->
-  attempts:int ->
   cache_hit:bool ->
   Trace_ctx.t ->
   unit

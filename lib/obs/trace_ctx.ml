@@ -11,11 +11,11 @@
    timestamp — and therefore the whole journal — deterministic.
 
    The context also installs itself as the *ambient* trace of the
-   current domain ([with_current]), so deep layers (Retry attempts,
-   Robust.Solve rungs, Cg iterations) can attach spans and marks
-   without threading a value through every signature.  The ambient
-   slot is domain-local storage: concurrent requests on different
-   domains never splice into each other's trees. *)
+   current domain ([with_current]), so deep layers (Robust.Solve rungs,
+   Cg iterations) can attach spans and marks without threading a value
+   through every signature.  The ambient slot is domain-local storage:
+   concurrent requests on different domains never splice into each
+   other's trees. *)
 
 type span = {
   id : int;  (* allocation index; causal order *)

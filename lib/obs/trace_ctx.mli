@@ -4,10 +4,10 @@
     request trace yields a bit-identical context (see {!digest}).
 
     A context can be installed as the {e ambient} trace of the current
-    domain, letting deep layers (retry attempts, solver rungs, CG)
-    attach spans without threading a value through their signatures.
-    The ambient slot is domain-local, so concurrent requests on
-    different domains never corrupt each other's trees. *)
+    domain, letting deep layers (solver rungs, CG) attach spans without
+    threading a value through their signatures.  The ambient slot is
+    domain-local, so concurrent requests on different domains never
+    corrupt each other's trees. *)
 
 type span = private {
   id : int;  (** allocation index; [parent < id] always holds *)

@@ -1,7 +1,7 @@
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
 
-type dense_rung = Cholesky | Lu_refined | Qr | Ridge
+type dense_rung = Cholesky | Qr | Ridge
 
 type sparse_rung =
   | Cg
@@ -16,7 +16,6 @@ type 'rung outcome = {
   rung : 'rung;
   escalations : escalation list;
   cg_attempts : Sparse.Cg.outcome list;
-  timings : (string * float) list;
   aborted : bool;
 }
 
@@ -34,7 +33,6 @@ let emit_escalation ~chain abandoned reason =
 (* One counter per fallback rung, incremented when the rung is entered as
    a fallback (never for the first rung of a chain), so a clean solve
    leaves every robust.fallback.* counter at zero. *)
-let c_dense_lu = Telemetry.Counter.make "robust.fallback.dense_lu"
 let c_dense_qr = Telemetry.Counter.make "robust.fallback.dense_qr"
 let c_dense_ridge = Telemetry.Counter.make "robust.fallback.dense_ridge"
 let c_cg_restart = Telemetry.Counter.make "robust.fallback.cg_restart"
@@ -43,7 +41,6 @@ let c_dense_direct = Telemetry.Counter.make "robust.fallback.dense_direct"
 
 let dense_rung_name = function
   | Cholesky -> "cholesky"
-  | Lu_refined -> "lu_refined"
   | Qr -> "qr"
   | Ridge -> "ridge"
 
@@ -57,46 +54,15 @@ let all_finite = Array.for_all Float.is_finite
 
 let abort_reason = "cooperative abort (should_stop)"
 
-let now_ms () = Telemetry.Monotonic.now_ns () *. 1e-6
+(* The causal position of each rung entered on the ambient request
+   trace: a zero-duration marker (no-op outside a traced request). *)
+let mark name = Obs.Trace_ctx.mark ("rung." ^ name)
 
-(* Per-rung wall-time attribution.  Each rung entry leaves a timestamp
-   mark; [timings_of] turns consecutive marks into durations (the last
-   segment ends "now") and accumulates them per rung name in first-entry
-   order, so a restarted rung shows its cumulative time.  This costs two
-   clock reads per rung — nothing against a factorization or a CG run —
-   and gives deadline accounting the answer to "where did the budget
-   go?". *)
-let make_marker () =
-  let marks = ref [] in
-  let mark name =
-    (* causal position of each rung on the ambient request trace.  Only
-       the marker (zero duration) is recorded there: the wall-clock
-       timings below stay out of the trace so a journaled trace remains
-       bit-identical across replays under a virtual clock. *)
-    Obs.Trace_ctx.mark ("rung." ^ name);
-    marks := (name, now_ms ()) :: !marks
-  in
-  let timings_of () =
-    let rec segments stop acc = function
-      | [] -> acc
-      | (name, t) :: rest -> segments t ((name, stop -. t) :: acc) rest
-    in
-    let segs = segments (now_ms ()) [] !marks in
-    List.fold_left
-      (fun acc (name, d) ->
-        if List.mem_assoc name acc then
-          List.map (fun (n, v) -> if n = name then (n, v +. d) else (n, v)) acc
-        else acc @ [ (name, d) ])
-      [] segs
-  in
-  (mark, timings_of)
-
-let solve_dense ?(cond_threshold = 1e12) ?(should_stop = fun () -> false) a b =
+let solve_dense ?(should_stop = fun () -> false) a b =
   if not (Mat.is_square a) then
     invalid_arg "Robust.Solve.solve_dense: matrix not square";
   if Array.length b <> a.Mat.rows then
     invalid_arg "Robust.Solve.solve_dense: length mismatch";
-  let mark, timings_of = make_marker () in
   let escalations = ref [] in
   let aborted = ref false in
   let note abandoned reason =
@@ -105,7 +71,7 @@ let solve_dense ?(cond_threshold = 1e12) ?(should_stop = fun () -> false) a b =
   in
   let finish rung solution =
     { solution; rung; escalations = List.rev !escalations; cg_attempts = [];
-      timings = timings_of (); aborted = !aborted }
+      aborted = !aborted }
   in
   (* Between-rung deadline gate: a dense rung is a whole factorization, so
      the only cooperative stopping points are the rung boundaries.  An
@@ -151,42 +117,18 @@ let solve_dense ?(cond_threshold = 1e12) ?(should_stop = fun () -> false) a b =
         note "qr" (Printexc.to_string e);
         finish Ridge (ridge ())
   in
-  let lu () =
-    gate "lu_refined" @@ fun () ->
-    mark "lu_refined";
-    match Linalg.Refine.condition_estimate a with
-    | cond when Float.is_finite cond && cond < cond_threshold -> begin
-        Telemetry.Counter.incr c_dense_lu;
-        match Linalg.Refine.solve_refined a b with
-        | x when all_finite x -> finish Lu_refined x
-        | _ ->
-            note "lu_refined" "refined solution not finite";
-            qr ()
-        | exception e ->
-            note "lu_refined" (Printexc.to_string e);
-            qr ()
-      end
-    | cond ->
-        note "lu_refined"
-          (Printf.sprintf "condition estimate %.3g at or above %.3g" cond
-             cond_threshold);
-        qr ()
-    | exception e ->
-        note "lu_refined" (Printexc.to_string e);
-        qr ()
-  in
   mark "cholesky";
   match Linalg.Cholesky.solve a b with
   | x when all_finite x -> finish Cholesky x
   | _ ->
       note "cholesky" "solution not finite";
-      lu ()
+      qr ()
   | exception Linalg.Cholesky.Not_positive_definite k ->
       note "cholesky" (Printf.sprintf "non-positive pivot at column %d" k);
-      lu ()
+      qr ()
   | exception e ->
       note "cholesky" (Printexc.to_string e);
-      lu ()
+      qr ()
 
 let describe_cg (out : Sparse.Cg.outcome) =
   if out.Sparse.Cg.breakdown then
@@ -206,7 +148,6 @@ let solve_sparse ?(tol = 1e-10) ?cg_max_iter ?(should_stop = fun () -> false)
   if Array.length b <> rows then
     invalid_arg "Robust.Solve.solve_sparse: length mismatch";
   let op = Sparse.Linop.of_csr a in
-  let mark, timings_of = make_marker () in
   let escalations = ref [] in
   let aborted = ref false in
   let note abandoned reason =
@@ -222,8 +163,7 @@ let solve_sparse ?(tol = 1e-10) ?cg_max_iter ?(should_stop = fun () -> false)
   in
   let finish rung solution =
     { solution; rung; escalations = List.rev !escalations;
-      cg_attempts = List.rev !attempts; timings = timings_of ();
-      aborted = !aborted }
+      cg_attempts = List.rev !attempts; aborted = !aborted }
   in
   (* The best iterate seen so far — what an abort hands back rather than
      pretending there is no answer at all. *)

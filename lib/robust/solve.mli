@@ -11,16 +11,23 @@
     sparse chain bottoms out in the dense chain.
 
     Chains:
-    - dense:  Cholesky → LU + iterative refinement (gated by
-      {!Linalg.Refine.condition_estimate}) → QR least-squares → ridge
+    - dense:  Cholesky → QR least-squares → ridge
     - sparse: CG → restarted Jacobi-preconditioned CG → Gauss–Seidel →
       dense direct
+
+    The hard and soft systems are symmetric positive semidefinite, so a
+    failed Cholesky means a numerically singular system, which the
+    least-squares and ridge rungs are built for.
+
+    Each rung entered leaves a ["rung.<name>"] mark on the ambient
+    {!Obs.Trace_ctx} request trace, placing it on the request's own
+    clock.
 
     CG breakdown (non-SPD curvature [pᵀAp ≤ 0], reported by
     {!Sparse.Cg}) skips the restart rung: restarting cannot repair an
     indefinite system. *)
 
-type dense_rung = Cholesky | Lu_refined | Qr | Ridge
+type dense_rung = Cholesky | Qr | Ridge
 
 type sparse_rung =
   | Cg
@@ -38,12 +45,6 @@ type 'rung outcome = {
       (** every CG outcome along the sparse chain (plain rung, then each
           restart), oldest first; empty for the dense chain.  Used to
           build [Obs.Health] convergence summaries. *)
-  timings : (string * float) list;
-      (** cumulative wall milliseconds spent in each rung entered, in
-          first-entry order (a restarted rung accumulates across
-          restarts).  The sparse chain's dense fallback appears as one
-          ["dense_direct"] entry.  This is what lets deadline accounting
-          attribute where a request's budget went. *)
   aborted : bool;
       (** [should_stop] fired (inside a CG iteration or at a rung
           boundary): [solution] is the best iterate available at that
@@ -55,18 +56,15 @@ val dense_rung_name : dense_rung -> string
 val sparse_rung_name : sparse_rung -> string
 
 val solve_dense :
-  ?cond_threshold:float ->
   ?should_stop:(unit -> bool) ->
   Linalg.Mat.t ->
   Linalg.Vec.t ->
   dense_rung outcome
 (** [solve_dense a b] solves [a x = b], escalating on factorization
-    failure or non-finite output.  The LU rung is skipped (straight to
-    QR) when the condition estimate is at or above [cond_threshold]
-    (default 1e12).  [should_stop] is polled at each rung boundary (a
-    factorization cannot stop mid-flight); when it fires the remaining
-    rungs are skipped and the zeros last resort is returned with
-    [aborted = true].  Raises [Invalid_argument] only on dimension
+    failure or non-finite output.  [should_stop] is polled at each rung
+    boundary (a factorization cannot stop mid-flight); when it fires the
+    remaining rungs are skipped and the zeros last resort is returned
+    with [aborted = true].  Raises [Invalid_argument] only on dimension
     mismatch — API misuse, not a data fault. *)
 
 val solve_sparse :

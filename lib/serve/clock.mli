@@ -2,16 +2,15 @@
 
     Two implementations behind one interface:
     - [Monotonic] reads the real clock.  [advance] {e sleeps}, so a
-      retry backoff leaves its core free, and [jump] is a no-op (real
-      time flows on its own).  This is what a live [gssl serve] session
-      uses.
+      wait leaves its core free, and [jump] is a no-op (real time flows
+      on its own).  This is what a live [gssl serve] session uses.
     - [Virtual] is a number.  [advance] and [jump] are arithmetic, so a
       whole multi-thousand-request trace replays in microseconds and —
       crucially — {e deterministically}: the same seed produces the same
       queue waits, the same deadline expiries, the same per-request
       outcomes.  This is what the chaos soak harness uses.
 
-    Everything in [Serve] (deadlines, backoff, breaker cooldowns, queue
+    Everything in [Serve] (deadlines, breaker cooldowns, queue
     simulation) tells time exclusively through this module, which is
     what makes the soak's determinism guarantee possible at all. *)
 

@@ -15,7 +15,6 @@ type costs = {
 type config = {
   queue_capacity : int;
   deadline_ms : float;
-  retry : Retry.policy;
   breaker_failures : int;
   breaker_cooldown_ms : float;
   costs : costs;
@@ -26,7 +25,6 @@ type config = {
 let default_config =
   { queue_capacity = 16;
     deadline_ms = 25.;
-    retry = Retry.default;
     breaker_failures = 3;
     breaker_cooldown_ms = 40.;
     costs = { solve_ms = 2.0; cache_ms = 0.5; relabel_ms = 1.0; poll_ms = 0.2 };
@@ -58,8 +56,6 @@ type response = {
   diagnostics : Check.diagnostic list;
   queue_ms : float;
   latency_ms : float;
-  rung_ms : (string * float) list;
-  attempts : int;
   cache_hit : bool;
 }
 
@@ -69,7 +65,6 @@ type stats = {
   shed : int;
   deadline_expired : int;
   solver_aborts : int;
-  retried : int;
   relabels : int;
   max_backlog : int;
   breaker_trips : int;
@@ -84,7 +79,6 @@ type internal_stats = {
   mutable s_shed : int;
   mutable s_deadline_expired : int;
   mutable s_solver_aborts : int;
-  mutable s_retried : int;
   mutable s_relabels : int;
   mutable s_max_backlog : int;
   mutable s_cache_hits : int;
@@ -151,7 +145,7 @@ let create ?(clock = Clock.monotonic ()) ?journal config problem =
     journal;
     st =
       { s_served = 0; s_degraded = 0; s_shed = 0; s_deadline_expired = 0;
-        s_solver_aborts = 0; s_retried = 0; s_relabels = 0; s_max_backlog = 0;
+        s_solver_aborts = 0; s_relabels = 0; s_max_backlog = 0;
         s_cache_hits = 0; s_cache_misses = 0 };
     transport = Transport.create ();
     worker_free_ms = Clock.now_ms clock;
@@ -163,7 +157,6 @@ let stats t =
     shed = t.st.s_shed;
     deadline_expired = t.st.s_deadline_expired;
     solver_aborts = t.st.s_solver_aborts;
-    retried = t.st.s_retried;
     relabels = t.st.s_relabels;
     max_backlog = t.st.s_max_backlog;
     breaker_trips = Breaker.trips t.breaker;
@@ -240,20 +233,8 @@ let all_healthy (report : Resilient.report) =
   report.Resilient.certificates <> []
   && List.for_all (fun (_, c) -> Obs.Health.healthy c) report.Resilient.certificates
 
-(* flatten per-component rung timings into one (rung, ms) list *)
-let flatten_rung_ms (report : Resilient.report) =
-  List.fold_left
-    (fun acc (_, timings) ->
-      List.fold_left
-        (fun acc (name, ms) ->
-          if List.mem_assoc name acc then
-            List.map (fun (n, v) -> if n = name then (n, v +. ms) else (n, v)) acc
-          else acc @ [ (name, ms) ])
-        acc timings)
-    [] report.Resilient.rung_ms
-
-let finish t (req : request) ~ctx ~queue_ms ~cache_hit ~attempts ?certificate
-    ?(diagnostics = []) ?(rung_ms = []) status predictions =
+let finish t (req : request) ~ctx ~queue_ms ~cache_hit ?certificate
+    ?(diagnostics = []) status predictions =
   Telemetry.Counter.incr c_requests;
   (match status with
   | Served ->
@@ -269,7 +250,6 @@ let finish t (req : request) ~ctx ~queue_ms ~cache_hit ~attempts ?certificate
       Telemetry.Counter.incr c_shed;
       Obs.Event.emit ~severity:Obs.Event.Warning "serve.shed"
         [ ("id", Obs.Event.Int req.id); ("reason", Obs.Event.Str reason) ]);
-  if attempts > 1 then t.st.s_retried <- t.st.s_retried + 1;
   let latency_ms =
     match status with
     | Shed _ -> 0.
@@ -297,7 +277,6 @@ let finish t (req : request) ~ctx ~queue_ms ~cache_hit ~attempts ?certificate
            ("status", Obs.Event.Str (status_name status));
            ("latency_ms", Obs.Event.Float latency_ms);
            ("queue_ms", Obs.Event.Float queue_ms);
-           ("attempts", Obs.Event.Int attempts);
            ("cache_hit", Obs.Event.Bool cache_hit);
          ]
         @ match reason with
@@ -308,11 +287,10 @@ let finish t (req : request) ~ctx ~queue_ms ~cache_hit ~attempts ?certificate
   (match t.journal with
   | Some j ->
       Obs.Journal.record j ~request:req.id ~status:(status_name status)
-        ?reason ~latency_ms ~queue_ms ~attempts ~cache_hit ctx
+        ?reason ~latency_ms ~queue_ms ~cache_hit ctx
   | None -> ());
   { id = req.id; trace_id = Trace_ctx.trace_id ctx; status; predictions;
-    certificate; diagnostics; queue_ms; latency_ms; rung_ms; attempts;
-    cache_hit }
+    certificate; diagnostics; queue_ms; latency_ms; cache_hit }
 
 (* The warm factorization for a clean query or relabel, counted as a
    cache hit or miss.  Degraded answers read [t.warm] directly, so they
@@ -331,14 +309,14 @@ let find_warm t =
    (label propagation from the last known-good state), labeled-mean
    imputation otherwise.  Cheap by construction and always total. *)
 let degraded_answer t (req : request) ~ctx ~queue_ms ?(diagnostics = [])
-    ?(attempts = 1) reason =
+    reason =
   let predictions, cache_hit =
     match t.warm with
     | Some inc -> (Incremental.predict inc, true)
     | None -> (mean_predictions t, false)
   in
-  finish t req ~ctx ~queue_ms ~cache_hit ~attempts ~diagnostics
-    (Degraded reason) predictions
+  finish t req ~ctx ~queue_ms ~cache_hit ~diagnostics (Degraded reason)
+    predictions
 
 (* A cache-hit answer: the cached state's predictions, certified
    against its system, Served when healthy and Degraded with the
@@ -352,19 +330,21 @@ let cached_answer t (req : request) ~ctx ~queue_ms inc ~unhealthy =
     | Some c when not (Obs.Health.healthy c) -> Degraded unhealthy
     | Some _ | None -> Served
   in
-  finish t req ~ctx ~queue_ms ~cache_hit:true ~attempts:1 ?certificate status
-    predictions
+  finish t req ~ctx ~queue_ms ~cache_hit:true ?certificate status predictions
 
-let expire t (req : request) ~ctx ~queue_ms ~deadline ?(attempts = 1) () =
+let expire t (req : request) ~ctx ~queue_ms ~deadline =
   t.st.s_deadline_expired <- t.st.s_deadline_expired + 1;
   Telemetry.Counter.incr c_deadline;
   Trace_ctx.event ctx "deadline.expired";
-  degraded_answer t req ~ctx ~queue_ms ~attempts
+  degraded_answer t req ~ctx ~queue_ms
     ~diagnostics:[ Deadline.diagnostic deadline ]
     "deadline expired"
 
-(* The full resilient solve path: retry with backoff around the fallback
-   chain, gated by the circuit breaker, deadline threaded into CG. *)
+(* The full resilient solve path: one pass down the fallback chain,
+   gated by the circuit breaker, deadline threaded into CG.  Eq. (5)'s
+   system is positive semidefinite, so a failed certificate means it is
+   numerically singular, and solving it again would only repeat the
+   answer or run out of budget. *)
 let full_solve t (req : request) ~ctx ~queue_ms ~deadline
     (inj : Fault.injected) =
   if not (Breaker.allow t.breaker) then begin
@@ -379,58 +359,42 @@ let full_solve t (req : request) ~ctx ~queue_ms ~deadline
             Obs.Event.Str (Breaker.state_name (Breaker.state t.breaker)) );
         ]
       (fun () ->
-        let last_report = ref None in
-        let attempt ~attempt:_ =
-          Clock.advance t.clock t.costs.solve_ms;
-          if Deadline.expired deadline then Retry.Fatal "deadline expired"
-          else begin
-            let should_stop =
-              Deadline.should_stop ~cost_ms:t.costs.poll_ms deadline
-            in
-            let problem =
-              Problem.make_unchecked ~graph:inj.Fault.graph
-                ~labels:inj.Fault.labels
-            in
-            let report =
-              Resilient.solve_hard ?cg_max_iter:inj.Fault.cg_max_iter
-                ~should_stop ~observe:true problem
-            in
-            last_report := Some report;
-            if report.Resilient.aborted then begin
-              t.st.s_solver_aborts <- t.st.s_solver_aborts + 1;
-              Retry.Fatal "solve aborted by deadline"
-            end
-            else if all_healthy report then Retry.Done report
-            else Retry.Transient "unhealthy solve (failed certificate)"
+        let failed ?diagnostics reason =
+          Breaker.record_failure t.breaker;
+          if Deadline.expired deadline then
+            expire t req ~ctx ~queue_ms ~deadline
+          else degraded_answer t req ~ctx ~queue_ms ?diagnostics reason
+        in
+        Clock.advance t.clock t.costs.solve_ms;
+        if Deadline.expired deadline then failed "deadline expired"
+        else
+          let should_stop =
+            Deadline.should_stop ~cost_ms:t.costs.poll_ms deadline
+          in
+          let problem =
+            Problem.make_unchecked ~graph:inj.Fault.graph
+              ~labels:inj.Fault.labels
+          in
+          let report =
+            Resilient.solve_hard ?cg_max_iter:inj.Fault.cg_max_iter
+              ~should_stop ~observe:true problem
+          in
+          let diagnostics = report.Resilient.diagnostics in
+          if report.Resilient.aborted then begin
+            t.st.s_solver_aborts <- t.st.s_solver_aborts + 1;
+            failed ~diagnostics "solve aborted by deadline"
           end
-        in
-        let out =
-          Retry.run t.config.retry ~clock:t.clock ~rng:t.rng ~deadline attempt
-        in
-        let attempts = Stdlib.max 1 out.Retry.attempts in
-        match out.Retry.result with
-        | Ok report ->
+          else if all_healthy report then begin
             Breaker.record_success t.breaker;
             let n = Problem.n_labeled t.problem in
             let predictions =
               Array.mapi (fun i x -> (n + i, x)) report.Resilient.predictions
             in
-            finish t req ~ctx ~queue_ms ~cache_hit:false ~attempts
-              ?certificate:(worst_certificate report)
-              ~diagnostics:report.Resilient.diagnostics
-              ~rung_ms:(flatten_rung_ms report) Served predictions
-        | Error reason ->
-            Breaker.record_failure t.breaker;
-            let diagnostics =
-              match !last_report with
-              | Some r -> r.Resilient.diagnostics
-              | None -> []
-            in
-            if Deadline.expired deadline then
-              expire t req ~ctx ~queue_ms ~deadline ~attempts ()
-            else
-              degraded_answer t req ~ctx ~queue_ms ~attempts ~diagnostics
-                reason)
+            finish t req ~ctx ~queue_ms ~cache_hit:false
+              ?certificate:(worst_certificate report) ~diagnostics Served
+              predictions
+          end
+          else failed ~diagnostics "unhealthy solve (failed certificate)")
 
 let process t ~ctx ~queue_ms (req : request) =
   let deadline =
@@ -456,7 +420,7 @@ let process t ~ctx ~queue_ms (req : request) =
         else Fault.busy_wait_ms inj.Fault.stall_ms;
         inj)
   in
-  if Deadline.expired deadline then expire t req ~ctx ~queue_ms ~deadline ()
+  if Deadline.expired deadline then expire t req ~ctx ~queue_ms ~deadline
   else
     match req.kind with
     | Relabel { vertex; label } ->
@@ -501,8 +465,7 @@ let handle t req =
 
 let shed t (req : request) reason =
   let ctx = make_ctx t req in
-  finish t req ~ctx ~queue_ms:0. ~cache_hit:false ~attempts:0 (Shed reason)
-    [||]
+  finish t req ~ctx ~queue_ms:0. ~cache_hit:false (Shed reason) [||]
 
 (* Single-worker FIFO admission over a pre-recorded arrival trace.
    [pending_finish] holds the finish times of admitted requests; its
@@ -563,7 +526,6 @@ let metrics t =
       s.deadline_expired;
     c "serve.solver_aborts" "solves cut short mid-CG by a deadline"
       s.solver_aborts;
-    c "serve.retried" "requests needing more than one attempt" s.retried;
     c "serve.relabels" "successful Sherman-Morrison downdates" s.relabels;
     c "serve.breaker_trips" "times the circuit breaker opened"
       s.breaker_trips;

@@ -19,9 +19,11 @@
       [should_stop] hook.
     + {b Serving} — clean queries and relabels hit the cached
       factorization (Sherman–Morrison updates, O(m²)); faulted or
-      cache-miss queries take the resilient full-solve path, wrapped in
-      {!Retry} (exponential backoff + jitter) and gated by the breaker.
-    + {b Degradation} — breaker open, retries exhausted, or budget gone:
+      cache-miss queries make one pass down the resilient full-solve
+      path's fallback chain, gated by the breaker.  The system is
+      positive semidefinite, so a solve that fails its certificate is
+      numerically singular and is not run again.
+    + {b Degradation} — breaker open, failed certificate, or budget gone:
       the response downgrades to the cached-factorization answer (label
       propagation from the last good state) or the labeled-mean
       imputation of Prop II.2, explicitly flagged [Degraded].
@@ -35,7 +37,7 @@
     virtual: on the monotonic clock the work itself takes the time, so
     these are ignored there. *)
 type costs = {
-  solve_ms : float;    (** charged when a full-solve attempt starts *)
+  solve_ms : float;    (** charged when a full solve starts *)
   cache_ms : float;    (** charged per cache-hit answer *)
   relabel_ms : float;  (** charged per Sherman–Morrison downdate *)
   poll_ms : float;
@@ -47,11 +49,10 @@ type costs = {
 type config = {
   queue_capacity : int;
   deadline_ms : float;
-  retry : Retry.policy;
   breaker_failures : int;
   breaker_cooldown_ms : float;
   costs : costs;
-  seed : int;  (** drives per-request fault injection and retry jitter *)
+  seed : int;  (** drives per-request fault injection and trace ids *)
   slo : Obs.Slo.config;
       (** latency/quality objectives for the engine's SLO tracker *)
 }
@@ -81,9 +82,6 @@ type response = {
   diagnostics : Robust.Check.diagnostic list;
   queue_ms : float;
   latency_ms : float;  (** arrival → completion, on the engine clock *)
-  rung_ms : (string * float) list;
-      (** wall-ms per fallback rung of the solve, when one ran *)
-  attempts : int;
   cache_hit : bool;
 }
 
@@ -93,7 +91,6 @@ type stats = {
   shed : int;
   deadline_expired : int;
   solver_aborts : int;   (** solves cut short mid-CG by a deadline *)
-  retried : int;         (** requests that needed more than one attempt *)
   relabels : int;        (** successful Sherman–Morrison downdates *)
   max_backlog : int;     (** deepest queue observed (bounded by capacity) *)
   breaker_trips : int;

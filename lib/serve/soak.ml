@@ -275,7 +275,6 @@ let digest_of responses =
              | Engine.Degraded _ -> 2
              | Engine.Shed _ -> 3))
       in
-      let h = combine h (Int64.of_int r.Engine.attempts) in
       let h = combine h (Int64.bits_of_float r.Engine.latency_ms) in
       Array.fold_left
         (fun h (v, x) ->
@@ -355,9 +354,8 @@ let describe (s : summary) =
   let st = s.stats in
   line "  served %d | degraded %d | shed %d" st.Engine.served st.Engine.degraded
     st.Engine.shed;
-  line "  deadline expired %d | cg aborts %d | retried %d | relabels %d"
-    st.Engine.deadline_expired st.Engine.solver_aborts st.Engine.retried
-    st.Engine.relabels;
+  line "  deadline expired %d | cg aborts %d | relabels %d"
+    st.Engine.deadline_expired st.Engine.solver_aborts st.Engine.relabels;
   line "  breaker trips %d (transitions %d) | cache hits/misses %d/%d | max backlog %d"
     st.Engine.breaker_trips st.Engine.breaker_transitions st.Engine.cache_hits
     st.Engine.cache_misses st.Engine.max_backlog;

@@ -2,8 +2,8 @@
 
     Every real-time reading in the libraries and the [repro] binary goes
     through {!now_ns}: span timings, the serve layer's monotonic clock,
-    the fallback ladder's rung timings, latency-stall busy-waits, the
-    pool's busy time and the harnesses' wall time.  It reads the
+    latency-stall busy-waits, the pool's busy time and the harnesses'
+    wall time.  It reads the
     operating system's monotonic clock, so a reading never runs
     backwards and NTP steps do not move it. *)
 

@@ -61,28 +61,6 @@ let test_unnormalized_laplacian () =
     l;
   check_vec "row sums zero" (Vec.zeros 3) (Mat.row_sums l)
 
-let test_normalized_laplacians () =
-  let g = G.of_dense path3 in
-  let lsym = L.dense ~kind:L.Symmetric_normalized g in
-  Alcotest.(check bool) "sym normalized symmetric" true (Mat.is_symmetric lsym);
-  check_float "diag is 1" 1. (Mat.get lsym 0 0);
-  let lrw = L.dense ~kind:L.Random_walk g in
-  check_vec "rw row sums zero" (Vec.zeros 3) (Mat.row_sums lrw);
-  (* zero-degree vertex rejects normalization *)
-  let isolated = G.of_dense (Mat.zeros 2 2) in
-  check_raises_invalid "zero degree" (fun () ->
-      ignore (L.dense ~kind:L.Symmetric_normalized isolated))
-
-let test_sparse_laplacian_agrees () =
-  let rng = Prng.Rng.create 4 in
-  let w = random_similarity rng 8 in
-  let g = G.of_dense w in
-  List.iter
-    (fun kind ->
-      check_mat ~tol:1e-10 "sparse = dense laplacian" (L.dense ~kind g)
-        (Sparse.Csr.to_dense (L.sparse ~kind g)))
-    [ L.Unnormalized; L.Symmetric_normalized; L.Random_walk ]
-
 let test_quadratic_energy () =
   let g = G.of_dense path3 in
   (* f = (0,1,2): sum_ij w_ij (fi-fj)^2 = 2*(1 + 1) = 4 with double counting *)
@@ -197,15 +175,13 @@ let suite =
       case "iter_edges" test_iter_edges;
       case "sparse storage agrees" test_sparse_graph_agrees;
       case "unnormalized laplacian" test_unnormalized_laplacian;
-      case "normalized laplacians" test_normalized_laplacians;
-      case "sparse laplacian agrees" test_sparse_laplacian_agrees;
+      case "connectivity" test_connectivity;
+      case "threshold connectivity" test_connectivity_threshold;
       case "quadratic energy" test_quadratic_energy;
       qprop "energy = 2 f'Lf" prop_energy_is_2fLf;
       qprop "laplacian PSD" prop_laplacian_psd;
       qprop "L 1 = 0" prop_laplacian_kernel_contains_ones;
       case "soft operator matches dense" test_operator_matches_dense;
-      case "connectivity" test_connectivity;
-      case "threshold connectivity" test_connectivity_threshold;
       case "bfs distances" test_bfs;
       case "spectral (path graph)" test_spectral;
       case "fiedler of disconnected" test_fiedler_disconnected;

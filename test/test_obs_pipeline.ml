@@ -194,8 +194,8 @@ let record_one ?(request = 1) ?(status = "served") ?(latency_ms = 5.) j =
   in
   Trace_ctx.with_span ctx "request" (fun () ->
       Trace_ctx.with_span ctx "solve" (fun () -> ()));
-  Journal.record j ~request ~status ~latency_ms ~queue_ms:0.5 ~attempts:1
-    ~cache_hit:false ctx
+  Journal.record j ~request ~status ~latency_ms ~queue_ms:0.5 ~cache_hit:false
+    ctx
 
 let test_journal_roundtrip () =
   let j = Journal.create () in
@@ -467,7 +467,7 @@ let test_two_domain_journal_hammer () =
       Journal.record j ~request
         ~status:(if r mod 3 = 0 then "degraded" else "served")
         ~latency_ms:(float_of_int r)
-        ~queue_ms:0. ~attempts:1 ~cache_hit:false ctx
+        ~queue_ms:0. ~cache_hit:false ctx
     done
   in
   let d1 = Domain.spawn (work 1) in

@@ -60,9 +60,9 @@ let unanchored_problem storage =
 
 let fallback_counters =
   [
-    "robust.fallback.dense_lu"; "robust.fallback.dense_qr";
-    "robust.fallback.dense_ridge"; "robust.fallback.cg_restart";
-    "robust.fallback.gauss_seidel"; "robust.fallback.dense_direct";
+    "robust.fallback.dense_qr"; "robust.fallback.dense_ridge";
+    "robust.fallback.cg_restart"; "robust.fallback.gauss_seidel";
+    "robust.fallback.dense_direct";
   ]
 
 let with_fresh_telemetry f =
@@ -230,10 +230,10 @@ let test_dense_chain_clean_stays_on_cholesky () =
     (Linalg.Lu.solve a [| 1.; 2. |])
     out.Rsolve.solution
 
-let test_dense_chain_indefinite_escalates_to_lu () =
+let test_dense_chain_indefinite_escalates_to_qr () =
   let a = Mat.of_rows [| [| 0.; 1. |]; [| 1.; 0. |] |] in
   let out = Rsolve.solve_dense a [| 1.; 1. |] in
-  Alcotest.(check string) "lu rung" "lu_refined"
+  Alcotest.(check string) "qr rung" "qr"
     (Rsolve.dense_rung_name out.Rsolve.rung);
   Alcotest.(check bool) "cholesky abandoned" true
     (List.exists
@@ -577,8 +577,8 @@ let suite =
       case "cg: solve_exn failure messages" test_cg_solve_exn_messages;
       case "dense chain: clean stays on cholesky"
         test_dense_chain_clean_stays_on_cholesky;
-      case "dense chain: indefinite -> lu_refined"
-        test_dense_chain_indefinite_escalates_to_lu;
+      case "dense chain: indefinite -> qr"
+        test_dense_chain_indefinite_escalates_to_qr;
       case "dense chain: singular is total" test_dense_chain_singular_is_total;
       case "sparse chain: clean stays on cg" test_sparse_chain_clean_stays_on_cg;
       case "sparse chain: breakdown -> gauss-seidel"
