@@ -106,6 +106,13 @@ trace-smoke:
 # every journal line against the span-tree schema via the standalone
 # checker, and render the one-shot dashboard in all three formats so a
 # broken exposition surface fails CI rather than paging someone later.
+# Last, `repro health` must print Model 1's pinned hard-solve residual,
+# and the starved rerun its Gauss-Seidel rung, its stagnation flag and
+# the two CG rungs it abandoned.  (The pins live in a variable because
+# an unbalanced parenthesis cannot be written inside $(call ...).)
+HEALTH_PINS = 'true residual      2.607e-14  (relative 6.940e-16)' \
+	'rung gauss_seidel' 'stagnated          true' \
+	'abandoned cg (' 'abandoned cg_restarted ('
 obs-smoke:
 	dune build bin/repro.exe bench/compare.exe
 	./_build/default/bin/repro.exe soak --requests 1200 --verify-replay \
@@ -114,6 +121,8 @@ obs-smoke:
 	./_build/default/bin/repro.exe top --requests 600 > /dev/null
 	./_build/default/bin/repro.exe top --requests 600 --format prometheus > /dev/null
 	./_build/default/bin/repro.exe top --requests 600 --format json > /dev/null
+	./_build/default/bin/repro.exe health > /tmp/gssl_health.txt
+	@$(call expect_digests,/tmp/gssl_health.txt,$(HEALTH_PINS))
 
 # Transport smoke: the hostile-client soak byte-replayed on the virtual
 # clock (pinned seed, where the response and journal digests must be the

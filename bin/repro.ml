@@ -565,24 +565,35 @@ let health_cmd =
           in
           problem
         in
-        let show_last title =
-          Printf.printf "== %s ==\n" title;
-          (match Obs.Health.last () with
-          | Some c -> print_string (Obs.Health.describe c)
-          | None -> print_endline "  (no certificate recorded)");
-          print_newline ()
+        let show title ~system sys x =
+          Printf.printf "== %s ==\n%s\n" title
+            (Obs.Health.describe
+               (Gssl.System.certify ~system ~rung:"cholesky" ~attempts:[]
+                  ~cond:true sys x))
         in
         let p1 = make_problem Dataset.Synthetic.Model1 in
-        let (_ : Linalg.Vec.t) = Gssl.Hard.solve ~observe:true p1 in
-        show_last "Model 1 / hard criterion (dense Cholesky)";
+        show "Model 1 / hard criterion (dense Cholesky)" ~system:"gssl.hard"
+          { Gssl.System.a = Gssl.System.Dense (Gssl.Hard.system_matrix p1);
+            b = Gssl.Hard.rhs p1 }
+          (Gssl.Hard.solve p1);
+        (* Model 2 is certified on the full (n+m) system
+           (V + lambda L) f = (Y; 0), through the matrix-free operator *)
         let p2 = make_problem Dataset.Synthetic.Model2 in
-        let (_ : Linalg.Vec.t) = Gssl.Soft.solve ~observe:true ~lambda p2 in
-        show_last
-          (Printf.sprintf "Model 2 / soft criterion (lambda = %g)" lambda);
+        show
+          (Printf.sprintf "Model 2 / soft criterion (lambda = %g)" lambda)
+          ~system:"gssl.soft"
+          { Gssl.System.a =
+              Gssl.System.Op
+                (Graph.Laplacian.operator ~lambda
+                   ~n_labeled:(Gssl.Problem.n_labeled p2) p2.Gssl.Problem.graph);
+            b =
+              Array.append p2.Gssl.Problem.labels
+                (Array.make (Gssl.Problem.n_unlabeled p2) 0.) }
+          (Gssl.Soft.solve_full ~lambda p2);
         (* The same Model 1 solve, starved: sparse storage so the fallback
            chain starts at CG, with the fault harness capping every CG
-           attempt.  The certificate must flag stagnation and the flight
-           recorder must show the escalation sequence. *)
+           attempt.  The certificate must flag stagnation and the report's
+           diagnostics must show the escalation sequence. *)
         let sparse_graph =
           Graph.Weighted_graph.of_sparse
             (Sparse.Csr.of_dense ~threshold:1e-8
@@ -615,20 +626,19 @@ let health_cmd =
               (Obs.Health.describe cert))
           report.Gssl.Resilient.certificates;
         print_newline ();
-        let events = Obs.Event.recent () in
+        let diagnostics = report.Gssl.Resilient.diagnostics in
         let quiet, notable =
           List.partition
-            (fun e ->
-              match e.Obs.Event.severity with
-              | Obs.Event.Debug | Obs.Event.Info -> true
-              | Obs.Event.Warning | Obs.Event.Error -> false)
-            events
+            (fun d -> Robust.Check.severity d = Robust.Check.Info)
+            diagnostics
         in
-        Printf.printf
-          "== Flight recorder: %d event(s) (%d dropped, %d info/debug \
-           suppressed) ==\n"
-          (List.length events) (Obs.Event.dropped ()) (List.length quiet);
-        List.iter (fun e -> print_endline (Obs.Event.describe e)) notable)
+        Printf.printf "== Diagnostics: %d finding(s) (%d info suppressed) ==\n"
+          (List.length diagnostics) (List.length quiet);
+        List.iter
+          (fun d ->
+            Printf.printf "%s: %s\n" (Robust.Check.class_name d)
+              (Robust.Check.describe d))
+          notable)
   in
   let term =
     Term.(const run $ seed_arg 7 $ cap_arg $ lambda_arg $ trace_out_arg)
@@ -637,10 +647,10 @@ let health_cmd =
     (Cmd.info "health"
        ~doc:
          "Numerical-health certificates: solve the paper's Model 1 (hard) \
-          and Model 2 (soft) synthetic problems with observation enabled, \
-          print the recomputed-residual certificates, then starve CG via \
-          the fault harness and show the stagnation certificate plus the \
-          flight-recorder escalation sequence.")
+          and Model 2 (soft) synthetic problems, print their \
+          recomputed-residual certificates, then starve CG via the fault \
+          harness and show the stagnation certificate plus the report's \
+          escalation sequence.")
     term
 
 (* long-lived serving layer: chaos soak replay and an interactive server *)

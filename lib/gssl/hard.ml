@@ -31,12 +31,7 @@ let rhs problem =
       done;
       !acc)
 
-let solver_name = function
-  | Cholesky -> "cholesky"
-  | Lu -> "lu"
-  | Cg _ -> "cg"
-
-let solve ?(solver = Cholesky) ?(observe = false) problem =
+let solve ?(solver = Cholesky) problem =
   Telemetry.Span.with_ "gssl.hard_solve" @@ fun () ->
   Telemetry.Counter.incr c_solves;
   let m = Problem.n_unlabeled problem in
@@ -45,20 +40,14 @@ let solve ?(solver = Cholesky) ?(observe = false) problem =
     check_anchored problem;
     let a = system_matrix problem in
     let b = rhs problem in
-    let x, attempts =
-      match solver with
-      | Cholesky -> (Linalg.Cholesky.solve a b, [])
-      | Lu -> (Linalg.Lu.solve a b, [])
-      | Cg { tol } ->
-          let out = Sparse.Cg.solve ~tol (Sparse.Linop.of_dense a) b in
-          (out.Sparse.Cg.solution, [ out ])
-    in
-    System.finish ~observe ~system:"gssl.hard" ~rung:(solver_name solver)
-      ~attempts { System.a = System.Dense a; b } x
+    match solver with
+    | Cholesky -> Linalg.Cholesky.solve a b
+    | Lu -> Linalg.Lu.solve a b
+    | Cg { tol } -> Sparse.Cg.solve_exn ~tol (Sparse.Linop.of_dense a) b
   end
 
-let solve_full ?solver ?observe problem =
-  Vec.concat (Vec.copy problem.Problem.labels) (solve ?solver ?observe problem)
+let solve_full ?solver problem =
+  Vec.concat (Vec.copy problem.Problem.labels) (solve ?solver problem)
 
 let energy problem f =
   if Array.length f <> Problem.size problem then

@@ -24,25 +24,18 @@ val check_anchored : Problem.t -> unit
 (** Raises [Unanchored_unlabeled v] with the smallest unlabeled vertex
     [v] whose component carries no label ({!Problem.anchored_mask}). *)
 
-val solve : ?solver:solver -> ?observe:bool -> Problem.t -> Linalg.Vec.t
+val solve : ?solver:solver -> Problem.t -> Linalg.Vec.t
 (** Scores on the unlabeled vertices, in graph order [n … n+m−1].
     Returns the empty vector when [m = 0].
     Raises [Unanchored_unlabeled] when the system is singular because
-    some unlabeled component has no labeled neighbour.
+    some unlabeled component has no labeled neighbour, and [Failure]
+    like {!Sparse.Cg.solve_exn} when the CG backend does not converge.
+    For a health certificate of the answer, pass it to {!System.certify}
+    with the system [{a = Dense (system_matrix p); b = rhs p}]. *)
 
-    [~observe:true] (default false — the default path pays one branch)
-    additionally records an [Obs.Health] certificate for the solve:
-    recomputed true residual, condition estimate of [D₂₂ − W₂₂], the
-    rung/solver used, and (for the CG backend) the convergence summary.
-    Read it back with [Obs.Health.last ()].  On an observed CG solve the
-    certificate is recorded {e before} the non-convergence [Failure] is
-    raised, so the flight recorder keeps the post-mortem. *)
-
-val solve_full : ?solver:solver -> ?observe:bool -> Problem.t -> Linalg.Vec.t
-(** The complete score vector: observed labels on [0 … n−1] (the hard
+val solve_full : ?solver:solver -> Problem.t -> Linalg.Vec.t
+(** The complete score vector: the labels [Y] on [0 … n−1] (the hard
     constraint) followed by the estimated scores. *)
-
-val solver_name : solver -> string
 
 val system_matrix : Problem.t -> Linalg.Mat.t
 (** [D₂₂ − W₂₂] — exposed for tests and the theory diagnostics. *)

@@ -127,8 +127,6 @@ let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind
     predictions.(v - n) <- mean;
     imputed := v :: !imputed;
     Telemetry.Counter.incr c_imputed;
-    Obs.Event.emit ~severity:Obs.Event.Warning "resilient.impute"
-      [ ("vertex", Obs.Event.Int v); ("value", Obs.Event.Float mean) ];
     extra := Check.Imputed_prediction { vertex = v; value = mean } :: !extra
   in
   List.iter
@@ -145,9 +143,7 @@ let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind
           rungs := (c, rung) :: !rungs;
           aborted := !aborted || comp_aborted;
           (match cert with
-          | Some cert ->
-              Obs.Health.record cert;
-              certificates := (c, cert) :: !certificates
+          | Some cert -> certificates := (c, cert) :: !certificates
           | None -> ());
           List.iter
             (fun { Rsolve.abandoned; reason } ->

@@ -62,10 +62,8 @@ val solve_hard :
     imputed.  [suspect_threshold] enables the leave-one-out label scan
     (see {!Robust.Check.scan}); [cg_max_iter] caps each CG attempt on
     sparse graphs, forcing the chain to escalate when too small.
-    [~observe:true] (default false) records an [Obs.Health] certificate
-    per solved component (returned in [certificates] and appended to
-    the global certificate log); imputations additionally emit
-    ["resilient.impute"] flight-recorder events.  [should_stop] is
+    [~observe:true] (default false) computes an [Obs.Health] certificate
+    per solved component, returned in [certificates].  [should_stop] is
     threaded into every component's fallback chain (polled each CG
     iteration and at rung boundaries); when it fires the report comes
     back with [aborted = true] and best-effort predictions. *)

@@ -65,8 +65,8 @@ let system_csr problem =
   done;
   (Sparse.Csr.of_coo coo, b)
 
-let solve_hard ?(tol = 1e-10) ?max_iter ?(observe = false)
-    ?(precond = `Jacobi) ?should_stop ?(unanchored = `Raise) problem =
+let solve_hard ?(tol = 1e-10) ?max_iter ?(precond = `Jacobi) ?should_stop
+    ?(unanchored = `Raise) problem =
   Telemetry.Span.with_ "gssl.scalable_solve" @@ fun () ->
   Telemetry.Counter.incr c_solves;
   (match precond with
@@ -106,13 +106,8 @@ let solve_hard ?(tol = 1e-10) ?max_iter ?(observe = false)
               Some (Sparse.Multigrid.precondition mg)
           | _ -> None (* `Jacobi: CG's default diagonal preconditioner *)
         in
-        let out =
-          Sparse.Cg.solve ~tol ?max_iter ?precond_apply ?should_stop
-            (System.operator sys.System.a) sys.System.b
-        in
-        let rung = match precond with `Jacobi -> "cg" | `Multigrid -> "mg_cg" in
-        System.finish ~observe ~system:"gssl.scalable" ~rung ~attempts:[ out ]
-          sys out.Sparse.Cg.solution
+        Sparse.Cg.solve_exn ~tol ?max_iter ?precond_apply ?should_stop
+          (System.operator sys.System.a) sys.System.b
       end
     in
     match anchored with

@@ -20,21 +20,14 @@ val system_lap : Problem.t -> Sparse.Csr.t * Linalg.Vec.t * Linalg.Vec.t
 val solve_hard :
   ?tol:float ->
   ?max_iter:int ->
-  ?observe:bool ->
   ?precond:[ `Jacobi | `Multigrid ] ->
   ?should_stop:(unit -> bool) ->
   ?unanchored:[ `Raise | `Impute ] ->
   Problem.t ->
   Linalg.Vec.t
 (** Hard-criterion scores on the unlabeled block via CG on the fused
-    system ([tol] default 1e-10).  Raises [Failure] when CG does not
-    converge.
-
-    [~observe:true] (default false) records an [Obs.Health] certificate
-    ({!System.certify}: recomputed residual, matrix-free condition
-    estimate, CG convergence summary) — on a failed solve it is recorded
-    {e before} the [Failure] is raised, so the stagnation evidence
-    survives.
+    system ([tol] default 1e-10).  Raises [Failure] like
+    {!Sparse.Cg.solve_exn} when CG does not converge.
 
     [precond] selects the CG preconditioner: [`Jacobi] (default, the
     operator diagonal) or [`Multigrid] — a symmetric V-cycle over a

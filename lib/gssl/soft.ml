@@ -95,11 +95,6 @@ let slice_unlabeled problem full =
   let n = Problem.n_labeled problem in
   Vec.slice full n (Problem.size problem - n)
 
-let method_name = function
-  | Full_cholesky -> "cholesky"
-  | Block -> "block"
-  | Cg _ -> "cg"
-
 (* Block: reconstruct the labeled part from the unlabeled part via the
    top block equation f_L = (I + λD11 − λW11)^{-1} (Y + λ W12 f_U). *)
 let solve_full_block ~lambda problem =
@@ -113,38 +108,23 @@ let solve_full_block ~lambda problem =
   let f_l = Linalg.Lu.solve top rhs in
   Vec.concat f_l f_u
 
-let solve_full ?(method_ = Full_cholesky) ?(observe = false) ~lambda problem =
+let solve_full ?(method_ = Full_cholesky) ~lambda problem =
   check_lambda lambda;
   Telemetry.Span.with_ "gssl.soft_solve_full" @@ fun () ->
   Telemetry.Counter.incr c_solves;
-  (* certificates cover the full (n+m) system (V + λL) f = (Y; 0), through
-     the matrix-free operator *)
-  let op = full_operator ~lambda problem in
-  let b = padded_labels problem in
-  let x, attempts =
-    match method_ with
-    | Full_cholesky -> (solve_full_cholesky ~lambda problem, [])
-    | Block -> (solve_full_block ~lambda problem, [])
-    | Cg { tol } ->
-        let out = Sparse.Cg.solve ~tol op b in
-        (out.Sparse.Cg.solution, [ out ])
-  in
-  System.finish ~observe ~system:"gssl.soft" ~rung:(method_name method_)
-    ~attempts { System.a = System.Op op; b } x
+  match method_ with
+  | Full_cholesky -> solve_full_cholesky ~lambda problem
+  | Block -> solve_full_block ~lambda problem
+  | Cg { tol } -> solve_full_cg ~tol ~lambda problem
 
-let solve ?(method_ = Full_cholesky) ?(observe = false) ~lambda problem =
+let solve ?(method_ = Full_cholesky) ~lambda problem =
   check_lambda lambda;
   Telemetry.Span.with_ "gssl.soft_solve" @@ fun () ->
   Telemetry.Counter.incr c_solves;
-  if observe then
-    (* route through the full system so the certificate covers the whole
-       (V + λL) solve; Block's unlabeled slice is identical by Eq. (4) *)
-    slice_unlabeled problem (solve_full ~method_ ~observe:true ~lambda problem)
-  else
-    match method_ with
-    | Block -> solve_block ~lambda problem
-    | Full_cholesky -> slice_unlabeled problem (solve_full_cholesky ~lambda problem)
-    | Cg { tol } -> slice_unlabeled problem (solve_full_cg ~tol ~lambda problem)
+  match method_ with
+  | Block -> solve_block ~lambda problem
+  | Full_cholesky -> slice_unlabeled problem (solve_full_cholesky ~lambda problem)
+  | Cg { tol } -> slice_unlabeled problem (solve_full_cg ~tol ~lambda problem)
 
 let objective ~lambda problem f =
   if Array.length f <> Problem.size problem then

@@ -14,24 +14,15 @@ type method_ =
   | Block           (** the paper's Eq. (4): two smaller solves via the Schur complement *)
   | Cg of { tol : float }  (** matrix-free CG on [V + λL] (never materialises it) *)
 
-val solve :
-  ?method_:method_ -> ?observe:bool -> lambda:float -> Problem.t -> Linalg.Vec.t
+val solve : ?method_:method_ -> lambda:float -> Problem.t -> Linalg.Vec.t
 (** Scores on the unlabeled vertices.  Raises [Invalid_argument] when
     [lambda <= 0]; [Failure] if the system is numerically singular
     (e.g. a disconnected unlabeled component, where the soft criterion
-    is also ill-posed).
+    is also ill-posed) or the CG method does not converge. *)
 
-    [~observe:true] (default false) records an [Obs.Health] certificate
-    for the full (n+m)×(n+m) system [(V + λL) f = (Y; 0)]: recomputed
-    true residual against the matrix-free operator, power-iteration
-    condition estimate, method rung, and (for CG) the convergence
-    summary.  The observed path always solves the full system (Block's
-    unlabeled slice coincides with it by Eq. 4). *)
-
-val solve_full :
-  ?method_:method_ -> ?observe:bool -> lambda:float -> Problem.t -> Linalg.Vec.t
+val solve_full : ?method_:method_ -> lambda:float -> Problem.t -> Linalg.Vec.t
 (** The complete (n+m) score vector — note the labeled scores are
-    *smoothed*, not equal to the observed responses (that is the point
+    *smoothed*, not equal to the labels [Y] (that is the point
     of the soft criterion). *)
 
 val system : lambda:float -> Problem.t -> System.t
@@ -40,13 +31,11 @@ val system : lambda:float -> Problem.t -> System.t
     [v_i + λ(d_i − w_ii)] and its stored off-diagonal weights [−λ w_ij])
     for a sparse one.  {!Resilient} restricts it to each component. *)
 
-val method_name : method_ -> string
-
 val objective : lambda:float -> Problem.t -> Linalg.Vec.t -> float
 (** The loss + penalty value of a full score vector:
     [Σ_{i≤n}(Y_i − f_i)² + (λ/2)·Σ_ij w_ij (f_i − f_j)²]. *)
 
 val lambda_infinity_limit : Problem.t -> float
-(** The λ→∞ prediction on a connected graph: the mean of the observed
-    responses — Proposition II.2's counterexample value.  Every unlabeled
+(** The λ→∞ prediction on a connected graph: the mean of the labels
+    [Y] — Proposition II.2's counterexample value.  Every unlabeled
     score converges to this constant as λ grows. *)

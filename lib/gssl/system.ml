@@ -90,9 +90,3 @@ let certify ~system ~rung ~attempts ~cond { a; b } x =
   in
   Obs.Health.certify ~system ~rung ?cond ?convergence:(convergence attempts)
     ~apply:op.Sparse.Linop.apply ~b x
-
-let finish ~observe ~system ~rung ~attempts sys x =
-  if observe then
-    Obs.Health.record (certify ~system ~rung ~attempts ~cond:true sys x);
-  List.iter (Sparse.Cg.ensure_converged (operator sys.a) sys.b) attempts;
-  x

@@ -47,17 +47,3 @@ val certify :
     final residual, the best residual any attempt reached.  A chain
     whose last attempt failed is flagged stagnated even when a later
     rung produced [x]. *)
-
-val finish :
-  observe:bool ->
-  system:string ->
-  rung:string ->
-  attempts:Sparse.Cg.outcome list ->
-  t ->
-  Linalg.Vec.t ->
-  Linalg.Vec.t
-(** The end of a solve: when [observe], record {!certify}'s certificate
-    with its condition estimate ({!Obs.Health.record}); then raise
-    [Failure] like {!Sparse.Cg.solve_exn} if a CG attempt did not
-    converge.  The certificate is recorded before the failure, so the
-    flight recorder keeps the post-mortem.  Returns [x]. *)

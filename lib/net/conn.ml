@@ -52,7 +52,7 @@ let create ?(config = default_config) ~engine ~fresh_id ~id () =
      ids share an integer space but must not share trace ids *)
   let trace_id = Ctx.derive_id ~seed:(seed lxor 0x636f6e6e) ~request:id in
   let ctx = Ctx.create ~now:(fun () -> Clock.now_ms clock) ~trace_id () in
-  let root = Ctx.open_span ctx "conn" ~fields:[ ("conn", Obs.Event.Int id) ] in
+  let root = Ctx.open_span ctx "conn" ~fields:[ ("conn", Ctx.Int id) ] in
   Transport.conn_opened tr;
   { id;
     config;
@@ -107,10 +107,10 @@ let finalize t reason =
     t.close_reason <- reason;
     Transport.conn_closed t.tr;
     Ctx.annotate t.root
-      [ ("frames", Obs.Event.Int t.frames);
-        ("rejected", Obs.Event.Int t.rejected);
-        ("responses", Obs.Event.Int t.responses);
-        ("reason", Obs.Event.Str reason) ];
+      [ ("frames", Ctx.Int t.frames);
+        ("rejected", Ctx.Int t.rejected);
+        ("responses", Ctx.Int t.responses);
+        ("reason", Ctx.Str reason) ];
     Ctx.close_span t.ctx t.root
   end
 
@@ -119,16 +119,16 @@ let shutdown t ~reason = finalize t reason
 let abort t ~reason =
   if t.state <> Closed then begin
     t.aborted <- true;
-    Transport.client_gone t.tr ~conn:t.id ~undelivered:(pending_len t);
+    Transport.client_gone t.tr;
     Ctx.event t.ctx "conn.client_gone"
-      ~fields:[ ("undelivered", Obs.Event.Int (pending_len t)) ];
+      ~fields:[ ("undelivered", Ctx.Int (pending_len t)) ];
     finalize t reason
   end
 
 let reject t ~code ~detail ~fatal =
   t.rejected <- t.rejected + 1;
   Transport.frame_rejected t.tr;
-  Ctx.event t.ctx "frame.rejected" ~fields:[ ("code", Obs.Event.Str code) ];
+  Ctx.event t.ctx "frame.rejected" ~fields:[ ("code", Ctx.Str code) ];
   enqueue t (J.render (Protocol.error_body ~code ~detail));
   if fatal then begin
     (* a framing fault loses the frame boundary: answer, flush, close *)
@@ -159,7 +159,7 @@ let handle_payload t ~arrival payload =
         t.frames <- t.frames + 1;
         Transport.frame_ok t.tr;
         Ctx.with_span t.ctx "frame"
-          ~fields:[ ("op", Obs.Event.Str (Protocol.op_name req)) ]
+          ~fields:[ ("op", Ctx.Str (Protocol.op_name req)) ]
           (fun () ->
             match req with
             | Protocol.Stats ->
@@ -183,7 +183,7 @@ let handle_payload t ~arrival payload =
                 in
                 Ctx.annotate_current
                   [ ("status",
-                     Obs.Event.Str (Engine.status_name r.Engine.status)) ];
+                     Ctx.Str (Engine.status_name r.Engine.status)) ];
                 enqueue t (J.render (Protocol.response_body r)))
 
 let on_bytes t data =
@@ -236,7 +236,7 @@ let tick t =
         t.io_expired <- true;
         Transport.io_deadline_expired t.tr;
         Ctx.event t.ctx "io.deadline_expired"
-          ~fields:[ ("phase", Obs.Event.Str "read") ];
+          ~fields:[ ("phase", Ctx.Str "read") ];
         reject t ~code:"io_deadline"
           ~detail:
             (Printf.sprintf "frame not completed within %.0f ms"
@@ -250,7 +250,7 @@ let tick t =
         t.io_expired <- true;
         Transport.io_deadline_expired t.tr;
         Ctx.event t.ctx "io.deadline_expired"
-          ~fields:[ ("phase", Obs.Event.Str "write") ];
+          ~fields:[ ("phase", Ctx.Str "write") ];
         finalize t "write deadline expired"
     | _ -> ()
   end

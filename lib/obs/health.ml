@@ -99,51 +99,6 @@ let cond_estimate ?(iterations = 12) ~dim ~apply ~solve () =
     then largest *. inv_largest
     else Float.infinity
 
-(* ---------------- global certificate log ---------------- *)
-
-(* Newest first; trimmed amortised so [record] stays O(1). *)
-let log_cap = 256
-let log_ : t list ref = ref []
-let log_len = ref 0
-
-let clear () =
-  log_ := [];
-  log_len := 0
-
-let () = Telemetry.Registry.on_reset clear
-
-let record c =
-  log_ := c :: !log_;
-  incr log_len;
-  if !log_len > 2 * log_cap then begin
-    log_ := List.filteri (fun i _ -> i < log_cap) !log_;
-    log_len := log_cap
-  end;
-  Event.emit
-    ~severity:(if healthy c then Event.Info else Event.Warning)
-    "health.certificate"
-    ([
-       ("system", Event.Str c.system);
-       ("dim", Event.Int c.dim);
-       ("true_residual", Event.Float c.true_residual);
-       ("rel_residual", Event.Float c.rel_residual);
-     ]
-    @ (match c.rung with Some r -> [ ("rung", Event.Str r) ] | None -> [])
-    @ (match c.cond_estimate with
-      | Some k -> [ ("cond_estimate", Event.Float k) ]
-      | None -> [])
-    @
-    match c.convergence with
-    | Some cv ->
-        [
-          ("iterations", Event.Int cv.iterations);
-          ("stagnated", Event.Bool cv.stagnated);
-        ]
-    | None -> [])
-
-let last () = match !log_ with [] -> None | c :: _ -> Some c
-let recent () = List.rev !log_
-
 let describe c =
   let b = Buffer.create 128 in
   Buffer.add_string b

@@ -14,10 +14,9 @@
       stagnation flag (set when the solver gave up before converging or
       finished far above its own best residual).
 
-    Certificates are appended to a bounded global log ({!record} /
-    {!recent} / {!last}) and mirrored as ["health.certificate"] events
-    in the flight recorder.  The log is cleared by
-    [Telemetry.Registry.reset].
+    A certificate is a plain value returned to the caller that asked
+    for it: [Gssl.System.certify], [Gssl.Resilient]'s report, the
+    serving engine's response.
 
     All operators are passed as [Vec.t -> Vec.t] closures so this
     module stays below [sparse]/[gssl] in the dependency order. *)
@@ -75,15 +74,6 @@ val cond_estimate :
 (** κ₂ estimate by power iteration (default 12 steps each) on [apply]
     (largest eigenvalue) and on [solve ≡ A⁻¹·] (reciprocal of the
     smallest).  Returns [infinity] when either estimate degenerates. *)
-
-val record : t -> unit
-(** Append to the global certificate log (kept even while telemetry is
-    disabled — the caller already opted in via an [~observe] flag) and
-    emit a ["health.certificate"] flight-recorder event. *)
-
-val last : unit -> t option
-val recent : unit -> t list
-(** Logged certificates, oldest first (bounded). *)
 
 val describe : t -> string
 (** Multi-line human-readable rendering. *)

@@ -96,26 +96,39 @@ let p99 t = percentile t 99.
 
 (* ---------------- global named histograms ---------------- *)
 
+(* Shared across domains (CG solves on sweep workers record
+   [cg.iterations]), so every access to the table and to the histograms
+   in it holds [table_lock]; readers get copies. *)
 let table : (string, t) Hashtbl.t = Hashtbl.create 16
-let () = Telemetry.Registry.on_reset (fun () -> Hashtbl.reset table)
+let table_lock = Mutex.create ()
+let locked f = Mutex.protect table_lock f
+
+let () =
+  Telemetry.Registry.on_reset (fun () -> locked (fun () -> Hashtbl.reset table))
+
+let copy h =
+  let buckets = Hashtbl.create (Hashtbl.length h.buckets) in
+  Hashtbl.iter (fun i r -> Hashtbl.replace buckets i (ref !r)) h.buckets;
+  { h with buckets }
 
 let observe name v =
-  if !Telemetry.Registry.enabled then begin
-    let h =
-      match Hashtbl.find_opt table name with
-      | Some h -> h
-      | None ->
-          let h = create () in
-          Hashtbl.add table name h;
-          h
-    in
-    add h v
-  end
+  if !Telemetry.Registry.enabled then
+    locked (fun () ->
+        let h =
+          match Hashtbl.find_opt table name with
+          | Some h -> h
+          | None ->
+              let h = create () in
+              Hashtbl.add table name h;
+              h
+        in
+        add h v)
 
-let find name = Hashtbl.find_opt table name
+let find name = locked (fun () -> Option.map copy (Hashtbl.find_opt table name))
 
 let snapshot () =
-  Hashtbl.fold (fun name h acc -> (name, h) :: acc) table []
+  locked (fun () ->
+      Hashtbl.fold (fun name h acc -> (name, copy h) :: acc) table [])
   |> List.sort compare
 
 (* Span latencies: one histogram per span path, values in milliseconds.

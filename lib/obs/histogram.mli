@@ -40,11 +40,13 @@ val p99 : t -> float
 
 val observe : string -> float -> unit
 (** Record into the global named histogram (no-op while telemetry is
-    disabled). *)
+    disabled).  The table is locked, so domains may record at once. *)
 
 val find : string -> t option
+(** A copy of the named histogram. *)
+
 val snapshot : unit -> (string * t) list
-(** All named histograms, sorted by name. *)
+(** Copies of all named histograms, sorted by name. *)
 
 val attach_to_spans : unit -> unit
 (** Subscribe the named table to [Telemetry.Span.on_complete]: each

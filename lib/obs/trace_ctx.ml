@@ -17,13 +17,15 @@
    concurrent requests on different domains never splice into each
    other's trees. *)
 
+type value = Bool of bool | Int of int | Float of float | Str of string
+
 type span = {
   id : int;  (* allocation index; causal order *)
   parent : int;  (* -1 for a root *)
   name : string;
   start_ms : float;
   mutable dur_ms : float;  (* nan while the span is open *)
-  mutable fields : (string * Event.value) list;
+  mutable fields : (string * value) list;
 }
 
 type t = {
@@ -45,7 +47,6 @@ let create ?(now = default_now) ~trace_id () =
   { trace_id; now; spans_rev = []; next_id = 0; stack = [] }
 
 let trace_id t = t.trace_id
-let n_spans t = t.next_id
 
 let open_span t ?(fields = []) name =
   let parent = match t.stack with [] -> -1 | s :: _ -> s.id in
@@ -119,6 +120,12 @@ let annotate_current fields =
 
 (* ---------------- export ---------------- *)
 
+let value_json = function
+  | Bool b -> Telemetry.Export.Bool b
+  | Int i -> Telemetry.Export.Num (float_of_int i)
+  | Float v -> Telemetry.Export.Num v
+  | Str s -> Telemetry.Export.Str s
+
 let span_json s =
   let open Telemetry.Export in
   Obj
@@ -129,7 +136,7 @@ let span_json s =
       ("start_ms", Num s.start_ms);
       ("dur_ms", Num (if Float.is_nan s.dur_ms then 0. else s.dur_ms));
       ( "fields",
-        Obj (List.map (fun (k, v) -> (k, Event.value_json v)) s.fields) );
+        Obj (List.map (fun (k, v) -> (k, value_json v)) s.fields) );
     ]
 
 let to_json t =
@@ -149,10 +156,10 @@ let combine_string h s =
   !h
 
 let combine_value h = function
-  | Event.Bool b -> combine h (if b then 1L else 0L)
-  | Event.Int i -> combine h (Int64.of_int i)
-  | Event.Float v -> combine h (Int64.bits_of_float v)
-  | Event.Str s -> combine_string h s
+  | Bool b -> combine h (if b then 1L else 0L)
+  | Int i -> combine h (Int64.of_int i)
+  | Float v -> combine h (Int64.bits_of_float v)
+  | Str s -> combine_string h s
 
 let digest t =
   List.fold_left

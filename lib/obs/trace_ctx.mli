@@ -9,13 +9,16 @@
     domain-local, so concurrent requests on different domains never
     corrupt each other's trees. *)
 
+type value = Bool of bool | Int of int | Float of float | Str of string
+(** A span field's value. *)
+
 type span = private {
   id : int;  (** allocation index; [parent < id] always holds *)
   parent : int;  (** [-1] for a root span *)
   name : string;
   start_ms : float;
   mutable dur_ms : float;  (** [nan] while open, [>= 0] once closed *)
-  mutable fields : (string * Event.value) list;
+  mutable fields : (string * value) list;
 }
 
 type t
@@ -32,19 +35,18 @@ val create : ?now:(unit -> float) -> trace_id:int64 -> unit -> t
     telemetry wall clock.  Pass the serve clock for determinism. *)
 
 val trace_id : t -> int64
-val n_spans : t -> int
 
-val open_span : t -> ?fields:(string * Event.value) list -> string -> span
+val open_span : t -> ?fields:(string * value) list -> string -> span
 val close_span : t -> span -> unit
 (** Closing a span also closes any still-open descendants, so the
     recorded tree is always total.  Idempotent. *)
 
 val with_span :
-  t -> ?fields:(string * Event.value) list -> string -> (unit -> 'a) -> 'a
+  t -> ?fields:(string * value) list -> string -> (unit -> 'a) -> 'a
 
-val annotate : span -> (string * Event.value) list -> unit
+val annotate : span -> (string * value) list -> unit
 
-val event : t -> ?fields:(string * Event.value) list -> string -> unit
+val event : t -> ?fields:(string * value) list -> string -> unit
 (** Zero-duration span: a point event in causal position. *)
 
 val spans : t -> span list
@@ -58,13 +60,13 @@ val with_current : t -> (unit -> 'a) -> 'a
 val current : unit -> t option
 
 val in_span :
-  ?fields:(string * Event.value) list -> string -> (unit -> 'a) -> 'a
+  ?fields:(string * value) list -> string -> (unit -> 'a) -> 'a
 (** Span on the ambient trace; plain call when no trace is installed. *)
 
-val mark : ?fields:(string * Event.value) list -> string -> unit
+val mark : ?fields:(string * value) list -> string -> unit
 (** Point event on the ambient trace; no-op when none is installed. *)
 
-val annotate_current : (string * Event.value) list -> unit
+val annotate_current : (string * value) list -> unit
 (** Add fields to the innermost open span of the ambient trace. *)
 
 (** {2 Export} *)

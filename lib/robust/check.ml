@@ -137,20 +137,6 @@ let scan_suspects ~threshold g y acc =
   done;
   !acc
 
-(* Mirror a diagnostic into the flight recorder (no-op while telemetry
-   is disabled), so `repro health` and post-mortems see scan findings
-   next to the solver events they explain. *)
-let emit_event d =
-  let sev =
-    match severity d with
-    | Info -> Obs.Event.Info
-    | Warning -> Obs.Event.Warning
-    | Error -> Obs.Event.Error
-  in
-  Obs.Event.emit ~severity:sev
-    ("check." ^ class_name d)
-    [ ("detail", Obs.Event.Str (describe d)) ]
-
 let scan ?suspect_threshold g y =
   let acc = scan_weights g [] in
   let acc = scan_labels y acc in
@@ -160,6 +146,4 @@ let scan ?suspect_threshold g y =
     | None -> acc
     | Some threshold -> scan_suspects ~threshold g y acc
   in
-  let diagnostics = List.rev acc in
-  List.iter emit_event diagnostics;
-  diagnostics
+  List.rev acc

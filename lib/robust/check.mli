@@ -65,8 +65,4 @@ val scan :
     [suspect_threshold] additionally enables the leave-one-out label
     scan: labeled vertex [i] is flagged when its weighted-neighbour
     estimate differs from [y_i] by more than the threshold.  Off by
-    default because it is a statistical test, not an invariant.
-
-    While telemetry is enabled, each diagnostic is also mirrored into
-    the [Obs.Event] flight recorder as a ["check.<class>"] event with
-    matching severity. *)
+    default because it is a statistical test, not an invariant. *)

@@ -19,17 +19,6 @@ type 'rung outcome = {
   aborted : bool;
 }
 
-(* Satellite of the flight recorder: every escalation also lands as a
-   structured event carrying the failure reason of the abandoned rung,
-   so a post-mortem can read the rung sequence in order. *)
-let emit_escalation ~chain abandoned reason =
-  Obs.Event.emit ~severity:Obs.Event.Warning "robust.escalate"
-    [
-      ("chain", Obs.Event.Str chain);
-      ("abandoned", Obs.Event.Str abandoned);
-      ("reason", Obs.Event.Str reason);
-    ]
-
 (* One counter per fallback rung, incremented when the rung is entered as
    a fallback (never for the first rung of a chain), so a clean solve
    leaves every robust.fallback.* counter at zero. *)
@@ -66,7 +55,6 @@ let solve_dense ?(should_stop = fun () -> false) a b =
   let escalations = ref [] in
   let aborted = ref false in
   let note abandoned reason =
-    emit_escalation ~chain:"dense" abandoned reason;
     escalations := { abandoned; reason } :: !escalations
   in
   let finish rung solution =
@@ -151,7 +139,6 @@ let solve_sparse ?(tol = 1e-10) ?cg_max_iter ?(should_stop = fun () -> false)
   let escalations = ref [] in
   let aborted = ref false in
   let note abandoned reason =
-    emit_escalation ~chain:"sparse" abandoned reason;
     escalations := { abandoned; reason } :: !escalations
   in
   (* every CG outcome along the chain, oldest first, so callers can

@@ -2,13 +2,13 @@
 
     Every rung failure escalates to a cheaper-assumption (more expensive
     or less accurate) method and is recorded in the returned
-    [escalations] list, in a [robust.fallback.*] telemetry counter, and
-    as a ["robust.escalate"] flight-recorder event carrying the
-    abandoned rung and its failure reason, so degradation is visible
-    both in [--profile] output and in [Obs.Event.recent ()].  Neither entry
-    point raises on degenerate systems: the dense chain bottoms out in a
-    ridge-regularised solve (zeros as the absolute last resort), the
-    sparse chain bottoms out in the dense chain.
+    [escalations] list (the abandoned rung and its failure reason, in
+    order) and in a [robust.fallback.*] telemetry counter, so
+    degradation is visible both to the caller and in [--profile]
+    output.  Neither entry point raises on degenerate systems: the
+    dense chain bottoms out in a ridge-regularised solve (zeros as the
+    absolute last resort), the sparse chain bottoms out in the dense
+    chain.
 
     Chains:
     - dense:  Cholesky → QR least-squares → ridge

@@ -48,12 +48,7 @@ let trip t =
   set_state t Open;
   t.opened_at_ms <- Clock.now_ms t.clock;
   t.trips <- t.trips + 1;
-  Telemetry.Counter.incr c_trips;
-  Obs.Event.emit ~severity:Obs.Event.Warning "serve.breaker_open"
-    [
-      ("consecutive_failures", Obs.Event.Int t.consecutive_failures);
-      ("cooldown_ms", Obs.Event.Float t.cooldown_ms);
-    ]
+  Telemetry.Counter.incr c_trips
 
 let record_success t =
   t.consecutive_failures <- 0;

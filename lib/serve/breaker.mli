@@ -4,8 +4,8 @@
     timer threads, deterministic under virtual time):
 
     - [Closed]: traffic flows; [failure_threshold] {e consecutive}
-      failures trip it open (a ["serve.breaker_open"] flight-recorder
-      event and a [serve.breaker_trips] counter mark each trip).
+      failures trip it open ({!trips} and the [serve.breaker_trips]
+      counter count each trip).
     - [Open]: {!allow} refuses — the engine answers from the cached
       factorization / labeled mean instead of burning solver time — until
       [cooldown_ms] elapses, after which the breaker turns [Half_open].

@@ -190,9 +190,9 @@ let make_ctx t (req : request) =
     (Trace_ctx.open_span ctx "request"
        ~fields:
          [
-           ("id", Obs.Event.Int req.id);
-           ("kind", Obs.Event.Str kind);
-           ("faults", Obs.Event.Int (List.length req.faults));
+           ("id", Trace_ctx.Int req.id);
+           ("kind", Trace_ctx.Str kind);
+           ("faults", Trace_ctx.Int (List.length req.faults));
          ]);
   ctx
 
@@ -240,16 +240,12 @@ let finish t (req : request) ~ctx ~queue_ms ~cache_hit ?certificate
   | Served ->
       t.st.s_served <- t.st.s_served + 1;
       Telemetry.Counter.incr c_served
-  | Degraded reason ->
+  | Degraded _ ->
       t.st.s_degraded <- t.st.s_degraded + 1;
-      Telemetry.Counter.incr c_degraded;
-      Obs.Event.emit ~severity:Obs.Event.Warning "serve.degraded"
-        [ ("id", Obs.Event.Int req.id); ("reason", Obs.Event.Str reason) ]
-  | Shed reason ->
+      Telemetry.Counter.incr c_degraded
+  | Shed _ ->
       t.st.s_shed <- t.st.s_shed + 1;
-      Telemetry.Counter.incr c_shed;
-      Obs.Event.emit ~severity:Obs.Event.Warning "serve.shed"
-        [ ("id", Obs.Event.Int req.id); ("reason", Obs.Event.Str reason) ]);
+      Telemetry.Counter.incr c_shed);
   let latency_ms =
     match status with
     | Shed _ -> 0.
@@ -274,14 +270,14 @@ let finish t (req : request) ~ctx ~queue_ms ~cache_hit ?certificate
   | root :: _ ->
       Trace_ctx.annotate root
         ([
-           ("status", Obs.Event.Str (status_name status));
-           ("latency_ms", Obs.Event.Float latency_ms);
-           ("queue_ms", Obs.Event.Float queue_ms);
-           ("cache_hit", Obs.Event.Bool cache_hit);
+           ("status", Trace_ctx.Str (status_name status));
+           ("latency_ms", Trace_ctx.Float latency_ms);
+           ("queue_ms", Trace_ctx.Float queue_ms);
+           ("cache_hit", Trace_ctx.Bool cache_hit);
          ]
         @ match reason with
           | None -> []
-          | Some r -> [ ("reason", Obs.Event.Str r) ]);
+          | Some r -> [ ("reason", Trace_ctx.Str r) ]);
       Trace_ctx.close_span ctx root
   | [] -> ());
   (match t.journal with
@@ -356,7 +352,7 @@ let full_solve t (req : request) ~ctx ~queue_ms ~deadline
       ~fields:
         [
           ( "breaker",
-            Obs.Event.Str (Breaker.state_name (Breaker.state t.breaker)) );
+            Trace_ctx.Str (Breaker.state_name (Breaker.state t.breaker)) );
         ]
       (fun () ->
         let failed ?diagnostics reason =
@@ -413,7 +409,7 @@ let process t ~ctx ~queue_ms (req : request) =
         in
         if inj.Fault.stall_ms > 0. then
           Trace_ctx.annotate_current
-            [ ("stall_ms", Obs.Event.Float inj.Fault.stall_ms) ];
+            [ ("stall_ms", Trace_ctx.Float inj.Fault.stall_ms) ];
         (* a stall is busy time: on the real clock the worker spins *)
         if Clock.is_virtual t.clock then
           Clock.advance t.clock inj.Fault.stall_ms
@@ -430,7 +426,7 @@ let process t ~ctx ~queue_ms (req : request) =
             "non-finite relabel rejected"
         else
           Trace_ctx.with_span ctx "relabel"
-            ~fields:[ ("vertex", Obs.Event.Int vertex) ]
+            ~fields:[ ("vertex", Trace_ctx.Int vertex) ]
             (fun () ->
               match find_warm t with
               | None ->

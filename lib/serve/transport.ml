@@ -51,12 +51,9 @@ let frame_rejected t =
   t.frames_rejected <- t.frames_rejected + 1;
   Telemetry.Counter.incr c_rejected
 
-let client_gone t ~conn ~undelivered =
+let client_gone t =
   t.client_gone <- t.client_gone + 1;
-  Telemetry.Counter.incr c_client_gone;
-  Obs.Event.emit ~severity:Obs.Event.Warning "serve.transport.client_gone"
-    [ ("conn", Obs.Event.Int conn);
-      ("undelivered_bytes", Obs.Event.Int undelivered) ]
+  Telemetry.Counter.incr c_client_gone
 
 let io_deadline_expired t =
   t.io_deadline_expired <- t.io_deadline_expired + 1;

@@ -33,8 +33,7 @@ val conn_closed : t -> unit
 val frame_ok : t -> unit
 val frame_rejected : t -> unit
 
-val client_gone : t -> conn:int -> undelivered:int -> unit
-(** Also emits a [serve.transport.client_gone] warning event. *)
+val client_gone : t -> unit
 
 val io_deadline_expired : t -> unit
 val overflow_shed : t -> unit

@@ -112,20 +112,6 @@ let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
     done;
     let converged = (not !breakdown) && (not !aborted) && !res <= threshold in
     if converged then Telemetry.Counter.incr c_converged;
-    if !breakdown then
-      Obs.Event.emit ~severity:Obs.Event.Warning "cg.breakdown"
-        [
-          ("dim", Obs.Event.Int n);
-          ("iterations", Obs.Event.Int !iterations);
-          ("residual", Obs.Event.Float !res);
-        ];
-    if !aborted then
-      Obs.Event.emit ~severity:Obs.Event.Warning "cg.abort"
-        [
-          ("dim", Obs.Event.Int n);
-          ("iterations", Obs.Event.Int !iterations);
-          ("residual", Obs.Event.Float !res);
-        ];
     { solution = x; iterations = !iterations; residual_norm = !res;
       best_residual = !best; true_residual = recompute_true_residual op b x;
       converged; breakdown = !breakdown; aborted = !aborted }
@@ -136,7 +122,7 @@ let solve ?x0 ?tol ?max_iter ?precondition ?precond_apply ?should_stop op b =
       (* also a span on the ambient request trace (when a serve-layer
          Trace_ctx is installed), annotated with the solve's outcome *)
       Obs.Trace_ctx.in_span "cg.solve"
-        ~fields:[ ("dim", Obs.Event.Int op.Linop.dim) ]
+        ~fields:[ ("dim", Obs.Trace_ctx.Int op.Linop.dim) ]
         (fun () ->
           let out =
             solve_impl ?x0 ?tol ?max_iter ?precondition ?precond_apply
@@ -147,10 +133,10 @@ let solve ?x0 ?tol ?max_iter ?precondition ?precond_apply ?should_stop op b =
           Obs.Histogram.observe "cg.iterations" (float_of_int out.iterations);
           Obs.Trace_ctx.annotate_current
             [
-              ("iterations", Obs.Event.Int out.iterations);
-              ("converged", Obs.Event.Bool out.converged);
-              ("aborted", Obs.Event.Bool out.aborted);
-              ("residual", Obs.Event.Float out.residual_norm);
+              ("iterations", Obs.Trace_ctx.Int out.iterations);
+              ("converged", Obs.Trace_ctx.Bool out.converged);
+              ("aborted", Obs.Trace_ctx.Bool out.aborted);
+              ("residual", Obs.Trace_ctx.Float out.residual_norm);
             ];
           out))
 

@@ -19,16 +19,13 @@ type outcome = {
   breakdown : bool;
       (** [pᵀAp ≤ 0] (or NaN) was observed: the operator is not SPD along
           some search direction.  Distinct from running out of iterations —
-          restarting cannot fix a breakdown, only a different solver can.
-          Breakdowns are also reported as ["cg.breakdown"] events in the
-          [Obs.Event] flight recorder. *)
+          restarting cannot fix a breakdown, only a different solver can. *)
   aborted : bool;
       (** the [should_stop] callback returned [true] between iterations and
           the solve stopped early with the best iterate so far.  Distinct
           from both breakdown and plain non-convergence: the caller asked
           for the stop (deadline expiry, cancellation), so retrying with a
-          fresh budget may well succeed.  Aborts are also reported as
-          ["cg.abort"] events in the [Obs.Event] flight recorder. *)
+          fresh budget may well succeed. *)
 }
 
 val solve :
@@ -73,8 +70,3 @@ val solve_exn :
     message reports the system dimension, iteration count, final residual
     norm and ‖b‖, and distinguishes non-SPD breakdown from plain
     non-convergence. *)
-
-val ensure_converged : Linop.t -> Linalg.Vec.t -> outcome -> unit
-(** Raise the same [Failure] {!solve_exn} would for an unconverged
-    outcome; no-op on a converged one.  Lets callers inspect the outcome
-    (e.g. record a health certificate) before enforcing convergence. *)

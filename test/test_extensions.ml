@@ -59,8 +59,12 @@ let prop_path_collapse_trend seed =
   && last.Path.distance_to_collapse < 0.01
 
 let prop_path_continuity seed =
-  (* on a fine grid the max step is small relative to the total hard ->
-     collapse travel: the continuity the paper's argument invokes *)
+  (* on a fine grid the max step is small relative to how far the path
+     travels from the hard solution: the continuity the paper's argument
+     invokes.  The scale is the largest distance along the path, not the
+     distance at its last point: when the hard answer lies near the label
+     mean the path swings out and comes back, and the last point sits
+     close to where it started. *)
   let rng = Prng.Rng.create seed in
   let n = 3 + Prng.Rng.int rng 6 and m = 1 + Prng.Rng.int rng 5 in
   let p = random_problem rng n m in
@@ -69,10 +73,12 @@ let prop_path_continuity seed =
       (Array.init 60 (fun i -> exp (log 1e-4 +. (float_of_int i /. 59. *. log 1e7))))
   in
   let path = Path.compute ~lambdas:fine p in
-  let total =
-    path.Path.points.(Array.length path.Path.points - 1).Path.distance_to_hard
+  let travel =
+    Array.fold_left
+      (fun acc pt -> Float.max acc pt.Path.distance_to_hard)
+      0. path.Path.points
   in
-  Path.max_step path <= Stdlib.max (0.35 *. total) 1e-6
+  Path.max_step path <= Stdlib.max (0.35 *. travel) 1e-6
 
 let prop_path_leaves_hard seed =
   (* distance to the hard solution starts at zero and is largest in the

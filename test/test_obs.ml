@@ -1,6 +1,6 @@
-(* Observability layer: flight-recorder events, numerical-health
-   certificates, log-bucketed histograms, the Chrome-trace exporter, and
-   the bench regression gate. *)
+(* Observability layer: numerical-health certificates, log-bucketed
+   histograms, the Chrome-trace exporter, and the bench regression
+   gate. *)
 
 open Test_util
 module Vec = Linalg.Vec
@@ -8,7 +8,6 @@ module Mat = Linalg.Mat
 module T_registry = Telemetry.Registry
 module T_span = Telemetry.Span
 module Export = Telemetry.Export
-module Event = Obs.Event
 module Health = Obs.Health
 module Histogram = Obs.Histogram
 module Chrome_trace = Obs.Chrome_trace
@@ -19,84 +18,6 @@ let with_clean_registry f =
   T_registry.with_enabled (fun () ->
       T_registry.reset ();
       Fun.protect ~finally:T_registry.reset f)
-
-(* ---------- flight recorder ---------- *)
-
-let test_event_ring_semantics () =
-  with_clean_registry (fun () ->
-      Event.emit "a" [];
-      Event.emit ~severity:Event.Warning "b" [ ("k", Event.Int 1) ];
-      let evs = Event.recent () in
-      Alcotest.(check int) "two buffered" 2 (List.length evs);
-      Alcotest.(check int) "oldest first" 0 (List.hd evs).Event.seq;
-      (match Event.last () with
-      | Some e -> (
-          Alcotest.(check string) "last name" "b" e.Event.name;
-          match Event.field e "k" with
-          | Some (Event.Int 1) -> ()
-          | _ -> Alcotest.fail "field k lost")
-      | None -> Alcotest.fail "no last event");
-      Alcotest.(check int) "nothing dropped" 0 (Event.dropped ());
-      T_registry.reset ();
-      Alcotest.(check int) "reset clears the ring" 0
-        (List.length (Event.recent ())))
-
-let test_event_ring_overwrites_oldest () =
-  with_clean_registry (fun () ->
-      let original = Event.capacity () in
-      Fun.protect
-        ~finally:(fun () -> Event.set_capacity original)
-        (fun () ->
-          Event.set_capacity 4;
-          for i = 0 to 9 do
-            Event.emit "tick" [ ("i", Event.Int i) ]
-          done;
-          Alcotest.(check int) "emitted counts all" 10 (Event.emitted ());
-          Alcotest.(check int) "dropped = emitted - capacity" 6
-            (Event.dropped ());
-          let is =
-            List.map
-              (fun e ->
-                match Event.field e "i" with
-                | Some (Event.Int i) -> i
-                | _ -> -1)
-              (Event.recent ())
-          in
-          Alcotest.(check (list int)) "keeps the newest, oldest first"
-            [ 6; 7; 8; 9 ] is);
-      check_raises_invalid "capacity must be positive" (fun () ->
-          Event.set_capacity 0))
-
-let test_event_disabled_noop () =
-  T_registry.reset ();
-  let before = Event.emitted () in
-  Event.emit "ghost" [];
-  Alcotest.(check int) "disabled emit is dropped" before (Event.emitted ())
-
-let test_event_json_weird_names () =
-  with_clean_registry (fun () ->
-      let name = "ev\"quote\\back\xc3\xa9" in
-      let key = "f\"ield" in
-      let value = "v\\al\xffue" in
-      Event.emit name [ (key, Event.Str value) ];
-      let rendered = Export.render (Event.events_json ()) in
-      String.iter
-        (fun c ->
-          if Char.code c >= 0x80 then
-            Alcotest.fail "rendered event JSON must be pure ASCII")
-        rendered;
-      match Export.parse rendered with
-      | Export.Arr [ e ] -> (
-          (match Export.member "name" e with
-          | Some (Export.Str n) ->
-              Alcotest.(check string) "name round-trips" name n
-          | _ -> Alcotest.fail "name missing");
-          match Export.member "fields" e with
-          | Some (Export.Obj [ (k, Export.Str v) ]) ->
-              Alcotest.(check string) "field key round-trips" key k;
-              Alcotest.(check string) "field value round-trips" value v
-          | _ -> Alcotest.fail "fields missing")
-      | _ -> Alcotest.fail "expected a one-event array")
 
 (* ---------- health certificates ---------- *)
 
@@ -138,24 +59,6 @@ let test_health_cond_estimate_diagonal () =
   let inv = Mat.of_arrays [| [| 1. /. 9.; 0. |]; [| 0.; 1. |] |] in
   let k = Health.cond_estimate ~dim:2 ~apply:(Mat.mv a) ~solve:(Mat.mv inv) () in
   check_float ~tol:0.5 "kappa(diag(9,1)) ~ 9" 9. k
-
-let test_health_record_log_and_event () =
-  with_clean_registry (fun () ->
-      Alcotest.(check bool) "log starts empty" true (Health.last () = None);
-      let a = Mat.of_arrays [| [| 1. |] |] in
-      let cert =
-        Health.certify ~system:"test.log" ~apply:(Mat.mv a) ~b:[| 1. |]
-          [| 1. |]
-      in
-      Health.record cert;
-      (match Health.last () with
-      | Some c -> Alcotest.(check string) "logged" "test.log" c.Health.system
-      | None -> Alcotest.fail "certificate log empty");
-      match Event.last () with
-      | Some e ->
-          Alcotest.(check string) "mirrored as an event" "health.certificate"
-            e.Event.name
-      | None -> Alcotest.fail "no mirrored event")
 
 (* ---------- histograms ---------- *)
 
@@ -201,6 +104,27 @@ let test_histogram_attaches_to_spans () =
       T_registry.reset ();
       Alcotest.(check bool) "reset clears the table" true
         (Histogram.find "obs.hist_span" = None))
+
+(* Two domains recording into one named histogram at once, as CG solves
+   on sweep workers do for [cg.iterations], lose no observation. *)
+let test_histogram_two_domain_observe () =
+  with_clean_registry (fun () ->
+      let per_domain = 1_000_000 in
+      let work () =
+        for _ = 1 to per_domain do
+          Histogram.observe "obs.race" 1.
+        done
+      in
+      let d1 = Domain.spawn work and d2 = Domain.spawn work in
+      Domain.join d1;
+      Domain.join d2;
+      match Histogram.find "obs.race" with
+      | Some h ->
+          Alcotest.(check int) "every observation counted" (2 * per_domain)
+            (Histogram.count h);
+          Alcotest.(check (float 0.)) "sum of every observation"
+            (float_of_int (2 * per_domain)) (Histogram.sum h)
+      | None -> Alcotest.fail "race histogram missing")
 
 (* ---------- chrome trace ---------- *)
 
@@ -311,19 +235,15 @@ let test_bench_compare_gate () =
 let suite =
   ( "obs",
     [
-      case "event ring: emit/recent/last/reset" test_event_ring_semantics;
-      case "event ring: overwrites oldest" test_event_ring_overwrites_oldest;
-      case "event ring: disabled no-op" test_event_disabled_noop;
-      case "event json: weird names round-trip" test_event_json_weird_names;
       case "health: certify recomputes residual" test_health_certify_known_system;
       case "health: stagnation flag" test_health_stagnation_flag;
       case "health: cond estimate on diag(9,1)"
         test_health_cond_estimate_diagonal;
-      case "health: record logs + mirrors event"
-        test_health_record_log_and_event;
       case "histogram: percentiles within bucket error"
         test_histogram_percentiles;
       case "histogram: subscribes to spans" test_histogram_attaches_to_spans;
+      case "histogram: two domains observe at once"
+        test_histogram_two_domain_observe;
       case "chrome trace: capture + validate"
         test_chrome_trace_capture_and_validate;
       case "chrome trace: validate rejects malformed"

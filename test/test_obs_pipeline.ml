@@ -5,7 +5,6 @@
    hammer on one shared journal. *)
 
 open Test_util
-module Event = Obs.Event
 module Trace_ctx = Obs.Trace_ctx
 module Slo = Obs.Slo
 module Journal = Obs.Journal
@@ -83,7 +82,7 @@ let test_trace_digest_sensitivity () =
   let build ?(name = "solve") () =
     let ctx = make_ctx () in
     Trace_ctx.with_span ctx "request" (fun () ->
-        Trace_ctx.with_span ctx name ~fields:[ ("dim", Event.Int 40) ]
+        Trace_ctx.with_span ctx name ~fields:[ ("dim", Trace_ctx.Int 40) ]
           (fun () -> ()));
     ctx
   in
@@ -105,7 +104,7 @@ let test_ambient_context () =
         Alcotest.(check bool) "current installed" true
           (Trace_ctx.current () <> None);
         Trace_ctx.in_span "work" (fun () ->
-            Trace_ctx.annotate_current [ ("k", Event.Int 3) ];
+            Trace_ctx.annotate_current [ ("k", Trace_ctx.Int 3) ];
             Trace_ctx.mark "tick";
             41 + 1))
   in
@@ -463,7 +462,7 @@ let test_two_domain_journal_hammer () =
           Trace_ctx.with_span ctx "request" (fun () ->
               Trace_ctx.in_span "solve" (fun () ->
                   Trace_ctx.mark "tick";
-                  Trace_ctx.annotate_current [ ("r", Event.Int r) ])));
+                  Trace_ctx.annotate_current [ ("r", Trace_ctx.Int r) ])));
       Journal.record j ~request
         ~status:(if r mod 3 = 0 then "degraded" else "served")
         ~latency_ms:(float_of_int r)

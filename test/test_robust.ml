@@ -458,29 +458,19 @@ let prop_monotone_edge_drop seed =
   i1 >= 1 && i1 <= i2 && i2 <= i3
 
 (* With ~observe the chain narrates itself: a starved CG solve must leave
-   an ordered robust.escalate trail in the flight recorder (the abandoned
-   rung of each escalation, oldest first) and per-component certificates
-   whose convergence summary flags stagnation. *)
+   an ordered Solver_fallback trail in the report's diagnostics (the
+   abandoned rung of each escalation, oldest first) and per-component
+   certificates whose convergence summary flags stagnation. *)
 let test_resilient_observed_starved_event_trail () =
   let w, labels = two_cluster (Prng.Rng.create 29) in
   let p = Gssl.Problem.make ~graph:(sparse_graph_of w) ~labels in
-  Telemetry.Registry.reset ();
-  let report, escalations =
-    Telemetry.Registry.with_enabled (fun () ->
-        let report = Resilient.solve_hard ~observe:true ~cg_max_iter:1 p in
-        let escalations =
-          List.filter_map
-            (fun e ->
-              if e.Obs.Event.name = "robust.escalate" then
-                match Obs.Event.field e "abandoned" with
-                | Some (Obs.Event.Str rung) -> Some rung
-                | _ -> None
-              else None)
-            (Obs.Event.recent ())
-        in
-        (report, escalations))
+  let report = Resilient.solve_hard ~observe:true ~cg_max_iter:1 p in
+  let escalations =
+    List.filter_map
+      (function
+        | Check.Solver_fallback { abandoned; _ } -> Some abandoned | _ -> None)
+      report.Resilient.diagnostics
   in
-  Telemetry.Registry.reset ();
   Alcotest.(check bool) "finite predictions" true
     (Array.for_all Float.is_finite report.Resilient.predictions);
   (match escalations with
