@@ -53,7 +53,7 @@ soak-smoke:
 	dune build bin/repro.exe
 	./_build/default/bin/repro.exe soak --requests 1500 --verify-replay \
 		--journal /tmp/gssl_soak_journal.jsonl > /tmp/gssl_soak_pinned.txt
-	@$(call expect_digests,/tmp/gssl_soak_pinned.txt,'digest 92adb463fe93ba49 ' 'digest 96a89193fd92508b')
+	@$(call expect_digests,/tmp/gssl_soak_pinned.txt,'digest 92adb463fe93ba49 ' 'digest 788735fd2f874f82')
 	@seed=$$(( ($$(date +%N | sed 's/^0*//') % 999983) + 43 )); \
 	echo "soak-smoke fresh seed=$$seed"; \
 	./_build/default/bin/repro.exe soak --requests 1500 --seed $$seed --verify-replay
@@ -107,10 +107,12 @@ trace-smoke:
 # checker, and render the one-shot dashboard in all three formats so a
 # broken exposition surface fails CI rather than paging someone later.
 # Last, `repro health` must print Model 1's pinned hard-solve residual,
-# and the starved rerun its Gauss-Seidel rung, its stagnation flag and
-# the two CG rungs it abandoned.  (The pins live in a variable because
-# an unbalanced parenthesis cannot be written inside $(call ...).)
+# the condition numbers of both showcase systems, and the starved rerun
+# its Gauss-Seidel rung, its stagnation flag and the two CG rungs it
+# abandoned.  (The pins live in a variable because an unbalanced
+# parenthesis cannot be written inside $(call ...).)
 HEALTH_PINS = 'true residual      2.607e-14  (relative 6.940e-16)' \
+	'cond estimate      7.371e+00' 'cond estimate      1.126e+01' \
 	'rung gauss_seidel' 'stagnated          true' \
 	'abandoned cg (' 'abandoned cg_restarted ('
 obs-smoke:

@@ -338,10 +338,10 @@ module Profile = struct
     T.Span.with_ name (fun () -> ignore (Sys.opaque_identity (f ())));
     T.Span.total_ms name
 
-  (* One phase = one instrumented solve on a fresh registry, so every
-     counter in the report is attributable to that phase alone; further
-     [calls] only refine its wall time. *)
-  let run_phase ?(calls = 1) name f =
+  (* A phase's first call, on a fresh registry, so every counter in the
+     report is attributable to that phase alone.  Returns its wall time
+     and the report, which takes the phase's final wall time. *)
+  let first_call name f =
     let first_ms = timed_call name f in
     let matvecs = T.Counter.get "sparse.matvecs" + T.Counter.get "linalg.gemv" in
     let iterations =
@@ -363,23 +363,50 @@ module Profile = struct
     (* per-span latency percentiles for this phase (the registry was
        fresh at phase start, so every histogram belongs to it) *)
     let quantiles = Obs.Histogram.quantiles_json () in
-    let wall_ms =
-      Stats.Descriptive.median
-        (Array.init calls (fun k -> if k = 0 then first_ms else timed_call name f))
+    let report wall_ms =
+      T.Export.(
+        Obj
+          [
+            ("name", Str name);
+            ("wall_ms", Num wall_ms);
+            ("span_ms_quantiles", quantiles);
+            ("matvecs", Num (float_of_int matvecs));
+            ("iterations", Num (float_of_int iterations));
+            ( "counters",
+              Obj (List.map (fun (k, v) -> (k, Num (float_of_int v))) counters)
+            );
+            ( "fallback",
+              Obj (List.map (fun (k, v) -> (k, Num (float_of_int v))) fallback)
+            );
+          ])
     in
-    T.Export.(
-      Obj
-        [
-          ("name", Str name);
-          ("wall_ms", Num wall_ms);
-          ("span_ms_quantiles", quantiles);
-          ("matvecs", Num (float_of_int matvecs));
-          ("iterations", Num (float_of_int iterations));
-          ( "counters",
-            Obj (List.map (fun (k, v) -> (k, Num (float_of_int v))) counters) );
-          ( "fallback",
-            Obj (List.map (fun (k, v) -> (k, Num (float_of_int v))) fallback) );
-        ])
+    (first_ms, report)
+
+  (* One phase = one instrumented solve; further [calls] only refine its
+     wall time. *)
+  let run_phase ?(calls = 1) name f =
+    let first_ms, report = first_call name f in
+    report
+      (Stats.Descriptive.median
+         (Array.init calls (fun k ->
+              if k = 0 then first_ms else timed_call name f)))
+
+  (* Two short phases whose wall-time ratio is a gated speedup, timed in
+     alternating calls (a, b, a, b, …) so that a burst of host noise
+     lands on both legs rather than on whichever ran second.  Each leg
+     keeps its first-call counters and the median of its own
+     [short_calls] calls. *)
+  let run_pair (name_a, f_a) (name_b, f_b) =
+    let first_a, report_a = first_call name_a f_a in
+    let first_b, report_b = first_call name_b f_b in
+    let ms_a = Array.make short_calls first_a in
+    let ms_b = Array.make short_calls first_b in
+    for k = 1 to short_calls - 1 do
+      ms_a.(k) <- timed_call name_a f_a;
+      ms_b.(k) <- timed_call name_b f_b
+    done;
+    ( report_a (Stats.Descriptive.median ms_a),
+      report_b (Stats.Descriptive.median ms_b) )
 
   let knn_problem ~seed ~count ~n_labeled ~k =
     let rng = Prng.Rng.create seed in
@@ -537,6 +564,15 @@ module Profile = struct
     let scale_h = Kernel.Bandwidth.paper_rate ~d:5 scale_labeled in
     Obs.Histogram.attach_to_spans ();
     T.Registry.enable ();
+    (* the factorized λ path races the naive one (speedup.lambda_path) *)
+    let lambda_path, lambda_path_naive =
+      run_pair
+        ("lambda_path", fun () -> Gssl.Lambda_path.compute dense_problem)
+        ( "lambda_path_naive",
+          fun () ->
+            Gssl.Lambda_path.compute ~strategy:Gssl.Lambda_path.Naive
+              dense_problem )
+    in
     let phases =
       [
         short "hard_direct" (fun () ->
@@ -546,7 +582,7 @@ module Profile = struct
         short "hard_direct_observed" (fun () ->
             let x = Gssl.Hard.solve ~solver:Gssl.Hard.Cholesky dense_problem in
             Gssl.System.certify ~system:"gssl.hard" ~rung:"cholesky"
-              ~attempts:[] ~cond:true
+              ~attempts:[]
               { Gssl.System.a =
                   Gssl.System.Dense (Gssl.Hard.system_matrix dense_problem);
                 b = Gssl.Hard.rhs dense_problem }
@@ -603,11 +639,8 @@ module Profile = struct
         short "soft_cg" (fun () ->
             Gssl.Soft.solve ~method_:(Gssl.Soft.Cg { tol = 1e-9 }) ~lambda:0.1
               sparse_problem);
-        short "lambda_path" (fun () ->
-            Gssl.Lambda_path.compute dense_problem);
-        short "lambda_path_naive" (fun () ->
-            Gssl.Lambda_path.compute ~strategy:Gssl.Lambda_path.Naive
-              dense_problem);
+        lambda_path;
+        lambda_path_naive;
         short "gemm_serial" (fun () ->
             Parallel.Pool.sequential (fun () -> Mat.mm gemm_a gemm_b));
         par "gemm_par" (fun () ->

@@ -429,8 +429,9 @@ let robust_cmd =
     Printf.printf "%s: %d component(s), %d anchored\n" name
       r.Gssl.Resilient.n_components r.Gssl.Resilient.n_anchored;
     List.iter
-      (fun (c, rung) -> Printf.printf "  component %d solved via %s\n" c rung)
-      r.Gssl.Resilient.rungs;
+      (fun (c, cert) ->
+        Printf.printf "  component %d solved via %s\n" c cert.Obs.Health.rung)
+      r.Gssl.Resilient.certificates;
     if Array.length r.Gssl.Resilient.imputed > 0 then
       Printf.printf "  imputed vertices: %s\n"
         (String.concat ", "
@@ -565,30 +566,38 @@ let health_cmd =
           in
           problem
         in
-        let show title ~system sys x =
-          Printf.printf "== %s ==\n%s\n" title
+        let show title ~system ~dense sys x =
+          Printf.printf "== %s ==\n%s  cond estimate      %.3e\n\n" title
             (Obs.Health.describe
-               (Gssl.System.certify ~system ~rung:"cholesky" ~attempts:[]
-                  ~cond:true sys x))
+               (Gssl.System.certify ~system ~rung:"cholesky" ~attempts:[] sys
+                  x))
+            (Linalg.Refine.condition_estimate dense)
         in
         let p1 = make_problem Dataset.Synthetic.Model1 in
+        let a1 = Gssl.Hard.system_matrix p1 in
         show "Model 1 / hard criterion (dense Cholesky)" ~system:"gssl.hard"
-          { Gssl.System.a = Gssl.System.Dense (Gssl.Hard.system_matrix p1);
-            b = Gssl.Hard.rhs p1 }
+          ~dense:a1
+          { Gssl.System.a = Gssl.System.Dense a1; b = Gssl.Hard.rhs p1 }
           (Gssl.Hard.solve p1);
         (* Model 2 is certified on the full (n+m) system
-           (V + lambda L) f = (Y; 0), through the matrix-free operator *)
+           (V + lambda L) f = (Y; 0), through the matrix-free operator;
+           its condition number is read from the same system's dense
+           matrix *)
         let p2 = make_problem Dataset.Synthetic.Model2 in
+        let s2 = Gssl.Soft.system ~lambda p2 in
+        let a2 =
+          match s2.Gssl.System.a with
+          | Gssl.System.Dense m -> m
+          | _ -> invalid_arg "repro health: Model 2's soft system is not dense"
+        in
         show
           (Printf.sprintf "Model 2 / soft criterion (lambda = %g)" lambda)
-          ~system:"gssl.soft"
-          { Gssl.System.a =
+          ~system:"gssl.soft" ~dense:a2
+          { s2 with
+            Gssl.System.a =
               Gssl.System.Op
                 (Graph.Laplacian.operator ~lambda
-                   ~n_labeled:(Gssl.Problem.n_labeled p2) p2.Gssl.Problem.graph);
-            b =
-              Array.append p2.Gssl.Problem.labels
-                (Array.make (Gssl.Problem.n_unlabeled p2) 0.) }
+                   ~n_labeled:(Gssl.Problem.n_labeled p2) p2.Gssl.Problem.graph) }
           (Gssl.Soft.solve_full ~lambda p2);
         (* The same Model 1 solve, starved: sparse storage so the fallback
            chain starts at CG, with the fault harness capping every CG
@@ -609,17 +618,17 @@ let health_cmd =
             ~labels:inj.Robust.Fault.labels
         in
         let report =
-          Gssl.Resilient.solve_hard ~observe:true
-            ?cg_max_iter:inj.Robust.Fault.cg_max_iter starved
+          Gssl.Resilient.solve_hard ?cg_max_iter:inj.Robust.Fault.cg_max_iter
+            starved
         in
         Printf.printf
           "== Model 1 / hard criterion starved (CG capped at %d iteration(s)) \
            ==\n"
           cap;
         List.iter
-          (fun (c, rung) ->
-            Printf.printf "component %d solved via %s\n" c rung)
-          report.Gssl.Resilient.rungs;
+          (fun (c, cert) ->
+            Printf.printf "component %d solved via %s\n" c cert.Obs.Health.rung)
+          report.Gssl.Resilient.certificates;
         List.iter
           (fun (c, cert) ->
             Printf.printf "component %d certificate:\n%s" c
@@ -648,9 +657,9 @@ let health_cmd =
        ~doc:
          "Numerical-health certificates: solve the paper's Model 1 (hard) \
           and Model 2 (soft) synthetic problems, print their \
-          recomputed-residual certificates, then starve CG via the fault \
-          harness and show the stagnation certificate plus the report's \
-          escalation sequence.")
+          recomputed-residual certificates and the condition number of \
+          each system, then starve CG via the fault harness and show the \
+          stagnation certificate plus the report's escalation sequence.")
     term
 
 (* long-lived serving layer: chaos soak replay and an interactive server *)

@@ -10,7 +10,6 @@ type report = {
   imputed : int array;
   n_components : int;
   n_anchored : int;
-  rungs : (int * string) list;
   certificates : (int * Obs.Health.t) list;
   aborted : bool;
 }
@@ -62,28 +61,20 @@ let partition comps n =
   List.init n_comp (fun c -> (c, labeled.(c), unlabeled.(c)))
 
 (* One component's restricted system through the fallback chain of its
-   storage, with its certificate when observed. *)
-let solve_component ?cg_max_iter ?should_stop ~observe ~system (sys : System.t) =
-  let outcome (out : _ Rsolve.outcome) rung =
-    let cert =
-      if observe then
-        Some
-          (System.certify ~system ~rung ~attempts:out.Rsolve.cg_attempts
-             ~cond:true sys out.Rsolve.solution)
-      else None
-    in
-    (out.Rsolve.solution, rung, out.Rsolve.escalations, cert,
-     out.Rsolve.aborted)
+   storage, with the certificate of its answer. *)
+let solve_component ?cg_max_iter ?should_stop ~system (sys : System.t) =
+  let out =
+    match sys.System.a with
+    | System.Dense a -> Rsolve.solve_dense ?should_stop a sys.System.b
+    | System.Csr a -> Rsolve.solve_sparse ?cg_max_iter ?should_stop a sys.System.b
+    | System.Lap _ | System.Op _ ->
+        invalid_arg "Resilient: no fallback chain for a fused or matrix-free system"
   in
-  match sys.System.a with
-  | System.Dense a ->
-      let out = Rsolve.solve_dense ?should_stop a sys.System.b in
-      outcome out (Rsolve.dense_rung_name out.Rsolve.rung)
-  | System.Csr a ->
-      let out = Rsolve.solve_sparse ?cg_max_iter ?should_stop a sys.System.b in
-      outcome out (Rsolve.sparse_rung_name out.Rsolve.rung)
-  | System.Lap _ | System.Op _ ->
-      invalid_arg "Resilient: no fallback chain for a fused or matrix-free system"
+  let cert =
+    System.certify ~system ~rung:out.Rsolve.rung
+      ~attempts:out.Rsolve.cg_attempts sys out.Rsolve.solution
+  in
+  (out, cert)
 
 (* Eq. (5) in the storage of the problem's graph. *)
 let hard_system problem =
@@ -100,8 +91,8 @@ let hard_system problem =
    of its first unlabeled vertex among them.  Each anchored component is
    then solved on the restriction of that system to its positions,
    which no edge couples to the rest. *)
-let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind
-    ~system ~rows problem =
+let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~kind ~system ~rows
+    problem =
   let g0 = problem.Problem.graph in
   let y0 = problem.Problem.labels in
   let n = Problem.n_labeled problem in
@@ -120,7 +111,6 @@ let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind
   let predictions = Vec.create m mean in
   let extra = ref [] in
   let imputed = ref [] in
-  let rungs = ref [] in
   let certificates = ref [] in
   let aborted = ref false in
   let impute v =
@@ -136,15 +126,12 @@ let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind
       | [], _ -> List.iter impute unlabeled
       | _ ->
           let idx, first = rows labeled unlabeled in
-          let solution, rung, escalations, cert, comp_aborted =
-            solve_component ?cg_max_iter ?should_stop ~observe
+          let out, cert =
+            solve_component ?cg_max_iter ?should_stop
               ~system:("resilient." ^ kind) (System.restrict idx global)
           in
-          rungs := (c, rung) :: !rungs;
-          aborted := !aborted || comp_aborted;
-          (match cert with
-          | Some cert -> certificates := (c, cert) :: !certificates
-          | None -> ());
+          certificates := (c, cert) :: !certificates;
+          aborted := !aborted || out.Rsolve.aborted;
           List.iter
             (fun { Rsolve.abandoned; reason } ->
               extra :=
@@ -152,10 +139,10 @@ let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind
                   { system = Printf.sprintf "%s component %d" kind c;
                     abandoned; reason }
                 :: !extra)
-            escalations;
+            out.Rsolve.escalations;
           List.iteri
             (fun p v ->
-              let x = solution.(first + p) in
+              let x = out.Rsolve.solution.(first + p) in
               if Float.is_finite x then predictions.(v - n) <- x else impute v)
             unlabeled)
     groups;
@@ -164,28 +151,25 @@ let solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind
     imputed = Array.of_list (List.rev !imputed);
     n_components;
     n_anchored;
-    rungs = List.rev !rungs;
     certificates = List.rev !certificates;
     aborted = !aborted }
 
-let solve_hard ?suspect_threshold ?cg_max_iter ?should_stop ?(observe = false)
-    problem =
+let solve_hard ?suspect_threshold ?cg_max_iter ?should_stop problem =
   Telemetry.Span.with_ "gssl.resilient_hard" @@ fun () ->
   Telemetry.Counter.incr c_hard;
   let n = Problem.n_labeled problem in
-  solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind:"hard"
+  solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~kind:"hard"
     ~system:hard_system
     ~rows:(fun _ unlabeled ->
       (Array.of_list (List.map (fun v -> v - n) unlabeled), 0))
     problem
 
-let solve_soft ?suspect_threshold ?cg_max_iter ?should_stop ?(observe = false)
-    ~lambda problem =
+let solve_soft ?suspect_threshold ?cg_max_iter ?should_stop ~lambda problem =
   if lambda <= 0. then
     invalid_arg "Resilient.solve_soft: lambda must be strictly positive";
   Telemetry.Span.with_ "gssl.resilient_soft" @@ fun () ->
   Telemetry.Counter.incr c_soft;
-  solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~observe ~kind:"soft"
+  solve_impl ?suspect_threshold ?cg_max_iter ?should_stop ~kind:"soft"
     ~system:(Soft.system ~lambda)
     ~rows:(fun labeled unlabeled ->
       (Array.of_list (labeled @ unlabeled), List.length labeled))

@@ -27,17 +27,14 @@ type report = {
           than a solver output (unanchored, or clamped non-finite). *)
   n_components : int;  (** connected components over sanitised weights *)
   n_anchored : int;    (** components containing at least one label *)
-  rungs : (int * string) list;
-      (** For each solved component id, the fallback-chain rung that
-          produced its solution (e.g. ["cholesky"], ["cg"],
-          ["dense_direct:qr"]). *)
   certificates : (int * Obs.Health.t) list;
-      (** With [~observe:true]: one health certificate per solved
-          component, in solve order — recomputed residual against the
-          component system, condition estimate, and the CG
-          convergence/stagnation summary of the fallback chain (a chain
-          whose last CG attempt failed is flagged stagnated even when a
-          later rung produced the answer).  Empty otherwise. *)
+      (** One health certificate per solved component id, in solve
+          order: the fallback-chain rung that produced its solution
+          (e.g. ["cholesky"], ["cg"], ["dense_direct:qr"]), its residual
+          recomputed against the component system, and the CG
+          convergence/stagnation summary of the chain (a chain whose
+          last CG attempt failed is flagged stagnated even when a later
+          rung produced the answer). *)
   aborted : bool;
       (** Some component solve was cut short by [should_stop] (deadline
           expiry / cancellation): the affected predictions are best
@@ -52,7 +49,6 @@ val solve_hard :
   ?suspect_threshold:float ->
   ?cg_max_iter:int ->
   ?should_stop:(unit -> bool) ->
-  ?observe:bool ->
   Problem.t ->
   report
 (** Hard-criterion scores.  Never raises on degenerate data: NaN/infinite
@@ -62,17 +58,16 @@ val solve_hard :
     imputed.  [suspect_threshold] enables the leave-one-out label scan
     (see {!Robust.Check.scan}); [cg_max_iter] caps each CG attempt on
     sparse graphs, forcing the chain to escalate when too small.
-    [~observe:true] (default false) computes an [Obs.Health] certificate
-    per solved component, returned in [certificates].  [should_stop] is
-    threaded into every component's fallback chain (polled each CG
-    iteration and at rung boundaries); when it fires the report comes
-    back with [aborted = true] and best-effort predictions. *)
+    Certifying each solved component costs one operator application on
+    its system.  [should_stop] is threaded into every component's
+    fallback chain (polled each CG iteration and at rung boundaries);
+    when it fires the report comes back with [aborted = true] and
+    best-effort predictions. *)
 
 val solve_soft :
   ?suspect_threshold:float ->
   ?cg_max_iter:int ->
   ?should_stop:(unit -> bool) ->
-  ?observe:bool ->
   lambda:float ->
   Problem.t ->
   report

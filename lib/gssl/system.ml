@@ -71,22 +71,6 @@ let convergence = function
            ~final_residual:last.Sparse.Cg.residual_norm ~best_residual:best
            ~converged:last.Sparse.Cg.converged)
 
-let certify ~system ~rung ~attempts ~cond { a; b } x =
-  let op = operator a in
-  let cond =
-    if not cond then None
-    else
-      match a with
-      | Dense m -> Some (Linalg.Refine.condition_estimate m)
-      | Csr _ | Lap _ | Op _ ->
-          (* power iteration on the operator and on its inverse through
-             an uncapped preconditioned CG solve *)
-          Some
-            (Obs.Health.cond_estimate ~dim:(Vec.dim b)
-               ~apply:op.Sparse.Linop.apply
-               ~solve:(fun v ->
-                 (Sparse.Cg.solve ~precondition:true op v).Sparse.Cg.solution)
-               ())
-  in
-  Obs.Health.certify ~system ~rung ?cond ?convergence:(convergence attempts)
-    ~apply:op.Sparse.Linop.apply ~b x
+let certify ~system ~rung ~attempts { a; b } x =
+  Obs.Health.certify ~system ~rung ?convergence:(convergence attempts)
+    ~apply:(operator a).Sparse.Linop.apply ~b x

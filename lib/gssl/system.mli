@@ -35,15 +35,12 @@ val certify :
   system:string ->
   rung:string ->
   attempts:Sparse.Cg.outcome list ->
-  cond:bool ->
   t ->
   Linalg.Vec.t ->
   Obs.Health.t
 (** The health certificate of solution [x]: its residual recomputed
-    through {!operator}, a condition estimate when [cond]
-    ({!Linalg.Refine.condition_estimate} on [Dense], power iteration
-    with preconditioned CG otherwise), and, when CG ran, the summary of
-    its [attempts] (oldest first): total iterations, the last attempt's
-    final residual, the best residual any attempt reached.  A chain
-    whose last attempt failed is flagged stagnated even when a later
-    rung produced [x]. *)
+    through {!operator} (one operator application) and, when CG ran,
+    the summary of its [attempts] (oldest first): total iterations, the
+    last attempt's final residual, the best residual any attempt
+    reached.  A chain whose last attempt failed is flagged stagnated
+    even when a later rung produced [x]. *)

@@ -1,9 +1,8 @@
 (** Condition-number estimation for dense systems.
 
     The similarity matrices of tightly clustered inputs make the
-    hard/soft systems ill-conditioned; the estimate tells callers when
-    to distrust a direct solve, and every dense health certificate
-    carries it. *)
+    hard/soft systems ill-conditioned; [repro health] prints this
+    estimate after each of its showcase certificates. *)
 
 val condition_estimate : ?iterations:int -> Mat.t -> float
 (** 2-norm condition number estimate via power iteration on [aᵀa] (for

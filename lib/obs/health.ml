@@ -3,10 +3,7 @@
    A certificate is computed from the *actual* returned solution: the
    residual is ‖b − A x‖₂ recomputed with a fresh application of the
    operator, never the CG recurrence value, so it catches recurrence
-   drift and fallback rungs that silently returned garbage.  Condition
-   numbers are estimated by power iteration on A (largest eigenvalue)
-   and on A⁻¹ through whatever solver/factorisation the caller already
-   has (largest eigenvalue of the inverse = 1/smallest of A).
+   drift and fallback rungs that silently returned garbage.
 
    This module deliberately depends only on [Linalg] closures — callers
    pass [apply : Vec.t -> Vec.t] — so [sparse], [robust], and [gssl]
@@ -24,10 +21,9 @@ type convergence = {
 type t = {
   system : string;
   dim : int;
-  rung : string option;
+  rung : string;
   true_residual : float;
   rel_residual : float;
-  cond_estimate : float option;
   convergence : convergence option;
 }
 
@@ -43,7 +39,7 @@ let convergence ~iterations ~final_residual ~best_residual ~converged =
   in
   { iterations; final_residual; best_residual; stagnated }
 
-let certify ~system ?rung ?cond ?convergence ~apply ~b x =
+let certify ~system ~rung ?convergence ~apply ~b x =
   if Vec.dim x <> Vec.dim b then
     invalid_arg "Obs.Health.certify: solution/rhs dimension mismatch";
   let true_residual = Vec.norm2 (Vec.sub b (apply x)) in
@@ -51,65 +47,21 @@ let certify ~system ?rung ?cond ?convergence ~apply ~b x =
   let rel_residual =
     if b_norm > 0. then true_residual /. b_norm else true_residual
   in
-  {
-    system;
-    dim = Vec.dim b;
-    rung;
-    true_residual;
-    rel_residual;
-    cond_estimate = cond;
-    convergence;
-  }
+  { system; dim = Vec.dim b; rung; true_residual; rel_residual; convergence }
 
 let healthy ?(rel_tol = 1e-6) c =
   Float.is_finite c.true_residual
   && c.rel_residual <= rel_tol
   && (match c.convergence with None -> true | Some cv -> not cv.stagnated)
 
-(* Largest singular value of [step] by power iteration with a fixed
-   deterministic start vector (alternating signs, so it has mass on
-   both ends of the spectrum for the usual graph operators). *)
-let power_norm ~iterations ~dim step =
-  if dim = 0 then 0.
-  else begin
-    let x0 = Vec.init dim (fun i -> if i land 1 = 0 then 1. else -1.) in
-    let x = ref (Vec.scale (1. /. Vec.norm2 x0) x0) in
-    let lambda = ref 0. in
-    (try
-       for _ = 1 to iterations do
-         let y = step !x in
-         let ny = Vec.norm2 y in
-         if Float.is_finite ny && ny > 0. then begin
-           lambda := ny;
-           x := Vec.scale (1. /. ny) y
-         end
-         else raise Exit
-       done
-     with Exit -> ());
-    !lambda
-  end
-
-let cond_estimate ?(iterations = 12) ~dim ~apply ~solve () =
-  if dim = 0 then 1.
-  else
-    let largest = power_norm ~iterations ~dim apply in
-    let inv_largest = power_norm ~iterations ~dim solve in
-    if largest > 0. && inv_largest > 0. && Float.is_finite largest
-       && Float.is_finite inv_largest
-    then largest *. inv_largest
-    else Float.infinity
-
 let describe c =
   let b = Buffer.create 128 in
   Buffer.add_string b
-    (Printf.sprintf "certificate: %s (dim %d%s)\n" c.system c.dim
-       (match c.rung with Some r -> ", rung " ^ r | None -> ""));
+    (Printf.sprintf "certificate: %s (dim %d, rung %s)\n" c.system c.dim
+       c.rung);
   Buffer.add_string b
     (Printf.sprintf "  true residual      %.3e  (relative %.3e)\n"
        c.true_residual c.rel_residual);
-  (match c.cond_estimate with
-  | Some k -> Buffer.add_string b (Printf.sprintf "  cond estimate      %.3e\n" k)
-  | None -> ());
   (match c.convergence with
   | Some cv ->
       Buffer.add_string b

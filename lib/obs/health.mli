@@ -3,12 +3,11 @@
     Certificate fields:
     - [system]: which solve produced it, e.g. ["gssl.hard"].
     - [dim]: dimension of the linear system.
-    - [rung]: fallback rung that produced the answer, when known.
+    - [rung]: fallback rung that produced the answer.
     - [true_residual]: ‖b − A x‖₂ {e recomputed} by re-applying the
       operator to the returned solution (never the CG recurrence value).
     - [rel_residual]: [true_residual / ‖b‖₂] (or the absolute residual
       when [b = 0]).
-    - [cond_estimate]: power-iteration estimate of κ₂(A), when computed.
     - [convergence]: CG convergence-curve summary, when an iterative
       rung ran: iteration count, final vs. best residual, and a
       stagnation flag (set when the solver gave up before converging or
@@ -31,10 +30,9 @@ type convergence = {
 type t = {
   system : string;
   dim : int;
-  rung : string option;
+  rung : string;
   true_residual : float;
   rel_residual : float;
-  cond_estimate : float option;
   convergence : convergence option;
 }
 
@@ -49,31 +47,19 @@ val convergence :
 
 val certify :
   system:string ->
-  ?rung:string ->
-  ?cond:float ->
+  rung:string ->
   ?convergence:convergence ->
   apply:(Linalg.Vec.t -> Linalg.Vec.t) ->
   b:Linalg.Vec.t ->
   Linalg.Vec.t ->
   t
-(** [certify ~system ~apply ~b x] recomputes the true residual of [x]
-    for the system [apply ≡ A], [b].  Costs one operator application.
-    Raises [Invalid_argument] on dimension mismatch. *)
+(** [certify ~system ~rung ~apply ~b x] recomputes the true residual of
+    [x] for the system [apply ≡ A], [b].  Costs one operator
+    application.  Raises [Invalid_argument] on dimension mismatch. *)
 
 val healthy : ?rel_tol:float -> t -> bool
 (** Finite residual, relative residual within [rel_tol] (default 1e-6),
     and no stagnation. *)
-
-val cond_estimate :
-  ?iterations:int ->
-  dim:int ->
-  apply:(Linalg.Vec.t -> Linalg.Vec.t) ->
-  solve:(Linalg.Vec.t -> Linalg.Vec.t) ->
-  unit ->
-  float
-(** κ₂ estimate by power iteration (default 12 steps each) on [apply]
-    (largest eigenvalue) and on [solve ≡ A⁻¹·] (reciprocal of the
-    smallest).  Returns [infinity] when either estimate degenerates. *)
 
 val describe : t -> string
 (** Multi-line human-readable rendering. *)

@@ -1,19 +1,11 @@
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
 
-type dense_rung = Cholesky | Qr | Ridge
-
-type sparse_rung =
-  | Cg
-  | Cg_restarted
-  | Gauss_seidel
-  | Dense_direct of dense_rung
-
 type escalation = { abandoned : string; reason : string }
 
-type 'rung outcome = {
+type outcome = {
   solution : Vec.t;
-  rung : 'rung;
+  rung : string;
   escalations : escalation list;
   cg_attempts : Sparse.Cg.outcome list;
   aborted : bool;
@@ -27,17 +19,6 @@ let c_dense_ridge = Telemetry.Counter.make "robust.fallback.dense_ridge"
 let c_cg_restart = Telemetry.Counter.make "robust.fallback.cg_restart"
 let c_gauss_seidel = Telemetry.Counter.make "robust.fallback.gauss_seidel"
 let c_dense_direct = Telemetry.Counter.make "robust.fallback.dense_direct"
-
-let dense_rung_name = function
-  | Cholesky -> "cholesky"
-  | Qr -> "qr"
-  | Ridge -> "ridge"
-
-let sparse_rung_name = function
-  | Cg -> "cg"
-  | Cg_restarted -> "cg_restarted"
-  | Gauss_seidel -> "gauss_seidel"
-  | Dense_direct r -> "dense_direct:" ^ dense_rung_name r
 
 let all_finite = Array.for_all Float.is_finite
 
@@ -69,7 +50,7 @@ let solve_dense ?(should_stop = fun () -> false) a b =
     if should_stop () then begin
       aborted := true;
       note next_rung abort_reason;
-      finish Ridge (Vec.zeros a.Mat.rows)
+      finish "ridge" (Vec.zeros a.Mat.rows)
     end
     else k ()
   in
@@ -97,17 +78,17 @@ let solve_dense ?(should_stop = fun () -> false) a b =
     Telemetry.Counter.incr c_dense_qr;
     mark "qr";
     match Linalg.Qr.solve_least_squares a b with
-    | x when all_finite x -> finish Qr x
+    | x when all_finite x -> finish "qr" x
     | _ ->
         note "qr" "least-squares solution not finite";
-        finish Ridge (ridge ())
+        finish "ridge" (ridge ())
     | exception e ->
         note "qr" (Printexc.to_string e);
-        finish Ridge (ridge ())
+        finish "ridge" (ridge ())
   in
   mark "cholesky";
   match Linalg.Cholesky.solve a b with
-  | x when all_finite x -> finish Cholesky x
+  | x when all_finite x -> finish "cholesky" x
   | _ ->
       note "cholesky" "solution not finite";
       qr ()
@@ -160,7 +141,7 @@ let solve_sparse ?(tol = 1e-10) ?cg_max_iter ?(should_stop = fun () -> false)
     | _ -> Vec.zeros rows
   in
   (* the rung whose (partial) iterate [best_iterate] returns *)
-  let current_rung = ref Cg in
+  let current_rung = ref "cg" in
   let abort_from rung_entered =
     aborted := true;
     note rung_entered abort_reason;
@@ -174,7 +155,7 @@ let solve_sparse ?(tol = 1e-10) ?cg_max_iter ?(should_stop = fun () -> false)
       let inner = solve_dense ~should_stop (Sparse.Csr.to_dense a) b in
       escalations := List.rev_append inner.escalations !escalations;
       aborted := !aborted || inner.aborted;
-      finish (Dense_direct inner.rung) inner.solution
+      finish ("dense_direct:" ^ inner.rung) inner.solution
     end
   in
   let gauss_seidel () =
@@ -186,7 +167,7 @@ let solve_sparse ?(tol = 1e-10) ?cg_max_iter ?(should_stop = fun () -> false)
       | out
         when out.Sparse.Stationary.converged
              && all_finite out.Sparse.Stationary.solution ->
-          finish Gauss_seidel out.Sparse.Stationary.solution
+          finish "gauss_seidel" out.Sparse.Stationary.solution
       | out ->
           note "gauss_seidel"
             (Printf.sprintf "no convergence after %d sweeps (residual %.3g)"
@@ -198,7 +179,7 @@ let solve_sparse ?(tol = 1e-10) ?cg_max_iter ?(should_stop = fun () -> false)
     end
   in
   let rec restart_loop k x0 =
-    current_rung := Cg_restarted;
+    current_rung := "cg_restarted";
     mark "cg_restarted";
     let out =
       attempt
@@ -206,13 +187,13 @@ let solve_sparse ?(tol = 1e-10) ?cg_max_iter ?(should_stop = fun () -> false)
            ~should_stop op b)
     in
     if out.Sparse.Cg.converged && all_finite out.Sparse.Cg.solution then
-      finish Cg_restarted out.Sparse.Cg.solution
+      finish "cg_restarted" out.Sparse.Cg.solution
     else if out.Sparse.Cg.aborted then begin
       (* deadline reached mid-iteration: stop escalating, hand back the
          partial iterate *)
       aborted := true;
       note "cg_restarted" (describe_cg out);
-      finish Cg_restarted out.Sparse.Cg.solution
+      finish "cg_restarted" out.Sparse.Cg.solution
     end
     else if out.Sparse.Cg.breakdown || k <= 1 then begin
       note "cg_restarted" (describe_cg out);
@@ -227,11 +208,11 @@ let solve_sparse ?(tol = 1e-10) ?cg_max_iter ?(should_stop = fun () -> false)
          ~should_stop op b)
   in
   if out.Sparse.Cg.converged && all_finite out.Sparse.Cg.solution then
-    finish Cg out.Sparse.Cg.solution
+    finish "cg" out.Sparse.Cg.solution
   else if out.Sparse.Cg.aborted then begin
     aborted := true;
     note "cg" (describe_cg out);
-    finish Cg out.Sparse.Cg.solution
+    finish "cg" out.Sparse.Cg.solution
   end
   else begin
     note "cg" (describe_cg out);

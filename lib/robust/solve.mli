@@ -27,19 +27,14 @@
     {!Sparse.Cg}) skips the restart rung: restarting cannot repair an
     indefinite system. *)
 
-type dense_rung = Cholesky | Qr | Ridge
-
-type sparse_rung =
-  | Cg
-  | Cg_restarted
-  | Gauss_seidel
-  | Dense_direct of dense_rung
-
 type escalation = { abandoned : string; reason : string }
 
-type 'rung outcome = {
+type outcome = {
   solution : Linalg.Vec.t;
-  rung : 'rung;  (** the rung that produced [solution] *)
+  rung : string;
+      (** the rung that produced [solution]: ["cholesky"], ["qr"],
+          ["ridge"], ["cg"], ["cg_restarted"], ["gauss_seidel"], or
+          ["dense_direct:"] followed by the dense rung *)
   escalations : escalation list;  (** rungs abandoned on the way, in order *)
   cg_attempts : Sparse.Cg.outcome list;
       (** every CG outcome along the sparse chain (plain rung, then each
@@ -52,14 +47,11 @@ type 'rung outcome = {
           answer. *)
 }
 
-val dense_rung_name : dense_rung -> string
-val sparse_rung_name : sparse_rung -> string
-
 val solve_dense :
   ?should_stop:(unit -> bool) ->
   Linalg.Mat.t ->
   Linalg.Vec.t ->
-  dense_rung outcome
+  outcome
 (** [solve_dense a b] solves [a x = b], escalating on factorization
     failure or non-finite output.  [should_stop] is polled at each rung
     boundary (a factorization cannot stop mid-flight); when it fires the
@@ -73,7 +65,7 @@ val solve_sparse :
   ?should_stop:(unit -> bool) ->
   Sparse.Csr.t ->
   Linalg.Vec.t ->
-  sparse_rung outcome
+  outcome
 (** [solve_sparse a b] solves the CSR system [a x = b] with relative
     tolerance [tol] (default 1e-10).  [cg_max_iter] caps each CG attempt
     (the plain rung and every restart individually), modelling an

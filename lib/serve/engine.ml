@@ -212,7 +212,7 @@ let certify_incremental inc =
     let x = Array.map snd (Incremental.predict inc) in
     Some
       (Gssl.System.certify ~system:"serve.incremental" ~rung:"sherman_morrison"
-         ~attempts:[] ~cond:false (Incremental.system inc) x)
+         ~attempts:[] (Incremental.system inc) x)
 
 (* The least healthy certificate of a resilient report — the one worth
    surfacing on the response. *)
@@ -373,7 +373,7 @@ let full_solve t (req : request) ~ctx ~queue_ms ~deadline
           in
           let report =
             Resilient.solve_hard ?cg_max_iter:inj.Fault.cg_max_iter
-              ~should_stop ~observe:true problem
+              ~should_stop problem
           in
           let diagnostics = report.Resilient.diagnostics in
           if report.Resilient.aborted then begin

@@ -5,7 +5,6 @@ type outcome = {
   iterations : int;
   residual_norm : float;
   best_residual : float;
-  true_residual : float option;
   converged : bool;
   breakdown : bool;
   aborted : bool;
@@ -21,13 +20,6 @@ let c_converged = Telemetry.Counter.make "cg.converged"
 let apply (op : Linop.t) x =
   Telemetry.Counter.incr c_matvecs;
   op.Linop.apply x
-
-(* The recurrence residual can drift from the truth in finite precision;
-   when stats are on we pay one extra matvec to recompute it honestly.
-   [Obs.Health] certificates and the qcheck drift property read it. *)
-let recompute_true_residual op b x =
-  if !Telemetry.Registry.enabled then Some (Vec.norm2 (Vec.sub b (apply op x)))
-  else None
 
 let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
     ?precond_apply ?(should_stop = fun () -> false) (op : Linop.t) b =
@@ -60,8 +52,8 @@ let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
   if b_norm = 0. then begin
     Telemetry.Counter.incr c_converged;
     { solution = Vec.zeros n; iterations = 0; residual_norm = 0.;
-      best_residual = 0.; true_residual = (if !Telemetry.Registry.enabled then Some 0. else None);
-      converged = true; breakdown = false; aborted = false }
+      best_residual = 0.; converged = true; breakdown = false;
+      aborted = false }
   end
   else begin
     let threshold = tol *. b_norm in
@@ -113,8 +105,8 @@ let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
     let converged = (not !breakdown) && (not !aborted) && !res <= threshold in
     if converged then Telemetry.Counter.incr c_converged;
     { solution = x; iterations = !iterations; residual_norm = !res;
-      best_residual = !best; true_residual = recompute_true_residual op b x;
-      converged; breakdown = !breakdown; aborted = !aborted }
+      best_residual = !best; converged; breakdown = !breakdown;
+      aborted = !aborted }
   end
 
 let solve ?x0 ?tol ?max_iter ?precondition ?precond_apply ?should_stop op b =

@@ -7,14 +7,13 @@
 type outcome = {
   solution : Linalg.Vec.t;
   iterations : int;
-  residual_norm : float;  (** final [‖b − A x‖₂] as estimated by the recurrence *)
+  residual_norm : float;
+      (** final [‖b − A x‖₂] as estimated by the recurrence, which can
+          drift from the truth in finite precision; a health certificate
+          ({!Obs.Health.certify}) recomputes the true residual *)
   best_residual : float;
       (** smallest recurrence residual seen along the iteration — a final
           residual far above it flags a stagnating/oscillating solve *)
-  true_residual : float option;
-      (** [‖b − A x‖₂] {e recomputed} with one extra matvec on the returned
-          solution.  Only computed while telemetry is enabled (the existing
-          stats path); [None] otherwise, so default solves pay nothing. *)
   converged : bool;
   breakdown : bool;
       (** [pᵀAp ≤ 0] (or NaN) was observed: the operator is not SPD along

@@ -33,12 +33,14 @@ let test_health_certify_known_system () =
   check_float "relative residual" (1. /. sqrt 29.) cert.Health.rel_residual;
   Alcotest.(check bool) "off solution is unhealthy" false (Health.healthy cert);
   let exact =
-    Health.certify ~system:"test" ~apply:(Mat.mv a) ~b [| 1.; 1.25 |]
+    Health.certify ~system:"test" ~rung:"direct" ~apply:(Mat.mv a) ~b
+      [| 1.; 1.25 |]
   in
   check_float "exact solution residual" 0. exact.Health.true_residual;
   Alcotest.(check bool) "exact solution healthy" true (Health.healthy exact);
   check_raises_invalid "dimension mismatch" (fun () ->
-      Health.certify ~system:"test" ~apply:(Mat.mv a) ~b [| 1. |])
+      Health.certify ~system:"test" ~rung:"direct" ~apply:(Mat.mv a) ~b
+        [| 1. |])
 
 let test_health_stagnation_flag () =
   let conv = Health.convergence ~iterations:5 ~converged:true in
@@ -53,12 +55,6 @@ let test_health_stagnation_flag () =
   in
   Alcotest.(check bool) "not converged: stagnated" true
     gave_up.Health.stagnated
-
-let test_health_cond_estimate_diagonal () =
-  let a = Mat.of_arrays [| [| 9.; 0. |]; [| 0.; 1. |] |] in
-  let inv = Mat.of_arrays [| [| 1. /. 9.; 0. |]; [| 0.; 1. |] |] in
-  let k = Health.cond_estimate ~dim:2 ~apply:(Mat.mv a) ~solve:(Mat.mv inv) () in
-  check_float ~tol:0.5 "kappa(diag(9,1)) ~ 9" 9. k
 
 (* ---------- histograms ---------- *)
 
@@ -237,8 +233,6 @@ let suite =
     [
       case "health: certify recomputes residual" test_health_certify_known_system;
       case "health: stagnation flag" test_health_stagnation_flag;
-      case "health: cond estimate on diag(9,1)"
-        test_health_cond_estimate_diagonal;
       case "histogram: percentiles within bucket error"
         test_histogram_percentiles;
       case "histogram: subscribes to spans" test_histogram_attaches_to_spans;

@@ -310,6 +310,36 @@ let test_engine_starved_solve_degrades_and_trips_breaker () =
   Alcotest.(check bool) "breaker tripped" true (s.Engine.breaker_trips >= 1);
   Alcotest.(check int) "nothing served" 0 s.Engine.served
 
+(* A faulted query's full solve runs its fallback chain's CG and nothing
+   more: certifying the answer costs one operator application, not a
+   solve.  A jittered query converges on the chain's first CG attempt; a
+   query capped at 3 iterations climbs through at most the plain attempt
+   and three restarts, each held to the cap. *)
+let test_engine_full_solve_runs_only_chain_cg () =
+  let engine, clock, _ = engine_fixture ~deadline_ms:1e6 () in
+  let cg_work fault id =
+    Telemetry.Registry.reset ();
+    let full_solves, solves, iterations =
+      Telemetry.Registry.with_enabled (fun () ->
+          ignore (Engine.handle engine (req ~clock ~faults:[ fault ] id));
+          let get = Telemetry.Counter.get in
+          (get "gssl.resilient_hard_solves", get "cg.solves",
+           get "cg.iterations"))
+    in
+    Telemetry.Registry.reset ();
+    Alcotest.(check int) (Fault.class_name fault ^ ": one full solve") 1
+      full_solves;
+    (solves, iterations)
+  in
+  let jittered, _ = cg_work (Fault.Weight_jitter { amplitude = 0.1 }) 1 in
+  Alcotest.(check int) "jittered query: one CG solve" 1 jittered;
+  let capped, iterations = cg_work (Fault.Cg_cap { max_iter = 3 }) 2 in
+  if capped < 1 || capped > 4 then
+    Alcotest.failf "capped query: %d CG solves, expected 1 to 4" capped;
+  if iterations > 3 * capped then
+    Alcotest.failf "capped query: %d CG iterations in %d solves exceed the cap"
+      iterations capped
+
 let test_engine_relabel_paths () =
   let engine, clock, prob = engine_fixture () in
   let m = P.n_unlabeled prob in
@@ -561,7 +591,7 @@ let test_soak_pinned_digests () =
   let s = Soak.run { (small_soak ()) with Soak.journal = true } in
   Alcotest.(check string) "response digest" "84d57c32011536b8"
     (Printf.sprintf "%016Lx" s.Soak.digest);
-  Alcotest.(check string) "journal digest" "4ea1332204e30729"
+  Alcotest.(check string) "journal digest" "95b6e62736fa4118"
     (Printf.sprintf "%016Lx" s.Soak.journal_digest)
 
 (* The shared replay verifier's failure path: a script whose second run
@@ -628,6 +658,8 @@ let suite =
         test_engine_stall_burns_deadline;
       case "engine: starved solves degrade in one pass, trip breaker"
         test_engine_starved_solve_degrades_and_trips_breaker;
+      case "engine: full solve runs only its chain's CG"
+        test_engine_full_solve_runs_only_chain_cg;
       case "engine: relabel NaN rejected, finite applied, dup rejected"
         test_engine_relabel_paths;
       case "engine: pinned cache-hit certificates over shuffled relabels"

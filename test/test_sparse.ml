@@ -294,31 +294,19 @@ let prop_sor_converges seed =
   out.Stationary.converged
   && Vec.approx_equal ~tol:1e-5 (Linalg.Lu.solve a b) out.Stationary.solution
 
-(* satellite of the observability PR: the recurrence residual CG reports
-   must agree with the recomputed true residual on well-conditioned SPD
-   systems (the recomputation only runs while telemetry is enabled) *)
+(* the recurrence residual CG reports must agree with the true
+   residual ‖b − A x‖₂, recomputed here, on well-conditioned SPD
+   systems *)
 let prop_cg_true_residual_matches_recurrence seed =
   let rng = Prng.Rng.create seed in
   let n = 2 + Prng.Rng.int rng 10 in
   let a = random_spd rng n in
   let b = random_vec rng n in
-  let op = Linop.of_dense a in
-  Telemetry.Registry.with_enabled (fun () ->
-      let out = Cg.solve op b in
-      match out.Cg.true_residual with
-      | None -> false
-      | Some t ->
-          out.Cg.converged
-          && abs_float (t -. out.Cg.residual_norm)
-             <= 1e-7 *. (1. +. Vec.norm2 b)
-          && out.Cg.best_residual <= out.Cg.residual_norm +. 1e-12)
-
-let test_cg_true_residual_gated () =
-  Telemetry.Registry.reset ();
-  let op = Linop.of_dense (Mat.eye 3) in
-  let out = Cg.solve op [| 1.; 2.; 3. |] in
-  Alcotest.(check bool) "disabled solve skips the extra matvec" true
-    (out.Cg.true_residual = None)
+  let out = Cg.solve (Linop.of_dense a) b in
+  let t = Vec.norm2 (Vec.sub b (Mat.mv a out.Cg.solution)) in
+  out.Cg.converged
+  && abs_float (t -. out.Cg.residual_norm) <= 1e-7 *. (1. +. Vec.norm2 b)
+  && out.Cg.best_residual <= out.Cg.residual_norm +. 1e-12
 
 let test_stationary_guards () =
   let a = Csr.of_dense (Mat.eye 2) in
@@ -353,7 +341,6 @@ let suite =
       qprop "cg matches cholesky" prop_cg_matches_cholesky;
       qprop ~count:80 "cg recurrence residual = true residual (SPD)"
         prop_cg_true_residual_matches_recurrence;
-      case "cg: true residual gated on telemetry" test_cg_true_residual_gated;
       qprop "cg preconditioning consistent" prop_cg_preconditioned_matches;
       case "linop combinators" test_linop_combinators;
       qprop "jacobi converges (diag dominant)" prop_jacobi_converges;
