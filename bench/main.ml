@@ -340,8 +340,9 @@ module Profile = struct
 
   (* A phase's first call, on a fresh registry, so every counter in the
      report is attributable to that phase alone.  Returns its wall time
-     and the report, which takes the phase's final wall time. *)
-  let first_call name f =
+     and the report, which takes the phase's final wall time and ends
+     with the [extra] fields. *)
+  let first_call ?(extra = []) name f =
     let first_ms = timed_call name f in
     let matvecs = T.Counter.get "sparse.matvecs" + T.Counter.get "linalg.gemv" in
     let iterations =
@@ -366,7 +367,7 @@ module Profile = struct
     let report wall_ms =
       T.Export.(
         Obj
-          [
+          ([
             ("name", Str name);
             ("wall_ms", Num wall_ms);
             ("span_ms_quantiles", quantiles);
@@ -378,14 +379,15 @@ module Profile = struct
             ( "fallback",
               Obj (List.map (fun (k, v) -> (k, Num (float_of_int v))) fallback)
             );
-          ])
+          ]
+          @ extra))
     in
     (first_ms, report)
 
   (* One phase = one instrumented solve; further [calls] only refine its
      wall time. *)
-  let run_phase ?(calls = 1) name f =
-    let first_ms, report = first_call name f in
+  let run_phase ?(calls = 1) ?extra name f =
+    let first_ms, report = first_call ?extra name f in
     report
       (Stats.Descriptive.median
          (Array.init calls (fun k ->
@@ -441,6 +443,36 @@ module Profile = struct
         ~k ~seed:(seed lxor 0x5ca1e) points
     in
     Gssl.Problem.make ~graph:(Graph.Weighted_graph.of_sparse w) ~labels
+
+  (* Words a CG solve allocates per iteration, on this domain (where the
+     solver allocates) with telemetry off (so span bookkeeping is not
+     counted): the difference between two solves capped at 2 and 8
+     iterations, which share every set-up cost, over 6.  [solve k] must
+     raise [Failure] (no convergence) at both caps.  The minor heap is
+     emptied at both ends of each window, so a promotion inside it moves
+     only words allocated inside it. *)
+  let words_per_iteration solve =
+    let words () =
+      Gc.minor ();
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let run k =
+      let w0 = words () in
+      (match solve k with
+      | _ ->
+          failwith
+            (Printf.sprintf "bench: a solve capped at %d iterations converged" k)
+      | exception Failure _ -> ());
+      words () -. w0
+    in
+    T.Registry.with_disabled (fun () ->
+        ignore (run 2);
+        (run 8 -. run 2) /. 6.)
+
+  (* The bound [make bench-smoke] holds CG to, shared with test_scale's
+     allocation test: far below the n words one fresh vector costs. *)
+  let max_words_per_iteration = 1024.
 
   let report ~smoke () =
     let n, m, knn_count, knn_k =
@@ -573,6 +605,17 @@ module Profile = struct
             Gssl.Lambda_path.compute ~strategy:Gssl.Lambda_path.Naive
               dense_problem )
     in
+    (* flat_cg and mg_cg also report the words a CG iteration
+       allocates on their problem *)
+    let cg_words precond =
+      [
+        ( "words_per_iteration",
+          T.Export.Num
+            (words_per_iteration (fun k ->
+                 Gssl.Scalable.solve_hard ~tol:1e-9 ~max_iter:k ~precond
+                   ~unanchored:`Impute mg_problem)) );
+      ]
+    in
     let phases =
       [
         short "hard_direct" (fun () ->
@@ -618,9 +661,9 @@ module Profile = struct
                     (Printf.sprintf "bench: ann_build recall probe %.3f < 0.9"
                        recall));
             w);
-        run_phase "flat_cg" (fun () ->
+        run_phase ~extra:(cg_words `Jacobi) "flat_cg" (fun () ->
             Gssl.Scalable.solve_hard ~tol:1e-9 ~unanchored:`Impute mg_problem);
-        run_phase "mg_cg" (fun () ->
+        run_phase ~extra:(cg_words `Multigrid) "mg_cg" (fun () ->
             Gssl.Scalable.solve_hard ~tol:1e-9 ~precond:`Multigrid
               ~unanchored:`Impute mg_problem);
         run_phase "scale_1m" (fun () ->
@@ -984,6 +1027,18 @@ module Profile = struct
            "bench smoke: multigrid CG took %g iterations, flat CG %g — no \
             iteration reduction"
            mg_iters flat_iters);
+    (* a CG iteration writes into its solve's workspace: allocating
+       per iteration (a fresh vector costs mg_points words) fails here *)
+    List.iter
+      (fun name ->
+        let words = field "words_per_iteration" (find name) in
+        if words > max_words_per_iteration then
+          failwith
+            (Printf.sprintf
+               "bench smoke: %s allocates %g words per CG iteration (bound \
+                %g)"
+               name words max_words_per_iteration))
+      [ "flat_cg"; "mg_cg" ];
     if cg_iter_histogram "flat_cg" <> flat_iters then
       failwith
         "bench smoke: flat_cg histogram disagrees with the iteration counter";

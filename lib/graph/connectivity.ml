@@ -1,28 +1,4 @@
-(* Union-find with path compression over the thresholded edge set. *)
-
-let components ?(threshold = 0.) g =
-  let n = Weighted_graph.order g in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else begin
-      parent.(i) <- find parent.(i);
-      parent.(i)
-    end
-  in
-  let union i j =
-    let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
-  in
-  Weighted_graph.iter_edges g (fun i j w -> if w > threshold then union i j);
-  (* relabel roots consecutively *)
-  let label = Array.make n (-1) in
-  let next = ref 0 in
-  Array.init n (fun i ->
-      let r = find i in
-      if label.(r) = -1 then begin
-        label.(r) <- !next;
-        incr next
-      end;
-      label.(r))
+let components = Weighted_graph.components
 
 let count_components ?threshold g =
   let c = components ?threshold g in

@@ -7,7 +7,10 @@
 
 val components : ?threshold:float -> Weighted_graph.t -> int array
 (** Component label per vertex, labels [0 … c−1] in order of first
-    appearance. *)
+    appearance, by union-find over the edges.  At the default threshold
+    the array is computed once per graph and shared by every later
+    call (so a solve on a graph already solved on skips the pass);
+    callers must not modify it. *)
 
 val count_components : ?threshold:float -> Weighted_graph.t -> int
 val is_connected : ?threshold:float -> Weighted_graph.t -> bool

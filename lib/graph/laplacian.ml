@@ -34,22 +34,21 @@ let operator ~lambda ~n_labeled g =
   (* (V + lambda L) x in a single row pass: the degree scaling and the
      labeled-block identity are folded into the same sweep that
      accumulates W.x, so the CG hot loop does one pass over the matrix
-     and allocates no intermediate vector.  Per row the accumulation
-     order matches the unfused W.x, and the combining expression is the
-     same [v_part + lambda*(d_i x_i - (Wx)_i)], so the fused result is
-     bit-identical to the two-pass version. *)
+     and writes straight into the solver's buffer.  Per row the
+     accumulation order matches the unfused W.x, and the combining
+     expression is the same [v_part + lambda*(d_i x_i - (Wx)_i)], so the
+     fused result is bit-identical to the two-pass version. *)
   let apply_fused =
     match Weighted_graph.storage g with
     | Weighted_graph.Sparse c ->
         let vdiag =
           Array.init n (fun i -> if i < n_labeled then 1. else 0.)
         in
-        fun f -> Sparse.Csr.fused_lap_mv c ~deg:d ~vdiag ~lambda f
+        fun f y -> Sparse.Csr.fused_lap_mv_into c ~deg:d ~vdiag ~lambda f y
     | Weighted_graph.Dense m ->
-        fun f ->
+        fun f y ->
           Telemetry.Counter.incr c_gemv;
           Telemetry.Counter.add c_lin_flops ((2 * n * n) + (4 * n));
-          let y = Array.make n 0. in
           let rows lo hi =
             for i = lo to hi - 1 do
               let base = i * m.Mat.cols in
@@ -61,13 +60,13 @@ let operator ~lambda ~n_labeled g =
               y.(i) <- v_part +. (lambda *. ((d.(i) *. f.(i)) -. !acc))
             done
           in
-          Parallel.Dispatch.run Parallel.Dispatch.Gemv ~work:(n * n) n rows;
-          y
+          Parallel.Dispatch.run Parallel.Dispatch.Gemv ~work:(n * n) n rows
   in
-  let apply f =
-    if Array.length f <> n then invalid_arg "Laplacian.operator: length mismatch";
+  let apply f y =
+    if Array.length f <> n || Array.length y <> n then
+      invalid_arg "Laplacian.operator: length mismatch";
     Telemetry.Counter.incr c_operator_applies;
-    apply_fused f
+    apply_fused f y
   in
   let diag () =
     Array.init n (fun i ->

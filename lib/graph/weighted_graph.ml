@@ -3,7 +3,12 @@ module Vec = Linalg.Vec
 
 type storage = Dense of Mat.t | Sparse of Sparse.Csr.t
 
-type t = { storage : storage; order : int; mutable degrees : Vec.t option }
+type t = {
+  storage : storage;
+  order : int;
+  mutable degrees : Vec.t option;
+  mutable components : int array option;  (* at threshold 0 *)
+}
 
 (* NaN slips through both the symmetry check (any comparison with NaN is
    false) and the sign check, so finiteness must be tested explicitly. *)
@@ -26,20 +31,25 @@ let validate_sparse c =
 
 let of_dense m =
   validate_dense m;
-  { storage = Dense m; order = m.Mat.rows; degrees = None }
+  { storage = Dense m; order = m.Mat.rows; degrees = None; components = None }
 
 let of_sparse c =
   validate_sparse c;
-  { storage = Sparse c; order = fst (Sparse.Csr.dims c); degrees = None }
+  {
+    storage = Sparse c;
+    order = fst (Sparse.Csr.dims c);
+    degrees = None;
+    components = None;
+  }
 
 let of_dense_unchecked m =
   if not (Mat.is_square m) then invalid_arg "Weighted_graph: matrix not square";
-  { storage = Dense m; order = m.Mat.rows; degrees = None }
+  { storage = Dense m; order = m.Mat.rows; degrees = None; components = None }
 
 let of_sparse_unchecked c =
   let rows, cols = Sparse.Csr.dims c in
   if rows <> cols then invalid_arg "Weighted_graph: matrix not square";
-  { storage = Sparse c; order = rows; degrees = None }
+  { storage = Sparse c; order = rows; degrees = None; components = None }
 
 let order t = t.order
 
@@ -79,6 +89,52 @@ let iter_edges t f =
         done
       done
   | Sparse c ->
+      let row_ptr = c.Sparse.Csr.row_ptr and col_idx = c.Sparse.Csr.col_idx in
+      let values = c.Sparse.Csr.values in
       for i = 0 to t.order - 1 do
-        Sparse.Csr.iter_row c i (fun j w -> if j > i && w <> 0. then f i j w)
+        (* columns ascend, so the upper triangle is the row's tail *)
+        let k = ref row_ptr.(i) and hi = row_ptr.(i + 1) in
+        while !k < hi && col_idx.(!k) <= i do
+          incr k
+        done;
+        for k = !k to hi - 1 do
+          let w = values.(k) in
+          if w <> 0. then f i col_idx.(k) w
+        done
       done
+
+(* Union-find with path compression over the edges heavier than
+   [threshold]. *)
+let union_find ~threshold t =
+  let n = t.order in
+  let parent = Array.init n (fun i -> i) in
+  let rec find i = if parent.(i) = i then i else begin
+      parent.(i) <- find parent.(i);
+      parent.(i)
+    end
+  in
+  let union i j =
+    let ri = find i and rj = find j in
+    if ri <> rj then parent.(ri) <- rj
+  in
+  iter_edges t (fun i j w -> if w > threshold then union i j);
+  (* relabel roots consecutively *)
+  let label = Array.make n (-1) in
+  let next = ref 0 in
+  Array.init n (fun i ->
+      let r = find i in
+      if label.(r) = -1 then begin
+        label.(r) <- !next;
+        incr next
+      end;
+      label.(r))
+
+let components ?(threshold = 0.) t =
+  if threshold <> 0. then union_find ~threshold t
+  else
+    match t.components with
+    | Some c -> c
+    | None ->
+        let c = union_find ~threshold t in
+        t.components <- Some c;
+        c

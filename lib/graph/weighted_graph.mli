@@ -43,3 +43,9 @@ val total_weight : t -> float
 val iter_edges : t -> (int -> int -> float -> unit) -> unit
 (** Visit every nonzero [w_ij] with [i < j] once, in ascending
     [(i, j)] order. *)
+
+val components : ?threshold:float -> t -> int array
+(** {!Connectivity.components}, which calls this.  At the default
+    threshold (0) the array is computed once and cached like
+    {!degrees}: every later call returns the same array, which callers
+    must not modify. *)

@@ -53,17 +53,40 @@ let system_lap problem =
       end);
   (Sparse.Csr.of_sorted_rows ~rows:m ~cols:m ~row_ptr ~col_idx ~values, deg, rhs)
 
-(* The assembled matrix, derived from the fused form: each row holds its
-   diagonal deg'_v and −w for every stored W₂₂ entry. *)
+(* The assembled matrix, derived from the fused form and written
+   straight into CSR: row a holds −w for its W₂₂ entries below the
+   diagonal, then deg'_a unless it is zero, then −w for the entries
+   above.  W₂₂ has no diagonal and its rows are sorted, so every row
+   comes out strictly increasing. *)
 let system_csr problem =
   let w, deg, b = system_lap problem in
   let m = Vec.dim deg in
-  let coo = Sparse.Coo.create m m in
+  let wp = w.Sparse.Csr.row_ptr and wc = w.Sparse.Csr.col_idx in
+  let wv = w.Sparse.Csr.values in
+  let row_ptr = Array.make (m + 1) 0 in
   for a = 0 to m - 1 do
-    Sparse.Coo.add coo a a deg.(a);
-    Sparse.Csr.iter_row w a (fun c x -> Sparse.Coo.add coo a c (-.x))
+    let diag = if deg.(a) <> 0. then 1 else 0 in
+    row_ptr.(a + 1) <- row_ptr.(a) + (wp.(a + 1) - wp.(a)) + diag
   done;
-  (Sparse.Csr.of_coo coo, b)
+  let col_idx = Array.make row_ptr.(m) 0 and values = Array.make row_ptr.(m) 0. in
+  let k = ref 0 in
+  let put c v =
+    col_idx.(!k) <- c;
+    values.(!k) <- v;
+    incr k
+  in
+  for a = 0 to m - 1 do
+    let q = ref wp.(a) in
+    while !q < wp.(a + 1) && wc.(!q) < a do
+      put wc.(!q) (-.wv.(!q));
+      incr q
+    done;
+    if deg.(a) <> 0. then put a deg.(a);
+    for q = !q to wp.(a + 1) - 1 do
+      put wc.(q) (-.wv.(q))
+    done
+  done;
+  (Sparse.Csr.of_sorted_rows ~rows:m ~cols:m ~row_ptr ~col_idx ~values, b)
 
 let solve_hard ?(tol = 1e-10) ?max_iter ?(precond = `Jacobi) ?should_stop
     ?(unanchored = `Raise) problem =
@@ -103,7 +126,7 @@ let solve_hard ?(tol = 1e-10) ?max_iter ?(precond = `Jacobi) ?should_stop
           match (precond, sys.System.a) with
           | `Multigrid, System.Lap { w; deg } ->
               let mg = Sparse.Multigrid.build ~w ~diag:deg () in
-              Some (Sparse.Multigrid.precondition mg)
+              Some (Sparse.Multigrid.precondition_into mg)
           | _ -> None (* `Jacobi: CG's default diagonal preconditioner *)
         in
         Sparse.Cg.solve_exn ~tol ?max_iter ?precond_apply ?should_stop

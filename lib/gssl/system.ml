@@ -48,7 +48,7 @@ let operator = function
         ~diag:(fun () ->
           let wd = Csr.diagonal w in
           Array.init dim (fun i -> deg.(i) -. wd.(i)))
-        (fun x -> Csr.lap_mv w ~deg x)
+        (fun x y -> Csr.lap_mv_into w ~deg x y)
   | Op op -> op
 
 let convergence = function
@@ -72,5 +72,11 @@ let convergence = function
            ~converged:last.Sparse.Cg.converged)
 
 let certify ~system ~rung ~attempts { a; b } x =
-  Obs.Health.certify ~system ~rung ?convergence:(convergence attempts)
-    ~apply:(operator a).Sparse.Linop.apply ~b x
+  let op = operator a in
+  let apply x =
+    let y = Vec.zeros op.Sparse.Linop.dim in
+    op.Sparse.Linop.apply x y;
+    y
+  in
+  Obs.Health.certify ~system ~rung ?convergence:(convergence attempts) ~apply
+    ~b x

@@ -27,15 +27,17 @@ let factor a =
   done;
   l
 
-let solve_factored l b =
+let solve_factored_into l b y =
   let n = l.Mat.rows in
   if Array.length b <> n then
     invalid_arg "Cholesky.solve_factored: length mismatch";
+  if Array.length y <> n then
+    invalid_arg "Cholesky.solve_factored_into: output length mismatch";
   Telemetry.Counter.incr c_solve;
   Telemetry.Counter.add c_flops (2 * n * n);
   let ld = l.Mat.data in
   (* forward: l y = b *)
-  let y = Array.copy b in
+  Array.blit b 0 y 0 n;
   for i = 0 to n - 1 do
     let acc = ref y.(i) in
     for j = 0 to i - 1 do
@@ -50,7 +52,11 @@ let solve_factored l b =
       acc := !acc -. (ld.((j * n) + i) *. y.(j))
     done;
     y.(i) <- !acc /. ld.((i * n) + i)
-  done;
+  done
+
+let solve_factored l b =
+  let y = Array.make (Array.length b) 0. in
+  solve_factored_into l b y;
   y
 
 let solve a b = solve_factored (factor a) b

@@ -16,6 +16,11 @@ val factor : Mat.t -> Mat.t
 val solve_factored : Mat.t -> Vec.t -> Vec.t
 (** [solve_factored l b] solves [l lᵀ x = b]. *)
 
+val solve_factored_into : Mat.t -> Vec.t -> Vec.t -> unit
+(** [solve_factored_into l b x] writes [solve_factored l b] into [x]
+    (same bits, same counters) without allocating; [x] may be [b]
+    itself.  Raises [Invalid_argument] on a length mismatch. *)
+
 val solve : Mat.t -> Vec.t -> Vec.t
 (** [solve a b] factors and solves [a x = b]. *)
 

@@ -136,14 +136,17 @@ let add_scaled_identity a mu =
    *where* the row loop runs; each row's accumulation order is
    unchanged, so the output is bit-identical for any domain count. *)
 
-let mv a x =
+let mv_into a x y =
   if Array.length x <> a.cols then
     invalid_arg
       (Printf.sprintf "Mat.mv: %dx%d matrix times vector of length %d" a.rows
          a.cols (Array.length x));
+  if Array.length y <> a.rows then
+    invalid_arg
+      (Printf.sprintf "Mat.mv_into: %dx%d matrix into vector of length %d"
+         a.rows a.cols (Array.length y));
   Telemetry.Counter.incr c_gemv;
   Telemetry.Counter.add c_flops (2 * a.rows * a.cols);
-  let y = Array.make a.rows 0. in
   let rows lo hi =
     for i = lo to hi - 1 do
       let base = i * a.cols in
@@ -155,7 +158,11 @@ let mv a x =
     done
   in
   Parallel.Dispatch.run Parallel.Dispatch.Gemv ~work:(a.rows * a.cols) a.rows
-    rows;
+    rows
+
+let mv a x =
+  let y = Array.make a.rows 0. in
+  mv_into a x y;
   y
 
 let tmv a x =

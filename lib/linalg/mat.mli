@@ -63,6 +63,11 @@ val add_scaled_identity : t -> float -> t
 val mv : t -> Vec.t -> Vec.t
 (** Matrix–vector product. *)
 
+val mv_into : t -> Vec.t -> Vec.t -> unit
+(** [mv_into a x y] writes [mv a x] into [y] (same bits, same counters,
+    same row-panel dispatch) without allocating.  [y] must not alias
+    [x].  Raises [Invalid_argument] on a length mismatch. *)
+
 val tmv : t -> Vec.t -> Vec.t
 (** [tmv a x] is [aᵀ x] without forming the transpose. *)
 

@@ -17,9 +17,9 @@ let c_converged = Telemetry.Counter.make "cg.converged"
 
 (* operator application, counted so the telemetry report can explain a
    solve's cost in matvecs rather than wall-clock alone *)
-let apply (op : Linop.t) x =
+let apply (op : Linop.t) x y =
   Telemetry.Counter.incr c_matvecs;
-  op.Linop.apply x
+  op.Linop.apply x y
 
 let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
     ?precond_apply ?(should_stop = fun () -> false) (op : Linop.t) b =
@@ -35,18 +35,19 @@ let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
       Some (Array.map (fun d -> if abs_float d > 1e-300 then 1. /. d else 1.) (op.Linop.diag ()))
     else None
   in
-  let apply_precond r =
-    (* a caller-supplied preconditioner (e.g. a multigrid V-cycle) takes
-       precedence over the built-in Jacobi diagonal; it must apply a fixed
-       SPD operator for the PCG recurrences to stay valid *)
+  (* z ← M⁻¹ r.  A caller-supplied preconditioner (e.g. a multigrid
+     V-cycle) takes precedence over the built-in Jacobi diagonal; it must
+     apply a fixed SPD operator for the PCG recurrences to stay valid *)
+  let apply_precond r z =
     match precond_apply with
-    | Some f when precondition ->
-        let z = f r in
-        if Array.length z <> n then
-          invalid_arg "Cg.solve: precond_apply changed the dimension";
-        z
+    | Some f when precondition -> f r z
     | _ -> (
-        match inv_diag with None -> Vec.copy r | Some m -> Vec.mul m r)
+        match inv_diag with
+        | None -> Array.blit r 0 z 0 n
+        | Some m ->
+            for i = 0 to n - 1 do
+              z.(i) <- m.(i) *. r.(i)
+            done)
   in
   let b_norm = Vec.norm2 b in
   if b_norm = 0. then begin
@@ -57,10 +58,17 @@ let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
   end
   else begin
     let threshold = tol *. b_norm in
+    (* the whole workspace, allocated once: every iteration below
+       overwrites these four vectors in place *)
+    let r = Vec.zeros n and z = Vec.zeros n in
+    let p = Vec.zeros n and ap = Vec.zeros n in
     (* r = b - A x *)
-    let r = Vec.sub b (apply op x) in
-    let z = apply_precond r in
-    let p = ref (Vec.copy z) in
+    apply op x ap;
+    for i = 0 to n - 1 do
+      r.(i) <- b.(i) -. ap.(i)
+    done;
+    apply_precond r z;
+    Array.blit z 0 p 0 n;
     let rz = ref (Vec.dot r z) in
     let iterations = ref 0 in
     let res = ref (Vec.norm2 r) in
@@ -77,8 +85,8 @@ let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
       else begin
       incr iterations;
       Telemetry.Counter.incr c_iterations;
-      let ap = apply op !p in
-      let pap = Vec.dot !p ap in
+      apply op p ap;
+      let pap = Vec.dot p ap in
       if pap <= 0. || not (Float.is_finite pap) then
         (* pᵀAp ≤ 0 (or NaN): the operator is not SPD along this search
            direction, so the α update would diverge — stop and report the
@@ -86,18 +94,19 @@ let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
         breakdown := true
       else begin
         let alpha = !rz /. pap in
-        Vec.axpy alpha !p x;
+        Vec.axpy alpha p x;
         Vec.axpy (-.alpha) ap r;
         res := Vec.norm2 r;
         if !res < !best then best := !res;
         if !res > threshold then begin
-          let z = apply_precond r in
+          apply_precond r z;
           let rz' = Vec.dot r z in
           let beta = rz' /. !rz in
           rz := rz';
-          let p' = Vec.copy z in
-          Vec.axpy beta !p p';
-          p := p'
+          (* p ← z + β·p *)
+          for i = 0 to n - 1 do
+            p.(i) <- (beta *. p.(i)) +. z.(i)
+          done
         end
       end
       end

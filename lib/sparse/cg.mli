@@ -32,7 +32,7 @@ val solve :
   ?tol:float ->
   ?max_iter:int ->
   ?precondition:bool ->
-  ?precond_apply:(Linalg.Vec.t -> Linalg.Vec.t) ->
+  ?precond_apply:(Linalg.Vec.t -> Linalg.Vec.t -> unit) ->
   ?should_stop:(unit -> bool) ->
   Linop.t ->
   Linalg.Vec.t ->
@@ -42,13 +42,23 @@ val solve :
     [10 * dim]; [precondition] (default true) enables the Jacobi
     (diagonal) preconditioner.  [precond_apply], when supplied (and
     [precondition] is true), replaces the Jacobi diagonal entirely: each
-    iteration solves [M z = r] by calling [precond_apply r].  The
-    callback must realise a {e fixed symmetric positive-definite}
-    operator (e.g. a symmetric multigrid V-cycle) or the PCG recurrences
-    lose their convergence guarantees.  Iteration counts of every solve
-    are recorded in the ["cg.iterations"] {!Obs.Histogram} summary while
-    telemetry is enabled, so preconditioner quality is observable, not
-    just wall time.  [should_stop] (default [fun () -> false])
+    iteration solves [M z = r] by calling [precond_apply r z], which
+    must write all of [z] and leave [r] unchanged; the solver never
+    passes a [z] that aliases [r].  The callback must realise a
+    {e fixed symmetric positive-definite} operator (e.g. a symmetric
+    multigrid V-cycle) or the PCG recurrences lose their convergence
+    guarantees.
+
+    Allocation: per solve, the solution, the Jacobi diagonal's
+    inverse when it is used, and one workspace of four [dim]-vectors
+    (r, z, p and A·p); iterations apply the operator ({!Linop.t}'s
+    [apply] writes into the workspace) and the preconditioner in place,
+    so they allocate nothing of size [dim].
+
+    Iteration counts of every solve are recorded in the
+    ["cg.iterations"] {!Obs.Histogram} summary while telemetry is
+    enabled, so preconditioner quality is observable, not just wall
+    time.  [should_stop] (default [fun () -> false])
     is polled once per iteration {e before} any work for that iteration;
     returning [true] ends the solve cooperatively with [aborted = true]
     and the current iterate as [solution] — this is how per-request
@@ -60,7 +70,7 @@ val solve_exn :
   ?tol:float ->
   ?max_iter:int ->
   ?precondition:bool ->
-  ?precond_apply:(Linalg.Vec.t -> Linalg.Vec.t) ->
+  ?precond_apply:(Linalg.Vec.t -> Linalg.Vec.t -> unit) ->
   ?should_stop:(unit -> bool) ->
   Linop.t ->
   Linalg.Vec.t ->

@@ -29,16 +29,18 @@ type t = {
    vertex pairs with its heaviest unmatched neighbour (first-seen, i.e.
    smallest index, on exact weight ties).  Deterministic by
    construction. *)
-let heavy_edge_matching w n =
+let heavy_edge_matching (w : Csr.t) n =
   let mate = Array.make n (-1) in
   for i = 0 to n - 1 do
     if mate.(i) < 0 then begin
       let best = ref (-1) and best_w = ref 0. in
-      Csr.iter_row w i (fun j wij ->
-          if j <> i && mate.(j) < 0 && wij > !best_w then begin
-            best := j;
-            best_w := wij
-          end);
+      for k = w.row_ptr.(i) to w.row_ptr.(i + 1) - 1 do
+        let j = w.col_idx.(k) and wij = w.values.(k) in
+        if j <> i && mate.(j) < 0 && wij > !best_w then begin
+          best := j;
+          best_w := wij
+        end
+      done;
       if !best >= 0 then begin
         mate.(i) <- !best;
         mate.(!best) <- i
@@ -52,7 +54,10 @@ let heavy_edge_matching w n =
    which coarsens fast but destroys the coarse operator's locality. *)
 let max_aggregate = 8
 
-let coarsen_once { w; diag } =
+(* [cols] and [vals] are scratch for the coarse rows, at least nnz W
+   long: a coarse entry needs at least one fine entry.  One pair serves
+   every level, since no level holds more entries than the finest. *)
+let coarsen_once ~cols ~vals { w; diag } =
   let n = Array.length diag in
   let mate = heavy_edge_matching w n in
   let cmap = Array.make n (-1) in
@@ -81,14 +86,16 @@ let coarsen_once { w; diag } =
   for i = 0 to n - 1 do
     if cmap.(i) < 0 then begin
       let best = ref (-1) and best_w = ref 0. in
-      Csr.iter_row w i (fun j wij ->
-          if j <> i && wij > !best_w then begin
-            let cj = cmap.(j) in
-            if cj >= 0 && size.(cj) < max_aggregate then begin
-              best := cj;
-              best_w := wij
-            end
-          end);
+      for k = w.row_ptr.(i) to w.row_ptr.(i + 1) - 1 do
+        let j = w.col_idx.(k) and wij = w.values.(k) in
+        if j <> i && wij > !best_w then begin
+          let cj = cmap.(j) in
+          if cj >= 0 && size.(cj) < max_aggregate then begin
+            best := cj;
+            best_w := wij
+          end
+        end
+      done;
       if !best >= 0 then begin
         cmap.(i) <- !best;
         size.(!best) <- size.(!best) + 1
@@ -125,54 +132,53 @@ let coarsen_once { w; diag } =
   (* Coarse row c sums w_ij over its members i and their neighbours j in
      other aggregates, reading both triangles of the symmetric W.
      pos.(c') is where column c' sits while row c is built; a position
-     below the row's start is left over from an earlier row.  A coarse
-     entry needs at least one fine entry, so nnz W bounds the arrays. *)
-  let cap = Csr.nnz w in
-  let col_idx = Array.make cap 0 and values = Array.make cap 0. in
+     below the row's start is left over from an earlier row. *)
   let row_ptr = Array.make (nc + 1) 0 in
   let pos = Array.make nc (-1) in
   let len = ref 0 in
   for c = 0 to nc - 1 do
     let lo = !len in
     row_ptr.(c) <- lo;
-    for k = start.(c) to start.(c + 1) - 1 do
-      let i = members.(k) in
-      Csr.iter_row w i (fun j wij ->
-          let cj = cmap.(j) in
-          if cj = c then begin
-            (* intra-aggregate edge, once per pair: absorbed into the
-               diagonal *)
-            if j > i then cdiag.(c) <- cdiag.(c) -. (2. *. wij)
+    for m = start.(c) to start.(c + 1) - 1 do
+      let i = members.(m) in
+      for k = w.row_ptr.(i) to w.row_ptr.(i + 1) - 1 do
+        let j = w.col_idx.(k) and wij = w.values.(k) in
+        let cj = cmap.(j) in
+        if cj = c then begin
+          (* intra-aggregate edge, once per pair: absorbed into the
+             diagonal *)
+          if j > i then cdiag.(c) <- cdiag.(c) -. (2. *. wij)
+        end
+        else if wij <> 0. then begin
+          let p = pos.(cj) in
+          if p >= lo then vals.(p) <- vals.(p) +. wij
+          else begin
+            pos.(cj) <- !len;
+            cols.(!len) <- cj;
+            vals.(!len) <- wij;
+            incr len
           end
-          else if wij <> 0. then begin
-            let p = pos.(cj) in
-            if p >= lo then values.(p) <- values.(p) +. wij
-            else begin
-              pos.(cj) <- !len;
-              col_idx.(!len) <- cj;
-              values.(!len) <- wij;
-              incr len
-            end
-          end)
+        end
+      done
     done;
     (* insertion sort: a coarse row of a kNN hierarchy holds tens of
        entries (about 11–32 on average per level at 10⁵ points) *)
     for k = lo + 1 to !len - 1 do
-      let cc = col_idx.(k) and v = values.(k) in
+      let cc = cols.(k) and v = vals.(k) in
       let q = ref (k - 1) in
-      while !q >= lo && col_idx.(!q) > cc do
-        col_idx.(!q + 1) <- col_idx.(!q);
-        values.(!q + 1) <- values.(!q);
+      while !q >= lo && cols.(!q) > cc do
+        cols.(!q + 1) <- cols.(!q);
+        vals.(!q + 1) <- vals.(!q);
         decr q
       done;
-      col_idx.(!q + 1) <- cc;
-      values.(!q + 1) <- v
+      cols.(!q + 1) <- cc;
+      vals.(!q + 1) <- v
     done
   done;
   row_ptr.(nc) <- !len;
   let wc =
     Csr.of_sorted_rows ~rows:nc ~cols:nc ~row_ptr
-      ~col_idx:(Array.sub col_idx 0 !len) ~values:(Array.sub values 0 !len)
+      ~col_idx:(Array.sub cols 0 !len) ~values:(Array.sub vals 0 !len)
   in
   ({ w = wc; diag = cdiag }, cmap, nc)
 
@@ -189,6 +195,9 @@ let build ?(coarse_cutoff = 64) ?(max_levels = 25) ?(min_shrink = 0.95) ~w
   Telemetry.Span.with_ "coarsen.build" (fun () ->
       let graphs = ref [ { w; diag } ] in
       let maps = ref [] in
+      let scratch =
+        lazy (Array.make (Csr.nnz w) 0, Array.make (Csr.nnz w) 0.)
+      in
       let continue = ref true in
       while !continue do
         let g = List.hd !graphs in
@@ -196,7 +205,8 @@ let build ?(coarse_cutoff = 64) ?(max_levels = 25) ?(min_shrink = 0.95) ~w
         if cur_n <= coarse_cutoff || List.length !graphs >= max_levels then
           continue := false
         else begin
-          let gc, cmap, nc = coarsen_once g in
+          let cols, vals = Lazy.force scratch in
+          let gc, cmap, nc = coarsen_once ~cols ~vals g in
           (* stagnation guard: a matching that barely shrinks the graph
              (edge-free or near-edge-free level) cannot make progress *)
           if float_of_int nc > min_shrink *. float_of_int cur_n then

@@ -131,11 +131,12 @@ let c_flops = Telemetry.Counter.make "sparse.flops"
 let spmv_dispatch t rows_body =
   Parallel.Dispatch.run Parallel.Dispatch.Spmv ~work:(nnz t) t.rows rows_body
 
-let mv t x =
+let mv_into t x y =
   if Array.length x <> t.cols then invalid_arg "Csr.mv: length mismatch";
+  if Array.length y <> t.rows then
+    invalid_arg "Csr.mv: output length mismatch";
   Telemetry.Counter.incr c_matvec;
   Telemetry.Counter.add c_flops (2 * nnz t);
-  let y = Array.make t.rows 0. in
   let rows lo hi =
     for i = lo to hi - 1 do
       let acc = ref 0. in
@@ -145,7 +146,11 @@ let mv t x =
       y.(i) <- !acc
     done
   in
-  spmv_dispatch t rows;
+  spmv_dispatch t rows
+
+let mv t x =
+  let y = Array.make t.rows 0. in
+  mv_into t x y;
   y
 
 (* Fused graph-Laplacian products: the degree scaling (and, for the
@@ -181,16 +186,62 @@ let lap_mv t ~deg x =
   lap_mv_into t ~deg x y;
   y
 
-let fused_lap_mv t ~deg ~vdiag ~lambda x =
+(* The two row passes of a multigrid level, each counted as the lap_mv
+   product it contains: the residual b − A·x, and one damped Jacobi
+   sweep x + step·(b − A·x).  Per row both keep the expressions of the
+   composed lap_mv-then-combine passes, so they are bit-identical to
+   them. *)
+
+let check_lap name t ~deg ~b x y =
+  if Array.length x <> t.cols then invalid_arg (name ^ ": length mismatch");
+  if Array.length deg <> t.rows then
+    invalid_arg (name ^ ": degree length mismatch");
+  if Array.length b <> t.rows || Array.length y <> t.rows then
+    invalid_arg (name ^ ": output length mismatch")
+
+let lap_residual_into t ~deg ~b x r =
+  check_lap "Csr.lap_residual_into" t ~deg ~b x r;
+  Telemetry.Counter.incr c_matvec;
+  Telemetry.Counter.add c_flops ((2 * nnz t) + (2 * t.rows));
+  let rows lo hi =
+    for i = lo to hi - 1 do
+      let acc = ref 0. in
+      for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+        acc := !acc +. (t.values.(k) *. x.(t.col_idx.(k)))
+      done;
+      r.(i) <- b.(i) -. ((deg.(i) *. x.(i)) -. !acc)
+    done
+  in
+  spmv_dispatch t rows
+
+let lap_jacobi_into t ~deg ~step ~b x y =
+  check_lap "Csr.lap_jacobi_into" t ~deg ~b x y;
+  if Array.length step <> t.rows then
+    invalid_arg "Csr.lap_jacobi_into: step length mismatch";
+  Telemetry.Counter.incr c_matvec;
+  Telemetry.Counter.add c_flops ((2 * nnz t) + (2 * t.rows));
+  let rows lo hi =
+    for i = lo to hi - 1 do
+      let acc = ref 0. in
+      for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+        acc := !acc +. (t.values.(k) *. x.(t.col_idx.(k)))
+      done;
+      y.(i) <- x.(i) +. (step.(i) *. (b.(i) -. ((deg.(i) *. x.(i)) -. !acc)))
+    done
+  in
+  spmv_dispatch t rows
+
+let fused_lap_mv_into t ~deg ~vdiag ~lambda x y =
   if Array.length x <> t.cols then
     invalid_arg "Csr.fused_lap_mv: length mismatch";
   if Array.length deg <> t.rows then
     invalid_arg "Csr.fused_lap_mv: degree length mismatch";
   if Array.length vdiag <> t.rows then
     invalid_arg "Csr.fused_lap_mv: vdiag length mismatch";
+  if Array.length y <> t.rows then
+    invalid_arg "Csr.fused_lap_mv: output length mismatch";
   Telemetry.Counter.incr c_matvec;
   Telemetry.Counter.add c_flops ((2 * nnz t) + (4 * t.rows));
-  let y = Array.make t.rows 0. in
   let rows lo hi =
     for i = lo to hi - 1 do
       let acc = ref 0. in
@@ -200,7 +251,11 @@ let fused_lap_mv t ~deg ~vdiag ~lambda x =
       y.(i) <- (vdiag.(i) *. x.(i)) +. (lambda *. ((deg.(i) *. x.(i)) -. !acc))
     done
   in
-  spmv_dispatch t rows;
+  spmv_dispatch t rows
+
+let fused_lap_mv t ~deg ~vdiag ~lambda x =
+  let y = Array.make t.rows 0. in
+  fused_lap_mv_into t ~deg ~vdiag ~lambda x y;
   y
 
 let tmv t x =

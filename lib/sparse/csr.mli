@@ -44,6 +44,11 @@ val get : t -> int -> int -> float
 val mv : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** Sparse matrix–vector product. *)
 
+val mv_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+(** [mv_into a x y] writes [mv a x] into [y] (same bits, same counters,
+    same row-panel dispatch) without allocating.  [y] must not alias
+    [x].  Raises [Invalid_argument] on a length mismatch. *)
+
 val lap_mv : t -> deg:Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t
 (** [lap_mv w ~deg x] is the graph-Laplacian product
     [y_i = deg_i * x_i - (W x)_i] computed in one row pass (degree
@@ -57,6 +62,33 @@ val lap_mv_into :
     [y] must not alias [x].  Raises [Invalid_argument] on a length
     mismatch. *)
 
+val lap_residual_into :
+  t ->
+  deg:Linalg.Vec.t ->
+  b:Linalg.Vec.t ->
+  Linalg.Vec.t ->
+  Linalg.Vec.t ->
+  unit
+(** [lap_residual_into w ~deg ~b x r] writes the residual
+    [r_i = b_i - (deg_i * x_i - (W x)_i)] in one row pass, bit-identical
+    to [b - lap_mv w ~deg x] and counted as one [lap_mv].  [r] must not
+    alias [x].  Raises [Invalid_argument] on a length mismatch. *)
+
+val lap_jacobi_into :
+  t ->
+  deg:Linalg.Vec.t ->
+  step:Linalg.Vec.t ->
+  b:Linalg.Vec.t ->
+  Linalg.Vec.t ->
+  Linalg.Vec.t ->
+  unit
+(** [lap_jacobi_into w ~deg ~step ~b x y] writes one Jacobi sweep on
+    [(diag(deg) - W) x = b] damped per row by [step],
+    [y_i = x_i + step_i * (b_i - (deg_i * x_i - (W x)_i))], in one row
+    pass, bit-identical to the composed form and counted as one
+    [lap_mv].  [y] must not alias [x].  Raises [Invalid_argument] on a
+    length mismatch. *)
+
 val fused_lap_mv :
   t ->
   deg:Linalg.Vec.t ->
@@ -68,6 +100,18 @@ val fused_lap_mv :
     [y_i = vdiag_i * x_i + lambda * (deg_i * x_i - (W x)_i)] — the soft
     criterion's [(V + lambda L) x] — in one row pass.  Bit-identical to
     composing the unfused steps. *)
+
+val fused_lap_mv_into :
+  t ->
+  deg:Linalg.Vec.t ->
+  vdiag:Linalg.Vec.t ->
+  lambda:float ->
+  Linalg.Vec.t ->
+  Linalg.Vec.t ->
+  unit
+(** [fused_lap_mv_into w ~deg ~vdiag ~lambda x y] writes
+    [fused_lap_mv w ~deg ~vdiag ~lambda x] into [y] without allocating.
+    [y] must not alias [x]. *)
 
 val tmv : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** [tmv a x = aᵀ x]. *)

@@ -1,6 +1,6 @@
 type t = {
   dim : int;
-  apply : Linalg.Vec.t -> Linalg.Vec.t;
+  apply : Linalg.Vec.t -> Linalg.Vec.t -> unit;
   diag : unit -> Linalg.Vec.t;
 }
 
@@ -8,40 +8,17 @@ let of_dense m =
   if not (Linalg.Mat.is_square m) then invalid_arg "Linop.of_dense: not square";
   {
     dim = m.Linalg.Mat.rows;
-    apply = (fun x -> Linalg.Mat.mv m x);
+    apply = (fun x y -> Linalg.Mat.mv_into m x y);
     diag = (fun () -> Linalg.Mat.get_diag m);
   }
 
 let of_csr c =
   let rows, cols = Csr.dims c in
   if rows <> cols then invalid_arg "Linop.of_csr: not square";
-  { dim = rows; apply = (fun x -> Csr.mv c x); diag = (fun () -> Csr.diagonal c) }
+  {
+    dim = rows;
+    apply = (fun x y -> Csr.mv_into c x y);
+    diag = (fun () -> Csr.diagonal c);
+  }
 
 let of_fun ~dim ~diag apply = { dim; apply; diag }
-
-let add_scaled a s b =
-  if a.dim <> b.dim then invalid_arg "Linop.add_scaled: dimension mismatch";
-  {
-    dim = a.dim;
-    apply =
-      (fun x ->
-        let ya = a.apply x and yb = b.apply x in
-        Linalg.Vec.axpy s yb ya;
-        ya);
-    diag =
-      (fun () ->
-        let da = a.diag () and db = b.diag () in
-        Linalg.Vec.axpy s db da;
-        da);
-  }
-
-let shift a mu =
-  {
-    dim = a.dim;
-    apply =
-      (fun x ->
-        let y = a.apply x in
-        Linalg.Vec.axpy mu x y;
-        y);
-    diag = (fun () -> Linalg.Vec.add_scalar mu (a.diag ()));
-  }

@@ -7,19 +7,27 @@
     materialising it. *)
 
 type t = {
-  dim : int;                                (** operator is [dim]×[dim] *)
-  apply : Linalg.Vec.t -> Linalg.Vec.t;     (** y = A x *)
-  diag : unit -> Linalg.Vec.t;              (** the diagonal of A, for preconditioning *)
+  dim : int;  (** operator is [dim]×[dim] *)
+  apply : Linalg.Vec.t -> Linalg.Vec.t -> unit;
+      (** [apply x y] writes [A x] into [y].  It writes every entry of
+          [y], reads nothing of [y] first, and leaves [x] unchanged;
+          callers never pass a [y] that aliases [x].  So a solver can
+          reuse one output buffer for every application. *)
+  diag : unit -> Linalg.Vec.t;  (** the diagonal of A, for preconditioning *)
 }
 
 val of_dense : Linalg.Mat.t -> t
-(** Raises [Invalid_argument] if the matrix is not square. *)
+(** Applied through {!Linalg.Mat.mv_into}.  Raises [Invalid_argument]
+    if the matrix is not square. *)
 
 val of_csr : Csr.t -> t
-val of_fun : dim:int -> diag:(unit -> Linalg.Vec.t) -> (Linalg.Vec.t -> Linalg.Vec.t) -> t
+(** Applied through {!Csr.mv_into}.  Raises [Invalid_argument] if the
+    matrix is not square. *)
 
-val add_scaled : t -> float -> t -> t
-(** [add_scaled a s b] is the operator [x ↦ a x + s (b x)]. *)
-
-val shift : t -> float -> t
-(** [shift a mu] is [A + mu I]. *)
+val of_fun :
+  dim:int ->
+  diag:(unit -> Linalg.Vec.t) ->
+  (Linalg.Vec.t -> Linalg.Vec.t -> unit) ->
+  t
+(** [of_fun ~dim ~diag apply]: [apply] must keep the contract of the
+    [apply] field. *)

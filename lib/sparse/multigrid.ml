@@ -19,8 +19,10 @@ module Mat = Linalg.Mat
    diagonally dominant A) and B_c is positive definite: exactly what
    [Cg.solve ~precond_apply] requires.
 
-   Every level owns its buffers (x, A·x and the next level's right-hand
-   side), so a cycle allocates only the vector it returns. *)
+   Every level owns its buffers (x, the next level's right-hand side
+   and, below the finest, the level's answer), and the finest level
+   writes its answer into the caller's vector, so a cycle allocates
+   nothing. *)
 
 let c_builds = Telemetry.Counter.make "sparse.multigrid.builds"
 let c_cycles = Telemetry.Counter.make "sparse.multigrid.cycles"
@@ -38,10 +40,13 @@ type coarse_solver =
 type level = {
   w : Csr.t;
   diag : Vec.t;
-  inv_diag : Vec.t;
+  step : Vec.t;  (* ω·D⁻¹, the damped Jacobi step *)
   cmap : int array;  (* vertex -> next-level aggregate; empty on the coarsest *)
-  x : Vec.t;
-  ax : Vec.t;
+  x : Vec.t;  (* the iterate before post-smoothing *)
+  y : Vec.t;
+      (* the level's answer, written by the post-smoothing sweep (and
+         the residual before it); empty on the finest, whose answer goes
+         to the caller's vector *)
   rc : Vec.t;  (* the next level's right-hand side *)
 }
 
@@ -91,13 +96,17 @@ let build ~w ~diag () =
         Array.init depth (fun l ->
             let w, diag = Coarsen.level hierarchy l in
             let n = Array.length diag and last = l = depth - 1 in
-            let inv_diag =
-              Array.map (fun x -> if abs_float x > 1e-300 then 1. /. x else 0.) diag
+            let step =
+              Array.map
+                (fun x ->
+                  omega *. (if abs_float x > 1e-300 then 1. /. x else 0.))
+                diag
             in
             let cmap = if last then [||] else Coarsen.map_at hierarchy l in
             let nc = if last then 0 else Coarsen.level_size hierarchy (l + 1) in
-            let x = Vec.zeros n and ax = Vec.zeros n and rc = Vec.zeros nc in
-            { w; diag; inv_diag; cmap; x; ax; rc })
+            let x = Vec.zeros n and rc = Vec.zeros nc in
+            let y = if l = 0 then [||] else Vec.zeros n in
+            { w; diag; step; cmap; x; y; rc })
       in
       let cw, cdiag = Coarsen.level hierarchy (depth - 1) in
       { hierarchy; levels; coarse = coarse_solver_of cw cdiag })
@@ -106,58 +115,64 @@ let depth t = Array.length t.levels
 let hierarchy t = t.hierarchy
 
 (* The first sweep from x = 0: A·0 = 0, so x = ω·D⁻¹·r needs no product. *)
-let first_sweep lv r =
-  for i = 0 to Array.length lv.x - 1 do
-    lv.x.(i) <- omega *. lv.inv_diag.(i) *. r.(i)
+let first_sweep lv r x =
+  for i = 0 to Array.length x - 1 do
+    x.(i) <- lv.step.(i) *. r.(i)
   done
 
-(* x ← x + ω·D⁻¹·(r − A·x) *)
-let sweep lv r =
-  Csr.lap_mv_into lv.w ~deg:lv.diag lv.x lv.ax;
-  for i = 0 to Array.length lv.x - 1 do
-    lv.x.(i) <- lv.x.(i) +. (omega *. lv.inv_diag.(i) *. (r.(i) -. lv.ax.(i)))
-  done
-
-let rec vcycle t l r =
+(* The level-[l] answer to A·e = r, written into [out]. *)
+let rec vcycle t l r out =
   let lv = t.levels.(l) in
   if l = Array.length t.levels - 1 then
     match t.coarse with
-    | Cholesky f -> Linalg.Cholesky.solve_factored f r
+    | Cholesky f -> Linalg.Cholesky.solve_factored_into f r out
     | Smooth ->
-        first_sweep lv r;
-        for _ = 2 to coarse_sweeps do
-          sweep lv r
-        done;
-        lv.x
+        (* sweep k reads sweep k − 1's iterate; they alternate between x
+           and out so that the last lands in out *)
+        let buf k = if (coarse_sweeps - k) mod 2 = 0 then out else lv.x in
+        first_sweep lv r (buf 1);
+        for k = 2 to coarse_sweeps do
+          Csr.lap_jacobi_into lv.w ~deg:lv.diag ~step:lv.step ~b:r
+            (buf (k - 1)) (buf k)
+        done
   else begin
-    let { x; ax; rc; cmap; _ } = lv in
-    first_sweep lv r;
-    (* residual r − A·x, restricted (summed into aggregates) as it is formed *)
-    Csr.lap_mv_into lv.w ~deg:lv.diag x ax;
+    let { w; diag; step; x; rc; cmap; _ } = lv in
+    first_sweep lv r x;
+    (* residual r − A·x into out (free until the post-sweep), restricted
+       by summing into aggregates *)
+    Csr.lap_residual_into w ~deg:diag ~b:r x out;
     Vec.fill rc 0.;
     for i = 0 to Array.length x - 1 do
-      rc.(cmap.(i)) <- rc.(cmap.(i)) +. (r.(i) -. ax.(i))
+      rc.(cmap.(i)) <- rc.(cmap.(i)) +. out.(i)
     done;
-    let ec = vcycle t (l + 1) rc in
+    let ec = t.levels.(l + 1).y in
+    vcycle t (l + 1) rc ec;
     for i = 0 to Array.length x - 1 do
       x.(i) <- x.(i) +. ec.(cmap.(i))
     done;
-    sweep lv r;
-    x
+    Csr.lap_jacobi_into w ~deg:diag ~step ~b:r x out
   end
 
-let precondition t r =
-  if Array.length r <> Array.length t.levels.(0).diag then
+let precondition_into t r z =
+  let n = Array.length t.levels.(0).diag in
+  if Array.length r <> n || Array.length z <> n then
     invalid_arg "Multigrid.precondition: length mismatch";
+  if n > 0 && r == z then
+    invalid_arg "Multigrid.precondition_into: z aliases r";
   Telemetry.Counter.incr c_cycles;
-  Vec.copy (vcycle t 0 r)
+  vcycle t 0 r z
+
+let precondition t r =
+  let z = Vec.zeros (Array.length r) in
+  precondition_into t r z;
+  z
 
 let operator t =
   let { w; diag; _ } = t.levels.(0) in
   Linop.of_fun ~dim:(Array.length diag)
     ~diag:(fun () -> Vec.copy diag)
-    (fun x -> Csr.lap_mv w ~deg:diag x)
+    (fun x y -> Csr.lap_mv_into w ~deg:diag x y)
 
 let solve ?x0 ?tol ?max_iter ?should_stop t b =
-  Cg.solve ?x0 ?tol ?max_iter ~precond_apply:(precondition t) ?should_stop
+  Cg.solve ?x0 ?tol ?max_iter ~precond_apply:(precondition_into t) ?should_stop
     (operator t) b

@@ -20,9 +20,9 @@
 
 type t
 (** The hierarchy, the coarse factorization and one set of per-level
-    work vectors.  A [t] therefore serves one {!precondition} call at a
-    time: share it between concurrent solves and the calls overwrite
-    each other's buffers.  Each solve builds its own. *)
+    work vectors.  A [t] therefore serves one {!precondition_into} call
+    at a time: share it between concurrent solves and the calls
+    overwrite each other's buffers.  Each solve builds its own. *)
 
 val build : w:Csr.t -> diag:Linalg.Vec.t -> unit -> t
 (** [build ~w ~diag ()] constructs the hierarchy ({!Coarsen.build} at
@@ -30,11 +30,17 @@ val build : w:Csr.t -> diag:Linalg.Vec.t -> unit -> t
     the work vectors.  Counters: [sparse.multigrid.builds],
     [sparse.multigrid.cycles]; span: [multigrid.build]. *)
 
+val precondition_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+(** [precondition_into t r z] writes [z ≈ A⁻¹ r], one V-cycle — the
+    [precond_apply] callback for {!Cg.solve}.  Linear and deterministic
+    in [r]: it writes all of [z], leaves [r] unchanged and allocates
+    nothing.  Each level's residual and post-smoothing sweep is one row
+    pass ({!Csr.lap_residual_into}, {!Csr.lap_jacobi_into}).  [z] must
+    not alias [r].  Raises [Invalid_argument] when [r] or [z] does not
+    match the finest level or [z] is [r]. *)
+
 val precondition : t -> Linalg.Vec.t -> Linalg.Vec.t
-(** [precondition t r ≈ A⁻¹ r] by one V-cycle — the [precond_apply]
-    callback for {!Cg.solve}.  Linear and deterministic in [r]: it
-    returns a fresh vector and leaves [r] unchanged.  Raises
-    [Invalid_argument] when [r] does not match the finest level. *)
+(** [precondition t r] is {!precondition_into} into a fresh vector. *)
 
 val operator : t -> Linop.t
 (** The finest-level operator [A] as a matrix-free [Linop], applied via
@@ -49,7 +55,7 @@ val solve :
   Linalg.Vec.t ->
   Cg.outcome
 (** [solve t b] runs multigrid-preconditioned CG on [A x = b] —
-    {!Cg.solve} with {!precondition} plugged in, so deadlines
+    {!Cg.solve} with {!precondition_into} plugged in, so deadlines
     ([should_stop]) and trace spans behave exactly as for flat CG. *)
 
 val depth : t -> int

@@ -103,7 +103,9 @@ let test_operator_matches_dense () =
         v +. (lambda *. Mat.get l i j))
   in
   let x = random_vec rng 7 in
-  check_vec ~tol:1e-10 "operator apply" (Mat.mv dense x) (op.Sparse.Linop.apply x);
+  let y = Array.make 7 nan in
+  op.Sparse.Linop.apply x y;
+  check_vec ~tol:1e-10 "operator apply" (Mat.mv dense x) y;
   check_vec ~tol:1e-10 "operator diag" (Mat.get_diag dense) (op.Sparse.Linop.diag ());
   check_raises_invalid "negative lambda" (fun () ->
       ignore (L.operator ~lambda:(-1.) ~n_labeled:1 g));

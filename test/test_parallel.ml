@@ -363,7 +363,10 @@ let operator_matches_unfused =
               check_bits_everywhere
                 (Printf.sprintf "operator(%s) n=%d" tag n)
                 kernel ~work reference
-                (fun () -> op.Sparse.Linop.apply x))
+                (fun () ->
+                  let y = Array.make n nan in
+                  op.Sparse.Linop.apply x y;
+                  y))
             [
               ("sparse", Wg.of_sparse csr, Dispatch.Spmv, Csr.nnz csr);
               ("dense", Wg.of_dense w, Dispatch.Gemv, n * n);

@@ -63,7 +63,7 @@ let operator_of w deg =
     ~diag:(fun () ->
       let wd = Csr.diagonal w in
       Array.init m (fun i -> deg.(i) -. wd.(i)))
-    (fun x -> Csr.lap_mv w ~deg x)
+    (fun x y -> Csr.lap_mv_into w ~deg x y)
 
 (* ------------------------------------------------------------------ *)
 (* ANN                                                                 *)
@@ -597,7 +597,7 @@ let mg_agrees_with_flat_cg =
       let mg = Mg.build ~w ~diag:deg () in
       let pre =
         Sparse.Cg.solve ~tol:1e-12 ~max_iter:(50 * n)
-          ~precond_apply:(Mg.precondition mg) op b
+          ~precond_apply:(Mg.precondition_into mg) op b
       in
       if not (flat.Sparse.Cg.converged && pre.Sparse.Cg.converged) then
         QCheck.Test.fail_report "a solve failed to converge";
@@ -677,7 +677,7 @@ let test_mg_reduces_iterations_on_grid () =
   let mg = Mg.build ~w ~diag:deg () in
   let pre =
     Sparse.Cg.solve ~tol:1e-10 ~max_iter:(100 * n)
-      ~precond_apply:(Mg.precondition mg) op b
+      ~precond_apply:(Mg.precondition_into mg) op b
   in
   Alcotest.(check bool) "flat converged" true flat.Sparse.Cg.converged;
   Alcotest.(check bool) "mg converged" true pre.Sparse.Cg.converged;
@@ -708,11 +708,65 @@ let test_identity_precond_matches_unpreconditioned () =
   let b = random_vec rng 80 in
   let op = operator_of w deg in
   let plain = Sparse.Cg.solve ~precondition:false op b in
-  let ident = Sparse.Cg.solve ~precond_apply:Vec.copy op b in
+  let ident =
+    Sparse.Cg.solve
+      ~precond_apply:(fun r z -> Array.blit r 0 z 0 (Array.length r))
+      op b
+  in
   Alcotest.(check int) "same iterations" plain.Sparse.Cg.iterations
     ident.Sparse.Cg.iterations;
   check_vec ~tol:0. "bit-identical solutions" plain.Sparse.Cg.solution
     ident.Sparse.Cg.solution
+
+(* A CG iteration allocates nothing of the system's size: r, z, p and
+   A·p live in one workspace per solve, the operator and the V-cycle
+   write into it.  The words allocated by two solves capped at
+   different iteration counts differ by the extra iterations' share
+   alone, since everything else (the workspace, the solution, the
+   preconditioner's set-up) is the same for both.  Flat CG used to
+   allocate about 3n words an iteration.  The count is this domain's
+   ([Gc.counters]), where the solver allocates: [Gc.quick_stat] folds
+   minor-heap words in only at minor collections, so its differences
+   over a few iterations read 0 or a whole minor heap. *)
+let alloc_words_per_iteration_bound = 1024
+
+let test_cg_iterations_allocate_nothing () =
+  let w = grid_csr 140 143 in
+  let n = 140 * 143 in
+  let deg = Csr.row_sums w in
+  deg.(0) <- deg.(0) +. 1.;
+  let b = random_vec (Rng.create 31) n in
+  let op = operator_of w deg in
+  let mg = Mg.build ~w ~diag:deg () in
+  let words () =
+    (* an empty minor heap at both ends, so a promotion inside the
+       window can only move words allocated inside it *)
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let per_iteration name solve (k1, k2) =
+    let run k =
+      let w0 = words () in
+      let out = solve k in
+      let w1 = words () in
+      Alcotest.(check int) (name ^ ": ran to the cap") k out.Sparse.Cg.iterations;
+      w1 -. w0
+    in
+    ignore (run k1);
+    let extra = (run k2 -. run k1) /. float_of_int (k2 - k1) in
+    if extra > float_of_int alloc_words_per_iteration_bound then
+      Alcotest.failf "%s: %.0f words per iteration at n = %d (bound %d)" name
+        extra n alloc_words_per_iteration_bound
+  in
+  per_iteration "jacobi"
+    (fun k -> Sparse.Cg.solve ~tol:1e-15 ~max_iter:k op b)
+    (5, 25);
+  per_iteration "multigrid"
+    (fun k ->
+      Sparse.Cg.solve ~tol:1e-15 ~max_iter:k
+        ~precond_apply:(Mg.precondition_into mg) op b)
+    (2, 8)
 
 let test_cg_iterations_histogram () =
   Telemetry.Registry.reset ();
@@ -850,6 +904,75 @@ let test_solve_hard_should_stop () =
         (Astring.String.is_infix ~affix:"cooperative abort" msg)
   | _ -> Alcotest.fail "expected Failure from the aborted solve"
 
+(* system_csr writes its rows straight into CSR; the reference is the
+   COO assembly it replaced (the diagonal, then every W₂₂ entry negated,
+   summed and sorted by Csr.of_coo), and the two must agree bit for
+   bit.  Three shapes: kNN graphs (CSR storage, K(0) self-loops), dense
+   graphs with random self-loops, and graphs whose isolated unlabeled
+   vertices (some with a self-loop alone) have a zero diagonal, which
+   the COO assembly drops. *)
+let system_csr_via_coo p =
+  let w, deg, b = Gssl.Scalable.system_lap p in
+  let m = Array.length deg in
+  let coo = Coo.create m m in
+  for a = 0 to m - 1 do
+    Coo.add coo a a deg.(a);
+    Csr.iter_row w a (fun c x -> Coo.add coo a c (-.x))
+  done;
+  (Csr.of_coo coo, b)
+
+let system_csr_matches_coo_assembly =
+  qprop ~count:60 "system_csr = COO assembly, bit for bit" (fun seed ->
+      let rng = Rng.create seed in
+      let labels k = Array.init k (fun _ -> Rng.uniform rng (-1.) 1.) in
+      let dense_with_loops n =
+        let w = random_weights rng n in
+        for i = 0 to n - 1 do
+          if Rng.bool rng then Mat.set w i i (Rng.uniform rng 0.1 1.)
+        done;
+        w
+      in
+      let p =
+        match seed mod 3 with
+        | 0 ->
+            knn_problem rng ~n_points:(20 + Rng.int rng 150)
+              ~n_labeled:(1 + Rng.int rng 15) ~k:(2 + Rng.int rng 8)
+        | 1 ->
+            let n = 3 + Rng.int rng 30 in
+            Gssl.Problem.make
+              ~graph:(Graph.Weighted_graph.of_dense (dense_with_loops n))
+              ~labels:(labels (1 + Rng.int rng (n - 1)))
+        | _ ->
+            let n = 4 + Rng.int rng 30 in
+            let n_labeled = 1 + Rng.int rng (n / 2) in
+            let w = dense_with_loops n in
+            for v = n_labeled to n - 1 do
+              if Rng.int rng 3 = 0 then
+                for u = 0 to n - 1 do
+                  if u <> v || Rng.bool rng then begin
+                    Mat.set w u v 0.;
+                    Mat.set w v u 0.
+                  end
+                done
+            done;
+            let graph =
+              if Rng.bool rng then Graph.Weighted_graph.of_dense w
+              else Graph.Weighted_graph.of_sparse (Csr.of_dense w)
+            in
+            Gssl.Problem.make ~graph ~labels:(labels n_labeled)
+      in
+      let a, b = Gssl.Scalable.system_csr p in
+      let a', b' = system_csr_via_coo p in
+      let bits = Array.map Int64.bits_of_float in
+      if a.Csr.row_ptr <> a'.Csr.row_ptr then
+        QCheck.Test.fail_report "row pointers differ";
+      if a.Csr.col_idx <> a'.Csr.col_idx then
+        QCheck.Test.fail_report "columns differ";
+      if bits a.Csr.values <> bits a'.Csr.values then
+        QCheck.Test.fail_report "values differ";
+      if bits b <> bits b' then QCheck.Test.fail_report "rhs differs";
+      true)
+
 (* Bit-identity pin: Scalable.system_csr (row pointers, columns, value
    and right-hand-side bits) on 40 kNN problems and 10 dense ones with
    self-loops.  The digest was recorded while system_csr still had an
@@ -885,6 +1008,41 @@ let test_system_csr_pinned () =
   in
   Alcotest.(check string) "system_csr digest" "927c955c246fa49b049abd94190855f0" digest
 
+(* Bit-identity pin: every level of Coarsen.build's hierarchy (row
+   pointers, columns, value bits, diagonal bits and aggregate maps) on
+   the hard system of a 10⁴-point approximate kNN graph.  The digest was
+   recorded before the coarsening loops were rewritten without
+   Csr.iter_row closures and per-level scratch arrays. *)
+let test_coarsen_pinned () =
+  let rng = Rng.create 2024 in
+  let points = random_points rng 10_000 3 in
+  let w, _ =
+    Kernel.Similarity.knn_approx ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:1.5
+      ~k:8 ~seed:7 points
+  in
+  let p =
+    Gssl.Problem.make ~graph:(Graph.Weighted_graph.of_sparse w)
+      ~labels:(Array.init 50 (fun _ -> Rng.uniform rng (-1.) 1.))
+  in
+  let w22, deg, _ = Gssl.Scalable.system_lap p in
+  let h = Coarsen.build ~w:w22 ~diag:deg () in
+  let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i) in
+  let digest =
+    digest_hex (fun buf ->
+        for l = 0 to Coarsen.depth h - 1 do
+          let wl, dl = Coarsen.level h l in
+          Array.iter (add_int buf) wl.Csr.row_ptr;
+          Array.iter (add_int buf) wl.Csr.col_idx;
+          Array.iter (add_float_bits buf) wl.Csr.values;
+          Array.iter (add_float_bits buf) dl;
+          if l < Coarsen.depth h - 1 then
+            Array.iter (add_int buf) (Coarsen.map_at h l)
+        done)
+  in
+  Alcotest.(check int) "levels" 8 (Coarsen.depth h);
+  Alcotest.(check string) "coarsen digest" "dee345199901235024780b196de37e3b"
+    digest
+
 let suite =
   ( "scale",
     [
@@ -918,11 +1076,15 @@ let suite =
         test_identity_precond_matches_unpreconditioned;
       case "cg.iterations histogram records solves"
         test_cg_iterations_histogram;
+      case "cg: iterations allocate nothing of size n (Jacobi, multigrid)"
+        test_cg_iterations_allocate_nothing;
       solve_hard_mg_matches_jacobi;
       case "solve_hard: unanchored `Raise" test_solve_hard_unanchored_raise;
       case "solve_hard: unanchored `Impute" test_solve_hard_unanchored_impute;
       case "solve_hard: multigrid matches dense Hard.solve"
         test_solve_hard_matches_dense_hard;
       case "solve_hard: should_stop aborts" test_solve_hard_should_stop;
+      system_csr_matches_coo_assembly;
       case "system_csr: pinned CSR bits" test_system_csr_pinned;
+      case "coarsen: pinned hierarchy bits" test_coarsen_pinned;
     ] )

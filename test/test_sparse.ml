@@ -243,16 +243,6 @@ let prop_cg_preconditioned_matches seed =
   let pre = Cg.solve_exn ~tol:1e-12 ~precondition:true (Linop.of_dense a) b in
   Vec.approx_equal ~tol:1e-5 plain pre
 
-let test_linop_combinators () =
-  let a = Linop.of_dense (Mat.diag [| 1.; 2. |]) in
-  let b = Linop.of_dense (Mat.diag [| 3.; 4. |]) in
-  let c = Linop.add_scaled a 2. b in
-  check_vec "add_scaled apply" [| 7.; 10. |] (c.Linop.apply [| 1.; 1. |]);
-  check_vec "add_scaled diag" [| 7.; 10. |] (c.Linop.diag ());
-  let s = Linop.shift a 5. in
-  check_vec "shift apply" [| 6.; 7. |] (s.Linop.apply [| 1.; 1. |]);
-  check_vec "shift diag" [| 6.; 7. |] (s.Linop.diag ())
-
 (* ---------- stationary methods ---------- *)
 
 let diag_dominant rng n =
@@ -342,7 +332,6 @@ let suite =
       qprop ~count:80 "cg recurrence residual = true residual (SPD)"
         prop_cg_true_residual_matches_recurrence;
       qprop "cg preconditioning consistent" prop_cg_preconditioned_matches;
-      case "linop combinators" test_linop_combinators;
       qprop "jacobi converges (diag dominant)" prop_jacobi_converges;
       qprop "gauss-seidel converges" prop_gauss_seidel_converges;
       qprop "sor converges" prop_sor_converges;
