@@ -7,7 +7,10 @@
 
 val components : ?threshold:float -> Weighted_graph.t -> int array
 (** Component label per vertex, labels [0 … c−1] in order of first
-    appearance, by union-find over the edges.  At the default threshold
+    appearance, by union-find over the edges in {!Weighted_graph.iter_edges}'
+    order; the scan stops once n − 1 unions have joined every vertex, so
+    a connected dense graph costs O(n) edges, not n²/2.  The labels
+    depend on the partition alone.  At the default threshold
     the array is computed once per graph and shared by every later
     call (so a solve on a graph already solved on skips the pass);
     callers must not modify it. *)

@@ -3,9 +3,7 @@ module Vec = Linalg.Vec
 
 let c_operator_applies = Telemetry.Counter.make "graph.laplacian_applies"
 
-(* the fused dense apply below is a gemv-class pass; it shares the
-   Linalg counters so profiles attribute it the same way Mat.mv was *)
-let c_gemv = Telemetry.Counter.make "linalg.gemv"
+(* the dense apply's O(n) combining pass, counted with its gemv *)
 let c_lin_flops = Telemetry.Counter.make "linalg.flops"
 
 let dense g =
@@ -31,13 +29,13 @@ let operator ~lambda ~n_labeled g =
   if n_labeled < 0 || n_labeled > n then
     invalid_arg "Laplacian.operator: n_labeled out of range";
   let d = Weighted_graph.degrees g in
-  (* (V + lambda L) x in a single row pass: the degree scaling and the
-     labeled-block identity are folded into the same sweep that
-     accumulates W.x, so the CG hot loop does one pass over the matrix
-     and writes straight into the solver's buffer.  Per row the
-     accumulation order matches the unfused W.x, and the combining
-     expression is the same [v_part + lambda*(d_i x_i - (Wx)_i)], so the
-     fused result is bit-identical to the two-pass version. *)
+  (* (V + lambda L) x written straight into the solver's buffer, as
+     [v_part + lambda*(d_i x_i - (Wx)_i)] per row.  Sparse storage folds
+     the degree scaling and the labeled-block identity into the sweep
+     that accumulates W.x.  Dense storage takes W.x from Mat.mv_into's
+     blocked gemv into y (one linalg.gemv, 2n^2 flops), then combines it
+     with x in place: the same per-row sum and the same expression as a
+     fused row loop, so the same bits. *)
   let apply_fused =
     match Weighted_graph.storage g with
     | Weighted_graph.Sparse c ->
@@ -47,20 +45,12 @@ let operator ~lambda ~n_labeled g =
         fun f y -> Sparse.Csr.fused_lap_mv_into c ~deg:d ~vdiag ~lambda f y
     | Weighted_graph.Dense m ->
         fun f y ->
-          Telemetry.Counter.incr c_gemv;
-          Telemetry.Counter.add c_lin_flops ((2 * n * n) + (4 * n));
-          let rows lo hi =
-            for i = lo to hi - 1 do
-              let base = i * m.Mat.cols in
-              let acc = ref 0. in
-              for j = 0 to n - 1 do
-                acc := !acc +. (m.Mat.data.(base + j) *. f.(j))
-              done;
-              let v_part = if i < n_labeled then f.(i) else 0. in
-              y.(i) <- v_part +. (lambda *. ((d.(i) *. f.(i)) -. !acc))
-            done
-          in
-          Parallel.Dispatch.run Parallel.Dispatch.Gemv ~work:(n * n) n rows
+          Mat.mv_into m f y;
+          Telemetry.Counter.add c_lin_flops (4 * n);
+          for i = 0 to n - 1 do
+            let v_part = if i < n_labeled then f.(i) else 0. in
+            y.(i) <- v_part +. (lambda *. ((d.(i) *. f.(i)) -. y.(i)))
+          done
   in
   let apply f y =
     if Array.length f <> n || Array.length y <> n then

@@ -11,23 +11,28 @@ type t = {
 }
 
 (* NaN slips through both the symmetry check (any comparison with NaN is
-   false) and the sign check, so finiteness must be tested explicitly. *)
-let check_weight v =
-  if not (Float.is_finite v) then invalid_arg "Weighted_graph: non-finite weight";
-  if v < 0. then invalid_arg "Weighted_graph: negative weight"
+   false) and the sign check, so finiteness must be tested explicitly.
+   A direct loop, so no weight is boxed on its way to a check. *)
+let check_weights (ws : float array) =
+  for k = 0 to Array.length ws - 1 do
+    let v = ws.(k) in
+    if not (Float.is_finite v) then
+      invalid_arg "Weighted_graph: non-finite weight";
+    if v < 0. then invalid_arg "Weighted_graph: negative weight"
+  done
 
 let validate_dense m =
   if not (Mat.is_square m) then invalid_arg "Weighted_graph: matrix not square";
   if not (Mat.is_symmetric ~tol:1e-9 m) then
     invalid_arg "Weighted_graph: matrix not symmetric";
-  Array.iter check_weight m.Mat.data
+  check_weights m.Mat.data
 
 let validate_sparse c =
   let rows, cols = Sparse.Csr.dims c in
   if rows <> cols then invalid_arg "Weighted_graph: matrix not square";
   if not (Sparse.Csr.is_symmetric ~tol:1e-9 c) then
     invalid_arg "Weighted_graph: matrix not symmetric";
-  Array.iter check_weight c.Sparse.Csr.values
+  check_weights c.Sparse.Csr.values
 
 let of_dense m =
   validate_dense m;
@@ -103,8 +108,11 @@ let iter_edges t f =
         done
       done
 
-(* Union-find with path compression over the edges heavier than
-   [threshold]. *)
+(* Union-find with path compression over the nonzero edges heavier than
+   [threshold], visited in [iter_edges]' order straight off the storage.
+   The scan stops at the (n - 1)th merge: every vertex is then in one
+   component, so no later edge can change the partition (a dense kernel
+   graph gets there within its first rows). *)
 let union_find ~threshold t =
   let n = t.order in
   let parent = Array.init n (fun i -> i) in
@@ -113,12 +121,44 @@ let union_find ~threshold t =
       parent.(i)
     end
   in
+  let merges = ref 0 in
   let union i j =
     let ri = find i and rj = find j in
-    if ri <> rj then parent.(ri) <- rj
+    if ri <> rj then begin
+      parent.(ri) <- rj;
+      incr merges
+    end
   in
-  iter_edges t (fun i j w -> if w > threshold then union i j);
-  (* relabel roots consecutively *)
+  (match t.storage with
+  | Dense m ->
+      let data = m.Mat.data in
+      let i = ref 0 in
+      while !merges < n - 1 && !i < n do
+        let base = !i * n in
+        let j = ref (!i + 1) in
+        while !merges < n - 1 && !j < n do
+          let w = data.(base + !j) in
+          if w <> 0. && w > threshold then union !i !j;
+          incr j
+        done;
+        incr i
+      done
+  | Sparse c ->
+      let row_ptr = c.Sparse.Csr.row_ptr and col_idx = c.Sparse.Csr.col_idx in
+      let values = c.Sparse.Csr.values in
+      let i = ref 0 in
+      while !merges < n - 1 && !i < n do
+        let k = ref row_ptr.(!i) and hi = row_ptr.(!i + 1) in
+        while !merges < n - 1 && !k < hi do
+          let w = values.(!k) in
+          let j = col_idx.(!k) in
+          if j > !i && w <> 0. && w > threshold then union !i j;
+          incr k
+        done;
+        incr i
+      done);
+  (* relabel roots in order of first appearance: the labels depend on
+     the partition alone *)
   let label = Array.make n (-1) in
   let next = ref 0 in
   Array.init n (fun i ->

@@ -7,13 +7,29 @@ exception Unanchored_unlabeled of int
 
 let c_solves = Telemetry.Counter.make "gssl.hard_solves"
 
+(* Dense storage reads W's unlabeled rows straight off its data; the
+   entries are the same expressions as the per-entry path. *)
 let system_matrix problem =
   let n = Problem.n_labeled problem and m = Problem.n_unlabeled problem in
   let d = Problem.degrees problem in
   let g = problem.Problem.graph in
-  Mat.init m m (fun a b ->
-      let w = Graph.Weighted_graph.weight g (n + a) (n + b) in
-      if a = b then d.(n + a) -. w else -.w)
+  match Graph.Weighted_graph.storage g with
+  | Graph.Weighted_graph.Dense w ->
+      let total = n + m and wd = w.Mat.data in
+      let s = Mat.zeros m m in
+      let sd = s.Mat.data in
+      for a = 0 to m - 1 do
+        let src = ((n + a) * total) + n and dst = a * m in
+        for b = 0 to m - 1 do
+          sd.(dst + b) <- -.wd.(src + b)
+        done;
+        sd.(dst + a) <- d.(n + a) -. wd.(src + a)
+      done;
+      s
+  | Graph.Weighted_graph.Sparse _ ->
+      Mat.init m m (fun a b ->
+          let w = Graph.Weighted_graph.weight g (n + a) (n + b) in
+          if a = b then d.(n + a) -. w else -.w)
 
 let check_anchored problem =
   match Array.find_index not (Problem.anchored_mask problem) with
@@ -24,12 +40,26 @@ let rhs problem =
   let n = Problem.n_labeled problem and m = Problem.n_unlabeled problem in
   let g = problem.Problem.graph in
   let y = problem.Problem.labels in
-  Array.init m (fun a ->
-      let acc = ref 0. in
-      for i = 0 to n - 1 do
-        acc := !acc +. (Graph.Weighted_graph.weight g (n + a) i *. y.(i))
+  match Graph.Weighted_graph.storage g with
+  | Graph.Weighted_graph.Dense w ->
+      let total = n + m and wd = w.Mat.data in
+      let b = Array.make m 0. in
+      for a = 0 to m - 1 do
+        let src = (n + a) * total in
+        let acc = ref 0. in
+        for i = 0 to n - 1 do
+          acc := !acc +. (wd.(src + i) *. y.(i))
+        done;
+        b.(a) <- !acc
       done;
-      !acc)
+      b
+  | Graph.Weighted_graph.Sparse _ ->
+      Array.init m (fun a ->
+          let acc = ref 0. in
+          for i = 0 to n - 1 do
+            acc := !acc +. (Graph.Weighted_graph.weight g (n + a) i *. y.(i))
+          done;
+          !acc)
 
 let solve ?(solver = Cholesky) problem =
   Telemetry.Span.with_ "gssl.hard_solve" @@ fun () ->

@@ -38,11 +38,14 @@ val solve_full : ?solver:solver -> Problem.t -> Linalg.Vec.t
     constraint) followed by the estimated scores. *)
 
 val system_matrix : Problem.t -> Linalg.Mat.t
-(** [D₂₂ − W₂₂] — exposed for tests and the theory diagnostics. *)
+(** [D₂₂ − W₂₂] — exposed for tests and the theory diagnostics.  On
+    dense storage the rows of W are read off its data; both storages
+    give the same bits. *)
 
 val rhs : Problem.t -> Linalg.Vec.t
 (** [W₂₁ Y] — the right-hand side matching {!system_matrix}, summed over
-    the labels in vertex order. *)
+    the labels in vertex order (dense storage reads W's rows directly,
+    with the same bits). *)
 
 val energy : Problem.t -> Linalg.Vec.t -> float
 (** The objective [Σ_ij w_ij (f_i − f_j)²] of a full score vector — the

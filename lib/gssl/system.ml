@@ -10,23 +10,53 @@ type matrix =
 
 type t = { a : matrix; b : Vec.t }
 
-(* Rows idx in order, each row's kept columns in order, so every row of
-   the result is already sorted and Csr.of_coo copies it. *)
+(* Rows idx in order, each filtered to its kept columns through [local]
+   (old index -> new, -1 when dropped).  idx ascends, so the kept
+   columns ascend too and each row goes into Csr.of_sorted_rows as it
+   stands; zero values are dropped, as Coo.add would. *)
 let restrict_csr idx c =
   let s = Array.length idx in
-  let local = Hashtbl.create (2 * s) in
-  Array.iteri (fun p i -> Hashtbl.replace local i p) idx;
-  let coo = Sparse.Coo.create s s in
+  let rows, cols = Csr.dims c in
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= rows || i >= cols then
+        invalid_arg "System.restrict: index out of range")
+    idx;
+  let local = Array.make cols (-1) in
+  Array.iteri (fun p i -> local.(i) <- p) idx;
+  let row_ptr = c.Csr.row_ptr and col_idx = c.Csr.col_idx in
+  let values = c.Csr.values in
+  let kept k = local.(col_idx.(k)) >= 0 && values.(k) <> 0. in
+  let ptr = Array.make (s + 1) 0 in
   Array.iteri
     (fun p i ->
-      Csr.iter_row c i (fun j x ->
-          match Hashtbl.find_opt local j with
-          | Some q -> Sparse.Coo.add coo p q x
-          | None -> ()))
+      let count = ref 0 in
+      for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+        if kept k then incr count
+      done;
+      ptr.(p + 1) <- ptr.(p) + !count)
     idx;
-  Csr.of_coo coo
+  let out_col = Array.make ptr.(s) 0 and out_val = Array.make ptr.(s) 0. in
+  Array.iteri
+    (fun p i ->
+      let q = ref ptr.(p) in
+      for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+        if kept k then begin
+          out_col.(!q) <- local.(col_idx.(k));
+          out_val.(!q) <- values.(k);
+          incr q
+        end
+      done)
+    idx;
+  Csr.of_sorted_rows ~rows:s ~cols:s ~row_ptr:ptr ~col_idx:out_col
+    ~values:out_val
 
 let restrict idx { a; b } =
+  Array.iteri
+    (fun p i ->
+      if p > 0 && idx.(p - 1) >= i then
+        invalid_arg "System.restrict: indices not strictly increasing")
+    idx;
   let pick v = Array.map (Array.get v) idx in
   let a =
     match a with

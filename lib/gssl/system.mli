@@ -26,7 +26,10 @@ val restrict : int array -> t -> t
     [idx] to the other positions — an anchored set against unanchored
     components, or one connected component against the rest — the
     sub-system is exactly the system those positions would assemble on
-    their own.  Raises [Invalid_argument] on [Op]. *)
+    their own.  CSR rows are filtered straight into
+    [Csr.of_sorted_rows], one pass each, with no COO in between.  Raises
+    [Invalid_argument] on [Op], or when [idx] is not strictly increasing
+    or leaves the matrix. *)
 
 val operator : matrix -> Sparse.Linop.t
 (** The matrix as an operator: [Mat.mv], [Csr.mv] or [Csr.lap_mv]. *)

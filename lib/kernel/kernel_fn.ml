@@ -31,6 +31,27 @@ let eval_sq_dist k ~bandwidth d2 =
   | Truncated_rbf c -> if d2 <= c *. c *. h2 then exp (-.(d2 /. h2)) else 0.
   | _ -> profile k (sqrt d2 /. bandwidth)
 
+(* eval_sq_dist over an array, each branch a direct loop: the RBF cases
+   box no float per entry *)
+let eval_sq_dist_inplace k ~bandwidth a =
+  if bandwidth <= 0. then invalid_arg "Kernel_fn.eval: bandwidth must be positive";
+  let h2 = bandwidth *. bandwidth in
+  match k with
+  | Rbf ->
+      for i = 0 to Array.length a - 1 do
+        a.(i) <- exp (-.(a.(i) /. h2))
+      done
+  | Truncated_rbf c ->
+      let cut = c *. c *. h2 in
+      for i = 0 to Array.length a - 1 do
+        let d2 = a.(i) in
+        a.(i) <- (if d2 <= cut then exp (-.(d2 /. h2)) else 0.)
+      done
+  | _ ->
+      for i = 0 to Array.length a - 1 do
+        a.(i) <- profile k (sqrt a.(i) /. bandwidth)
+      done
+
 let eval k ~bandwidth x y =
   eval_sq_dist k ~bandwidth (Linalg.Vec.dist2_sq x y)
 

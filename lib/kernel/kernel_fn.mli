@@ -33,6 +33,13 @@ val eval_sq_dist : t -> bandwidth:float -> float -> float
 (** Same but from a precomputed squared distance — lets the similarity
     builder avoid recomputing norms. *)
 
+val eval_sq_dist_inplace : t -> bandwidth:float -> float array -> unit
+(** [eval_sq_dist_inplace k ~bandwidth a] replaces every squared
+    distance [a.(i)] by [eval_sq_dist k ~bandwidth a.(i)], bit for bit,
+    in one loop over [a]; the RBF cases allocate nothing.  It is how
+    {!Similarity.dense} turns its distance matrix into weights without a
+    second matrix.  Raises [Invalid_argument] if [bandwidth <= 0]. *)
+
 val upper_bound : t -> float
 (** The constant k* of condition (i). *)
 

@@ -10,18 +10,25 @@ let sq_distance_matrix points =
     points;
   let sq_norms = Array.map Vec.norm2_sq points in
   let m = Mat.zeros n n in
+  let data = m.Mat.data in
   (* row i owns the pairs (i, j) with j > i, so chunks over i write
      disjoint cells — (i, j) and its mirror (j, i) both belong to the
-     chunk holding the smaller index *)
+     chunk holding the smaller index.  The inner product is Vec.dot's
+     loop (ascending from 0.) written out, so no float is boxed per
+     pair. *)
   let rows lo hi =
     for i = lo to hi - 1 do
+      let xi = points.(i) and si = sq_norms.(i) in
       for j = i + 1 to n - 1 do
-        let d2 =
-          sq_norms.(i) +. sq_norms.(j) -. (2. *. Vec.dot points.(i) points.(j))
-        in
+        let xj = points.(j) in
+        let dot = ref 0. in
+        for k = 0 to d - 1 do
+          dot := !dot +. (xi.(k) *. xj.(k))
+        done;
+        let d2 = si +. sq_norms.(j) -. (2. *. !dot) in
         let d2 = if d2 > 0. then d2 else 0. in
-        Mat.set m i j d2;
-        Mat.set m j i d2
+        data.((i * n) + j) <- d2;
+        data.((j * n) + i) <- d2
       done
     done
   in

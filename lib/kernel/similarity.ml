@@ -1,11 +1,15 @@
 module Mat = Linalg.Mat
 
+(* The kernel overwrites the fresh distance matrix: one n^2 matrix *)
 let dense ~kernel ~bandwidth points =
-  let d2 = Pairwise.sq_distance_matrix points in
-  Mat.map (fun v -> Kernel_fn.eval_sq_dist kernel ~bandwidth v) d2
+  let w = Pairwise.sq_distance_matrix points in
+  Kernel_fn.eval_sq_dist_inplace kernel ~bandwidth w.Mat.data;
+  w
 
 let dense_of_sq_distances ~kernel ~bandwidth d2 =
-  Mat.map (fun v -> Kernel_fn.eval_sq_dist kernel ~bandwidth v) d2
+  let w = Mat.copy d2 in
+  Kernel_fn.eval_sq_dist_inplace kernel ~bandwidth w.Mat.data;
+  w
 
 (* Insertion sort of [a.(lo) .. a.(hi - 1)].  A row's segment of the
    union adjacency below is nearly sorted: the row itself, the lower

@@ -10,13 +10,18 @@
 
 val dense :
   kernel:Kernel_fn.t -> bandwidth:float -> Linalg.Vec.t array -> Linalg.Mat.t
-(** Full symmetric similarity matrix.  Raises [Invalid_argument] on empty
-    or ragged input, or non-positive bandwidth. *)
+(** Full symmetric similarity matrix: {!Pairwise.sq_distance_matrix},
+    overwritten by {!Kernel_fn.eval_sq_dist_inplace}, so the build
+    allocates one n×n matrix and its entries are
+    [Kernel_fn.eval_sq_dist] of each distance, bit for bit.  Raises
+    [Invalid_argument] on empty or ragged input, or non-positive
+    bandwidth. *)
 
 val dense_of_sq_distances :
   kernel:Kernel_fn.t -> bandwidth:float -> Linalg.Mat.t -> Linalg.Mat.t
-(** Apply the kernel entrywise to a precomputed squared-distance matrix —
-    used when several bandwidths are swept over one dataset. *)
+(** Apply the kernel entrywise to a copy of a precomputed
+    squared-distance matrix, which is left unchanged — used when several
+    bandwidths are swept over one dataset. *)
 
 val knn :
   kernel:Kernel_fn.t ->

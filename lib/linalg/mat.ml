@@ -136,6 +136,12 @@ let add_scaled_identity a mu =
    *where* the row loop runs; each row's accumulation order is
    unchanged, so the output is bit-identical for any domain count. *)
 
+(* GEMV.  Four rows share each sweep over x: x.(j) is loaded once for
+   four products, and the four accumulators are independent chains the
+   CPU overlaps, where one row's single chain waits on each add.  Every
+   row still sums its columns in ascending order from 0., so its bits
+   are those of the one-row loop, which the last (hi - lo) mod 4 rows of
+   a chunk take. *)
 let mv_into a x y =
   if Array.length x <> a.cols then
     invalid_arg
@@ -147,17 +153,39 @@ let mv_into a x y =
          a.rows a.cols (Array.length y));
   Telemetry.Counter.incr c_gemv;
   Telemetry.Counter.add c_flops (2 * a.rows * a.cols);
+  let cols = a.cols and d = a.data in
   let rows lo hi =
-    for i = lo to hi - 1 do
-      let base = i * a.cols in
+    let i = ref lo in
+    while !i + 4 <= hi do
+      let b0 = !i * cols in
+      let b1 = b0 + cols in
+      let b2 = b1 + cols in
+      let b3 = b2 + cols in
+      let acc0 = ref 0. and acc1 = ref 0. in
+      let acc2 = ref 0. and acc3 = ref 0. in
+      for j = 0 to cols - 1 do
+        let xj = x.(j) in
+        acc0 := !acc0 +. (d.(b0 + j) *. xj);
+        acc1 := !acc1 +. (d.(b1 + j) *. xj);
+        acc2 := !acc2 +. (d.(b2 + j) *. xj);
+        acc3 := !acc3 +. (d.(b3 + j) *. xj)
+      done;
+      y.(!i) <- !acc0;
+      y.(!i + 1) <- !acc1;
+      y.(!i + 2) <- !acc2;
+      y.(!i + 3) <- !acc3;
+      i := !i + 4
+    done;
+    for i = !i to hi - 1 do
+      let base = i * cols in
       let acc = ref 0. in
-      for j = 0 to a.cols - 1 do
-        acc := !acc +. (a.data.(base + j) *. x.(j))
+      for j = 0 to cols - 1 do
+        acc := !acc +. (d.(base + j) *. x.(j))
       done;
       y.(i) <- !acc
     done
   in
-  Parallel.Dispatch.run Parallel.Dispatch.Gemv ~work:(a.rows * a.cols) a.rows
+  Parallel.Dispatch.run Parallel.Dispatch.Gemv ~work:(a.rows * cols) a.rows
     rows
 
 let mv a x =
@@ -379,7 +407,18 @@ let max_abs a =
     a.data;
   !acc
 
-let row_sums a = Array.init a.rows (fun i -> Vec.sum (row a i))
+(* Vec.sum's order (ascending from 0.) on each row, in place *)
+let row_sums a =
+  let s = Array.make a.rows 0. in
+  for i = 0 to a.rows - 1 do
+    let base = i * a.cols in
+    let acc = ref 0. in
+    for j = 0 to a.cols - 1 do
+      acc := !acc +. a.data.(base + j)
+    done;
+    s.(i) <- !acc
+  done;
+  s
 let col_sums a = tmv a (Vec.ones a.rows)
 
 let is_symmetric ?(tol = 1e-9) a =

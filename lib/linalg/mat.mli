@@ -65,8 +65,13 @@ val mv : t -> Vec.t -> Vec.t
 
 val mv_into : t -> Vec.t -> Vec.t -> unit
 (** [mv_into a x y] writes [mv a x] into [y] (same bits, same counters,
-    same row-panel dispatch) without allocating.  [y] must not alias
-    [x].  Raises [Invalid_argument] on a length mismatch. *)
+    same row-panel dispatch) without allocating.  Four rows share each
+    sweep over [x], each on its own accumulator; every row sums its
+    columns in ascending order from [0.], so [y.(i)] has the bits of the
+    one-row dot loop for any domain count, and the last
+    [(rows of a chunk) mod 4] rows of each pool chunk take that loop.
+    Counts one [linalg.gemv] and [2·rows·cols] [linalg.flops].  [y] must
+    not alias [x].  Raises [Invalid_argument] on a length mismatch. *)
 
 val tmv : t -> Vec.t -> Vec.t
 (** [tmv a x] is [aᵀ x] without forming the transpose. *)
@@ -93,6 +98,9 @@ val max_abs : t -> float
 (** Largest absolute entry ([‖·‖_max] in the paper's proof). *)
 
 val row_sums : t -> Vec.t
+(** Each row summed in ascending column order from [0.] ({!Vec.sum}'s
+    order), read in place: no row is copied. *)
+
 val col_sums : t -> Vec.t
 val is_symmetric : ?tol:float -> t -> bool
 val approx_equal : ?tol:float -> t -> t -> bool

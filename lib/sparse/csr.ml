@@ -29,8 +29,7 @@ let of_coo coo =
       fill.(i) <- k + 1)
     coo;
   (* sort each row by column and merge duplicates; a row whose columns
-     already strictly increase (what System.restrict emits) is copied
-     as it stands *)
+     already strictly increase is copied as it stands *)
   let out_col = Array.make n 0 and out_val = Array.make n 0. in
   let out_ptr = Array.make (rows + 1) 0 in
   let pos = ref 0 in

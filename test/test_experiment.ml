@@ -216,6 +216,39 @@ let test_predict_adaptive_consistent () =
     (Gssl.Soft.solve ~lambda:0.3 problem)
     (Figures.predict_adaptive ~lambda:0.3 problem)
 
+(* Bit pin of Figs. 1-4's series means on a reduced grid that takes
+   every branch of [predict_adaptive]: hard Cholesky (m <= 400) and hard
+   CG (m = 410), soft direct (n + m = 30) and soft CG (n + m = 370 and
+   430).  It runs serially, with the dense kernels on a 2-domain pool
+   (their row loops split into pool chunks), and with the replicates on
+   a 2-domain pool (the kernels inline).  The digest was recorded from
+   one-row dense loops, so all three must match it. *)
+let reduced_figures_digest ~pool ~domains =
+  Parallel.Pool.with_default_domains pool (fun () ->
+      let figs =
+        [
+          Figures.fig1 ~domains ~reps:2 ~seed:11 ~ns:[ 20; 360 ] ~m:10 ();
+          Figures.fig2 ~domains ~reps:2 ~seed:12 ~ms:[ 10; 410 ] ~n:20 ();
+          Figures.fig3 ~domains ~reps:2 ~seed:13 ~ns:[ 20; 360 ] ~m:10 ();
+          Figures.fig4 ~domains ~reps:2 ~seed:14 ~ms:[ 10; 410 ] ~n:20 ();
+        ]
+      in
+      digest_hex (fun buf ->
+          List.iter
+            (fun fig ->
+              List.iter
+                (fun s -> Array.iter (add_float_bits buf) s.Sweep.means)
+                fig.Sweep.series)
+            figs))
+
+let test_figures_pinned_bits () =
+  List.iter
+    (fun (name, pool, domains) ->
+      Alcotest.(check string) name "00025a874fbbc93f30a91f5e8666e262"
+        (reduced_figures_digest ~pool ~domains))
+    [ ("serial", 1, 1); ("kernels on 2 domains", 2, 1);
+      ("replicates on 2 domains", 1, 2) ]
+
 let suite =
   ( "experiment",
     [
@@ -240,4 +273,6 @@ let suite =
       case "consistency demo: gap shrinks" test_consistency_demo_shape;
       case "toy demo output" test_toy_demo_output;
       case "predict_adaptive consistent" test_predict_adaptive_consistent;
+      case "figs 1-4: pinned series-mean bits, every branch"
+        test_figures_pinned_bits;
     ] )

@@ -29,7 +29,27 @@ let test_graph_validation () =
   check_raises_invalid "not symmetric" (fun () ->
       ignore (G.of_dense (Mat.of_arrays [| [| 0.; 1. |]; [| 0.; 0. |] |])));
   check_raises_invalid "negative weight" (fun () ->
-      ignore (G.of_dense (Mat.of_arrays [| [| 0.; -1. |]; [| -1.; 0. |] |])))
+      ignore (G.of_dense (Mat.of_arrays [| [| 0.; -1. |]; [| -1.; 0. |] |])));
+  (* the checks' order and messages: symmetry first (NaN passes it),
+     then each weight in storage order, finiteness before sign *)
+  let message rows =
+    match G.of_dense (Mat.of_arrays rows) with
+    | _ -> "accepted"
+    | exception Invalid_argument msg -> msg
+  in
+  List.iter
+    (fun (want, rows) -> Alcotest.(check string) want want (message rows))
+    [
+      ( "Weighted_graph: matrix not symmetric",
+        [| [| nan; 1. |]; [| 2.; -1. |] |] );
+      ( "Weighted_graph: non-finite weight",
+        [| [| 0.; nan |]; [| nan; -1. |] |] );
+      ( "Weighted_graph: negative weight",
+        [| [| -1.; infinity |]; [| infinity; 0. |] |] );
+      ( "Weighted_graph: non-finite weight",
+        [| [| 0.; infinity |]; [| infinity; -1. |] |] );
+      ("accepted", [| [| 0.; 0.5 |]; [| 0.5; 1. |] |]);
+    ]
 
 let test_graph_basics () =
   let g = G.of_dense path3 in
@@ -169,6 +189,84 @@ let prop_components_count_eq_kernel_dim seed =
   let zeros = Array.fold_left (fun acc l -> if abs_float l < 1e-8 then acc + 1 else acc) 0 spec in
   zeros = C.count_components g
 
+(* Components as they were found before the scan stopped at one
+   component: union-find over every iter_edges edge above the
+   threshold, roots labelled in order of first appearance. *)
+let reference_components ~threshold g =
+  let n = G.order g in
+  let parent = Array.init n Fun.id in
+  let rec find i =
+    if parent.(i) = i then i
+    else begin
+      parent.(i) <- find parent.(i);
+      parent.(i)
+    end
+  in
+  G.iter_edges g (fun i j w ->
+      if w > threshold then begin
+        let ri = find i and rj = find j in
+        if ri <> rj then parent.(ri) <- rj
+      end);
+  let label = Array.make n (-1) and next = ref 0 in
+  Array.init n (fun i ->
+      let r = find i in
+      if label.(r) = -1 then begin
+        label.(r) <- !next;
+        incr next
+      end;
+      label.(r))
+
+(* Degrees as Vec.sum of a copied row, as they were summed before *)
+let reference_degrees w =
+  Array.init w.Mat.rows (fun i -> Vec.sum (Mat.row w i))
+
+(* Symmetric weights over 1-4 clusters, edges inside a cluster with
+   probability 1/2 (a complete graph half the time), none across, some
+   self-loops; weights on a 0.1 grid, so thresholds land on them. *)
+let random_clustered rng =
+  let n = 1 + Prng.Rng.int rng 40 in
+  let k = 1 + Prng.Rng.int rng 4 in
+  let cluster = Array.init n (fun _ -> Prng.Rng.int rng k) in
+  let complete = Prng.Rng.bool rng in
+  let w = Mat.zeros n n in
+  for i = 0 to n - 1 do
+    for j = i to n - 1 do
+      if cluster.(i) = cluster.(j) && (complete || Prng.Rng.bool rng) then begin
+        let v = float_of_int (1 + Prng.Rng.int rng 10) /. 10. in
+        Mat.set w i j v;
+        Mat.set w j i v
+      end
+    done
+  done;
+  w
+
+let prop_degrees_components_bits seed =
+  let rng = Prng.Rng.create seed in
+  let w = random_clustered rng in
+  let bits = Array.map Int64.bits_of_float in
+  (* below 0 every stored nonzero weight is an edge, and no zero is *)
+  let thresholds = [ 0.; float_of_int (Prng.Rng.int rng 10) /. 10.; -1. ] in
+  List.for_all
+    (fun (tag, graph) ->
+      let ok_degrees =
+        bits (G.degrees (graph ())) = bits (reference_degrees w)
+      in
+      let ok_components =
+        List.for_all
+          (fun threshold ->
+            let g = graph () in
+            C.components ~threshold g = reference_components ~threshold g)
+          thresholds
+      in
+      if not (ok_degrees && ok_components) then
+        QCheck.Test.fail_reportf "%s: degrees %b, components %b" tag ok_degrees
+          ok_components;
+      true)
+    [
+      ("dense", fun () -> G.of_dense w);
+      ("csr", fun () -> G.of_sparse (Sparse.Csr.of_dense w));
+    ]
+
 let suite =
   ( "graph",
     [
@@ -188,4 +286,7 @@ let suite =
       case "spectral (path graph)" test_spectral;
       case "fiedler of disconnected" test_fiedler_disconnected;
       qprop "zero eigenvalues = components" prop_components_count_eq_kernel_dim;
+      qprop ~count:200
+        "degrees, components = row-copy sums, full union-find (dense, CSR)"
+        prop_degrees_components_bits;
     ] )

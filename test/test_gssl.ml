@@ -519,6 +519,102 @@ let prop_soft_collapse_monotone seed =
   let e2 = Theory.soft_collapse_error ~lambda:100. p in
   e2 <= e1 +. 1e-9
 
+(* ---------- dense kernels: bits and allocation ---------- *)
+
+(* Eq. (5)'s matrix and right-hand side read entry by entry through
+   Weighted_graph.weight, as they were before dense storage read W's
+   rows directly. *)
+let reference_system problem =
+  let n = P.n_labeled problem and m = P.n_unlabeled problem in
+  let d = P.degrees problem in
+  let g = problem.P.graph in
+  let a =
+    Mat.init m m (fun a b ->
+        let w = Graph.Weighted_graph.weight g (n + a) (n + b) in
+        if a = b then d.(n + a) -. w else -.w)
+  in
+  let y = problem.P.labels in
+  let b =
+    Array.init m (fun a ->
+        let acc = ref 0. in
+        for i = 0 to n - 1 do
+          acc := !acc +. (Graph.Weighted_graph.weight g (n + a) i *. y.(i))
+        done;
+        !acc)
+  in
+  (a, b)
+
+let prop_hard_system_bits seed =
+  let rng = Prng.Rng.create seed in
+  let size = 2 + Prng.Rng.int rng 40 in
+  let w = random_weights rng size in
+  for i = 0 to size - 1 do
+    if Prng.Rng.bool rng then Mat.set w i i (Prng.Rng.uniform rng 0.1 1.)
+  done;
+  let labels = random_vec rng (1 + Prng.Rng.int rng (size - 1)) in
+  let bits = Array.map Int64.bits_of_float in
+  List.for_all
+    (fun graph ->
+      let p = P.make ~graph ~labels in
+      let a, b = reference_system p in
+      bits (Hard.system_matrix p).Mat.data = bits a.Mat.data
+      && bits (Hard.rhs p) = bits b)
+    [
+      Graph.Weighted_graph.of_dense w;
+      Graph.Weighted_graph.of_sparse (Sparse.Csr.of_dense w);
+    ]
+
+(* One Figs. 1-4 replicate's dense stages at N = 600 allocate what they
+   return and little else: Problem.of_points one N x N matrix (the
+   similarity, written over its distances), degrees and the anchored
+   mask O(N) words on a fresh graph, a dense soft-operator apply a few
+   words.  Counting an entry-by-entry pass that boxes its floats, these
+   read ~10 words per entry, N^2 words and 2 words per row. *)
+let test_dense_stages_allocate_little () =
+  Parallel.Pool.with_default_domains 1 (fun () ->
+      let rng = Prng.Rng.create 23 in
+      let size = 600 and n = 60 in
+      let point () = random_vec rng 5 in
+      let labeled = Array.init n (fun _ -> (point (), Prng.Rng.float rng)) in
+      let unlabeled = Array.init (size - n) (fun _ -> point ()) in
+      let p, words =
+        alloc_words (fun () ->
+            P.of_points ~kernel:Kernel.Kernel_fn.Rbf
+              ~bandwidth:(Kernel.Bandwidth.Fixed 4.) ~labeled ~unlabeled)
+      in
+      let per_entry = words /. float_of_int (size * size) in
+      if per_entry > 1.1 then
+        Alcotest.failf "of_points: %.2f words per entry at N = %d (bound 1.1)"
+          per_entry size;
+      let w = Graph.Weighted_graph.to_dense p.P.graph in
+      let fresh () =
+        P.make ~graph:(Graph.Weighted_graph.of_dense w) ~labels:p.P.labels
+      in
+      let linear name f =
+        let q = fresh () in
+        let _, words = alloc_words (fun () -> f q) in
+        if words > float_of_int (10 * size) then
+          Alcotest.failf "%s: %.0f words at N = %d (bound %d)" name words size
+            (10 * size)
+      in
+      linear "degrees" (fun q -> ignore (P.degrees q));
+      linear "anchored_mask" (fun q -> ignore (P.anchored_mask q));
+      let op =
+        Graph.Laplacian.operator ~lambda:0.1 ~n_labeled:n (fresh ()).P.graph
+      in
+      let x = random_vec rng size and y = Array.make size 0. in
+      let applies = 20 in
+      let _, words =
+        alloc_words (fun () ->
+            for _ = 1 to applies do
+              op.Sparse.Linop.apply x y
+            done)
+      in
+      let per_apply = words /. float_of_int applies in
+      if per_apply > 64. then
+        Alcotest.failf "dense operator: %.0f words per apply at N = %d (bound 64)"
+          per_apply size)
+
 let suite =
   ( "gssl",
     [
@@ -567,4 +663,8 @@ let suite =
       qprop "theory: g residual bound" prop_g_residual_bounded;
       qprop "theory: nw gap vs mass ratio" prop_nw_gap_vs_mass_ratio;
       qprop "theory: collapse monotone" prop_soft_collapse_monotone;
+      qprop "hard: system_matrix, rhs = per-entry weight reads (dense, CSR)"
+        prop_hard_system_bits;
+      case "dense replicate stages allocate O(N^2) once, O(N), O(1)"
+        test_dense_stages_allocate_little;
     ] )

@@ -132,6 +132,84 @@ let prop_pairwise_matches_direct seed =
   done;
   !ok
 
+(* Pairwise.sq_distance_matrix as it was before its loop was written
+   out over the matrix's data: Vec.dot per pair through the Gram
+   identity, clamped at 0, stored with Mat.set. *)
+let reference_sq_distances points =
+  let n = Array.length points in
+  let sq_norms = Array.map Linalg.Vec.norm2_sq points in
+  let m = Mat.zeros n n in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let d2 =
+        sq_norms.(i) +. sq_norms.(j)
+        -. (2. *. Linalg.Vec.dot points.(i) points.(j))
+      in
+      let d2 = if d2 > 0. then d2 else 0. in
+      Mat.set m i j d2;
+      Mat.set m j i d2
+    done
+  done;
+  m
+
+(* The similarity as Mat.map built it: a second matrix, entry by entry *)
+let reference_weights kernel ~bandwidth d2 =
+  Mat.map (fun v -> K.eval_sq_dist kernel ~bandwidth v) d2
+
+let bits (m : Mat.t) = Array.map Int64.bits_of_float m.Mat.data
+
+(* random points in dimension 1-7, some repeated (exact zero distances,
+   clamped rounding); n crosses the 64-point parallel threshold *)
+let random_points rng =
+  let n = 1 + Prng.Rng.int rng 130 and d = 1 + Prng.Rng.int rng 7 in
+  let points = Array.init n (fun _ -> random_vec rng d) in
+  for i = 1 to n - 1 do
+    if Prng.Rng.int rng 8 = 0 then
+      points.(i) <- Array.copy points.(Prng.Rng.int rng i)
+  done;
+  points
+
+let prop_pairwise_bits seed =
+  let points = random_points (Prng.Rng.create seed) in
+  let want = bits (reference_sq_distances points) in
+  List.for_all
+    (fun domains ->
+      Parallel.Pool.with_default_domains domains (fun () ->
+          bits (P.sq_distance_matrix points) = want))
+    [ 1; 2 ]
+
+let prop_similarity_dense_bits seed =
+  let rng = Prng.Rng.create seed in
+  let points = random_points rng in
+  let bandwidth = Prng.Rng.uniform rng 0.3 4. in
+  let d2 = reference_sq_distances points in
+  List.for_all
+    (fun kernel ->
+      bits (S.dense ~kernel ~bandwidth points)
+      = bits (reference_weights kernel ~bandwidth d2))
+    (K.Truncated_rbf (Prng.Rng.uniform rng 0.2 2.) :: all_kernels)
+
+let prop_dense_of_sq_distances_bits seed =
+  let rng = Prng.Rng.create seed in
+  let points = random_points rng in
+  let bandwidth = Prng.Rng.uniform rng 0.3 4. in
+  (* any matrix, not only distances: signed zeros and negatives too *)
+  let d2 = reference_sq_distances points in
+  let cells = Array.length d2.Mat.data in
+  for _ = 1 to 1 + (cells / 8) do
+    d2.Mat.data.(Prng.Rng.int rng cells) <-
+      (match Prng.Rng.int rng 3 with
+      | 0 -> -0.
+      | 1 -> -.Prng.Rng.uniform rng 0. 2.
+      | _ -> Prng.Rng.uniform rng 0. 1e-300)
+  done;
+  let before = bits d2 in
+  List.for_all
+    (fun kernel ->
+      let got = bits (S.dense_of_sq_distances ~kernel ~bandwidth d2) in
+      got = bits (reference_weights kernel ~bandwidth d2) && bits d2 = before)
+    (K.Truncated_rbf (Prng.Rng.uniform rng 0.2 2.) :: all_kernels)
+
 let test_similarity_dense () =
   let points = [| [| 0. |]; [| 1. |]; [| 2. |] |] in
   let w = S.dense ~kernel:K.Rbf ~bandwidth:1. points in
@@ -208,4 +286,11 @@ let suite =
       case "knn graph" test_knn_graph;
       case "epsilon graph" test_epsilon_graph;
       qprop "knn is subgraph of dense" prop_knn_subgraph_of_dense;
+      qprop ~count:40 "pairwise = Vec.dot Gram loop, bit for bit, 1-2 domains"
+        prop_pairwise_bits;
+      qprop ~count:40 "Similarity.dense = per-entry eval_sq_dist, every kernel"
+        prop_similarity_dense_bits;
+      qprop ~count:40
+        "dense_of_sq_distances = per-entry eval_sq_dist, input unchanged"
+        prop_dense_of_sq_distances_bits;
     ] )

@@ -266,7 +266,15 @@ let gemm_packed_path_matches_naive =
 let gemv_matches_naive =
   qprop ~count:10 "Mat.mv bit-identical to the naive dot loop" (fun seed ->
       let rng = Prng.Rng.create seed in
-      (* one shape below the 2^15 gemv threshold, one above *)
+      (* below the 2^15 gemv threshold and above it, at every row count
+         mod 4: Mat.mv_into's four-row sweeps and its one-row tail, over
+         the whole range and over pool chunks of 4 to 10 rows *)
+      let shapes k =
+        [
+          ((4 * Prng.Rng.int rng 24) + k, 1 + Prng.Rng.int rng 96);
+          ((4 * (49 + Prng.Rng.int rng 110)) + k, 168 + Prng.Rng.int rng 48);
+        ]
+      in
       List.iter
         (fun (r, c) ->
           let a = random_mat rng r c in
@@ -282,11 +290,11 @@ let gemv_matches_naive =
           check_bits_everywhere
             (Printf.sprintf "gemv %dx%d" r c)
             Dispatch.Gemv ~work:(r * c) reference
-            (fun () -> Mat.mv a x))
-        [
-          (1 + Prng.Rng.int rng 96, 1 + Prng.Rng.int rng 96);
-          (182 + Prng.Rng.int rng 48, 182 + Prng.Rng.int rng 48);
-        ];
+            (fun () ->
+              let y = Array.make r nan in
+              Mat.mv_into a x y;
+              y))
+        (List.concat_map shapes [ 1; 2; 3; 4 ]);
       true)
 
 let fused_spmv_matches_unfused =
@@ -360,18 +368,36 @@ let operator_matches_unfused =
                         v_part +. (lambda *. ((d.(i) *. x.(i)) -. wx.(i))))
               in
               let op = Graph.Laplacian.operator ~lambda ~n_labeled g in
+              let apply () =
+                let y = Array.make n nan in
+                op.Sparse.Linop.apply x y;
+                y
+              in
               check_bits_everywhere
                 (Printf.sprintf "operator(%s) n=%d" tag n)
-                kernel ~work reference
-                (fun () ->
-                  let y = Array.make n nan in
-                  op.Sparse.Linop.apply x y;
-                  y))
+                kernel ~work reference apply;
+              (* a dense apply counts as one gemv of 2n^2 + 4n flops *)
+              if tag = "dense" then
+                Telemetry.Registry.with_enabled (fun () ->
+                    let count name = Telemetry.Counter.get name in
+                    let g0 = count "linalg.gemv" and f0 = count "linalg.flops" in
+                    ignore (apply ());
+                    if
+                      count "linalg.gemv" - g0 <> 1
+                      || count "linalg.flops" - f0 <> (2 * n * n) + (4 * n)
+                    then
+                      QCheck.Test.fail_reportf
+                        "operator(dense) n=%d: %d gemv, %d flops" n
+                        (count "linalg.gemv" - g0)
+                        (count "linalg.flops" - f0)))
             [
               ("sparse", Wg.of_sparse csr, Dispatch.Spmv, Csr.nnz csr);
               ("dense", Wg.of_dense w, Dispatch.Gemv, n * n);
             ])
-        [ 2 + Prng.Rng.int rng 30; 182 + Prng.Rng.int rng 20 ];
+        (* the dense apply's gemv sweeps four rows at a time: sizes
+           above the threshold at every n mod 4 *)
+        (let big = 4 * (46 + Prng.Rng.int rng 20) in
+         [ 2 + Prng.Rng.int rng 30; big; big + 1; big + 2; big + 3 ]);
       true)
 
 (* ------------------------------------------------------------------ *)

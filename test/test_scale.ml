@@ -725,9 +725,7 @@ let test_identity_precond_matches_unpreconditioned () =
    alone, since everything else (the workspace, the solution, the
    preconditioner's set-up) is the same for both.  Flat CG used to
    allocate about 3n words an iteration.  The count is this domain's
-   ([Gc.counters]), where the solver allocates: [Gc.quick_stat] folds
-   minor-heap words in only at minor collections, so its differences
-   over a few iterations read 0 or a whole minor heap. *)
+   ([alloc_words]), where the solver allocates. *)
 let alloc_words_per_iteration_bound = 1024
 
 let test_cg_iterations_allocate_nothing () =
@@ -738,20 +736,11 @@ let test_cg_iterations_allocate_nothing () =
   let b = random_vec (Rng.create 31) n in
   let op = operator_of w deg in
   let mg = Mg.build ~w ~diag:deg () in
-  let words () =
-    (* an empty minor heap at both ends, so a promotion inside the
-       window can only move words allocated inside it *)
-    Gc.minor ();
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
   let per_iteration name solve (k1, k2) =
     let run k =
-      let w0 = words () in
-      let out = solve k in
-      let w1 = words () in
+      let out, words = alloc_words (fun () -> solve k) in
       Alcotest.(check int) (name ^ ": ran to the cap") k out.Sparse.Cg.iterations;
-      w1 -. w0
+      words
     in
     ignore (run k1);
     let extra = (run k2 -. run k1) /. float_of_int (k2 - k1) in
@@ -973,6 +962,88 @@ let system_csr_matches_coo_assembly =
       if bits b <> bits b' then QCheck.Test.fail_report "rhs differs";
       true)
 
+(* System.restrict's CSR rows as they were built before restrict_csr
+   filtered them straight into Csr.of_sorted_rows: a Hashtbl from old
+   index to new, every kept entry through Coo.add (which drops zeros),
+   then Csr.of_coo. *)
+let restrict_csr_via_coo idx c =
+  let s = Array.length idx in
+  let local = Hashtbl.create (2 * s) in
+  Array.iteri (fun p i -> Hashtbl.replace local i p) idx;
+  let coo = Coo.create s s in
+  Array.iteri
+    (fun p i ->
+      Csr.iter_row c i (fun j x ->
+          match Hashtbl.find_opt local j with
+          | Some q -> Coo.add coo p q x
+          | None -> ()))
+    idx;
+  Csr.of_coo coo
+
+let restrict_csr_matches_coo =
+  qprop ~count:100 "System.restrict CSR rows = COO path, bit for bit"
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 80 in
+      (* sorted rows that store explicit zeros (of_coo never would) *)
+      let density = Rng.uniform rng 0.05 0.6 in
+      let rows =
+        Array.init n (fun _ ->
+            List.filter_map
+              (fun j ->
+                if Rng.float rng >= density then None
+                else if Rng.int rng 8 = 0 then Some (j, 0.)
+                else Some (j, Rng.uniform rng (-1.) 1.))
+              (List.init n Fun.id))
+      in
+      let row_ptr = Array.make (n + 1) 0 in
+      Array.iteri
+        (fun i r -> row_ptr.(i + 1) <- row_ptr.(i) + List.length r)
+        rows;
+      let flat f = Array.of_list (List.concat_map (List.map f) (Array.to_list rows)) in
+      let c =
+        Csr.of_sorted_rows ~rows:n ~cols:n ~row_ptr ~col_idx:(flat fst)
+          ~values:(flat snd)
+      in
+      let idx =
+        Array.of_list
+          (List.filter (fun _ -> Rng.int rng 4 > 0) (List.init n Fun.id))
+      in
+      let b = random_vec rng n and deg = random_vec rng n in
+      let bits = Array.map Int64.bits_of_float in
+      let pick v = Array.map (Array.get v) idx in
+      let want = restrict_csr_via_coo idx c in
+      let same (got : Csr.t) =
+        got.Csr.row_ptr = want.Csr.row_ptr
+        && got.Csr.col_idx = want.Csr.col_idx
+        && bits got.Csr.values = bits want.Csr.values
+      in
+      (match Gssl.System.restrict idx { Gssl.System.a = Gssl.System.Csr c; b } with
+      | { Gssl.System.a = Gssl.System.Csr r; b = rb } ->
+          if not (same r) then QCheck.Test.fail_report "Csr: matrix differs";
+          if bits rb <> bits (pick b) then QCheck.Test.fail_report "Csr: rhs differs"
+      | _ -> QCheck.Test.fail_report "Csr: storage changed");
+      (match
+         Gssl.System.restrict idx { Gssl.System.a = Gssl.System.Lap { w = c; deg }; b }
+       with
+      | { Gssl.System.a = Gssl.System.Lap { w; deg = rdeg }; _ } ->
+          if not (same w) then QCheck.Test.fail_report "Lap: weights differ";
+          if bits rdeg <> bits (pick deg) then
+            QCheck.Test.fail_report "Lap: degrees differ"
+      | _ -> QCheck.Test.fail_report "Lap: storage changed");
+      (* positions must ascend strictly *)
+      if Array.length idx >= 2 then begin
+        let swapped = Array.copy idx in
+        swapped.(0) <- idx.(1);
+        swapped.(1) <- idx.(0);
+        match
+          Gssl.System.restrict swapped { Gssl.System.a = Gssl.System.Csr c; b }
+        with
+        | _ -> QCheck.Test.fail_report "descending positions accepted"
+        | exception Invalid_argument _ -> ()
+      end;
+      true)
+
 (* Bit-identity pin: Scalable.system_csr (row pointers, columns, value
    and right-hand-side bits) on 40 kNN problems and 10 dense ones with
    self-loops.  The digest was recorded while system_csr still had an
@@ -1087,4 +1158,5 @@ let suite =
       system_csr_matches_coo_assembly;
       case "system_csr: pinned CSR bits" test_system_csr_pinned;
       case "coarsen: pinned hierarchy bits" test_coarsen_pinned;
+      restrict_csr_matches_coo;
     ] )

@@ -82,6 +82,24 @@ let unanchored_pair_problem w =
     [ (0, 2, 1.); (1, 2, 0.7); (3, 4, w) ];
   Gssl.Problem.make ~graph:(Graph.Weighted_graph.of_dense m) ~labels:[| 0.; 1. |]
 
+(* [f ()] and the words it allocated on this domain: minor plus major
+   less promoted ([Gc.counters]), read with an empty minor heap at both
+   ends, so a promotion inside the window only moves words allocated
+   inside it.  [Gc.quick_stat] folds minor-heap words in only at minor
+   collections, so its differences over short calls read 0 or a whole
+   minor heap.  Work another domain runs is not counted: pin the pool
+   to one domain to count a kernel's chunks. *)
+let alloc_words f =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let r = f () in
+  let w1 = words () in
+  (r, w1 -. w0)
+
 (* Hex MD5 of a byte buffer filled by [fill]: a compact pin for
    bit-identity tests. *)
 let digest_hex fill =
