@@ -78,8 +78,8 @@ bench:
 # Regression gate: run the smoke-size bench, then compare its per-phase
 # wall times against the committed baseline (threshold 3x — the gate is
 # for order-of-magnitude slips, not scheduler noise) AND enforce the
-# speedup contract: every recorded speedup (lambda path, ANN build,
-# multigrid iterations) must stay at or above the 0.95x floor and must
+# speedup contract: every recorded speedup (lambda path, kd-tree graph
+# build against the full scan, multigrid iterations) must stay at or above the 0.95x floor and must
 # not collapse versus the baseline.  Override the baseline with
 # BASELINE=path.
 bench-check:
@@ -157,23 +157,24 @@ transport-smoke:
 	echo "transport-smoke: drain exit 0"
 
 # Scaling smoke: the million-vertex pipeline at a reduced, pinned-seed
-# size — ANN graph build under the recall floor, heavy-edge coarsening,
+# size — exact kNN graph build on the kd-tree, heavy-edge coarsening,
 # and the multigrid-preconditioned hard solve raced against flat CG.
-# `repro scale` exits non-zero if any scaling contract (recall floor,
-# iteration reduction, solver agreement) is violated.  It runs on one
-# and on two domains, and the two `graph digest` lines (a hash of the
-# built CSR) and the two `solution digest` lines (a hash of the
-# multigrid answer) must match: the ANN search's and the solve's
-# cross-domain bit-identity at 12 000 points, beyond the few hundred
-# the qcheck properties reach.  Both runs must also print the pinned
-# digests, so a change that moved the graph or the answer on every
-# domain count alike still fails.
+# `repro scale` exits non-zero if any scaling contract (iteration
+# reduction, solver agreement) is violated.  It runs on one and on two
+# domains, and the two `graph digest` lines (a hash of the built CSR)
+# and the two `solution digest` lines (a hash of the multigrid answer)
+# must match: the tree search's and the solve's cross-domain
+# bit-identity at 12 000 points, beyond the few hundred the qcheck
+# properties reach.  Both runs must also print the pinned digests, so
+# a change that moved the graph or the answer on every domain count
+# alike still fails.  The graph digest is that of an O(n²) scan's
+# exact kNN graph on the same points.
 scale-smoke:
 	dune build bin/repro.exe
 	GSSL_DOMAINS=1 ./_build/default/bin/repro.exe scale --count 12000 --seed 11 > /tmp/gssl_scale_d1.txt
 	GSSL_DOMAINS=2 ./_build/default/bin/repro.exe scale --count 12000 --seed 11 > /tmp/gssl_scale_d2.txt
 	@for f in /tmp/gssl_scale_d1.txt /tmp/gssl_scale_d2.txt; do \
-		$(call expect_digests,$$f,'graph    digest 5808190dc79f79de' 'solution digest 4e112a898450e43f'); \
+		$(call expect_digests,$$f,'graph    digest 7ac13ede0709fbaa' 'solution digest 06be7e2ff4fd8e19'); \
 	done
 	@for what in 'graph    digest' 'solution digest'; do \
 		d1=$$(grep "^$$what" /tmp/gssl_scale_d1.txt); \

@@ -425,24 +425,44 @@ module Profile = struct
     in
     Gssl.Problem.make ~graph:(Graph.Weighted_graph.of_sparse w) ~labels
 
-  (* Like [knn_problem] but the graph comes from the randomized-tree ANN
-     path, so fixture construction stays far from O(n²) at the sizes the
-     multigrid phases run at. *)
-  let approx_knn_problem ~seed ~count ~n_labeled ~k =
-    let rng = Prng.Rng.create seed in
-    let samples =
-      Dataset.Synthetic.sample_many rng Dataset.Synthetic.Model1 count
-    in
-    let points = Array.map (fun s -> s.Dataset.Synthetic.x) samples in
-    let labels =
-      Array.init n_labeled (fun i -> samples.(i).Dataset.Synthetic.y)
-    in
-    let h = Kernel.Bandwidth.paper_rate ~d:5 n_labeled in
-    let w, _info =
-      Kernel.Similarity.knn_approx ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:h
-        ~k ~seed:(seed lxor 0x5ca1e) points
-    in
-    Gssl.Problem.make ~graph:(Graph.Weighted_graph.of_sparse w) ~labels
+  (* The reference the kd-tree's build races: every point's [k] nearest
+     others by a full scan, one query a pool row, each kept sorted by
+     (distance², index) through insertion (a later index never displaces
+     an equal distance).  Distances run over a flat copy in
+     [Vec.dist2_sq]'s operation order, so the lists are the tree's. *)
+  let scan_knn points k =
+    let n = Array.length points and d = Array.length points.(0) in
+    let flat = Array.concat (Array.to_list points) in
+    let out = Array.make n [||] in
+    Parallel.Dispatch.run Parallel.Dispatch.Pairwise ~work:(n * n) n
+      (fun lo hi ->
+        let d2 = Array.make k 0. and id = Array.make k 0 in
+        for i = lo to hi - 1 do
+          let size = ref 0 in
+          for j = 0 to n - 1 do
+            if j <> i then begin
+              let acc = ref 0. in
+              for c = 0 to d - 1 do
+                let dx = flat.((j * d) + c) -. flat.((i * d) + c) in
+                acc := !acc +. (dx *. dx)
+              done;
+              let dj = !acc in
+              if !size < k || dj < d2.(k - 1) then begin
+                let p = ref (Stdlib.min !size (k - 1)) in
+                while !p > 0 && d2.(!p - 1) > dj do
+                  d2.(!p) <- d2.(!p - 1);
+                  id.(!p) <- id.(!p - 1);
+                  decr p
+                done;
+                d2.(!p) <- dj;
+                id.(!p) <- j;
+                if !size < k then incr size
+              end
+            end
+          done;
+          out.(i) <- Array.copy id
+        done);
+    out
 
   (* Words a CG solve allocates per iteration, on this domain (where the
      solver allocates) with telemetry off (so span bookkeeping is not
@@ -478,10 +498,9 @@ module Profile = struct
     let n, m, knn_count, knn_k =
       if smoke then (40, 40, 150, 10) else (150, 150, 800, 12)
     in
-    (* scaling-layer sizes: ann_n sits above the ANN exact-cutoff so the
-       ann_build phase takes the tree path while knn_exact_build pays the
-       O(n²) exact scan (Ann's (distance², index) heap over every point)
-       on the same points; mg_n is the
+    (* scaling-layer sizes: ann_n is where the kd-tree's kNN graph
+       (ann_build) races the O(n²) scan (knn_exact_build) on the same
+       points; mg_n is the
        low-label-rate solve the V-cycle preconditioner exists for;
        scale_n is the end-to-end graph-build + multigrid-solve pipeline
        (10⁶ vertices in profile mode). *)
@@ -566,7 +585,7 @@ module Profile = struct
     in
     let soak_summary = ref None in
     let journal_summary = ref None in
-    (* scaling fixtures: one point cloud shared by the ANN-vs-exact
+    (* scaling fixtures: one point cloud shared by the tree-vs-scan
        graph-build race; one low-label-rate kNN problem shared by the
        flat-vs-multigrid CG race; raw points + labels for the end-to-end
        pipeline (there the graph build happens inside the phase, because
@@ -579,7 +598,7 @@ module Profile = struct
     in
     let ann_h = Kernel.Bandwidth.paper_rate ~d:5 ann_n in
     let mg_problem =
-      approx_knn_problem ~seed:102 ~count:mg_n
+      knn_problem ~seed:102 ~count:mg_n
         ~n_labeled:(Stdlib.max 4 (mg_n / 200)) ~k:ann_k
     in
     let scale_samples =
@@ -594,6 +613,8 @@ module Profile = struct
       Array.init scale_labeled (fun i -> scale_samples.(i).Dataset.Synthetic.y)
     in
     let scale_h = Kernel.Bandwidth.paper_rate ~d:5 scale_labeled in
+    if scan_knn ann_points ann_k <> Graph.Kdtree.all_k_nearest ann_points ann_k
+    then failwith "bench: the kd-tree's lists differ from the full scan";
     Obs.Histogram.attach_to_spans ();
     T.Registry.enable ();
     (* the factorized λ path races the naive one (speedup.lambda_path) *)
@@ -635,41 +656,28 @@ module Profile = struct
         short "hard_gauss_seidel" (fun () ->
             Gssl.Scalable.solve_stationary ~tol:1e-9
               Sparse.Stationary.Gauss_seidel sparse_problem);
-        (* scaling layer: the ANN graph build races the O(n²) exact
-           scan, which ranks neighbours in the same (distance², index)
-           heap, on the same points under a recall floor, the
+        (* scaling layer: the kd-tree's kNN graph races the O(n²) scan
+           for the same neighbour lists (checked equal above), the
            multigrid-preconditioned solve races flat (Jacobi-
            preconditioned) CG on the same low-label-rate problem under
            an iteration-reduction contract, and scale_1m runs the whole
-           pipeline — approximate graph build plus multigrid hard solve
-           — end to end (10⁶ vertices in profile mode); the two builds
-           take the median of 5 calls, as their ratio is a gated speedup *)
+           pipeline — graph build plus multigrid hard solve — end to end
+           (10⁶ vertices in profile mode); the two builds take the
+           median of 5 calls, as their ratio is a gated speedup *)
         run_phase ~calls:5 "knn_exact_build" (fun () ->
+            scan_knn ann_points ann_k);
+        run_phase ~calls:5 "ann_build" (fun () ->
             Kernel.Similarity.knn ~kernel:Kernel.Kernel_fn.Rbf
               ~bandwidth:ann_h ~k:ann_k ann_points);
-        run_phase ~calls:5 "ann_build" (fun () ->
-            let w, info =
-              Kernel.Similarity.knn_approx ~kernel:Kernel.Kernel_fn.Rbf
-                ~bandwidth:ann_h ~k:ann_k ~seed:104 ~exact_cutoff:0 ann_points
-            in
-            (match info with
-            | Kernel.Similarity.Exact ->
-                failwith "bench: ann_build took the exact path"
-            | Kernel.Similarity.Approximate { recall; _ } ->
-                if recall < 0.9 then
-                  failwith
-                    (Printf.sprintf "bench: ann_build recall probe %.3f < 0.9"
-                       recall));
-            w);
         run_phase ~extra:(cg_words `Jacobi) "flat_cg" (fun () ->
             Gssl.Scalable.solve_hard ~tol:1e-9 ~unanchored:`Impute mg_problem);
         run_phase ~extra:(cg_words `Multigrid) "mg_cg" (fun () ->
             Gssl.Scalable.solve_hard ~tol:1e-9 ~precond:`Multigrid
               ~unanchored:`Impute mg_problem);
         run_phase "scale_1m" (fun () ->
-            let w, _info =
-              Kernel.Similarity.knn_approx ~kernel:Kernel.Kernel_fn.Rbf
-                ~bandwidth:scale_h ~k:ann_k ~seed:105 scale_points
+            let w =
+              Kernel.Similarity.knn ~kernel:Kernel.Kernel_fn.Rbf
+                ~bandwidth:scale_h ~k:ann_k scale_points
             in
             Gssl.Scalable.solve_hard ~tol:1e-8 ~precond:`Multigrid
               ~unanchored:`Impute
@@ -833,9 +841,9 @@ module Profile = struct
       Obj
         [
           ("lambda_path", Num (ratio "lambda_path_naive" "lambda_path"));
-          (* algorithmic ratios, meaningful on any core count: the ANN
-             build must beat the O(n²) exact build on wall clock at the
-             same recall floor, and multigrid-preconditioned CG must
+          (* algorithmic ratios, meaningful on any core count: the
+             kd-tree's graph build must beat the O(n²) scan for the same
+             lists on wall clock, and multigrid-preconditioned CG must
              need fewer iterations than flat CG on the same system *)
           ("ann_build", Num (ratio "knn_exact_build" "ann_build"));
           ( "mg_cg_iters",
@@ -983,16 +991,15 @@ module Profile = struct
     if counter (find "lambda_path_naive") "linalg.cholesky_factor" < 13. then
       failwith
         "bench smoke: naive lambda_path shared factorizations unexpectedly";
-    (* the scaling layer's contracts: the ANN phase must actually have
-       built a forest (not fallen back to the exact path), both CG
-       phases must surface their iteration counts — per phase and
-       through the cg.iterations histogram — and the multigrid-
-       preconditioned solve must need strictly fewer iterations than
-       flat CG on the same system *)
+    (* the scaling layer's contracts: both graph-building phases must
+       have built a kd-tree, both CG phases must surface their
+       iteration counts — per phase and through the cg.iterations
+       histogram — and the multigrid-preconditioned solve must need
+       strictly fewer iterations than flat CG on the same system *)
     if counter (find "ann_build") "graph.ann.builds" < 1. then
-      failwith "bench smoke: ann_build built no ANN forest";
+      failwith "bench smoke: ann_build built no kd-tree";
     if counter (find "scale_1m") "graph.ann.builds" < 1. then
-      failwith "bench smoke: scale_1m built no ANN forest";
+      failwith "bench smoke: scale_1m built no kd-tree";
     if counter (find "mg_cg") "gssl.scalable_mg_solves" < 1. then
       failwith "bench smoke: mg_cg did not take the multigrid path";
     let cg_iter_histogram name =
@@ -1047,8 +1054,8 @@ module Profile = struct
         "bench smoke: mg_cg histogram disagrees with the iteration counter";
     (* the speedup contract: every recorded ratio must be >= 1.0 — the
        shared lambda-path factorization losing to the naive path, the
-       ANN build losing to the exact one or multigrid not cutting CG
-       iterations is a real regression *)
+       kd-tree's graph losing to the full scan or multigrid not cutting
+       CG iterations is a real regression *)
     (match member "speedup" json with
     | Some (Obj kvs) ->
         List.iter

@@ -1486,11 +1486,11 @@ let journal_cmd =
           $(b,--status)), or summarise it with $(b,--stats).")
     term
 
-(* repro scale: the million-vertex pipeline — approximate kNN graph
-   build, heavy-edge coarsening, multigrid-preconditioned hard solve —
-   run end to end with a per-stage telemetry breakdown.  Exits non-zero
-   when a scaling contract is violated (recall floor missed, multigrid
-   not reducing CG iterations, solutions diverging). *)
+(* repro scale: the million-vertex pipeline — exact kNN graph build on
+   the kd-tree, heavy-edge coarsening, multigrid-preconditioned hard
+   solve — run end to end with a per-stage telemetry breakdown.  Exits
+   non-zero when a scaling contract is violated (multigrid not reducing
+   CG iterations, solutions diverging). *)
 let scale_cmd =
   let count_arg =
     let doc =
@@ -1507,21 +1507,6 @@ let scale_cmd =
     let doc = "Neighbours per vertex in the kNN graph." in
     Arg.(value & opt int 8 & info [ "k" ] ~docv:"K" ~doc)
   in
-  let recall_arg =
-    let doc =
-      "Recall floor for the approximate neighbour search; the build \
-       escalates its probe budget until a sampled recall reaches $(docv)."
-    in
-    Arg.(value & opt float 0.9 & info [ "recall-target" ] ~docv:"R" ~doc)
-  in
-  let exact_arg =
-    let doc =
-      "Also build the exact kNN graph, which scans all n² pairs into the \
-       same (distance², index) ranking the ANN search uses, and report \
-       the wall-clock ratio (keep $(b,--count) modest with this on)."
-    in
-    Arg.(value & flag & info [ "exact" ] ~doc)
-  in
   let no_flat_arg =
     let doc =
       "Skip the flat (Jacobi-preconditioned) CG comparison solve and its \
@@ -1529,7 +1514,7 @@ let scale_cmd =
     in
     Arg.(value & flag & info [ "no-flat" ] ~doc)
   in
-  let run count labeled k recall_target exact no_flat seed domains =
+  let run count labeled k no_flat seed domains =
     setup_logs ();
     let domains = resolve_domains domains in
     if count < 16 then failwith "scale: --count must be at least 16";
@@ -1563,21 +1548,21 @@ let scale_cmd =
       Array.init labeled (fun i -> samples.(i).Dataset.Synthetic.y)
     in
     let h = Kernel.Bandwidth.paper_rate ~d:5 labeled in
-    let (w, info), ann_ms =
+    let w, knn_ms =
       time (fun () ->
-          Kernel.Similarity.knn_approx ~kernel:Kernel.Kernel_fn.Rbf
-            ~bandwidth:h ~k ~seed:(seed lxor 0xa55) ~recall_target points)
+          Kernel.Similarity.knn ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:h ~k
+            points)
     in
     let edges = (Sparse.Csr.nnz w - count) / 2 in
-    (match info with
-    | Kernel.Similarity.Exact ->
-        Printf.printf "graph    exact kNN (n below cutoff)  %10.1f ms  %d edges\n%!"
-          ann_ms edges
-    | Kernel.Similarity.Approximate { recall; probes; escalations; trees } ->
-        Printf.printf
-          "graph    ANN kNN  %10.1f ms  %d edges  recall %.3f  (%d trees, \
-           %d-leaf probes, %d escalation(s))\n%!"
-          ann_ms edges recall trees probes escalations);
+    let per_query name =
+      float_of_int (Telemetry.Counter.get name)
+      /. float_of_int (Stdlib.max 1 (Telemetry.Counter.get "graph.ann.queries"))
+    in
+    Printf.printf
+      "graph    exact kNN  %10.1f ms  %d edges  (%.1f leaves, %.1f candidates \
+       a query)\n%!"
+      knn_ms edges (per_query "graph.ann.leaves")
+      (per_query "graph.ann.candidates");
     (* SplitMix64 over the CSR's row pointers, columns and value bits,
        and over the multigrid solution's bits: equal digests across
        domain counts witness a bit-identical graph and answer *)
@@ -1590,17 +1575,6 @@ let scale_cmd =
       (floats
          (ints (ints 0L w.Sparse.Csr.row_ptr) w.Sparse.Csr.col_idx)
          w.Sparse.Csr.values);
-    (match exact with
-    | false -> ()
-    | true ->
-        let _, exact_ms =
-          time (fun () ->
-              Kernel.Similarity.knn ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:h
-                ~k points)
-        in
-        Printf.printf
-          "         exact kNN reference   %10.1f ms  (%.1fx slower)\n%!" exact_ms
-          (exact_ms /. Stdlib.max 1e-9 ann_ms));
     let problem =
       Gssl.Problem.make ~graph:(Graph.Weighted_graph.of_sparse w) ~labels
     in
@@ -1638,11 +1612,6 @@ let scale_cmd =
                      labeled mean)\n"
         imputed;
     print_newline ();
-    (match info with
-    | Kernel.Similarity.Exact -> ()
-    | Kernel.Similarity.Approximate { recall; _ } ->
-        contract "ann_recall" (recall >= recall_target)
-          (Printf.sprintf "%.3f >= %.2f" recall recall_target));
     if not no_flat then begin
       let flat_x, flat_ms, flat_iters = solve `Jacobi in
       Printf.printf "  flat (Jacobi) CG %8.1f ms   %4d iteration(s)\n%!" flat_ms
@@ -1681,13 +1650,13 @@ let scale_cmd =
   in
   let term =
     Term.(
-      const run $ count_arg $ labeled_arg $ k_arg $ recall_arg $ exact_arg
-      $ no_flat_arg $ seed_arg 11 $ domains_arg)
+      const run $ count_arg $ labeled_arg $ k_arg $ no_flat_arg $ seed_arg 11
+      $ domains_arg)
   in
   Cmd.v
     (Cmd.info "scale"
        ~doc:
-         "Million-vertex scaling demo: approximate kNN graph construction, \
+         "Million-vertex scaling demo: exact kNN graph construction, \
           heavy-edge coarsening, and a multigrid-preconditioned hard solve, \
           with a telemetry breakdown and enforced scaling contracts.")
     term

@@ -1,5 +1,5 @@
 (** The dense squared-distance matrix behind {!Similarity.dense}.  The
-    kNN graphs rank their neighbours with [Graph.Ann]'s exact
+    kNN graphs rank their neighbours with [Graph.Kdtree]'s exact
     (distance², index) search instead. *)
 
 val sq_distance_matrix : Linalg.Vec.t array -> Linalg.Mat.t

@@ -105,36 +105,16 @@ let symmetrise ~kernel ~bandwidth points nb =
           done);
       Sparse.Csr.of_sorted_rows ~rows:n ~cols:n ~row_ptr ~col_idx ~values)
 
-type knn_info =
-  | Exact
-  | Approximate of {
-      recall : float;
-      probes : int;
-      escalations : int;
-      trees : int;
-    }
-
-let knn_approx ~kernel ~bandwidth ~k ?seed ?trees ?recall_target
-    ?exact_cutoff points =
-  let n = Array.length points in
-  if n = 0 then invalid_arg "Similarity.knn: empty data";
-  if k <= 0 || k >= n then invalid_arg "Similarity.knn: k must lie in [1, n-1]";
-  let nb, (info : Graph.Ann.info) =
-    Graph.Ann.all_k_nearest ?seed ?trees ?recall_target ?exact_cutoff points k
-  in
-  ( symmetrise ~kernel ~bandwidth points nb,
-    if info.exact then Exact
-    else
-      Approximate
-        {
-          recall = info.recall;
-          probes = info.probes;
-          escalations = info.escalations;
-          trees = info.trees;
-        } )
-
+(* the tree validates the points and k before it builds *)
 let knn ~kernel ~bandwidth ~k points =
-  fst (knn_approx ~kernel ~bandwidth ~k ~exact_cutoff:max_int points)
+  if not (bandwidth > 0.) then
+    invalid_arg "Similarity.knn: bandwidth must be positive";
+  symmetrise ~kernel ~bandwidth points (Graph.Kdtree.all_k_nearest points k)
+
+type knn_info = Exact | Approximate of { recall : float }
+
+let knn_approx ~kernel ~bandwidth ~k ?seed:_ ?trees:_ ?recall_target:_ points =
+  (knn ~kernel ~bandwidth ~k points, Exact)
 
 let epsilon ~kernel ~bandwidth ~radius points =
   let n = Array.length points in

@@ -6,7 +6,8 @@
     but matter for [D₂₂], so they are kept.
 
     Dense construction is O(n²); [knn] and [epsilon] produce sparse
-    (symmetrised) graphs for the ablation benches. *)
+    (symmetrised) graphs: [knn] for the scale path at any size, [epsilon]
+    for the ablation benches. *)
 
 val dense :
   kernel:Kernel_fn.t -> bandwidth:float -> Linalg.Vec.t array -> Linalg.Mat.t
@@ -32,24 +33,20 @@ val knn :
 (** Mutual-or symmetrised kNN graph: [w_ij] is kept when [j] is among the
     [k] nearest of [i] *or* vice versa; the matrix is exactly symmetric.
     Diagonal entries are kept (self-similarity); an entry whose weight
-    is 0 (outside a compact kernel's support) is not stored.  This is
-    {!knn_approx} with no size cutoff: the neighbour lists come from
-    [Graph.Ann]'s exact path, which scans every point into a bounded
-    heap ranked by (distance², index), so tied distances go to the
-    lower index (O(n²·(d + log k)) time).  They are symmetrised
-    straight into CSR in O(n·k) memory: each row sorts, dedupes and
-    weighs its own entries inside a [knn.symmetrise] span.  Both passes
-    run on the domain pool.  Raises [Invalid_argument] if [k <= 0] or
-    [k >= n]. *)
+    is 0 (outside a compact kernel's support) is not stored.  The
+    neighbour lists are [Graph.Kdtree]'s exact ones, ranked by
+    (distance², index), so tied distances go to the lower index and the
+    graph is the one a full O(n²) scan would give, bit for bit.  They
+    are symmetrised straight into CSR in O(n·k) memory: each row sorts,
+    dedupes and weighs its own entries inside a [knn.symmetrise] span.
+    A traced call splits into the [ann.build], [ann.search] and
+    [knn.symmetrise] spans.  Both the search and the symmetrisation run
+    on the domain pool, and the result is bit-identical for any domain
+    count.  Raises [Invalid_argument] on empty input, unless
+    [1 <= k < n] and [bandwidth > 0] (checked before the tree is
+    built), and naming the first point with a non-finite coordinate. *)
 
-type knn_info =
-  | Exact  (** the exact path answered ([n <= exact_cutoff]) *)
-  | Approximate of {
-      recall : float;  (** measured on the ANN probe sample *)
-      probes : int;  (** final leaf-visit budget per query *)
-      escalations : int;
-      trees : int;
-    }
+type knn_info = Exact | Approximate of { recall : float }
 
 val knn_approx :
   kernel:Kernel_fn.t ->
@@ -58,21 +55,12 @@ val knn_approx :
   ?seed:int ->
   ?trees:int ->
   ?recall_target:float ->
-  ?exact_cutoff:int ->
   Linalg.Vec.t array ->
   Sparse.Csr.t * knn_info
-(** The kNN graph from one [Graph.Ann.all_k_nearest] call: inputs at
-    or below [exact_cutoff] points (Ann's default, 2048) take its exact
-    path, which {!knn} always takes, and return [Exact]; larger inputs
-    use its approximate neighbour lists (randomized projection trees
-    with multi-probe search, escalated until the measured recall
-    reaches [recall_target], default 0.9).  Both rank by (distance²,
-    index) and go through the same row-wise symmetrisation, so the
-    result is exactly symmetric with K(0) self-similarities on the
-    diagonal, and bit-identical for any domain count.  A traced call on
-    the tree path splits into the [ann.build], [ann.search] and
-    [knn.symmetrise] spans.  Raises [Invalid_argument] under {!knn}'s
-    conditions. *)
+(** [(knn …, Exact)]: the labels of the approximate forest this library
+    no longer has are accepted and ignored, and [Approximate] is never
+    returned.  Kept only for the benchmark's scale workload, which
+    calls it; every other caller uses {!knn}. *)
 
 val epsilon :
   kernel:Kernel_fn.t ->

@@ -46,12 +46,12 @@ val to_text : ?threshold:float -> verdict list -> string
 
     The profile report's [speedup] object records ratios each promised
     to stay at or above 1.0x: the factorized vs naive lambda path and
-    the ANN vs exact graph build (wall time), and flat vs multigrid CG
-    (iterations).  They are gated much harder than wall times: every
-    entry must stay at or above the contract [floor] (default 0.95 —
-    the 1.0x promise with a 5% measurement-noise allowance), and must
-    not collapse below [slack] (default 0.5) times its committed
-    baseline.  An entry present in the baseline but missing from the
+    the full-scan vs kd-tree graph build (wall time), and flat vs
+    multigrid CG (iterations).  They are gated much harder than wall
+    times: every entry must stay at or above the contract [floor]
+    (default 0.95 — the 1.0x promise with a 5% measurement-noise
+    allowance), and must not collapse below [slack] (default 0.5) times
+    its committed baseline.  An entry present in the baseline but missing from the
     current report fails; new entries are gated only by the floor. *)
 
 type speedup_verdict = {

@@ -113,10 +113,10 @@ let test_pairwise_known () =
 
 let test_k_nearest () =
   let points = [| [| 0. |]; [| 1. |]; [| 10. |]; [| 0.5 |] |] in
-  let nn, _ = Graph.Ann.all_k_nearest points 2 in
+  let nn = Graph.Kdtree.all_k_nearest points 2 in
   Alcotest.(check (array int)) "two nearest of 0" [| 3; 1 |] nn.(0);
   check_raises_invalid "k too big" (fun () ->
-      ignore (Graph.Ann.all_k_nearest points 4))
+      ignore (Graph.Kdtree.all_k_nearest points 4))
 
 let prop_pairwise_matches_direct seed =
   let rng = Prng.Rng.create seed in
@@ -241,6 +241,41 @@ let test_knn_graph () =
   check_raises_invalid "k too large" (fun () ->
       ignore (S.knn ~kernel:K.Rbf ~bandwidth:1. ~k:4 points))
 
+(* Bad input fails before the search: a NaN coordinate would otherwise
+   sit first in most lists and weigh NaN, an infinite one weigh NaN
+   against itself. *)
+let test_knn_validation () =
+  let rng = Prng.Rng.create 3 in
+  let points () = Array.init 50 (fun _ -> random_vec rng 5) in
+  let knn ?(bandwidth = 1.) ~k p = S.knn ~kernel:K.Rbf ~bandwidth ~k p in
+  let names_point name i bad =
+    let p = points () in
+    p.(i).(2) <- bad;
+    p.(i + 5).(0) <- bad;
+    match knn ~k:5 p with
+    | exception Invalid_argument msg ->
+        if not (Astring.String.is_infix ~affix:(Printf.sprintf "point %d " i) msg)
+        then Alcotest.failf "%s: message %S does not name point %d" name msg i
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  names_point "NaN" 17 Float.nan;
+  names_point "infinity" 4 Float.infinity;
+  names_point "-infinity" 0 Float.neg_infinity;
+  let p = points () in
+  check_raises_invalid "bandwidth 0" (fun () -> ignore (knn ~bandwidth:0. ~k:5 p));
+  check_raises_invalid "negative bandwidth" (fun () ->
+      ignore (knn ~bandwidth:(-1.) ~k:5 p));
+  check_raises_invalid "NaN bandwidth" (fun () ->
+      ignore (knn ~bandwidth:Float.nan ~k:5 p));
+  check_raises_invalid "k = 0" (fun () -> ignore (knn ~k:0 p));
+  check_raises_invalid "k = n" (fun () -> ignore (knn ~k:50 p));
+  check_raises_invalid "empty" (fun () -> ignore (knn ~k:1 [||]));
+  (* both ends of the range build: k = n - 1 links every pair *)
+  Alcotest.(check bool) "k = 1 links every point" true
+    (Sparse.Csr.nnz (knn ~k:1 p) >= 100);
+  Alcotest.(check int) "k = n - 1 is complete" (50 * 50)
+    (Sparse.Csr.nnz (knn ~bandwidth:100. ~k:49 p))
+
 let test_epsilon_graph () =
   let points = [| [| 0. |]; [| 1. |]; [| 3. |] |] in
   let w = S.epsilon ~kernel:K.Rbf ~bandwidth:1. ~radius:1.5 points in
@@ -284,6 +319,7 @@ let suite =
       case "dense similarity" test_similarity_dense;
       case "weights in [0,1]" test_similarity_weights_in_01;
       case "knn graph" test_knn_graph;
+      case "knn: input validation" test_knn_validation;
       case "epsilon graph" test_epsilon_graph;
       qprop "knn is subgraph of dense" prop_knn_subgraph_of_dense;
       qprop ~count:40 "pairwise = Vec.dot Gram loop, bit for bit, 1-2 domains"

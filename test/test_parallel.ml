@@ -191,11 +191,12 @@ let qcheck_pairwise =
 let qcheck_knn =
   qprop ~count:20 "parallel kNN neighbour lists bit-identical" (fun seed ->
       let rng = Prng.Rng.create seed in
-      let n = 2 + Prng.Rng.int rng 100 in
+      (* crosses the 256-point parallel threshold in the upper range *)
+      let n = 2 + Prng.Rng.int rng 400 in
       let k = 1 + Prng.Rng.int rng (Stdlib.min 8 (n - 1)) in
       let pts = Array.init n (fun _ -> random_vec rng 3) in
       check_bit_identical "knn" ( = ) (fun () ->
-          fst (Graph.Ann.all_k_nearest pts k)))
+          Graph.Kdtree.all_k_nearest pts k))
 
 (* ------------------------------------------------------------------ *)
 (* kernels against naive references, either side of the threshold     *)

@@ -1,5 +1,5 @@
-(* The million-vertex scaling layer: approximate kNN (Graph.Ann /
-   Similarity.knn_approx), heavy-edge coarsening (Sparse.Coarsen), the
+(* The million-vertex scaling layer: exact kNN (Graph.Kdtree /
+   Similarity.knn), heavy-edge coarsening (Sparse.Coarsen), the
    multigrid V-cycle preconditioner (Sparse.Multigrid) and its plumbing
    through Cg.solve ~precond_apply and Gssl.Scalable.solve_hard. *)
 
@@ -9,7 +9,7 @@ module Mat = Linalg.Mat
 module Rng = Prng.Rng
 module Csr = Sparse.Csr
 module Coo = Sparse.Coo
-module Ann = Graph.Ann
+module Kdtree = Graph.Kdtree
 module Coarsen = Sparse.Coarsen
 module Mg = Sparse.Multigrid
 module Pool = Parallel.Pool
@@ -66,210 +66,172 @@ let operator_of w deg =
     (fun x y -> Csr.lap_mv_into w ~deg x y)
 
 (* ------------------------------------------------------------------ *)
-(* ANN                                                                 *)
+(* kd-tree                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let recall_vs_exact points nb k =
-  let n = Array.length points in
-  let exact = brute_knn_rows points k in
-  let hits = ref 0 in
-  for i = 0 to n - 1 do
-    Array.iter
-      (fun j -> if Array.exists (fun e -> e = j) exact.(i) then incr hits)
-      nb.(i)
-  done;
-  float_of_int !hits /. float_of_int (n * k)
+(* The tree's lists, under [ann.*] telemetry names, against the
+   brute-force (distance², index) sort. *)
 
-let ann_recall_meets_target =
-  qprop ~count:20 "ann: measured recall >= target vs brute force"
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n = 80 + Rng.int rng 120 in
-      let k = 1 + Rng.int rng 6 in
-      let points = random_points rng n 4 in
-      let nb, info =
-        Ann.all_k_nearest ~seed ~exact_cutoff:0 ~recall_target:0.9
-          ~recall_sample:n points k
-      in
-      if info.Ann.exact then QCheck.Test.fail_report "expected the ANN path";
-      if info.Ann.recall < 0.9 then
-        QCheck.Test.fail_reportf "reported recall %.3f < 0.9" info.Ann.recall;
-      (* the probe sample covered every point, so the reported recall is
-         the true recall; cross-check against the brute-force sort *)
-      let r = recall_vs_exact points nb k in
-      if r < 0.9 -. 1e-9 then
-        QCheck.Test.fail_reportf "recall vs brute force %.3f < 0.9" r;
-      Array.iteri
-        (fun i nbi ->
-          if Array.length nbi <> k then
-            QCheck.Test.fail_reportf "row %d has %d neighbours, wanted %d" i
-              (Array.length nbi) k;
-          Array.iter
-            (fun j ->
-              if j = i || j < 0 || j >= n then
-                QCheck.Test.fail_reportf "row %d: bad neighbour %d" i j)
-            nbi)
-        nb;
-      true)
+let check_rows what got want =
+  Array.iteri
+    (fun i row ->
+      if row <> want.(i) then QCheck.Test.fail_reportf "%s: row %d differs" what i)
+    got
 
 let ann_bit_identical_across_domains =
   qprop ~count:10 "ann: bit-identical across domain counts" (fun seed ->
       let rng = Rng.create seed in
-      let n = 80 + Rng.int rng 100 in
-      let k = 1 + Rng.int rng 5 in
+      (* both sides of the 256-point pool threshold *)
+      let n = 80 + Rng.int rng 500 in
+      let k = 1 + Rng.int rng 12 in
       let points = random_points rng n 3 in
-      let run () =
-        Ann.all_k_nearest ~seed ~exact_cutoff:0 ~recall_sample:16 points k
-      in
-      let reference, _ = Pool.sequential run in
+      let run () = Kdtree.all_k_nearest points k in
+      let reference = Pool.sequential run in
       List.iter
         (fun domains ->
-          let got, _ = Pool.with_default_domains domains run in
+          let got = Pool.with_default_domains domains run in
           if got <> reference then
             QCheck.Test.fail_reportf "domains=%d differs from serial" domains)
         domain_counts;
       true)
 
-let test_ann_exact_cutoff_matches_brute_force () =
+(* At most 16 points the root is a leaf, and each query scans every
+   point; at 17 the root splits once. *)
+let test_ann_small_n_scans_every_point () =
   let rng = Rng.create 11 in
-  let points = random_points rng 60 3 in
-  let nb, info = Ann.all_k_nearest points 4 in
-  Alcotest.(check bool) "exact path" true info.Ann.exact;
-  check_float "recall" 1.0 info.Ann.recall;
-  let exact = brute_knn_rows points 4 in
-  Array.iteri
-    (fun i nbi ->
-      Alcotest.(check (array int)) (Printf.sprintf "row %d" i) exact.(i) nbi)
-    nb
+  List.iter
+    (fun (n, leaves) ->
+      let points = random_points rng n 3 in
+      Telemetry.Registry.reset ();
+      let nb =
+        Telemetry.Registry.with_enabled (fun () -> Kdtree.all_k_nearest points 4)
+      in
+      let visited = Telemetry.Counter.get "graph.ann.leaves" in
+      Telemetry.Registry.reset ();
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d: at most %d leaves a query" n leaves)
+        true
+        (visited <= n * leaves);
+      let exact = brute_knn_rows points 4 in
+      Array.iteri
+        (fun i nbi ->
+          Alcotest.(check (array int)) (Printf.sprintf "n=%d row %d" n i)
+            exact.(i) nbi)
+        nb)
+    [ (5, 1); (16, 1); (17, 2) ]
 
-(* Exact lists on lattice points with copies, where distances tie
-   between distinct points and copies tie at 0: row for row equal to
-   the brute-force sort, on 1 and 2 domains, with n on both sides of
-   the pairwise pool threshold (n² >= 4096). *)
+(* lattice points with [n - distinct] copies, so distances tie between
+   distinct points and copies tie at 0 *)
+let lattice_with_copies rng n =
+  let distinct = 1 + Rng.int rng n in
+  let d = 1 + Rng.int rng 3 in
+  let base =
+    Array.init distinct (fun _ ->
+        Array.init d (fun _ -> float_of_int (Rng.int rng 4)))
+  in
+  Array.init n (fun i ->
+      Array.copy base.(if i < distinct then i else Rng.int rng distinct))
+
+(* Exact lists on lattices with copies: row for row equal to the
+   brute-force sort, on 1 and 2 domains, with n from one leaf to several
+   tree levels, on both sides of the pool threshold. *)
 let ann_exact_lists_with_ties =
   qprop ~count:30 "ann: exact lists = brute_knn with ties, 1 and 2 domains"
     (fun seed ->
       let rng = Rng.create seed in
       List.iter
         (fun n ->
-          let distinct = 1 + Rng.int rng n in
-          let d = 1 + Rng.int rng 3 in
-          let base =
-            Array.init distinct (fun _ ->
-                Array.init d (fun _ -> float_of_int (Rng.int rng 4)))
-          in
-          let points =
-            Array.init n (fun i ->
-                Array.copy base.(if i < distinct then i else Rng.int rng distinct))
-          in
+          let points = lattice_with_copies rng n in
           let k = 1 + Rng.int rng (min 10 (n - 1)) in
           let want = brute_knn_rows points k in
           List.iter
             (fun domains ->
-              let got, _ =
-                Pool.with_default_domains domains (fun () ->
-                    Ann.all_k_nearest points k)
-              in
-              Array.iteri
-                (fun i row ->
-                  if row <> want.(i) then
-                    QCheck.Test.fail_reportf
-                      "n=%d k=%d domains=%d: row %d differs" n k domains i)
-                got)
+              check_rows
+                (Printf.sprintf "n=%d k=%d domains=%d" n k domains)
+                (Pool.with_default_domains domains (fun () ->
+                     Kdtree.all_k_nearest points k))
+                want)
             [ 1; 2 ])
-        [ 2 + Rng.int rng 62; 64 + Rng.int rng 100 ];
+        [ 2 + Rng.int rng 62; 64 + Rng.int rng 200; 300 + Rng.int rng 300 ];
       true)
 
-let test_ann_query_external () =
-  let rng = Rng.create 5 in
-  let points = random_points rng 400 3 in
-  let index = Ann.build ~seed:3 points in
-  let q = Array.init 3 (fun _ -> Rng.uniform rng (-5.) 5.) in
-  (* a huge probe budget makes the multi-probe search exhaustive *)
-  let got = Ann.query index ~probes:10_000 q 5 in
-  Alcotest.(check (array int)) "exhaustive query is exact"
-    (brute_knn points q 5) got
-
-(* exhaustive search on point sets with deliberate duplicates: ties in
-   distance (and in every split projection) must fall back to the point
-   index, exactly as the full (distance², index) sort orders them *)
-let ann_exhaustive_query_with_duplicates =
-  qprop ~count:60 "ann: exhaustive query = full sort, with duplicates"
+(* Random points at d in {1, 2, 3, 5, 8}, or a lattice with copies, with
+   k anywhere in [1, n - 1]: the lists equal the brute-force sort on 1
+   and 2 domains. *)
+let kdtree_lists_any_d_any_k =
+  qprop ~count:40 "kdtree: lists = brute_knn, d in {1,2,3,5,8}, k in [1, n-1]"
     (fun seed ->
       let rng = Rng.create seed in
-      let distinct = 1 + Rng.int rng 40 in
-      let n = distinct + Rng.int rng 120 in
-      let d = 1 + Rng.int rng 4 in
-      (* coordinates on a coarse lattice, so distinct points tie too *)
-      let base =
-        Array.init distinct (fun _ ->
-            Array.init d (fun _ -> float_of_int (Rng.int rng 4)))
-      in
+      let n = 2 + Rng.int rng 500 in
       let points =
-        Array.init n (fun i ->
-            Array.copy base.(if i < distinct then i else Rng.int rng distinct))
+        if Rng.int rng 4 = 0 then lattice_with_copies rng n
+        else random_points rng n [| 1; 2; 3; 5; 8 |].(Rng.int rng 5)
       in
-      let trees = 1 + Rng.int rng 3 in
-      let leaf_size = 1 + Rng.int rng 8 in
-      let index = Ann.build ~seed ~trees ~leaf_size points in
-      let q =
-        if Rng.bool rng then Array.copy points.(Rng.int rng n)
-        else Array.init d (fun _ -> float_of_int (Rng.int rng 4) +. 0.5)
+      let k =
+        if Rng.bool rng then 1 + Rng.int rng (min 12 (n - 1))
+        else 1 + Rng.int rng (n - 1)
       in
-      let k = Rng.int rng (n + 1) in
-      (* every tree has at most [n] leaves *)
-      let got = Ann.query index ~probes:(trees * n) q k in
-      let want = brute_knn points q k in
-      if got <> want then
-        QCheck.Test.fail_reportf "n=%d k=%d: got [%s], want [%s]" n k
-          (String.concat ";" (Array.to_list (Array.map string_of_int got)))
-          (String.concat ";" (Array.to_list (Array.map string_of_int want)));
+      let want = brute_knn_rows points k in
+      List.iter
+        (fun domains ->
+          check_rows
+            (Printf.sprintf "n=%d d=%d k=%d domains=%d" n
+               (Array.length points.(0)) k domains)
+            (Pool.with_default_domains domains (fun () ->
+                 Kdtree.all_k_nearest points k))
+            want)
+        [ 1; 2 ];
       true)
 
-(* Golden outputs of [Ann.all_k_nearest], recorded before the search's
-   selection and median-split routines were last rewritten: a digest of
-   the neighbour lists, the info record, and the candidate and
-   exact-fallback counter deltas.  A change to leaf sets, probe order or
-   tie-breaking moves them. *)
-let digest_rows rows =
-  let mix h v = Prng.Splitmix64.mix (Int64.logxor h (Int64.of_int v)) in
-  Array.fold_left
-    (fun h row -> Array.fold_left mix (mix h (Array.length row)) row)
-    0L rows
-
-let ann_golden ?queries run points =
-  Telemetry.Registry.reset ();
-  Telemetry.Registry.with_enabled (fun () ->
-      let nb, (info : Ann.info) = run points in
-      let extra =
-        match queries with
-        | None -> ""
-        | Some (index, qs, k) ->
-            Printf.sprintf " queries=%016Lx"
-              (digest_rows (Array.map (fun q -> Ann.query index q k) qs))
-      in
-      let got =
-        Printf.sprintf
-          "%016Lx exact=%b trees=%d probes=%d esc=%d recall=%h cand=%d fb=%d%s"
-          (digest_rows nb) info.exact info.trees info.probes info.escalations
-          info.recall
-          (Telemetry.Counter.get "graph.ann.candidates")
-          (Telemetry.Counter.get "graph.ann.exact_fallbacks")
-          extra
-      in
-      Telemetry.Registry.reset ();
-      (got, info))
-
-let check_golden name want (got, _) =
-  Alcotest.(check string) name want got
-
-(* 3000 Model-1 points, and the generator that drew them *)
-let model1_points () =
-  let rng = Rng.create 1 in
-  ( rng,
+(* 10⁴ Model-1 points, the size of the benchmark's scale probe: 100
+   sampled queries match the brute-force sort, and the search prunes.
+   Of the 1024 leaves a query visits about 30; a search that pruned
+   nothing would visit all of them. *)
+let test_kdtree_prunes_at_1e4 () =
+  let rng = Rng.create 7 in
+  let points =
     Array.map
       (fun s -> s.Dataset.Synthetic.x)
-      (Dataset.Synthetic.sample_many rng Dataset.Synthetic.Model1 3000) )
+      (Dataset.Synthetic.sample_many rng Dataset.Synthetic.Model1 10_000)
+  in
+  Telemetry.Registry.reset ();
+  let nb =
+    Telemetry.Registry.with_enabled (fun () -> Kdtree.all_k_nearest points 8)
+  in
+  let count name = Telemetry.Counter.get name in
+  let queries = count "graph.ann.queries" and leaves = count "graph.ann.leaves" in
+  let builds = count "graph.ann.builds" in
+  Telemetry.Registry.reset ();
+  Alcotest.(check int) "one build" 1 builds;
+  Alcotest.(check int) "one query a point" 10_000 queries;
+  let per_query = float_of_int leaves /. float_of_int queries in
+  if per_query >= 48. then
+    Alcotest.failf "%.1f leaves a query, bound 48 (of 1024)" per_query;
+  for _ = 1 to 100 do
+    let i = Rng.int rng 10_000 in
+    Alcotest.(check (array int)) (Printf.sprintf "row %d" i)
+      (brute_knn ~exclude:i points points.(i) 8)
+      nb.(i)
+  done
+
+let test_ann_validation () =
+  let points = random_points (Rng.create 1) 20 2 in
+  check_raises_invalid "k >= n" (fun () ->
+      ignore (Kdtree.all_k_nearest points 20));
+  check_raises_invalid "k = 0" (fun () -> ignore (Kdtree.all_k_nearest points 0));
+  check_raises_invalid "negative k" (fun () ->
+      ignore (Kdtree.all_k_nearest points (-1)));
+  check_raises_invalid "empty" (fun () -> ignore (Kdtree.all_k_nearest [||] 1));
+  check_raises_invalid "ragged" (fun () ->
+      ignore (Kdtree.all_k_nearest [| [| 1.; 2. |]; [| 1. |] |] 1));
+  points.(3).(1) <- Float.nan;
+  check_raises_invalid "NaN" (fun () -> ignore (Kdtree.all_k_nearest points 3))
+
+(* 3000 Model-1 points *)
+let model1_points () =
+  Array.map
+    (fun s -> s.Dataset.Synthetic.x)
+    (Dataset.Synthetic.sample_many (Rng.create 1) Dataset.Synthetic.Model1 3000)
 
 (* 1500 points on an 11³ lattice (so distinct points tie in distance),
    then 900 exact copies of them *)
@@ -291,79 +253,8 @@ let points_with_copies () =
   done;
   points
 
-let test_ann_golden_tree_path () =
-  let rng, points = model1_points () in
-  let index = Ann.build ~seed:9 ~trees:4 points in
-  let qs = Array.init 50 (fun _ -> Array.init 5 (fun _ -> Rng.float rng)) in
-  check_golden "n=3000 d=5 k=8 trees=4"
-    "0a1b4b5a3302aadb exact=false trees=4 probes=16 esc=0 recall=0x1.fbp-1 \
-     cand=1163190 fb=0 queries=b05c668bbdfb73b4"
-    (ann_golden ~queries:(index, qs, 8)
-       (fun p -> Ann.all_k_nearest ~seed:5 ~trees:4 p 8)
-       points)
-
-let test_ann_golden_duplicates () =
-  let points = duplicated_lattice () in
-  check_golden "duplicated lattice points"
-    "276e6c155ed261a6 exact=false trees=3 probes=12 esc=0 recall=0x1.fcp-1 \
-     cand=554398 fb=0"
-    (ann_golden
-       (fun p -> Ann.all_k_nearest ~seed:3 ~trees:3 ~exact_cutoff:0 p 8)
-       points)
-
-let test_ann_golden_exact_fallback () =
-  let points = random_points (Rng.create 3) 2500 4 in
-  let ((_, info) as r) =
-    ann_golden
-      (fun p ->
-        Ann.all_k_nearest ~seed:4 ~trees:2 ~leaf_size:3 ~probes:1
-          ~recall_target:0. ~exact_cutoff:0 p 4)
-      points
-  in
-  check_golden "tiny budget, exact fallback"
-    "491591d8c35c64ea exact=false trees=2 probes=2 esc=0 recall=0x1.bep-1 \
-     cand=13032 fb=1940"
-    r;
-  Alcotest.(check int) "budget stays at two leaves" 2 info.Ann.probes
-
-let test_ann_golden_escalation () =
-  let points = random_points (Rng.create 4) 2500 6 in
-  let ((_, info) as r) =
-    ann_golden
-      (fun p ->
-        Ann.all_k_nearest ~seed:6 ~trees:1 ~probes:1 ~recall_target:0.99
-          ~recall_sample:100 ~exact_cutoff:0 p 10)
-      points
-  in
-  check_golden "recall target forces escalation"
-    "52009b2949239716 exact=false trees=1 probes=32 esc=5 \
-     recall=0x1.fdf3b645a1cacp-1 cand=1687298 fb=0"
-    r;
-  Alcotest.(check bool) "escalated" true (info.Ann.escalations >= 1)
-
-let test_ann_golden_exact_cutoff () =
-  let points = points_with_copies () in
-  let ((_, info) as r) = ann_golden (fun p -> Ann.all_k_nearest p 7) points in
-  check_golden "exact-cutoff path"
-    "d5713040bf890184 exact=true trees=0 probes=0 esc=0 recall=0x1p+0 cand=0 \
-     fb=1"
-    r;
-  Alcotest.(check bool) "exact" true info.Ann.exact
-
-let test_ann_validation () =
-  let points = random_points (Rng.create 1) 20 2 in
-  check_raises_invalid "k >= n" (fun () ->
-      ignore (Ann.all_k_nearest points 20));
-  check_raises_invalid "negative k" (fun () ->
-      ignore (Ann.all_k_nearest points (-1)));
-  check_raises_invalid "bad recall target" (fun () ->
-      ignore (Ann.all_k_nearest ~recall_target:1.5 points 3));
-  check_raises_invalid "empty" (fun () -> ignore (Ann.all_k_nearest [||] 1));
-  check_raises_invalid "ragged" (fun () ->
-      ignore (Ann.build [| [| 1.; 2. |]; [| 1. |] |]))
-
 (* ------------------------------------------------------------------ *)
-(* knn_approx                                                          *)
+(* knn_approx: [knn] behind the labels perfbench passes               *)
 (* ------------------------------------------------------------------ *)
 
 let test_knn_approx_exact_path_matches_knn () =
@@ -372,23 +263,24 @@ let test_knn_approx_exact_path_matches_knn () =
   let kernel = Kernel.Kernel_fn.Rbf and bandwidth = 2.0 in
   let w_exact = Kernel.Similarity.knn ~kernel ~bandwidth ~k:5 points in
   let w_approx, info =
-    Kernel.Similarity.knn_approx ~kernel ~bandwidth ~k:5 points
+    Kernel.Similarity.knn_approx ~kernel ~bandwidth ~k:5 ~seed:3 ~trees:4
+      ~recall_target:0.9 points
   in
   (match info with
   | Kernel.Similarity.Exact -> ()
-  | _ -> Alcotest.fail "expected the exact path below the cutoff");
+  | Kernel.Similarity.Approximate _ -> Alcotest.fail "expected Exact");
   check_mat ~tol:0. "same matrix" (Csr.to_dense w_exact)
     (Csr.to_dense w_approx)
 
-(* Bit-identity pin of the symmetrised kNN graphs, which the ANN
-   goldens above do not reach: a digest over the row pointers, columns
-   and value bits of knn_approx on the tree path and on the duplicated
-   lattice, and of the exact knn on points with copies under a
-   compactly supported kernel (so some kept pairs weigh 0 and are
-   dropped), each built on 1 and 2 domains.  The digests were recorded
-   before the symmetrisation was written straight into CSR.  The exact
-   knn on the duplicated lattice pins the (distance², index) tie order:
-   distinct points tie in distance there and copies tie at 0. *)
+(* Bit-identity pin of the symmetrised kNN graphs: a digest over the row
+   pointers, columns and value bits of knn on 3000 Model-1 points, on
+   points with copies under a compactly supported kernel (so some kept
+   pairs weigh 0 and are dropped) and on the duplicated lattice, each
+   built on 1 and 2 domains.  Every digest was recorded on the graph of
+   an O(n²) scan into the same (distance², index) heap, so the tree
+   must give that scan's graph bit for bit.  The duplicated lattice pins
+   the tie order: distinct points tie in distance there and copies tie
+   at 0. *)
 let test_knn_csr_pinned () =
   let csr_digest (w : Csr.t) =
     digest_hex (fun buf ->
@@ -408,16 +300,10 @@ let test_knn_csr_pinned () =
   in
   let module S = Kernel.Similarity in
   let rbf = Kernel.Kernel_fn.Rbf in
-  let _, model1 = model1_points () in
-  pin "knn_approx tree path" "8c33206fb883908c5864b968fb7374cc" (fun () ->
-      fst
-        (S.knn_approx ~kernel:rbf ~bandwidth:0.3 ~k:8 ~seed:5 ~trees:4 model1));
+  let model1 = model1_points () in
+  pin "knn Model-1 points" "e6aca54a0b0672f36443dbdd07551e4a" (fun () ->
+      S.knn ~kernel:rbf ~bandwidth:0.3 ~k:8 model1);
   let lattice = duplicated_lattice () in
-  pin "knn_approx duplicated lattice" "ebd5968461c763748b14f8bbc7065340"
-    (fun () ->
-      fst
-        (S.knn_approx ~kernel:rbf ~bandwidth:0.5 ~k:8 ~seed:3 ~trees:3
-           ~exact_cutoff:0 lattice));
   let copies = points_with_copies () in
   pin "knn with copies, truncated kernel" "b96849bd4388cb5b75a9a27ed09a30be"
     (fun () ->
@@ -432,14 +318,13 @@ let test_knn_approx_structure_and_determinism () =
   let points = random_points rng n 4 in
   let kernel = Kernel.Kernel_fn.Rbf and bandwidth = 2.5 in
   let build () =
-    Kernel.Similarity.knn_approx ~kernel ~bandwidth ~k:5 ~seed:7
-      ~exact_cutoff:100 points
+    Kernel.Similarity.knn_approx ~kernel ~bandwidth ~k:5 ~seed:7 ~trees:3
+      ~recall_target:0.95 points
   in
   let w, info = Pool.sequential build in
   (match info with
-  | Kernel.Similarity.Approximate { recall; _ } ->
-      Alcotest.(check bool) "recall target honoured" true (recall >= 0.9)
-  | Kernel.Similarity.Exact -> Alcotest.fail "expected the approximate path");
+  | Kernel.Similarity.Exact -> ()
+  | Kernel.Similarity.Approximate _ -> Alcotest.fail "expected Exact");
   Alcotest.(check bool) "symmetric" true (Csr.is_symmetric w);
   for i = 0 to n - 1 do
     check_float (Printf.sprintf "self-similarity %d" i) 1. (Csr.get w i i);
@@ -1081,15 +966,15 @@ let test_system_csr_pinned () =
 
 (* Bit-identity pin: every level of Coarsen.build's hierarchy (row
    pointers, columns, value bits, diagonal bits and aggregate maps) on
-   the hard system of a 10⁴-point approximate kNN graph.  The digest was
-   recorded before the coarsening loops were rewritten without
-   Csr.iter_row closures and per-level scratch arrays. *)
+   the hard system of a 10⁴-point exact kNN graph.  The digest was
+   recorded on the graph of an O(n²) scan, which the tree's equals bit
+   for bit, with the coarsening loops as they stand. *)
 let test_coarsen_pinned () =
   let rng = Rng.create 2024 in
   let points = random_points rng 10_000 3 in
-  let w, _ =
-    Kernel.Similarity.knn_approx ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:1.5
-      ~k:8 ~seed:7 points
+  let w =
+    Kernel.Similarity.knn ~kernel:Kernel.Kernel_fn.Rbf ~bandwidth:1.5 ~k:8
+      points
   in
   let p =
     Gssl.Problem.make ~graph:(Graph.Weighted_graph.of_sparse w)
@@ -1111,24 +996,19 @@ let test_coarsen_pinned () =
         done)
   in
   Alcotest.(check int) "levels" 8 (Coarsen.depth h);
-  Alcotest.(check string) "coarsen digest" "dee345199901235024780b196de37e3b"
+  Alcotest.(check string) "coarsen digest" "1749eeb2182a309f672153bf96a13002"
     digest
 
 let suite =
   ( "scale",
     [
-      ann_recall_meets_target;
       ann_bit_identical_across_domains;
       case "ann: small n takes the exact pairwise path"
-        test_ann_exact_cutoff_matches_brute_force;
+        test_ann_small_n_scans_every_point;
       ann_exact_lists_with_ties;
-      case "ann: exhaustive external query is exact" test_ann_query_external;
-      ann_exhaustive_query_with_duplicates;
-      case "ann golden: tree path" test_ann_golden_tree_path;
-      case "ann golden: duplicated points" test_ann_golden_duplicates;
-      case "ann golden: exact fallback" test_ann_golden_exact_fallback;
-      case "ann golden: escalation" test_ann_golden_escalation;
-      case "ann golden: exact cutoff" test_ann_golden_exact_cutoff;
+      kdtree_lists_any_d_any_k;
+      case "kdtree: 10^4 Model-1 points, exact and pruned"
+        test_kdtree_prunes_at_1e4;
       case "ann: input validation" test_ann_validation;
       case "knn_approx: exact path matches knn"
         test_knn_approx_exact_path_matches_knn;
