@@ -53,7 +53,7 @@ soak-smoke:
 	dune build bin/repro.exe
 	./_build/default/bin/repro.exe soak --requests 1500 --verify-replay \
 		--journal /tmp/gssl_soak_journal.jsonl > /tmp/gssl_soak_pinned.txt
-	@$(call expect_digests,/tmp/gssl_soak_pinned.txt,'digest 92adb463fe93ba49 ' 'digest 788735fd2f874f82')
+	@$(call expect_digests,/tmp/gssl_soak_pinned.txt,'digest 92adb463fe93ba49 ' 'digest 7c38e7cde272f66d')
 	@seed=$$(( ($$(date +%N | sed 's/^0*//') % 999983) + 43 )); \
 	echo "soak-smoke fresh seed=$$seed"; \
 	./_build/default/bin/repro.exe soak --requests 1500 --seed $$seed --verify-replay
@@ -94,12 +94,15 @@ bench-snapshot:
 	./_build/default/bench/main.exe --smoke --out $(BASELINE) > /dev/null
 	@echo "wrote $(BASELINE)"
 
-# Chrome-trace smoke: capture a --trace-out file from the toy run and
-# structurally validate it (>= 1 complete span event).
+# Chrome-trace smoke: capture --trace-out files from the toy run and
+# from a two-domain fig2 sweep, and structurally validate both (>= 1
+# complete span event, and the events of each domain's track nest).
 trace-smoke:
 	dune build bin/repro.exe bench/compare.exe
 	./_build/default/bin/repro.exe toy --trace-out /tmp/gssl_trace.json > /dev/null
 	./_build/default/bench/compare.exe --check-trace /tmp/gssl_trace.json
+	./_build/default/bin/repro.exe fig2 --reps 1 -j 2 --trace-out /tmp/gssl_trace_fig2.json > /dev/null
+	./_build/default/bench/compare.exe --check-trace /tmp/gssl_trace_fig2.json
 
 # Observability smoke: run a journaled soak with replay verification
 # (response digest AND journal digest must match across runs), validate
@@ -139,7 +142,7 @@ transport-smoke:
 	dune build bin/repro.exe
 	./_build/default/bin/repro.exe netsoak --connections 1500 --verify-replay \
 		--journal /tmp/gssl_netsoak_journal.jsonl > /tmp/gssl_netsoak_pinned.txt
-	@$(call expect_digests,/tmp/gssl_netsoak_pinned.txt,'digest=864b85d0ca4da255 ' 'digest 15fff8228fbb357e')
+	@$(call expect_digests,/tmp/gssl_netsoak_pinned.txt,'digest=0cce175129fff75a ' 'digest 15fff8228fbb357e')
 	@seed=$$(( ($$(date +%N | sed 's/^0*//') % 999983) + 43 )); \
 	echo "transport-smoke fresh seed=$$seed"; \
 	./_build/default/bin/repro.exe netsoak --connections 1500 --seed $$seed \

@@ -1,7 +1,7 @@
 module Engine = Serve.Engine
 module Clock = Serve.Clock
 module Transport = Serve.Transport
-module Ctx = Obs.Trace_ctx
+module Span = Telemetry.Span
 module J = Telemetry.Export
 
 type config = {
@@ -27,8 +27,7 @@ type t = {
   decoder : Frame.t;
   out : Buffer.t;
   mutable out_off : int;
-  ctx : Ctx.t;
-  root : Ctx.span;
+  ctx : Span.trace;
   mutable state : state;
   mutable frame_start_ms : float option;
       (* arrival anchor: when the current in-flight frame's first byte
@@ -50,9 +49,13 @@ let create ?(config = default_config) ~engine ~fresh_id ~id () =
   let seed = (Engine.config engine).Engine.seed in
   (* distinct stream from request traces: connection ids and request
      ids share an integer space but must not share trace ids *)
-  let trace_id = Ctx.derive_id ~seed:(seed lxor 0x636f6e6e) ~request:id in
-  let ctx = Ctx.create ~now:(fun () -> Clock.now_ms clock) ~trace_id () in
-  let root = Ctx.open_span ctx "conn" ~fields:[ ("conn", Ctx.Int id) ] in
+  let ctx =
+    Span.trace
+      ~now:(fun () -> Clock.now_ms clock)
+      ~id:(Obs.Trace_ctx.derive_id ~seed:(seed lxor 0x636f6e6e) ~request:id)
+      ~fields:[ ("conn", Span.Int id) ]
+      "conn"
+  in
   Transport.conn_opened tr;
   { id;
     config;
@@ -64,7 +67,6 @@ let create ?(config = default_config) ~engine ~fresh_id ~id () =
     out = Buffer.create 1024;
     out_off = 0;
     ctx;
-    root;
     state = Open;
     frame_start_ms = None;
     write_start_ms = None;
@@ -106,29 +108,33 @@ let finalize t reason =
     t.state <- Closed;
     t.close_reason <- reason;
     Transport.conn_closed t.tr;
-    Ctx.annotate t.root
-      [ ("frames", Ctx.Int t.frames);
-        ("rejected", Ctx.Int t.rejected);
-        ("responses", Ctx.Int t.responses);
-        ("reason", Ctx.Str reason) ];
-    Ctx.close_span t.ctx t.root
+    Span.close t.ctx
+      ~fields:
+        [ ("frames", Span.Int t.frames);
+          ("rejected", Span.Int t.rejected);
+          ("responses", Span.Int t.responses);
+          ("reason", Span.Str reason) ]
   end
 
 let shutdown t ~reason = finalize t reason
 
+(* Every entry point that can record runs under the connection's trace,
+   so its spans and events (and a request trace nested inside a frame)
+   land there. *)
 let abort t ~reason =
+  Span.with_trace t.ctx @@ fun () ->
   if t.state <> Closed then begin
     t.aborted <- true;
     Transport.client_gone t.tr;
-    Ctx.event t.ctx "conn.client_gone"
-      ~fields:[ ("undelivered", Ctx.Int (pending_len t)) ];
+    Span.event "conn.client_gone"
+      ~fields:[ ("undelivered", Span.Int (pending_len t)) ];
     finalize t reason
   end
 
 let reject t ~code ~detail ~fatal =
   t.rejected <- t.rejected + 1;
   Transport.frame_rejected t.tr;
-  Ctx.event t.ctx "frame.rejected" ~fields:[ ("code", Ctx.Str code) ];
+  Span.event "frame.rejected" ~fields:[ ("code", Span.Str code) ];
   enqueue t (J.render (Protocol.error_body ~code ~detail));
   if fatal then begin
     (* a framing fault loses the frame boundary: answer, flush, close *)
@@ -158,8 +164,7 @@ let handle_payload t ~arrival payload =
     | Ok req ->
         t.frames <- t.frames + 1;
         Transport.frame_ok t.tr;
-        Ctx.with_span t.ctx "frame"
-          ~fields:[ ("op", Ctx.Str (Protocol.op_name req)) ]
+        Span.with_ "frame" ~fields:[ ("op", Span.Str (Protocol.op_name req)) ]
           (fun () ->
             match req with
             | Protocol.Stats ->
@@ -181,12 +186,14 @@ let handle_payload t ~arrival payload =
                       kind;
                       faults = [] }
                 in
-                Ctx.annotate_current
-                  [ ("status",
-                     Ctx.Str (Engine.status_name r.Engine.status)) ];
+                (* the request's own trace is uninstalled again, so this
+                   lands on the frame span *)
+                Span.annotate
+                  [ ("status", Span.Str (Engine.status_name r.Engine.status)) ];
                 enqueue t (J.render (Protocol.response_body r)))
 
 let on_bytes t data =
+  Span.with_trace t.ctx @@ fun () ->
   if t.state = Open && String.length data > 0 then begin
     Transport.bytes_in t.tr (String.length data);
     if t.frame_start_ms = None then
@@ -218,6 +225,7 @@ let on_bytes t data =
   end
 
 let on_eof t =
+  Span.with_trace t.ctx @@ fun () ->
   if t.state = Open then begin
     (match Frame.finish t.decoder with
     | Some e ->
@@ -229,14 +237,14 @@ let on_eof t =
   end
 
 let tick t =
+  Span.with_trace t.ctx @@ fun () ->
   if t.state = Open || t.state = Closing then begin
     let now = Clock.now_ms t.clock in
     (match t.frame_start_ms with
     | Some t0 when t.state = Open && now -. t0 > t.config.io_deadline_ms ->
         t.io_expired <- true;
         Transport.io_deadline_expired t.tr;
-        Ctx.event t.ctx "io.deadline_expired"
-          ~fields:[ ("phase", Ctx.Str "read") ];
+        Span.event "io.deadline_expired" ~fields:[ ("phase", Span.Str "read") ];
         reject t ~code:"io_deadline"
           ~detail:
             (Printf.sprintf "frame not completed within %.0f ms"
@@ -249,8 +257,7 @@ let tick t =
            it is as good as gone — do not let it pin the buffer *)
         t.io_expired <- true;
         Transport.io_deadline_expired t.tr;
-        Ctx.event t.ctx "io.deadline_expired"
-          ~fields:[ ("phase", Ctx.Str "write") ];
+        Span.event "io.deadline_expired" ~fields:[ ("phase", Span.Str "write") ];
         finalize t "write deadline expired"
     | _ -> ()
   end

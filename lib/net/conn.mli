@@ -18,8 +18,11 @@
       connection closes; output beyond the buffer bound sheds with an
       explicit [overloaded] status ([overflow_shed]); an abrupt peer
       disconnect counts [client_gone].  Nothing raises.
-    - The connection carries an {!Obs.Trace_ctx} root span with one
-      child span per frame, so transport activity shows up in the same
+    - The connection carries a {!Telemetry.Span.trace}: a root [conn]
+      span with one child [frame] span per parsed request, whose
+      [status] field is the engine's answer, and the rejections, I/O
+      deadlines and vanished peers as events.  Every entry point runs
+      under that trace, so transport activity shows up in the same
       trace/digest machinery as solves. *)
 
 type config = {
@@ -92,4 +95,5 @@ val io_expired : t -> bool
 val aborted : t -> bool
 val max_buffered_seen : t -> int
 val close_reason : t -> string
-val ctx : t -> Obs.Trace_ctx.t
+val ctx : t -> Telemetry.Span.trace
+(** The connection's trace. *)

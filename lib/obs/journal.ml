@@ -1,9 +1,9 @@
 (* Per-request span journal.
 
    One JSONL line per finished request: the trace id, the response
-   disposition (status / latency / queue wait / cache hit),
-   and the full span tree of its {!Trace_ctx}.  The journal keeps a
-   running SplitMix64 digest over the exact line bytes — two runs that
+   disposition (status / latency / queue wait / cache hit), and the full
+   span tree of its trace ({!Telemetry.Span.trace}).  The journal keeps
+   a running SplitMix64 digest over the exact line bytes — two runs that
    journal identical lines in identical order have equal digests, which
    is how soak replay proves the observability pipeline itself is
    deterministic — and a running aggregate (status counts + a latency
@@ -49,11 +49,11 @@ let digest_line h line =
     line;
   !h
 
-let line_json ~request ~status ~reason ~latency_ms ~queue_ms ~cache_hit ctx =
+let line_json ~request ~status ~reason ~latency_ms ~queue_ms ~cache_hit tr =
   let open Telemetry.Export in
   let base =
     [
-      ("trace", Str (Trace_ctx.id_hex (Trace_ctx.trace_id ctx)));
+      ("trace", Str (Trace_ctx.id_hex (Telemetry.Span.trace_id tr)));
       ("request", Num (float_of_int request));
       ("status", Str status);
     ]
@@ -67,15 +67,15 @@ let line_json ~request ~status ~reason ~latency_ms ~queue_ms ~cache_hit ctx =
       ("queue_ms", Num queue_ms);
       ("cache_hit", Bool cache_hit);
       ( "spans",
-        Arr (List.map Trace_ctx.span_json (Trace_ctx.spans ctx)) );
+        Arr (List.map Trace_ctx.span_json (Telemetry.Span.nodes tr)) );
     ]
   in
   Obj (base @ reason_field @ rest)
 
-let record t ~request ~status ?reason ~latency_ms ~queue_ms ~cache_hit ctx =
+let record t ~request ~status ?reason ~latency_ms ~queue_ms ~cache_hit tr =
   let line =
     Telemetry.Export.render
-      (line_json ~request ~status ~reason ~latency_ms ~queue_ms ~cache_hit ctx)
+      (line_json ~request ~status ~reason ~latency_ms ~queue_ms ~cache_hit tr)
   in
   Mutex.lock t.mutex;
   t.lines_rev <- line :: t.lines_rev;

@@ -2,8 +2,10 @@
     reconciling aggregate.
 
     Each finished request appends one JSON line: trace id, status,
-    latency/queue/cache fields, and the full span tree of its
-    {!Trace_ctx}.  The journal maintains a SplitMix64 digest over the
+    latency/queue/cache fields, and the full span tree of its trace
+    ({!Telemetry.Span.trace}, rendered by {!Trace_ctx.span_json}): the
+    engine's own spans and every library span recorded under the
+    request, down to the solver rungs and [cg.solve].  The journal maintains a SplitMix64 digest over the
     exact line bytes (replaying a seeded trace must reproduce it
     bit-for-bit) and a running aggregate using the same {!Histogram}
     implementation as the serve engine, so journal figures reconcile
@@ -22,7 +24,7 @@ val record :
   latency_ms:float ->
   queue_ms:float ->
   cache_hit:bool ->
-  Trace_ctx.t ->
+  Telemetry.Span.trace ->
   unit
 (** [status] must be one of ["served"], ["degraded"], ["shed"]. *)
 

@@ -133,32 +133,3 @@ let snapshot (t : t) =
     quality_budget =
       budget ~target:t.config.quality_target ~ok:t.total_quality_ok ~n:t.total;
   }
-
-let snapshot_json s =
-  let open Telemetry.Export in
-  Obj
-    [
-      ("total", Num (float_of_int s.total));
-      ("window_n", Num (float_of_int s.window_n));
-      ("latency_good", Num (float_of_int s.latency_good));
-      ("quality_good", Num (float_of_int s.quality_good));
-      ("latency_compliance", Num s.latency_compliance);
-      ("quality_compliance", Num s.quality_compliance);
-      ("latency_burn", Num s.latency_burn);
-      ("quality_burn", Num s.quality_burn);
-      ("latency_budget", Num s.latency_budget);
-      ("quality_budget", Num s.quality_budget);
-    ]
-
-let describe t =
-  let s = snapshot t in
-  Printf.sprintf
-    "slo: n=%d window=%d latency %.1f%% (burn %.2f, budget %.0f%%) quality \
-     %.1f%% (burn %.2f, budget %.0f%%)"
-    s.total s.window_n
-    (100. *. s.latency_compliance)
-    s.latency_burn
-    (100. *. s.latency_budget)
-    (100. *. s.quality_compliance)
-    s.quality_burn
-    (100. *. s.quality_budget)

@@ -43,5 +43,3 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-val snapshot_json : snapshot -> Telemetry.Export.json
-val describe : t -> string

@@ -24,9 +24,9 @@ let all_finite = Array.for_all Float.is_finite
 
 let abort_reason = "cooperative abort (should_stop)"
 
-(* The causal position of each rung entered on the ambient request
-   trace: a zero-duration marker (no-op outside a traced request). *)
-let mark name = Obs.Trace_ctx.mark ("rung." ^ name)
+(* The causal position of each rung entered in the installed request
+   trace: a zero-duration event (a no-op outside a traced request). *)
+let mark name = Telemetry.Span.event ("rung." ^ name)
 
 let solve_dense ?(should_stop = fun () -> false) a b =
   if not (Mat.is_square a) then

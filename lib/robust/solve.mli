@@ -19,9 +19,10 @@
     failed Cholesky means a numerically singular system, which the
     least-squares and ridge rungs are built for.
 
-    Each rung entered leaves a ["rung.<name>"] mark on the ambient
-    {!Obs.Trace_ctx} request trace, placing it on the request's own
-    clock.
+    Each rung entered leaves a ["rung.<name>"] {!Telemetry.Span.event}
+    in the installed request trace, placing it on the request's own
+    clock; the spans of the rung's own solver ([cg.solve],
+    [stationary.solve]) follow it there.
 
     CG breakdown (non-SPD curvature [pᵀAp ≤ 0], reported by
     {!Sparse.Cg}) skips the restart rung: restarting cannot repair an

@@ -3,7 +3,7 @@ module Fault = Robust.Fault
 module Problem = Gssl.Problem
 module Resilient = Gssl.Resilient
 module Incremental = Gssl.Incremental
-module Trace_ctx = Obs.Trace_ctx
+module Span = Telemetry.Span
 
 type costs = {
   solve_ms : float;
@@ -174,27 +174,22 @@ let config t = t.config
 let transport t = t.transport
 let slo_snapshot t = Obs.Slo.snapshot t.slo
 
-(* Per-request trace context: the id is derived from (engine seed,
-   request id) so a replay regenerates identical ids, and timestamps
-   come from the engine clock so a virtual-clock run journals
-   bit-identically.  The root "request" span is closed by [finish]. *)
+(* Per-request trace: the id is derived from (engine seed, request id)
+   so a replay regenerates identical ids, and timestamps come from the
+   engine clock so a virtual-clock run journals bit-identically.  The
+   root "request" span is closed by [finish]. *)
 let make_ctx t (req : request) =
-  let ctx =
-    Trace_ctx.create
-      ~now:(fun () -> Clock.now_ms t.clock)
-      ~trace_id:(Trace_ctx.derive_id ~seed:t.config.seed ~request:req.id)
-      ()
-  in
   let kind = match req.kind with Query -> "query" | Relabel _ -> "relabel" in
-  ignore
-    (Trace_ctx.open_span ctx "request"
-       ~fields:
-         [
-           ("id", Trace_ctx.Int req.id);
-           ("kind", Trace_ctx.Str kind);
-           ("faults", Trace_ctx.Int (List.length req.faults));
-         ]);
-  ctx
+  Span.trace
+    ~now:(fun () -> Clock.now_ms t.clock)
+    ~id:(Obs.Trace_ctx.derive_id ~seed:t.config.seed ~request:req.id)
+    ~fields:
+      [
+        ("id", Span.Int req.id);
+        ("kind", Span.Str kind);
+        ("faults", Span.Int (List.length req.faults));
+      ]
+    "request"
 
 (* λ→∞ labeled-mean imputation (Prop II.2): the cheapest total answer,
    used when even the cached factorization is unavailable. *)
@@ -266,26 +261,21 @@ let finish t (req : request) ~ctx ~queue_ms ~cache_hit ?certificate
   let reason =
     match status with Served -> None | Degraded r | Shed r -> Some r
   in
-  (match Trace_ctx.spans ctx with
-  | root :: _ ->
-      Trace_ctx.annotate root
-        ([
-           ("status", Trace_ctx.Str (status_name status));
-           ("latency_ms", Trace_ctx.Float latency_ms);
-           ("queue_ms", Trace_ctx.Float queue_ms);
-           ("cache_hit", Trace_ctx.Bool cache_hit);
-         ]
-        @ match reason with
-          | None -> []
-          | Some r -> [ ("reason", Trace_ctx.Str r) ]);
-      Trace_ctx.close_span ctx root
-  | [] -> ());
+  Span.close ctx
+    ~fields:
+      ([
+         ("status", Span.Str (status_name status));
+         ("latency_ms", Span.Float latency_ms);
+         ("queue_ms", Span.Float queue_ms);
+         ("cache_hit", Span.Bool cache_hit);
+       ]
+      @ match reason with None -> [] | Some r -> [ ("reason", Span.Str r) ]);
   (match t.journal with
   | Some j ->
       Obs.Journal.record j ~request:req.id ~status:(status_name status)
         ?reason ~latency_ms ~queue_ms ~cache_hit ctx
   | None -> ());
-  { id = req.id; trace_id = Trace_ctx.trace_id ctx; status; predictions;
+  { id = req.id; trace_id = Span.trace_id ctx; status; predictions;
     certificate; diagnostics; queue_ms; latency_ms; cache_hit }
 
 (* The warm factorization for a clean query or relabel, counted as a
@@ -331,7 +321,7 @@ let cached_answer t (req : request) ~ctx ~queue_ms inc ~unhealthy =
 let expire t (req : request) ~ctx ~queue_ms ~deadline =
   t.st.s_deadline_expired <- t.st.s_deadline_expired + 1;
   Telemetry.Counter.incr c_deadline;
-  Trace_ctx.event ctx "deadline.expired";
+  Span.event "deadline.expired";
   degraded_answer t req ~ctx ~queue_ms
     ~diagnostics:[ Deadline.diagnostic deadline ]
     "deadline expired"
@@ -344,16 +334,13 @@ let expire t (req : request) ~ctx ~queue_ms ~deadline =
 let full_solve t (req : request) ~ctx ~queue_ms ~deadline
     (inj : Fault.injected) =
   if not (Breaker.allow t.breaker) then begin
-    Trace_ctx.event ctx "breaker.blocked";
+    Span.event "breaker.blocked";
     degraded_answer t req ~ctx ~queue_ms "circuit breaker open"
   end
   else
-    Trace_ctx.with_span ctx "solve"
+    Span.with_ "solve"
       ~fields:
-        [
-          ( "breaker",
-            Trace_ctx.Str (Breaker.state_name (Breaker.state t.breaker)) );
-        ]
+        [ ("breaker", Span.Str (Breaker.state_name (Breaker.state t.breaker))) ]
       (fun () ->
         let failed ?diagnostics reason =
           Breaker.record_failure t.breaker;
@@ -401,15 +388,14 @@ let process t ~ctx ~queue_ms (req : request) =
      latency stall, which burns budget before the solve even starts. *)
   let frng = Prng.Rng.substream t.rng ((2 * req.id) + 1) in
   let inj =
-    Trace_ctx.with_span ctx "inject" (fun () ->
+    Span.with_ "inject" (fun () ->
         let inj =
           Fault.inject frng
             ~n_labeled:(Problem.n_labeled t.problem)
             req.faults t.problem.Problem.graph t.problem.Problem.labels
         in
         if inj.Fault.stall_ms > 0. then
-          Trace_ctx.annotate_current
-            [ ("stall_ms", Trace_ctx.Float inj.Fault.stall_ms) ];
+          Span.annotate [ ("stall_ms", Span.Float inj.Fault.stall_ms) ];
         (* a stall is busy time: on the real clock the worker spins *)
         if Clock.is_virtual t.clock then
           Clock.advance t.clock inj.Fault.stall_ms
@@ -425,8 +411,7 @@ let process t ~ctx ~queue_ms (req : request) =
             ~diagnostics:[ Check.Non_finite_label { index = vertex } ]
             "non-finite relabel rejected"
         else
-          Trace_ctx.with_span ctx "relabel"
-            ~fields:[ ("vertex", Trace_ctx.Int vertex) ]
+          Span.with_ "relabel" ~fields:[ ("vertex", Span.Int vertex) ]
             (fun () ->
               match find_warm t with
               | None ->
@@ -447,7 +432,7 @@ let process t ~ctx ~queue_ms (req : request) =
         (* clean query: serve from the cached factorization *)
         match find_warm t with
         | Some inc ->
-            Trace_ctx.with_span ctx "cache_query" (fun () ->
+            Span.with_ "cache_query" (fun () ->
                 Clock.advance t.clock t.costs.cache_ms;
                 cached_answer t req ~ctx ~queue_ms inc
                   ~unhealthy:"cached answer failed certification")
@@ -457,7 +442,7 @@ let process t ~ctx ~queue_ms (req : request) =
 
 let handle t req =
   let ctx = make_ctx t req in
-  Trace_ctx.with_current ctx (fun () -> process t ~ctx ~queue_ms:0. req)
+  Span.with_trace ctx (fun () -> process t ~ctx ~queue_ms:0. req)
 
 let shed t (req : request) reason =
   let ctx = make_ctx t req in
@@ -487,8 +472,7 @@ let run_trace t reqs =
         let queue_ms = start_ms -. req.arrival_ms in
         let ctx = make_ctx t req in
         let resp =
-          Trace_ctx.with_current ctx (fun () ->
-              process t ~ctx ~queue_ms req)
+          Span.with_trace ctx (fun () -> process t ~ctx ~queue_ms req)
         in
         t.worker_free_ms <- Clock.now_ms t.clock;
         t.pending_finish <- t.worker_free_ms :: t.pending_finish;

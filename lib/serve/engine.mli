@@ -73,8 +73,8 @@ type status = Served | Degraded of string | Shed of string
 type response = {
   id : int;
   trace_id : int64;
-      (** the request's {!Obs.Trace_ctx} id — derived from
-          (config seed, request id), so replays regenerate it *)
+      (** the id of the request's trace ({!Obs.Trace_ctx.derive_id}
+          of (config seed, request id)), so replays regenerate it *)
   status : status;
   predictions : (int * float) array;  (** [(vertex, score)] pairs *)
   certificate : Obs.Health.t option;

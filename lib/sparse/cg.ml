@@ -119,27 +119,24 @@ let solve_impl ?x0 ?(tol = 1e-10) ?max_iter ?(precondition = true)
   end
 
 let solve ?x0 ?tol ?max_iter ?precondition ?precond_apply ?should_stop op b =
-  Telemetry.Span.with_ "cg.solve" (fun () ->
-      (* also a span on the ambient request trace (when a serve-layer
-         Trace_ctx is installed), annotated with the solve's outcome *)
-      Obs.Trace_ctx.in_span "cg.solve"
-        ~fields:[ ("dim", Obs.Trace_ctx.Int op.Linop.dim) ]
-        (fun () ->
-          let out =
-            solve_impl ?x0 ?tol ?max_iter ?precondition ?precond_apply
-              ?should_stop op b
-          in
-          (* iteration-count distribution, so benches can compare
-             preconditioned vs flat solves by iterations, not wall alone *)
-          Obs.Histogram.observe "cg.iterations" (float_of_int out.iterations);
-          Obs.Trace_ctx.annotate_current
-            [
-              ("iterations", Obs.Trace_ctx.Int out.iterations);
-              ("converged", Obs.Trace_ctx.Bool out.converged);
-              ("aborted", Obs.Trace_ctx.Bool out.aborted);
-              ("residual", Obs.Trace_ctx.Float out.residual_norm);
-            ];
-          out))
+  Telemetry.Span.with_ "cg.solve"
+    ~fields:[ ("dim", Telemetry.Span.Int op.Linop.dim) ]
+    (fun () ->
+      let out =
+        solve_impl ?x0 ?tol ?max_iter ?precondition ?precond_apply
+          ?should_stop op b
+      in
+      (* iteration-count distribution, so benches can compare
+         preconditioned vs flat solves by iterations, not wall alone *)
+      Obs.Histogram.observe "cg.iterations" (float_of_int out.iterations);
+      Telemetry.Span.annotate
+        [
+          ("iterations", Telemetry.Span.Int out.iterations);
+          ("converged", Telemetry.Span.Bool out.converged);
+          ("aborted", Telemetry.Span.Bool out.aborted);
+          ("residual", Telemetry.Span.Float out.residual_norm);
+        ];
+      out)
 
 let ensure_converged op b (out : outcome) =
   if not out.converged then begin

@@ -55,7 +55,10 @@ val solve :
     [apply] writes into the workspace) and the preconditioner in place,
     so they allocate nothing of size [dim].
 
-    Iteration counts of every solve are recorded in the
+    Each solve is one ["cg.solve"] {!Telemetry.Span} with a [dim]
+    field, annotated with its [iterations], [converged], [aborted] and
+    [residual] once it ends, so an installed request trace shows how
+    the solve went.  Iteration counts of every solve are recorded in the
     ["cg.iterations"] {!Obs.Histogram} summary while telemetry is
     enabled, so preconditioner quality is observable, not just wall
     time.  [should_stop] (default [fun () -> false])

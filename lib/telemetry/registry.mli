@@ -1,9 +1,9 @@
 (** Global telemetry switch and registry.
 
-    Telemetry is off by default; every probe in the codebase
-    ({!Counter.add}, {!Span.with_}) degrades to a single
-    branch on {!is_enabled} when disabled, so instrumented code runs at
-    full speed unless a caller opts in. *)
+    Telemetry is off by default; when disabled, {!Counter.add} degrades
+    to a single branch on {!is_enabled} and {!Span.with_} to that branch
+    and one domain-local read (it still feeds an installed trace), so
+    instrumented code runs at full speed unless a caller opts in. *)
 
 val enabled : bool ref
 (** Exposed so probes can inline the check; treat as read-only outside

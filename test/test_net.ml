@@ -243,6 +243,24 @@ let test_conn_query_roundtrip () =
   Alcotest.(check int) "frames_ok counted" 1 tr.Transport.frames_ok;
   Alcotest.(check int) "conns_opened counted" 1 tr.Transport.conns_opened
 
+(* The engine's answer lands as the [status] field of the connection
+   trace's [frame] span, next to the frame's [op]. *)
+let test_conn_frame_span_status () =
+  let conn, _, _ = conn_fixture () in
+  Conn.on_bytes conn (Frame.encode (Protocol.render_request Protocol.Query));
+  match
+    List.filter
+      (fun (s : Telemetry.Span.node) -> s.name = "frame")
+      (Telemetry.Span.nodes (Conn.ctx conn))
+  with
+  | [ frame ] ->
+      Alcotest.(check bool) "op field" true
+        (List.assoc_opt "op" frame.fields = Some (Telemetry.Span.Str "query"));
+      Alcotest.(check bool) "status = served" true
+        (List.assoc_opt "status" frame.fields
+        = Some (Telemetry.Span.Str "served"))
+  | frames -> Alcotest.failf "expected 1 frame span, got %d" (List.length frames)
+
 let test_conn_json_errors_recoverable () =
   let conn, engine, _ = conn_fixture () in
   (* garbage JSON in a well-formed frame: typed error, conn survives *)
@@ -503,7 +521,7 @@ let test_hostile_soak_seed_sensitive () =
 (* Bit-identity pin: the hostile soak's response and journal digests. *)
 let test_hostile_soak_pinned_digests () =
   let s = small_soak () in
-  Alcotest.(check string) "response digest" "4ec70c4be4015118"
+  Alcotest.(check string) "response digest" "bb6dafe54d6be7ed"
     (Printf.sprintf "%016Lx" s.Hostile.digest);
   Alcotest.(check string) "journal digest" "a137910600c54e3d"
     (Printf.sprintf "%016Lx" s.Hostile.journal_digest)
@@ -545,4 +563,6 @@ let suite =
         test_hostile_soak_seed_sensitive;
       case "hostile soak: pinned response and journal digests"
         test_hostile_soak_pinned_digests;
+      case "conn: frame span carries the engine status"
+        test_conn_frame_span_status;
     ] )

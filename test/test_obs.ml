@@ -182,7 +182,66 @@ let test_chrome_trace_validate_rejects () =
                    ("ts", Export.Num 0.);
                  ];
              ] );
-       ])
+       ]);
+  (* [0, 10) and [5, 15) overlap without nesting: invalid on one track,
+     fine on two *)
+  let two tid_b =
+    Export.Obj
+      [
+        ( "traceEvents",
+          Export.Arr
+            (List.map
+               (fun (ts, tid) ->
+                 Export.Obj
+                   [
+                     ("name", Export.Str "x"); ("ph", Export.Str "X");
+                     ("ts", Export.Num ts); ("dur", Export.Num 10.);
+                     ("pid", Export.Num 1.); ("tid", Export.Num tid);
+                   ])
+               [ (0., 1.); (5., tid_b) ]) );
+      ]
+  in
+  reject "overlap on one track" (two 1.);
+  match Chrome_trace.validate (two 2.) with
+  | Ok k -> Alcotest.(check int) "the same events on two tracks" 2 k
+  | Error m -> Alcotest.failf "two tracks rejected: %s" m
+
+(* Spans of two domains that overlap in time without nesting — one
+   domain's span opens while the other's is open, and closes after it —
+   land on two tracks, and the capture validates. *)
+let test_chrome_trace_track_per_domain () =
+  with_clean_registry (fun () ->
+      Chrome_trace.start ();
+      Fun.protect ~finally:Chrome_trace.stop (fun () ->
+          let opened = Atomic.make false and closed = Atomic.make false in
+          let wait flag =
+            while not (Atomic.get flag) do
+              Domain.cpu_relax ()
+            done
+          in
+          let worker =
+            T_span.with_ "main" (fun () ->
+                let d =
+                  Domain.spawn (fun () ->
+                      T_span.with_ "worker" (fun () ->
+                          Atomic.set opened true;
+                          wait closed))
+                in
+                wait opened;
+                d)
+          in
+          Atomic.set closed true;
+          Domain.join worker;
+          let tids =
+            List.sort_uniq compare
+              (List.map
+                 (fun (e : Chrome_trace.event) -> e.tid)
+                 (Chrome_trace.events ()))
+          in
+          Alcotest.(check int) "one track per domain" 2 (List.length tids);
+          match Chrome_trace.validate (Export.parse (Chrome_trace.to_json ())) with
+          | Ok k -> Alcotest.(check int) "validates" 2 k
+          | Error m -> Alcotest.failf "trace invalid: %s" m))
 
 (* ---------- bench regression gate ---------- *)
 
@@ -242,5 +301,7 @@ let suite =
         test_chrome_trace_capture_and_validate;
       case "chrome trace: validate rejects malformed"
         test_chrome_trace_validate_rejects;
+      case "chrome trace: one track per domain"
+        test_chrome_trace_track_per_domain;
       case "bench gate: thresholds and missing phases" test_bench_compare_gate;
     ] )

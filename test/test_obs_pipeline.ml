@@ -1,10 +1,12 @@
-(* Observability pipeline: request-scoped trace contexts, the rolling
-   SLO tracker, the JSONL span journal (schema + digest + reconciling
+(* Observability pipeline: request traces recorded through
+   Telemetry.Span and viewed through Obs.Trace_ctx, the rolling SLO
+   tracker, the JSONL span journal (schema + digest + reconciling
    aggregate), the metrics exposition renderer, histogram percentile
    edge cases, and the engine/soak integration — including a two-domain
    hammer on one shared journal. *)
 
 open Test_util
+module Span = Telemetry.Span
 module Trace_ctx = Obs.Trace_ctx
 module Slo = Obs.Slo
 module Journal = Obs.Journal
@@ -15,18 +17,19 @@ module Clock = Serve.Clock
 module Engine = Serve.Engine
 module Soak = Serve.Soak
 
-(* a deterministic millisecond clock for trace contexts: each call
-   advances by [step] *)
+(* a deterministic millisecond clock for traces: each call advances by
+   [step] *)
 let ticker ?(start = 0.) ?(step = 1.) () =
   let t = ref (start -. step) in
   fun () ->
     t := !t +. step;
     !t
 
-let make_ctx ?(trace_id = 0xabcdL) () =
-  Trace_ctx.create ~now:(ticker ()) ~trace_id ()
+(* a trace whose root "request" opens at tick 0 *)
+let make_trace ?(trace_id = 0xabcdL) () =
+  Span.trace ~now:(ticker ()) ~id:trace_id "request"
 
-(* ---------- trace context ---------- *)
+(* ---------- traces ---------- *)
 
 let test_trace_ids () =
   let a = Trace_ctx.derive_id ~seed:42 ~request:1 in
@@ -41,50 +44,53 @@ let test_trace_ids () =
     (Trace_ctx.id_hex 0L)
 
 let test_span_tree_causal_order () =
-  let ctx = make_ctx () in
-  let root = Trace_ctx.open_span ctx "request" in
-  let child = Trace_ctx.open_span ctx "solve" in
-  Trace_ctx.event ctx "poke";
-  Trace_ctx.close_span ctx child;
-  Trace_ctx.close_span ctx root;
-  let spans = Trace_ctx.spans ctx in
+  let tr = make_trace () in
+  Span.with_trace tr (fun () ->
+      Span.with_ "solve" (fun () -> Span.event "poke"));
+  Span.close tr;
+  let spans = Span.nodes tr in
   Alcotest.(check int) "three spans" 3 (List.length spans);
   List.iteri
-    (fun i s ->
-      Alcotest.(check int) "allocation id" i s.Trace_ctx.id;
-      Alcotest.(check bool) "parent precedes" true (s.Trace_ctx.parent < i))
+    (fun i (s : Span.node) ->
+      Alcotest.(check int) "allocation id" i s.id;
+      Alcotest.(check bool) "parent precedes" true (s.parent < i))
     spans;
   let s0 = List.nth spans 0 and s1 = List.nth spans 1 in
   let s2 = List.nth spans 2 in
-  Alcotest.(check int) "root parent" (-1) s0.Trace_ctx.parent;
-  Alcotest.(check int) "child under root" 0 s1.Trace_ctx.parent;
-  Alcotest.(check int) "event under child" 1 s2.Trace_ctx.parent;
-  check_float "event is a point" 0. s2.Trace_ctx.dur_ms;
+  Alcotest.(check int) "root parent" (-1) s0.Span.parent;
+  Alcotest.(check int) "child under root" 0 s1.Span.parent;
+  Alcotest.(check int) "event under child" 1 s2.Span.parent;
+  check_float "event is a point" 0. s2.Span.dur_ms;
   Alcotest.(check bool) "durations closed" true
-    (List.for_all (fun s -> s.Trace_ctx.dur_ms >= 0.) spans)
+    (List.for_all (fun (s : Span.node) -> s.dur_ms >= 0.) spans)
 
 let test_close_span_closes_descendants () =
-  let ctx = make_ctx () in
-  let root = Trace_ctx.open_span ctx "request" in
-  let _inner = Trace_ctx.open_span ctx "left-open" in
-  Trace_ctx.close_span ctx root;
-  (* closing the root sweeps the still-open descendant *)
-  Alcotest.(check bool) "descendant closed" true
-    (List.for_all
-       (fun s -> not (Float.is_nan s.Trace_ctx.dur_ms))
-       (Trace_ctx.spans ctx));
-  let d = Trace_ctx.digest ctx in
-  Trace_ctx.close_span ctx root;
+  let tr = make_trace () in
+  let all_closed () =
+    List.for_all (fun (s : Span.node) -> not (Float.is_nan s.dur_ms))
+      (Span.nodes tr)
+  in
+  let d =
+    Span.with_trace tr (fun () ->
+        Span.with_ "left-open" (fun () ->
+            Span.close tr;
+            (* closing the root sweeps the still-open descendant *)
+            Alcotest.(check bool) "descendant closed" true (all_closed ());
+            Trace_ctx.digest tr))
+  in
+  Alcotest.(check bool) "span end after the sweep changes nothing" true
+    (Int64.equal d (Trace_ctx.digest tr));
+  Span.close tr ~fields:[ ("late", Span.Bool true) ];
   Alcotest.(check bool) "idempotent close" true
-    (Int64.equal d (Trace_ctx.digest ctx))
+    (Int64.equal d (Trace_ctx.digest tr))
 
 let test_trace_digest_sensitivity () =
   let build ?(name = "solve") () =
-    let ctx = make_ctx () in
-    Trace_ctx.with_span ctx "request" (fun () ->
-        Trace_ctx.with_span ctx name ~fields:[ ("dim", Trace_ctx.Int 40) ]
-          (fun () -> ()));
-    ctx
+    let tr = make_trace () in
+    Span.with_trace tr (fun () ->
+        Span.with_ name ~fields:[ ("dim", Span.Int 40) ] (fun () -> ()));
+    Span.close tr;
+    tr
   in
   let d1 = Trace_ctx.digest (build ()) in
   let d2 = Trace_ctx.digest (build ()) in
@@ -92,37 +98,37 @@ let test_trace_digest_sensitivity () =
   let d3 = Trace_ctx.digest (build ~name:"solve2" ()) in
   Alcotest.(check bool) "name changes digest" false (Int64.equal d1 d3)
 
+(* [with_trace] installs the trace only while its thunk runs: the
+   recording calls before and after it reach no trace *)
 let test_ambient_context () =
-  (* without an installed context, ambient ops are no-ops / plain calls *)
-  Alcotest.(check bool) "no current" true (Trace_ctx.current () = None);
-  Alcotest.(check int) "in_span without ctx" 7
-    (Trace_ctx.in_span "orphan" (fun () -> 7));
-  Trace_ctx.mark "orphan.mark";
-  let ctx = make_ctx () in
+  Alcotest.(check int) "with_ without a trace" 7
+    (Span.with_ "orphan" (fun () -> 7));
+  Span.event "orphan.mark";
+  Span.annotate [ ("orphan", Span.Int 0) ];
+  let tr = make_trace () in
   let v =
-    Trace_ctx.with_current ctx (fun () ->
-        Alcotest.(check bool) "current installed" true
-          (Trace_ctx.current () <> None);
-        Trace_ctx.in_span "work" (fun () ->
-            Trace_ctx.annotate_current [ ("k", Trace_ctx.Int 3) ];
-            Trace_ctx.mark "tick";
+    Span.with_trace tr (fun () ->
+        Span.with_ "work" (fun () ->
+            Span.annotate [ ("k", Span.Int 3) ];
+            Span.event "tick";
             41 + 1))
   in
   Alcotest.(check int) "value through" 42 v;
-  Alcotest.(check bool) "uninstalled after" true (Trace_ctx.current () = None);
-  let names = List.map (fun s -> s.Trace_ctx.name) (Trace_ctx.spans ctx) in
-  Alcotest.(check (list string)) "ambient spans recorded" [ "work"; "tick" ]
-    names;
-  match Trace_ctx.spans ctx with
-  | work :: _ ->
+  Span.with_ "after" (fun () -> ());
+  Span.event "after.mark";
+  let names = List.map (fun (s : Span.node) -> s.name) (Span.nodes tr) in
+  Alcotest.(check (list string)) "only the installed spans recorded"
+    [ "request"; "work"; "tick" ] names;
+  match Span.nodes tr with
+  | [ _; work; _ ] ->
       Alcotest.(check bool) "annotation landed" true
-        (List.mem_assoc "k" work.Trace_ctx.fields)
-  | [] -> Alcotest.fail "no spans"
+        (work.Span.fields = [ ("k", Span.Int 3) ])
+  | _ -> Alcotest.fail "unexpected span tree"
 
 let test_trace_json_renders () =
-  let ctx = make_ctx () in
-  Trace_ctx.with_span ctx "request" (fun () -> ());
-  let text = Export.render (Trace_ctx.to_json ctx) in
+  let tr = make_trace () in
+  Span.close tr;
+  let text = Export.render (Trace_ctx.to_json tr) in
   Alcotest.(check bool) "mentions trace id" true
     (Astring.String.is_infix ~affix:(Trace_ctx.id_hex 0xabcdL) text);
   Alcotest.(check bool) "mentions span name" true
@@ -186,15 +192,15 @@ let test_slo_rejects_bad_window () =
 (* ---------- journal ---------- *)
 
 let record_one ?(request = 1) ?(status = "served") ?(latency_ms = 5.) j =
-  let ctx =
-    Trace_ctx.create ~now:(ticker ())
-      ~trace_id:(Trace_ctx.derive_id ~seed:42 ~request)
-      ()
+  let tr =
+    Span.trace ~now:(ticker ())
+      ~id:(Trace_ctx.derive_id ~seed:42 ~request)
+      "request"
   in
-  Trace_ctx.with_span ctx "request" (fun () ->
-      Trace_ctx.with_span ctx "solve" (fun () -> ()));
+  Span.with_trace tr (fun () -> Span.with_ "solve" (fun () -> ()));
+  Span.close tr;
   Journal.record j ~request ~status ~latency_ms ~queue_ms:0.5 ~cache_hit:false
-    ctx
+    tr
 
 let test_journal_roundtrip () =
   let j = Journal.create () in
@@ -413,6 +419,66 @@ let test_engine_metrics_snapshot () =
   Alcotest.(check bool) "prometheus renders" true
     (Astring.String.is_infix ~affix:"# TYPE serve_latency_ms summary" text)
 
+(* The faulted soak requests that reach the resilient path journal the
+   library spans it runs below the engine's "solve" span, stamped on the
+   engine's virtual clock: the solve opens, the clock is charged the
+   solve cost, then Resilient.solve_hard starts.  The replay check
+   demands the same journal bytes from a second run. *)
+let test_faulted_soak_journals_library_spans () =
+  let cfg =
+    { Soak.default with
+      Soak.requests = 300; seed = 7; n_vertices = 40; n_labeled = 10;
+      verify_replay = true; journal = true }
+  in
+  let s, engine = Soak.run_full cfg in
+  Alcotest.(check bool) "journal replays" true s.Soak.replay_verified;
+  let spans_of line =
+    match Export.member "spans" (Export.parse line) with
+    | Some (Export.Arr spans) -> spans
+    | _ -> Alcotest.fail "line without spans"
+  in
+  let num key s =
+    Option.get (Option.bind (Export.member key s) Export.to_float)
+  in
+  let named name =
+    List.filter (fun s -> Export.member "name" s = Some (Export.Str name))
+  in
+  let lines =
+    List.filter
+      (fun l -> named "gssl.resilient_hard" (spans_of l) <> [])
+      (Journal.lines (Option.get (Engine.journal engine)))
+  in
+  Alcotest.(check bool) "some requests reached the resilient path" true
+    (lines <> []);
+  List.iter
+    (fun line ->
+      let spans = spans_of line in
+      match (named "solve" spans, named "gssl.resilient_hard" spans) with
+      | [ solve ], [ hard ] ->
+          check_float "resilient_hard under solve" (num "id" solve)
+            (num "parent" hard);
+          check_float ~tol:1e-9 "starts once the solve cost is charged"
+            (num "start_ms" solve
+            +. Engine.default_config.Engine.costs.Engine.solve_ms)
+            (num "start_ms" hard);
+          let cgs = named "cg.solve" spans in
+          Alcotest.(check bool) "cg ran" true (cgs <> []);
+          List.iter
+            (fun cg ->
+              check_float "cg.solve under resilient_hard" (num "id" hard)
+                (num "parent" cg);
+              Alcotest.(check bool) "inside resilient_hard on the clock" true
+                (num "start_ms" cg >= num "start_ms" hard
+                && num "start_ms" cg +. num "dur_ms" cg
+                   <= num "start_ms" hard +. num "dur_ms" hard +. 1e-9);
+              Alcotest.(check bool) "annotated with its outcome" true
+                (Option.bind (Export.member "fields" cg)
+                   (Export.member "iterations")
+                <> None))
+            cgs
+      | _ -> Alcotest.fail "expected one solve and one resilient_hard span")
+    lines
+
 (* ---------- soak reconciliation ---------- *)
 
 let test_soak_journaled_reconciles () =
@@ -453,20 +519,20 @@ let test_two_domain_journal_hammer () =
   let work seed () =
     for r = 1 to per_domain do
       let request = (seed * 1000) + r in
-      let ctx =
-        Trace_ctx.create ~now:(ticker ())
-          ~trace_id:(Trace_ctx.derive_id ~seed ~request)
-          ()
+      let tr =
+        Span.trace ~now:(ticker ())
+          ~id:(Trace_ctx.derive_id ~seed ~request)
+          "request"
       in
-      Trace_ctx.with_current ctx (fun () ->
-          Trace_ctx.with_span ctx "request" (fun () ->
-              Trace_ctx.in_span "solve" (fun () ->
-                  Trace_ctx.mark "tick";
-                  Trace_ctx.annotate_current [ ("r", Trace_ctx.Int r) ])));
+      Span.with_trace tr (fun () ->
+          Span.with_ "solve" (fun () ->
+              Span.event "tick";
+              Span.annotate [ ("r", Span.Int r) ]));
+      Span.close tr;
       Journal.record j ~request
         ~status:(if r mod 3 = 0 then "degraded" else "served")
         ~latency_ms:(float_of_int r)
-        ~queue_ms:0. ~cache_hit:false ctx
+        ~queue_ms:0. ~cache_hit:false tr
     done
   in
   let d1 = Domain.spawn (work 1) in
@@ -477,16 +543,25 @@ let test_two_domain_journal_hammer () =
   (match Journal.validate_text (Journal.to_text j) with
   | Ok n -> Alcotest.(check int) "all interleaved lines valid" (2 * per_domain) n
   | Error e -> Alcotest.fail ("hammered journal invalid: " ^ e));
-  (* ambient contexts are domain-local: every line kept its own trace *)
+  (* installed traces are domain-local: every line kept its own trace id
+     and exactly its own three spans *)
+  let parsed = List.map Export.parse (Journal.lines j) in
   let traces =
     List.filter_map
-      (fun line ->
-        Option.bind (Export.member "trace" (Export.parse line)) Export.to_str)
-      (Journal.lines j)
+      (fun line -> Option.bind (Export.member "trace" line) Export.to_str)
+      parsed
   in
   let distinct = List.sort_uniq compare traces in
   Alcotest.(check int) "every request kept its own trace id"
     (2 * per_domain) (List.length distinct);
+  List.iter
+    (fun line ->
+      match Export.member "spans" line with
+      | Some (Export.Arr spans) ->
+          Alcotest.(check int) "no span spliced in from the other domain" 3
+            (List.length spans)
+      | _ -> Alcotest.fail "line without spans")
+    parsed;
   let a = Journal.aggregate j in
   Alcotest.(check int) "aggregate saw both domains" (2 * per_domain)
     a.Journal.requests
@@ -535,6 +610,8 @@ let suite =
         test_engine_journals_and_tracks_slo;
       Alcotest.test_case "engine: metrics snapshot complete" `Quick
         test_engine_metrics_snapshot;
+      Alcotest.test_case "soak: faulted requests journal library spans"
+        `Quick test_faulted_soak_journals_library_spans;
       Alcotest.test_case "soak: journaled run reconciles exactly" `Slow
         test_soak_journaled_reconciles;
       Alcotest.test_case "journal: two-domain hammer" `Quick

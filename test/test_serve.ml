@@ -591,7 +591,7 @@ let test_soak_pinned_digests () =
   let s = Soak.run { (small_soak ()) with Soak.journal = true } in
   Alcotest.(check string) "response digest" "84d57c32011536b8"
     (Printf.sprintf "%016Lx" s.Soak.digest);
-  Alcotest.(check string) "journal digest" "95b6e62736fa4118"
+  Alcotest.(check string) "journal digest" "9ed540fe76e61103"
     (Printf.sprintf "%016Lx" s.Soak.journal_digest)
 
 (* The shared replay verifier's failure path: a script whose second run

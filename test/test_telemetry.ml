@@ -1,7 +1,8 @@
-(* Tests of the telemetry subsystem (counters, spans, JSON
-   export/parse) plus the differential property pinning the sparse
-   CSR+CG hard solver to the dense direct one, with the telemetry
-   iteration counters as a side-channel check. *)
+(* Tests of the telemetry subsystem (counters, spans and the sinks they
+   feed — installed traces and the path aggregate —, JSON export/parse)
+   plus the differential property pinning the sparse CSR+CG hard solver
+   to the dense direct one, with the telemetry iteration counters as a
+   side-channel check. *)
 
 open Test_util
 module T_registry = Telemetry.Registry
@@ -119,6 +120,135 @@ let test_registry_with_enabled_restores () =
   Alcotest.(check bool) "restored after" false (T_registry.is_enabled ());
   (try T_registry.with_enabled (fun () -> failwith "x") with Failure _ -> ());
   Alcotest.(check bool) "restored after exception" false (T_registry.is_enabled ())
+
+(* ---------- traces: the other sink of the same calls ---------- *)
+
+(* a millisecond clock that returns [readings] in order *)
+let scripted readings =
+  let rest = ref readings in
+  fun () ->
+    match !rest with
+    | t :: tl ->
+        rest := tl;
+        t
+    | [] -> Alcotest.fail "clock read more often than scripted"
+
+let node_view (s : T_span.node) =
+  (s.id, s.parent, s.name, s.start_ms, s.dur_ms, s.fields)
+
+let node_t =
+  Alcotest.testable
+    (fun ppf (id, parent, name, start, dur, fields) ->
+      Format.fprintf ppf "#%d<-%d %s @%g+%g (%d fields)" id parent name start
+        dur (List.length fields))
+    ( = )
+
+(* Registry off, trace installed: nested with_/event/annotate build the
+   expected tree on the trace's own clock — which steps backwards once,
+   so the inner span's duration clamps to 0 — and the aggregate stays
+   empty. *)
+let test_trace_tree_on_fake_clock () =
+  T_registry.reset ();
+  T_registry.with_disabled (fun () ->
+      (* root, outer, tick, inner start, inner end (backwards), outer end,
+         root end *)
+      let now = scripted [ 10.; 11.; 12.; 13.; 12.5; 14.; 15. ] in
+      let tr =
+        T_span.trace ~now ~id:7L ~fields:[ ("r", T_span.Int 1) ] "request"
+      in
+      let v =
+        T_span.with_trace tr (fun () ->
+            T_span.with_ "outer" ~fields:[ ("k", T_span.Int 1) ] (fun () ->
+                T_span.event "tick" ~fields:[ ("n", T_span.Int 2) ];
+                T_span.with_ "inner" (fun () ->
+                    T_span.annotate [ ("x", T_span.Float 0.5) ]);
+                T_span.annotate [ ("after", T_span.Bool true) ];
+                "done"))
+      in
+      T_span.close tr ~fields:[ ("status", T_span.Str "served") ];
+      Alcotest.(check string) "value through" "done" v;
+      Alcotest.(check int64) "trace id" 7L (T_span.trace_id tr);
+      Alcotest.(check (list node_t)) "tree"
+        [
+          ( 0, -1, "request", 10., 5.,
+            [ ("r", T_span.Int 1); ("status", T_span.Str "served") ] );
+          ( 1, 0, "outer", 11., 3.,
+            [ ("k", T_span.Int 1); ("after", T_span.Bool true) ] );
+          (2, 1, "tick", 12., 0., [ ("n", T_span.Int 2) ]);
+          (3, 1, "inner", 13., 0., [ ("x", T_span.Float 0.5) ]);
+        ]
+        (List.map node_view (T_span.nodes tr));
+      Alcotest.(check int) "aggregate untouched" 0
+        (List.length (T_span.snapshot ())))
+
+(* Registry on: the aggregate records today's paths, with no trace
+   installed no tree grows, and with one installed the same calls feed
+   both sinks. *)
+let test_aggregate_without_trace () =
+  with_clean_registry (fun () ->
+      let tr = T_span.trace ~now:(fun () -> 0.) ~id:1L "request" in
+      T_span.with_ "outer" (fun () ->
+          T_span.event "tick";
+          T_span.with_ "inner" (fun () -> T_span.annotate [ ("x", T_span.Int 1) ]));
+      Alcotest.(check (list string)) "aggregate paths" [ "outer"; "outer/inner" ]
+        (List.map fst (T_span.snapshot ()));
+      Alcotest.(check int) "no tree built" 1 (List.length (T_span.nodes tr));
+      T_span.with_trace tr (fun () -> T_span.with_ "both" (fun () -> ()));
+      Alcotest.(check int) "aggregate fed" 1 (T_span.count "both");
+      Alcotest.(check (list string)) "trace fed" [ "request"; "both" ]
+        (List.map (fun (s : T_span.node) -> s.name) (T_span.nodes tr)))
+
+(* A span opened on a pool worker domain stays out of the trace
+   installed on the caller's domain; the caller's own chunk enters it. *)
+let test_worker_span_stays_out_of_trace () =
+  let tr = T_span.trace ~now:(fun () -> 0.) ~id:2L "request" in
+  let caller = Domain.self () in
+  let worker_ran = Atomic.make false in
+  Parallel.Pool.with_default_domains 2 (fun () ->
+      T_span.with_trace tr (fun () ->
+          Parallel.Pool.run ~grain:1 2 (fun _ _ ->
+              if Domain.self () <> caller then begin
+                T_span.with_ "worker.chunk" (fun () -> ());
+                Atomic.set worker_ran true
+              end
+              else begin
+                T_span.with_ "caller.chunk" (fun () -> ());
+                (* hold this chunk until the worker has run the other *)
+                let t0 = Telemetry.Monotonic.now_ns () in
+                while
+                  (not (Atomic.get worker_ran))
+                  && Telemetry.Monotonic.now_ns () -. t0 < 5e9
+                do
+                  Domain.cpu_relax ()
+                done
+              end)));
+  Alcotest.(check bool) "a worker ran a chunk" true (Atomic.get worker_ran);
+  let names = List.map (fun (s : T_span.node) -> s.name) (T_span.nodes tr) in
+  Alcotest.(check bool) "caller's span entered" true
+    (List.mem "caller.chunk" names);
+  Alcotest.(check bool) "worker's span stayed out" false
+    (List.mem "worker.chunk" names)
+
+(* A connection trace with a request trace nested inside one of its
+   spans: the inner install shadows the outer one and restores it, so
+   [annotate] after it returns lands on the outer trace's open span. *)
+let test_nested_trace_restores_outer () =
+  let conn = T_span.trace ~now:(fun () -> 0.) ~id:3L "conn" in
+  let request = T_span.trace ~now:(fun () -> 0.) ~id:4L "request" in
+  T_span.with_trace conn (fun () ->
+      T_span.with_ "frame" (fun () ->
+          T_span.with_trace request (fun () ->
+              T_span.with_ "solve" (fun () ->
+                  T_span.annotate [ ("inner", T_span.Bool true) ]));
+          T_span.annotate [ ("status", T_span.Str "served") ]));
+  let tree tr =
+    List.map (fun (s : T_span.node) -> (s.name, s.fields)) (T_span.nodes tr)
+  in
+  Alcotest.(check bool) "outer trace" true
+    (tree conn = [ ("conn", []); ("frame", [ ("status", T_span.Str "served") ]) ]);
+  Alcotest.(check bool) "inner trace" true
+    (tree request
+    = [ ("request", []); ("solve", [ ("inner", T_span.Bool true) ]) ])
 
 (* ---------- JSON export ---------- *)
 
@@ -255,6 +385,13 @@ let suite =
       case "span exception unwinds" test_span_exception_unwinds;
       case "span disabled no-op" test_span_disabled_noop;
       case "with_enabled restores state" test_registry_with_enabled_restores;
+      case "trace: tree on a fake clock, aggregate empty"
+        test_trace_tree_on_fake_clock;
+      case "trace: aggregate paths, no tree without one"
+        test_aggregate_without_trace;
+      case "trace: a worker's span stays out" test_worker_span_stays_out_of_trace;
+      case "trace: nested install restores the outer"
+        test_nested_trace_restores_outer;
       case "json export round-trip" test_json_roundtrip;
       case "json escapes round-trip" test_json_renders_escapes_and_parses;
       case "json weird metric names round-trip"
